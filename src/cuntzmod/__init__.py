@@ -59,10 +59,9 @@ from .matrices import (
     homotopy_path_check,
     is_modular_unitary,
     is_unitary,
-    mat_arith,
+    modular_certificate,
 )
 from .modular import (
-    ModularContext,
     commutator_D,
     delta_power,
     expectation,

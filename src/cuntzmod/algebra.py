@@ -399,7 +399,3 @@ def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
     if a.terms == b.terms:
         return True
     return not canonical_form(a - b).terms
-
-
-def is_semantically_zero(a: AlgebraElement) -> bool:
-    return not canonical_form(a).terms

@@ -13,12 +13,14 @@ expansion guard.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from fractions import Fraction
 
 from .algebra import canonical_form, check_word, monomial
 from .endos import keyfact_sweep, tracesplit_sweep
-from .errors import CuntzError
+from .errors import CuntzError, DomainError, UsageError
 from .expr import parse, render
 from .flow import (
     aps_index_traces,
@@ -34,11 +36,20 @@ from .modular import kms_sweep, tomita_sweep
 from .numerics import ProjectionPerturbation, SummationConfig, dixmier_limit, sf_integral
 from .scalars import scalar_str
 
-CHECKS = ("kms", "tomita", "cocycle", "hochschild", "keyfact", "homotopy", "tracesplit")
+CHECKS = {
+    "kms": lambda args: kms_sweep(args.n, args.max_len),
+    "tomita": lambda args: tomita_sweep(args.n, args.max_len),
+    "cocycle": lambda args: cocycle_sweep(args.n, args.max_len),
+    "hochschild": lambda args: hochschild_sweep(args.n),
+    "keyfact": lambda args: keyfact_sweep(args.n, args.max_len),
+    "homotopy": lambda args: homotopy_sweep(args.n, args.samples),
+    "tracesplit": lambda args: tracesplit_sweep(args.n, args.max_len),
+}
 
 
 def render_json(obj) -> str:
-    """Minimal deterministic JSON: insertion-ordered keys, %.17g doubles."""
+    """Minimal deterministic JSON: insertion-ordered keys, %.17g doubles;
+    a non-finite double is an error, never output."""
     if obj is None:
         return "null"
     if obj is True:
@@ -46,11 +57,12 @@ def render_json(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{escaped}"'
+        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise DomainError(f"{obj} has no JSON representation")
         return f"{obj:.17g}"
     if isinstance(obj, Fraction):
         return f'"{scalar_str(obj)}"'
@@ -66,11 +78,10 @@ def _emit(report: dict, mode: str) -> None:
     if mode == "json":
         print(render_json(report))
     else:
-        for key, value in report.items():
-            if isinstance(value, float):
-                print(f"{key}: {value:.17g}")
-            else:
-                print(f"{key}: {render_json(value) if isinstance(value, (dict, list, tuple)) else value}")
+        print("\n".join(
+            f"{key}: {render_json(value) if isinstance(value, (float, dict, list, tuple)) else value}"
+            for key, value in report.items()
+        ))
 
 
 def _word(text: str, n: int):
@@ -175,7 +186,11 @@ def _dispatch(args) -> int:
         return 0 if report["consistent"] else 1
 
     if verb == "check":
-        report = _run_check(args)
+        if args.max_len < 0:
+            raise UsageError(f"--max-len must be >= 0, got {args.max_len}")
+        report = CHECKS[args.suite](args)
+        if report["cases"] == 0:
+            raise UsageError(f"check {args.suite} ran zero cases")
         _emit(report, args.output)
         return 0 if report["failures"] == 0 else 1
 
@@ -221,26 +236,6 @@ def _dispatch(args) -> int:
         return 0
 
     raise CuntzError(f"unknown verb {verb!r}")
-
-
-def _run_check(args) -> dict:
-    suite = args.suite
-    n = args.n
-    if suite == "kms":
-        return kms_sweep(n, args.max_len)
-    if suite == "tomita":
-        return tomita_sweep(n, args.max_len)
-    if suite == "cocycle":
-        return cocycle_sweep(n, args.max_len)
-    if suite == "hochschild":
-        return hochschild_sweep(n)
-    if suite == "keyfact":
-        return keyfact_sweep(n, args.max_len)
-    if suite == "homotopy":
-        return homotopy_sweep(n, args.samples)
-    if suite == "tracesplit":
-        return tracesplit_sweep(n, args.max_len)
-    raise CuntzError(f"unknown check {suite!r}")
 
 
 def console_main() -> None:

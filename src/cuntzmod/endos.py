@@ -37,6 +37,7 @@ from .algebra import (
 from .errors import DomainError, TermBudgetExceeded, UsageError
 from .modular import delta_power, expectation, gauge_component, state_psi, trace_F
 from .scalars import QSqrt, n_power, scalar_is_zero
+from .tally import Tally
 
 
 class RankOne:
@@ -212,34 +213,22 @@ def key_fact_check(v: AlgebraElement, k: int, probes) -> bool:
 def tracesplit_sweep(n: int, max_len: int, k_span: int = 3) -> dict:
     """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) ==
     tau(f) for degree-0 monomials f, plus the Phi_k weights themselves."""
-    cases = failures = 0
-    first: list[str] = []
-
-    def bad(label):
-        nonlocal failures
-        failures += 1
-        if len(first) < 5:
-            first.append(label)
-
+    tally = Tally()
     for k in range(-k_span, k_span + 1):
         phi_k = phi_k_endo(k, n)
-        cases += 2
-        if tau_tilde(phi_k) != n_power(n, k):
-            bad(f"tau_tilde(Phi_{k}) != n^{k}")
-        if tau_delta_endo(phi_k) != QSqrt.one(n):
-            bad(f"tau_delta(Phi_{k}) != 1")
+        tally.check(tau_tilde(phi_k) == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}")
+        tally.check(tau_delta_endo(phi_k) == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1")
         for length in range(max_len + 1):
             for alpha in words(n, length):
                 for beta in words(n, length):
                     f = monomial(n, alpha, beta)
                     tf = trace_F(f)
                     fused = compose_left_mult(f, phi_k)
-                    cases += 2
-                    if tau_tilde(fused) != n_power(n, k) * tf:
-                        bad(f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
-                    if tau_delta_endo(fused) != tf:
-                        bad(f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}")
-    return {"check": "tracesplit", "n": n, "max_len": max_len, "cases": cases, "failures": failures, "first_failures": first}
+                    tally.check(tau_tilde(fused) == n_power(n, k) * tf,
+                                lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
+                    tally.check(tau_delta_endo(fused) == tf,
+                                lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}")
+    return tally.report("tracesplit", n=n, max_len=max_len)
 
 
 def keyfact_sweep(n: int, max_len: int, probe_len: int = 3, k_span: int = 2) -> dict:
@@ -248,15 +237,10 @@ def keyfact_sweep(n: int, max_len: int, probe_len: int = 3, k_span: int = 2) -> 
     ws = words_upto(n, max_len)
     probe_words = words_upto(n, probe_len)
     probes = [monomial(n, a, b) for a in probe_words for b in probe_words]
-    cases = failures = 0
-    first: list[str] = []
+    tally = Tally()
     for mu in ws:
         for nu in ws:
             v = monomial(n, mu, nu)
             for k in range(-k_span, k_span + 1):
-                cases += 1
-                if not key_fact_check(v, k, probes):
-                    failures += 1
-                    if len(first) < 5:
-                        first.append(f"v=S_{mu}S*_{nu} k={k}")
-    return {"check": "keyfact", "n": n, "max_len": max_len, "cases": cases, "failures": failures, "first_failures": first}
+                tally.check(key_fact_check(v, k, probes), lambda: f"v=S_{mu}S*_{nu} k={k}")
+    return tally.report("keyfact", n=n, max_len=max_len)

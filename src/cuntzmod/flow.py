@@ -48,6 +48,7 @@ from .errors import BackendError, DomainError, UsageError
 from .matrices import AlgMatrix, apply_sigma, build_u_mu_nu, is_modular_unitary
 from .modular import commutator_D, delta_power, state_psi, trace_F
 from .scalars import QSqrt, scalar_str
+from .tally import Tally
 
 
 @dataclass
@@ -133,19 +134,15 @@ def cocycle_b_defect(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement)
 def cocycle_check(triples: Iterable[tuple[AlgebraElement, AlgebraElement, AlgebraElement]]) -> dict:
     """Evaluate b theta on each triple and B theta = theta(1, .) on each
     first slot; passes iff every value is exactly zero."""
-    cases = failures = 0
-    first: list[str] = []
+    tally = Tally()
     for a0, a1, a2 in triples:
         ident = one(a0.n, a0.exact)
-        cases += 2
         b = cocycle_b_defect(a0, a1, a2)
         big_b = twisted_theta(ident, a0)
         for name, value in (("b", b), ("B", big_b)):
-            if not (value.is_zero if isinstance(value, QSqrt) else value == 0):
-                failures += 1
-                if len(first) < 5:
-                    first.append(f"{name}-defect {value} on ({a0!r}, {a1!r}, {a2!r})")
-    return {"check": "cocycle", "cases": cases, "failures": failures, "first_failures": first}
+            ok = value.is_zero if isinstance(value, QSqrt) else value == 0
+            tally.check(ok, lambda: f"{name}-defect {value} on ({a0!r}, {a1!r}, {a2!r})")
+    return tally.report("cocycle")
 
 
 def hochschild_orientation(n: int, drop: int | None = None) -> dict:
@@ -266,16 +263,14 @@ def sf_closed_form_chunk(n: int, len_mu: int, len_nu: int) -> dict:
     """One (n, |mu|, |nu|) block of the closed-form sweep: spectral_flow of
     every u_{mu,nu} equals the closed form, is positive, and lies in
     (n-1)Z[1/n]."""
-    cases = failures = 0
+    tally = Tally()
     expected = closed_form_sf(n, (1,) * len_mu, (1,) * len_nu)
     membership = k0_membership(expected, n)
     for mu in words(n, len_mu):
         for nu in words(n, len_nu):
-            cases += 1
             sf = spectral_flow(build_u_mu_nu(n, mu, nu))
-            if sf != expected or sf <= 0 or not membership:
-                failures += 1
-    return {"n": n, "len_mu": len_mu, "len_nu": len_nu, "cases": cases, "failures": failures}
+            tally.check(sf == expected and sf > 0 and membership, lambda: f"mu={mu} nu={nu} sf={sf}")
+    return tally.report("sf_closed_form", n=n, len_mu=len_mu, len_nu=len_nu)
 
 
 def cocycle_sweep(n: int, max_len: int) -> dict:
@@ -286,25 +281,16 @@ def cocycle_sweep(n: int, max_len: int) -> dict:
     ws = words_upto(n, max_len)
     monos = [monomial(n, a, b) for a in ws for b in ws]
     ident = one(n)
-    cases = failures = 0
-    first: list[str] = []
+    tally = Tally()
     for a0 in monos:
         value = twisted_theta(ident, a0)
-        cases += 1
-        if not value.is_zero:
-            failures += 1
-            if len(first) < 5:
-                first.append(f"B-defect {value} on {a0!r}")
+        tally.check(value.is_zero, lambda: f"B-defect {value} on {a0!r}")
     for a0 in monos:
         for a1 in monos:
             for a2 in monos:
-                cases += 1
                 value = cocycle_b_defect(a0, a1, a2)
-                if not value.is_zero:
-                    failures += 1
-                    if len(first) < 5:
-                        first.append(f"b-defect {value} on ({a0!r}, {a1!r}, {a2!r})")
-    return {"check": "cocycle", "n": n, "max_len": max_len, "cases": cases, "failures": failures, "first_failures": first}
+                tally.check(value.is_zero, lambda: f"b-defect {value} on ({a0!r}, {a1!r}, {a2!r})")
+    return tally.report("cocycle", n=n, max_len=max_len)
 
 
 def hochschild_sweep(n: int) -> dict:

@@ -14,11 +14,15 @@ v sigma(v^*), v^* sigma(v) over F,
     u_v = [[1 - v^* v,  v^*     ],
            [v,          1 - v v^*]].
 
+One function, ``modular_certificate``, decides both conditions: it forms
+U U^*, U^* U, U sigma(U^*) and U^* sigma(U) once and returns the unitarity
+defect and the modular defect (the largest coefficient of U U^* - I,
+U^* U - I and of the Phi-complements, in canonical form).
+
 Homotopies of modular unitaries are verified by sampling a parametrised
-path on a finite grid and reporting, per sample, the unitarity defect and
-the modular-condition defect (max coefficient magnitude of the
-Phi-complement).  A sampled check evidences continuity, it does not prove
-it; failures between grid points are invisible by construction.
+path on a finite grid and reporting both defects per sample.  A sampled
+check evidences continuity, it does not prove it; failures between grid
+points are invisible by construction.
 """
 
 from __future__ import annotations
@@ -36,12 +40,11 @@ from .algebra import (
     multiply,
     one,
     projection,
-    words_upto,
     zero,
 )
 from .errors import DomainError, UsageError
 from .modular import delta_power
-from .scalars import QSqrt
+from .scalars import QSqrt, scalar_abs
 
 
 class AlgMatrix:
@@ -184,24 +187,6 @@ class AlgMatrix:
         return f"AlgMatrix(n={self.n}, k={self.k}, {'exact' if self.exact else 'numeric'})"
 
 
-def mat_arith(op: str, a: AlgMatrix, b: AlgMatrix | None = None) -> AlgMatrix:
-    """Dispatcher form of the matrix arithmetic: multiply | adjoint |
-    direct_sum | subtract."""
-    if op == "adjoint":
-        if b is not None:
-            raise UsageError("adjoint is unary")
-        return a.adjoint()
-    if b is None:
-        raise UsageError(f"{op} needs two matrices")
-    if op == "multiply":
-        return a @ b
-    if op == "direct_sum":
-        return a.direct_sum(b)
-    if op == "subtract":
-        return a - b
-    raise UsageError(f"unknown matrix operation {op!r}")
-
-
 # -- unitarity and the modular condition --------------------------------------
 
 
@@ -221,38 +206,6 @@ def in_fixed_algebra(x: AlgebraElement) -> bool:
 _UNIT_KEY = ((), ())
 
 
-def _is_semantically_one(x: AlgebraElement) -> bool:
-    t = x.terms
-    if len(t) == 1:
-        c = t.get(_UNIT_KEY)
-        if c is not None and c == 1:
-            return True
-    return equals(x, one(x.n, x.exact))
-
-
-def _is_semantically_zero(x: AlgebraElement) -> bool:
-    return not x.terms or canonical_form(x).is_zero
-
-
-def _is_semantic_identity(p: AlgMatrix) -> bool:
-    for i, row in enumerate(p.rows):
-        for j, x in enumerate(row):
-            if i == j:
-                if not _is_semantically_one(x):
-                    return False
-            elif not _is_semantically_zero(x):
-                return False
-    return True
-
-
-def is_unitary(u: AlgMatrix) -> bool:
-    """U U^* == I and U^* U == I under semantic equality."""
-    u_star = u.adjoint()
-    if not _is_semantic_identity(u @ u_star):
-        return False
-    return u == u_star or _is_semantic_identity(u_star @ u)
-
-
 def apply_sigma(u: AlgMatrix) -> AlgMatrix:
     """Entrywise sigma = Delta^(-1), i.e. sigma tensor Id_k."""
     return AlgMatrix._make(
@@ -260,63 +213,70 @@ def apply_sigma(u: AlgMatrix) -> AlgMatrix:
     )
 
 
-def _modular_products(u: AlgMatrix) -> list[AlgMatrix]:
+def _largest_coefficient(residues: list[AlgebraElement], u: AlgMatrix):
+    """Largest coefficient magnitude over the canonical forms of the
+    residues: an exact QSqrt (zero iff every residue vanishes) on the exact
+    backend, a float on the numeric one."""
+    best, best_abs = None, 0.0
+    for x in residues:
+        for c in canonical_form(x).terms.values():
+            mag = scalar_abs(c)
+            if mag > best_abs:
+                best, best_abs = c, mag
+    if not u.exact:
+        return best_abs
+    return QSqrt.zero(u.n) if best is None else best.abs_exact()
+
+
+def modular_certificate(u: AlgMatrix) -> tuple:
+    """(unitarity_defect, modular_defect) of U.
+
+    The unitarity defect is the largest coefficient of U U^* - I and
+    U^* U - I, the modular defect the largest coefficient of the
+    Phi-complements of U sigma(U^*) and U^* sigma(U), all in canonical form.
+    Each is an exact QSqrt on the exact backend (zero iff the condition
+    holds) and a float on the numeric one.  A self-adjoint U needs one
+    product of each kind.  Entries that are structurally 1 on the diagonal,
+    and off-degree parts that are empty, skip canonical_form.
+    """
     u_star = u.adjoint()
+    sigma_u_star = apply_sigma(u_star)
     if u == u_star:
-        return [u @ apply_sigma(u)]
-    return [u @ apply_sigma(u_star), u_star @ apply_sigma(u)]
-
-
-def modular_condition_holds(u: AlgMatrix) -> bool:
-    """Both U sigma(U^*) and U^* sigma(U) are matrices over F."""
-    for p in _modular_products(u):
+        unit_products = (u @ u_star,)
+        modular_products = (u @ sigma_u_star,)
+    else:
+        unit_products = (u @ u_star, u_star @ u)
+        modular_products = (u @ sigma_u_star, u_star @ apply_sigma(u))
+    residues = []  # entries of P - I that are not structurally zero
+    for p in unit_products:
+        for i, row in enumerate(p.rows):
+            for j, x in enumerate(row):
+                t = x.terms
+                if i != j:
+                    if t:
+                        residues.append(x)
+                elif len(t) != 1 or t.get(_UNIT_KEY) != 1:
+                    residues.append(x - one(u.n, u.exact))
+    unitarity = _largest_coefficient(residues, u)
+    residues = []  # non-empty Phi-complements
+    for p in modular_products:
         for row in p.rows:
             for x in row:
-                if not in_fixed_algebra(x):
-                    return False
-    return True
+                off = _off_degree_part(x)
+                if off.terms:
+                    residues.append(off)
+    return unitarity, _largest_coefficient(residues, u)
+
+
+def is_unitary(u: AlgMatrix) -> bool:
+    """U U^* == I and U^* U == I under semantic equality."""
+    return modular_certificate(u)[0] == 0
 
 
 def is_modular_unitary(u: AlgMatrix) -> bool:
-    u_star = u.adjoint()
-    self_adjoint = u == u_star
-    if not _is_semantic_identity(u @ u_star):
-        return False
-    if not self_adjoint and not _is_semantic_identity(u_star @ u):
-        return False
-    sigma_u = apply_sigma(u)
-    products = [u @ sigma_u] if self_adjoint else [u @ apply_sigma(u_star), u_star @ sigma_u]
-    for p in products:
-        for row in p.rows:
-            for x in row:
-                if not in_fixed_algebra(x):
-                    return False
-    return True
-
-
-def unitarity_defect(u: AlgMatrix) -> float:
-    """Max coefficient magnitude of U U^* - I and U^* U - I (canonical)."""
-    ident = AlgMatrix.identity(u.n, u.k, u.exact)
-    u_star = u.adjoint()
-    worst = 0.0
-    for p in (u @ u_star, u_star @ u):
-        for i in range(u.k):
-            for j in range(u.k):
-                diff = canonical_form(p.rows[i][j] - ident.rows[i][j])
-                worst = max(worst, diff.max_coeff_abs())
-    return worst
-
-
-def modular_defect(u: AlgMatrix) -> float:
-    """Max coefficient magnitude of the Phi-complement of the entries of
-    U sigma(U^*) and U^* sigma(U) (canonical)."""
-    worst = 0.0
-    u_star = u.adjoint()
-    for p in (u @ apply_sigma(u_star), u_star @ apply_sigma(u)):
-        for row in p.rows:
-            for x in row:
-                worst = max(worst, canonical_form(_off_degree_part(x)).max_coeff_abs())
-    return worst
+    """U is unitary and U sigma(U^*), U^* sigma(U) are matrices over F."""
+    unitarity, modular = modular_certificate(u)
+    return unitarity == 0 and modular == 0
 
 
 def modular_defect_exact(u: AlgMatrix) -> QSqrt:
@@ -325,17 +285,7 @@ def modular_defect_exact(u: AlgMatrix) -> QSqrt:
     condition holds."""
     if not u.exact:
         raise UsageError("exact defects need the exact backend")
-    best = QSqrt.zero(u.n)
-    best_abs = 0.0
-    u_star = u.adjoint()
-    for p in (u @ apply_sigma(u_star), u_star @ apply_sigma(u)):
-        for row in p.rows:
-            for x in row:
-                for c in canonical_form(_off_degree_part(x)).terms.values():
-                    mag = c.abs_exact()
-                    if float(mag) > best_abs:
-                        best, best_abs = mag, float(mag)
-    return best
+    return modular_certificate(u)[1]
 
 
 # -- canonical modular unitaries -----------------------------------------------
@@ -403,9 +353,8 @@ def homotopy_path_check(path: Callable[[float], AlgMatrix], samples: int = 21, t
     for i in range(samples):
         t = i / (samples - 1)
         u = path(t)
-        ud = unitarity_defect(u)
-        md = modular_defect(u)
-        ok = (ud == 0.0 and md == 0.0) if u.exact else (ud < tolerance and md < tolerance)
+        ud, md = (float(d) for d in modular_certificate(u))
+        ok = max(ud, md) == 0.0 if u.exact else max(ud, md) < tolerance
         passed = passed and ok
         report.append({"t": t, "unitarity_defect": ud, "modular_defect": md, "ok": ok})
     return {"passed": passed, "tolerance": tolerance, "samples": report}
@@ -511,7 +460,7 @@ def cartan_rotation(n: int, cos_val, sin_val) -> AlgebraElement:
     )
 
 
-def find_nonmodular_product_witness(n: int, max_len: int = 2) -> dict | None:
+def find_nonmodular_product_witness(n: int) -> dict | None:
     """A concrete pair of modular unitaries whose product is unitary but
     fails the modular condition, with an exact defect certificate.
 
@@ -519,32 +468,12 @@ def find_nonmodular_product_witness(n: int, max_len: int = 2) -> dict | None:
     permutations) never witness the failure: their modular products are
     combinations of branch projections, and for any such combination g the
     corner identities (1-P_mu) S_mu = 0 and S_nu^* (1-P_nu) = 0 make
-    u g sigma(u^*) land in F again.  The monomial scan (over leg lengths up
-    to max_len) is kept as a cheap confirmation of that closure; the live
-    candidates are branch-permutation unitaries and their conjugates under
-    an exact rational rotation over F, which moves the sandwiched element
-    off the branch diagonal and exposes the failure.
+    u g sigma(u^*) land in F again.  The candidates are therefore
+    branch-permutation unitaries and their conjugates under an exact
+    rational rotation over F, which moves the sandwiched element off the
+    branch diagonal and exposes the failure.
     """
     from .expr import render
-
-    scan_words = [w for w in words_upto(n, min(max_len, 1)) if w]
-    for mu1 in scan_words:
-        for nu1 in scan_words:
-            for mu2 in scan_words:
-                for nu2 in scan_words:
-                    if mu1 == nu1 or mu2 == nu2:
-                        continue
-                    product = build_u_mu_nu(n, mu1, nu1) @ build_u_mu_nu(n, mu2, nu2)
-                    defect = modular_defect_exact(product)
-                    if not defect.is_zero:  # provably unreachable; kept honest
-                        return {
-                            "left": f"u_{{{mu1},{nu1}}}",
-                            "right": f"u_{{{mu2},{nu2}}}",
-                            "left_expr": None,
-                            "right_expr": None,
-                            "defect": str(defect),
-                            "defect_float": float(defect),
-                        }
 
     shift = branch_shift_unitary(n)
     rot = cartan_rotation(n, Fraction(3, 5), Fraction(4, 5))
@@ -554,15 +483,10 @@ def find_nonmodular_product_witness(n: int, max_len: int = 2) -> dict | None:
         ("rotated_branch_shift", multiply(multiply(rot, shift), adjoint(rot))),
         ("rotated_branch_shift*", multiply(multiply(rot, adjoint(shift)), adjoint(rot))),
     ]
-    for left_name, left_el in candidates:
-        left = AlgMatrix.single(left_el)
-        if not is_modular_unitary(left):
-            continue
-        for right_name, right_el in candidates:
-            right = AlgMatrix.single(right_el)
-            if not is_modular_unitary(right):
-                continue
-            defect = modular_defect_exact(left @ right)
+    modular = [(name, el) for name, el in candidates if is_modular_unitary(AlgMatrix.single(el))]
+    for left_name, left_el in modular:
+        for right_name, right_el in modular:
+            defect = modular_defect_exact(AlgMatrix.single(multiply(left_el, right_el)))
             if not defect.is_zero:
                 return {
                     "left": left_name,
@@ -579,44 +503,26 @@ def homotopy_sweep(n: int, samples: int = 21) -> dict:
     """The named homotopy suite: the rotation path, the two-stage swap path,
     the Whitehead contraction over F, a constant non-modular path that must
     fail, and the non-closure witness pair."""
-    cases = failures = 0
-    details = {}
+    from .expr import parse
 
     u = build_u_mu_nu(n, (1, 1), (2,))
     v = build_u_mu_nu(n, (1,), (2,))
-    rot = homotopy_path_check(rotation_direct_sum_path(u, v), samples)
-    cases += 1
-    failures += 0 if rot["passed"] else 1
-    details["rotation"] = rot["passed"]
-
-    swap = homotopy_path_check(swap_two_stage_path(n, (1, 1), (2,)), samples)
-    cases += 1
-    failures += 0 if swap["passed"] else 1
-    details["two_stage"] = swap["passed"]
-
     over_f = AlgMatrix.single(monomial(n, (1,), (2,)) + monomial(n, (2,), (1,)) + sum_rest_projections(n))
-    white = homotopy_path_check(whitehead_path(over_f), samples)
-    cases += 1
-    failures += 0 if white["passed"] else 1
-    details["whitehead"] = white["passed"]
+    paths = {
+        "rotation": rotation_direct_sum_path(u, v),
+        "two_stage": swap_two_stage_path(n, (1, 1), (2,)),
+        "whitehead": whitehead_path(over_f),
+    }
+    passed = [homotopy_path_check(path, samples)["passed"] for path in paths.values()]
+    details = dict(zip(paths, passed))
 
-    witness = find_nonmodular_product_witness(n, 2)
-    cases += 1
-    if witness is None:
-        failures += 1
-        details["nonmodular_witness"] = None
-    else:
-        from .expr import parse
-
-        product = AlgMatrix.single(
-            multiply(parse(witness["left_expr"], n), parse(witness["right_expr"], n))
-        )
-        bad = homotopy_path_check(constant_path(product), samples)
-        ok = (not bad["passed"]) and witness["defect_float"] > 0
-        failures += 0 if ok else 1
-        details["nonmodular_witness"] = witness
-
-    return {"check": "homotopy", "n": n, "cases": cases, "failures": failures, "details": details}
+    witness = details["nonmodular_witness"] = find_nonmodular_product_witness(n)
+    ok = witness is not None and witness["defect_float"] > 0
+    if ok:
+        product = AlgMatrix.single(multiply(parse(witness["left_expr"], n), parse(witness["right_expr"], n)))
+        ok = not homotopy_path_check(constant_path(product), samples)["passed"]
+    passed.append(ok)
+    return {"check": "homotopy", "n": n, "cases": len(passed), "failures": passed.count(False), "details": details}
 
 
 def sum_rest_projections(n: int) -> AlgebraElement:

@@ -22,27 +22,12 @@ All functions are pure and inputs are never mutated.
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraElement, adjoint, multiply
 from .errors import BackendError, DomainError, UsageError
 from .scalars import QSqrt, conj_scalar, n_power, n_power_numeric, scalar_is_zero
-
-
-@dataclass(frozen=True)
-class ModularContext:
-    """Ambient algebra size with the cached logarithm used by numeric ops."""
-
-    n: int
-    log_n: float = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise UsageError(f"modular context needs n >= 2, got {self.n}")
-        object.__setattr__(self, "log_n", math.log(self.n))
+from .tally import Tally
 
 
 def gauge_component(a: AlgebraElement, k: int) -> AlgebraElement:
@@ -58,20 +43,13 @@ def expectation(a: AlgebraElement) -> AlgebraElement:
 
 def trace_F(f: AlgebraElement):
     """The normalised trace on F_c; rejects terms of nonzero gauge degree."""
-    n = f.n
-    acc = QSqrt.zero(n) if f.exact else 0j
-    for (mu, nu), c in f.terms.items():
+    for mu, nu in f.terms:
         if len(mu) != len(nu):
             raise DomainError(
                 f"trace_F needs a gauge-degree-0 element; term S_{mu}S*_{nu} has degree "
                 f"{len(mu) - len(nu)}"
             )
-        if mu == nu:
-            if f.exact:
-                acc = acc + c * n_power(n, -len(mu))
-            else:
-                acc = acc + c * n ** (-len(mu))
-    return acc
+    return state_psi(f)
 
 
 def state_psi(a: AlgebraElement):
@@ -180,21 +158,14 @@ def sigma_auto(a: AlgebraElement, t) -> AlgebraElement:
     """The modular flow sigma_t on generators.
 
     ``t == 1j`` is the distinguished algebraic point and dispatches to the
-    exact :func:`sigma`.  Real ``t`` scales a degree-d term by
-    e^(-i t d ln n) and returns a numeric-backend element.
+    exact :func:`sigma`.  Real ``t`` is Delta^(it): it scales a degree-d
+    term by e^(-i t d ln n) and returns a numeric-backend element.
     """
     if isinstance(t, complex) and t == 1j:
         return sigma(a)
     if isinstance(t, complex) and t.imag != 0:
         raise UsageError("sigma_auto supports real t or the imaginary unit t=1j")
-    tf = float(t.real if isinstance(t, complex) else t)
-    num = a.to_numeric()
-    log_n = math.log(a.n)
-    out = {}
-    for key, c in num.terms.items():
-        d = len(key[1]) - len(key[0])  # n^{it(|nu|-|mu|)}
-        out[key] = c * cmath.exp(1j * tf * d * log_n) if d else c
-    return AlgebraElement._make(a.n, False, out)
+    return delta_power(a.to_numeric(), 1j * t)
 
 
 # -- named invariant sweeps ----------------------------------------------------
@@ -211,18 +182,13 @@ def kms_sweep(n: int, max_len: int) -> dict:
     """psi(ab) == psi(sigma(b) a) exactly, over all monomial pairs with leg
     lengths up to max_len."""
     monos = _monomials(n, max_len)
-    cases = failures = 0
-    first: list[str] = []
+    tally = Tally()
     for a in monos:
         for b in monos:
-            cases += 1
             lhs = state_psi(multiply(a, b))
             rhs = state_psi(multiply(sigma(b), a))
-            if lhs != rhs:
-                failures += 1
-                if len(first) < 5:
-                    first.append(f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}")
-    return {"check": "kms", "n": n, "max_len": max_len, "cases": cases, "failures": failures, "first_failures": first}
+            tally.check(lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}")
+    return tally.report("kms", n=n, max_len=max_len)
 
 
 def tomita_sweep(n: int, max_len: int) -> dict:
@@ -234,39 +200,24 @@ def tomita_sweep(n: int, max_len: int) -> dict:
 
     monos = _monomials(n, max_len)
     zs = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
-    cases = failures = 0
-    first: list[str] = []
-
-    def bad(label: str):
-        nonlocal failures
-        failures += 1
-        if len(first) < 5:
-            first.append(label)
-
+    half = Fraction(1, 2)
+    tally = Tally()
     for a in monos:
-        for z in zs:
-            cases += 1  # S(Delta^z a) = Delta^(-conj z)(S a); z real here
-            if not equals(tomita_S(delta_power(a, z)), delta_power(tomita_S(a), -z)):
-                bad(f"S/Delta^z intertwining a={a!r} z={z}")
-        cases += 1
-        if not equals(tomita_S(a), modular_conjugation_J(delta_power(a, Fraction(1, 2)))):
-            bad(f"polar S a={a!r}")
-        cases += 1
-        if not equals(tomita_F(a), delta_power(modular_conjugation_J(a), Fraction(1, 2))):
-            bad(f"polar F a={a!r}")
-        cases += 1
-        if not equals(modular_conjugation_J(modular_conjugation_J(a)), a):
-            bad(f"J^2 a={a!r}")
+        for z in zs:  # S(Delta^z a) = Delta^(-conj z)(S a); z real here
+            tally.check(equals(tomita_S(delta_power(a, z)), delta_power(tomita_S(a), -z)),
+                        lambda: f"S/Delta^z intertwining a={a!r} z={z}")
+        tally.check(equals(tomita_S(a), modular_conjugation_J(delta_power(a, half))), lambda: f"polar S a={a!r}")
+        tally.check(equals(tomita_F(a), delta_power(modular_conjugation_J(a), half)), lambda: f"polar F a={a!r}")
+        tally.check(equals(modular_conjugation_J(modular_conjugation_J(a)), a), lambda: f"J^2 a={a!r}")
     for a in monos:
         for b in monos:
-            for z in zs:
-                cases += 1  # <Delta^z a, b> = <a, Delta^(conj z) b>
-                if inner_product(delta_power(a, z), b) != inner_product(a, delta_power(b, z)):
-                    bad(f"Delta^z pairing symmetry a={a!r} b={b!r} z={z}")
-            cases += 1  # <F a, S b> = <b, a>
-            if inner_product(tomita_F(a), tomita_S(b)) != inner_product(b, a):
-                bad(f"F/S exchange a={a!r} b={b!r}")
-            cases += 1  # <S a, b> = <F b, a>
-            if inner_product(tomita_S(a), b) != inner_product(tomita_F(b), a):
-                bad(f"F adjoint to S a={a!r} b={b!r}")
-    return {"check": "tomita", "n": n, "max_len": max_len, "cases": cases, "failures": failures, "first_failures": first}
+            for z in zs:  # <Delta^z a, b> = <a, Delta^(conj z) b>
+                tally.check(inner_product(delta_power(a, z), b) == inner_product(a, delta_power(b, z)),
+                            lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={z}")
+            # <F a, S b> = <b, a>
+            tally.check(inner_product(tomita_F(a), tomita_S(b)) == inner_product(b, a),
+                        lambda: f"F/S exchange a={a!r} b={b!r}")
+            # <S a, b> = <F b, a>
+            tally.check(inner_product(tomita_S(a), b) == inner_product(tomita_F(b), a),
+                        lambda: f"F adjoint to S a={a!r} b={b!r}")
+    return tally.report("tomita", n=n, max_len=max_len)

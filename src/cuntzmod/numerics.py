@@ -163,8 +163,8 @@ def sf_integral(x: ProjectionPerturbation, r: float, cfg: SummationConfig) -> fl
         x = ProjectionPerturbation.from_pairs(x)
     if not x.terms:
         raise UsageError("empty perturbation")
-    if not r > 0:
-        raise DomainError(f"sf_integral needs r > 0, got {r}")
+    if not (r > 0 and math.isfinite(r)):
+        raise DomainError(f"sf_integral needs a finite r > 0, got {r}")
     expo = 0.5 + r
     data = [(float(c), float(w)) for c, w in x.terms]
     largest = max(abs(c) for c, _ in data)

@@ -327,12 +327,6 @@ def scalar_abs(c) -> float:
     return abs(c)
 
 
-def scalar_to_complex(c) -> complex:
-    if type(c) is QSqrt:
-        return complex(c)
-    return complex(c)
-
-
 def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 

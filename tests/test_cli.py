@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cuntzmod import cli
 from cuntzmod.cli import main, render_json
+from cuntzmod.errors import CuntzError
 
 
 def run(capsys, *argv):
@@ -137,3 +145,106 @@ def test_render_json_floats():
     assert render_json(0.1) == "0.10000000000000001"
     assert render_json({"a": [1, True, None, "x\"y"]}) == '{"a":[1,true,null,"x\\"y"]}'
     assert json.loads(render_json({"v": 0.1}))["v"] == 0.1
+
+
+def test_render_json_escapes_control_characters():
+    text = "a\tb\x01c\r\u2028\"\\"
+    assert json.loads(render_json({"s": text})) == {"s": text}
+    assert render_json("plain 'ascii' text") == '"plain \'ascii\' text"'
+
+
+def test_eval_json_with_tab_is_valid_json(capsys):
+    code, out, _ = run(capsys, "eval", "--output", "json", "--n", "2", "S[1] \t+ S[2]")
+    assert code == 0
+    assert json.loads(out) == {"n": 2, "expr": "S[1] \t+ S[2]", "result": "S[1] + S[2]"}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_render_json_refuses_non_finite(value):
+    with pytest.raises(CuntzError):
+        render_json({"x": [value]})
+
+
+def test_sfint_rejects_infinite_r(capsys):
+    code, out, err = run(capsys, "sfint", "--n", "2", "--mu", "1,1", "--nu", "2", "--r", "inf")
+    assert code == 2 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "kms", "--n", "2", "--max-len", "-1"],
+        ["check", "tomita", "--n", "2", "--max-len", "-3"],
+    ],
+)
+def test_check_rejects_negative_max_len(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "--max-len" in err
+
+
+def test_zero_case_check_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setitem(cli.CHECKS, "kms", lambda args: {"check": "kms", "cases": 0, "failures": 0})
+    code, out, err = run(capsys, "check", "kms", "--n", "2", "--max-len", "0")
+    assert code == 2 and out == "" and "zero cases" in err
+
+
+JSON_COMMANDS = [
+    ["eval", "--output", "json", "--n", "2", "S[1]'.S[1]"],
+    ["sf", "--n", "2", "--mu", "1", "--nu", ""],
+    ["entropy", "--n", "3", "--mu", "1,2", "--nu", "3"],
+    ["aps", "--n", "2", "--mu", "2", "--nu", "1,1"],
+    *(["check", suite, "--n", "2", "--max-len", "0"] for suite in cli.CHECKS),
+    ["dixmier", "--n", "2", "--s-list", "1.5,1.2", "--cutoff", "1000"],
+    ["sfint", "--n", "2", "--mu", "1,1", "--nu", "2", "--r", "0.5", "--cutoff", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_every_json_stdout_parses(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert isinstance(json.loads(out), dict)
+
+
+WHITESPACE = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028", max_size=3)
+
+
+@st.composite
+def spaced_expressions(draw):
+    """(n, expression text) with drawn whitespace between every token."""
+    n = draw(st.integers(2, 3))
+    letter = st.integers(1, n).map(str)
+    tokens = []
+    for t in range(draw(st.integers(1, 3))):
+        if t:
+            tokens.append(draw(st.sampled_from(["+", "-"])))
+        coeff = draw(st.sampled_from([[], ["2", "*"], ["1", "/", "2", "*"], ["3", "r", "*"]]))
+        tokens += coeff
+        for f in range(draw(st.integers(1, 2))):
+            if f:
+                tokens.append(".")
+            if draw(st.booleans()):
+                tokens.append("I")
+                continue
+            tokens += ["S", "[", draw(letter)]
+            for _ in range(draw(st.integers(0, 1))):
+                tokens += [",", draw(letter)]
+            tokens.append("]")
+            if draw(st.booleans()):
+                tokens.append("'")
+    text = ""
+    for token in tokens:
+        text += draw(WHITESPACE) + token
+    return n, text + draw(WHITESPACE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaced_expressions())
+def test_eval_json_parses_for_any_whitespace(case):
+    n, text = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval", "--output", "json", "--n", str(n), text])
+    assert code == 0
+    report = json.loads(out.getvalue())
+    assert report["expr"] == text and report["n"] == n

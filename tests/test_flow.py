@@ -172,4 +172,6 @@ def test_flow_report():
 
 def test_sf_chunk():
     r = sf_closed_form_chunk(2, 2, 1)
-    assert r == {"n": 2, "len_mu": 2, "len_nu": 1, "cases": 8, "failures": 0}
+    assert r == {
+        "check": "sf_closed_form", "n": 2, "len_mu": 2, "len_nu": 1, "cases": 8, "failures": 0, "first_failures": []
+    }

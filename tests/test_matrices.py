@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, projection, zero
+from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, projection, words_upto, zero
 from cuntzmod.errors import DomainError, UsageError
 from cuntzmod.expr import render
 from cuntzmod.matrices import (
@@ -18,14 +18,11 @@ from cuntzmod.matrices import (
     homotopy_sweep,
     is_modular_unitary,
     is_unitary,
-    mat_arith,
-    modular_defect,
+    modular_certificate,
     modular_defect_exact,
     rotation_direct_sum_path,
     swap_two_stage_path,
-    unitarity_defect,
     whitehead_path,
-    words_upto,
 )
 from cuntzmod.modular import sigma
 
@@ -33,17 +30,15 @@ from cuntzmod.modular import sigma
 def test_matrix_arithmetic():
     ident = AlgMatrix.identity(2, 2)
     u = build_u_mu_nu(2, (1,), (2,))
-    assert mat_arith("multiply", ident, u) == u
-    assert mat_arith("adjoint", mat_arith("adjoint", u)) == u
-    s = mat_arith("direct_sum", u, AlgMatrix.identity(2, 1))
+    assert ident @ u == u
+    assert u.adjoint().adjoint() == u
+    s = u.direct_sum(AlgMatrix.identity(2, 1))
     assert s.k == 3 and s.rows[2][2] == one(2) and s.rows[0][2].is_zero
-    assert mat_arith("subtract", u, u).rows[0][0].is_zero
+    assert (u - u).rows[0][0].is_zero
     with pytest.raises(UsageError):
-        mat_arith("multiply", u, AlgMatrix.identity(2, 3))
+        u @ AlgMatrix.identity(2, 3)
     with pytest.raises(UsageError):
-        mat_arith("adjoint", u, u)
-    with pytest.raises(UsageError):
-        mat_arith("frobnicate", u, u)
+        u - AlgMatrix.identity(2, 3)
     with pytest.raises(UsageError):
         AlgMatrix([[one(2), one(2)]])  # not square
 
@@ -145,9 +140,10 @@ def test_scalar_conjugation_preserves_modularity():
 
 def test_defects_on_modular_inputs_vanish():
     u = build_u_mu_nu(2, (1, 1), (2,))
-    assert unitarity_defect(u) == 0.0
-    assert modular_defect(u) == 0.0
+    unitarity, modular = modular_certificate(u)
+    assert unitarity.is_zero and modular.is_zero
     assert modular_defect_exact(u).is_zero
+    assert modular_certificate(u.to_numeric()) == (0.0, 0.0)
 
 
 def test_monomial_unitary_products_stay_modular():
@@ -159,6 +155,13 @@ def test_monomial_unitary_products_stay_modular():
         left = build_u_mu_nu(2, m1, n1)
         for m2, n2 in pairs[:8]:
             assert modular_defect_exact(left @ build_u_mu_nu(2, m2, n2)).is_zero
+    # every pair of length-1 words in O_3
+    letters = [(a,) for a in range(1, 4)]
+    pairs = [(m, n_) for m in letters for n_ in letters if m != n_]
+    for m1, n1 in pairs:
+        left = build_u_mu_nu(3, m1, n1)
+        for m2, n2 in pairs:
+            assert modular_defect_exact(left @ build_u_mu_nu(3, m2, n2)).is_zero
 
 
 def test_nonmodular_product_witness():

@@ -8,7 +8,6 @@ from conftest import monomial_elements, random_element
 from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, projection
 from cuntzmod.errors import BackendError, DomainError, UsageError
 from cuntzmod.modular import (
-    ModularContext,
     commutator_D,
     delta_power,
     expectation,
@@ -213,10 +212,3 @@ def test_kms_identity_spot():
 def test_tomita_sweep_smoke():
     report = tomita_sweep(2, 1)
     assert report["failures"] == 0
-
-
-def test_modular_context():
-    ctx = ModularContext(3)
-    assert ctx.log_n == pytest.approx(math.log(3))
-    with pytest.raises(UsageError):
-        ModularContext(1)

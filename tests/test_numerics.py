@@ -96,8 +96,9 @@ def test_sf_integral_midpoint_quadrature():
 
 def test_sf_integral_validation():
     x = ProjectionPerturbation.from_pairs([(Fraction(1), Fraction(1, 2))])
-    with pytest.raises(DomainError):
-        sf_integral(x, 0.0, SummationConfig())
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sf_integral(x, r, SummationConfig())
     with pytest.raises(UsageError):
         sf_integral(ProjectionPerturbation(()), 0.5, SummationConfig())
     huge = ProjectionPerturbation.from_pairs([(Fraction(50), Fraction(1, 2))])
