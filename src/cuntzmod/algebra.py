@@ -78,11 +78,6 @@ def words_upto(n: int, max_len: int) -> list[Word]:
     return out
 
 
-def mono_degree(key: MonomialKey) -> int:
-    mu, nu = key
-    return len(mu) - len(nu)
-
-
 def term_sort_key(key: MonomialKey):
     """Deterministic term order: (degree, |nu|, mu lexicographic, nu lexicographic)."""
     mu, nu = key
@@ -274,19 +269,6 @@ def projection(n: int, mu: Iterable[int]) -> AlgebraElement:
 
 
 # -- core operations -----------------------------------------------------------
-
-
-def _mono_mul(mu: Word, nu: Word, al: Word, be: Word) -> MonomialKey | None:
-    """(S_mu S_nu^*)(S_al S_be^*) as a single monomial key, or None for zero."""
-    ln_nu = len(nu)
-    ln_al = len(al)
-    if ln_nu >= ln_al:
-        if nu[:ln_al] == al:
-            return (mu, be + nu[ln_al:])
-        return None
-    if al[:ln_nu] == nu:
-        return (mu + al[ln_nu:], be)
-    return None
 
 
 def _multiply_into(out: dict, aterms: dict, bterms: dict, exact: bool) -> None:

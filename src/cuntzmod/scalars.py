@@ -92,10 +92,6 @@ class QSqrt:
             cached = _ONE_CACHE[n] = cls._raw(n, 1, 0, 1)
         return cached
 
-    @classmethod
-    def sqrt_n(cls, n: int) -> "QSqrt":
-        return cls._raw(n, 0, 1, 1)
-
     def _coerce(self, other) -> "QSqrt | None":
         if type(other) is QSqrt:
             if other.n != self.n:

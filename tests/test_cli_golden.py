@@ -2,7 +2,7 @@
 
 Each command runs in-process through ``cli.main``; its exit code and stdout
 must equal the record in ``golden/cli_golden.json``.  ``dixmier`` and
-``sfint`` are left out because their floats come from numpy/scipy.
+``sfint`` are left out because their floats come from numpy.
 """
 
 import json

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import monomial_elements, random_element
+from cuntzmod import flow, matrices
 from cuntzmod.algebra import adjoint, gen, monomial, multiply, one, words_upto
 from cuntzmod.errors import DomainError, UsageError
 from cuntzmod.expr import parse
@@ -106,6 +107,17 @@ def test_hochschild_orientation():
     assert hochschild_sweep(3)["failures"] == 0
 
 
+def test_hochschild_sweep_counts_each_property(monkeypatch):
+    # the good chain loses its zero boundary and the dropped control gains
+    # one: two of the four properties break
+    def orientation(n, drop=None):
+        return {"boundary_is_zero": drop is not None, "represents_identity": drop is None}
+
+    monkeypatch.setattr(flow, "hochschild_orientation", orientation)
+    report = hochschild_sweep(3)
+    assert report["cases"] == 4 and report["failures"] == 2
+
+
 def test_relative_entropy():
     assert relative_entropy(build_u_mu_nu(2, (1, 1), (2,))) == pytest.approx(math.log(2) / 4)
     over_f = AlgMatrix.single(monomial(2, (1,), (2,)) + monomial(2, (2,), (1,)))
@@ -168,6 +180,19 @@ def test_flow_report():
     d = report.as_dict()
     assert d["sf"] == "1/4" and d["eta_diff"] == "0" and d["in_k0_range"] is True
     assert list(d) == ["n", "mu", "nu", "sf", "eta_diff", "kernel_diff", "in_k0_range", "entropy"]
+
+
+def test_flow_report_certifies_once(monkeypatch):
+    calls = []
+    certificate = matrices.modular_certificate
+
+    def counted(u):
+        calls.append(u)
+        return certificate(u)
+
+    monkeypatch.setattr(matrices, "modular_certificate", counted)
+    assert flow_report(2, (1, 1), (2,)).sf == Fraction(1, 4)
+    assert len(calls) == 1
 
 
 def test_sf_chunk():

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cuntzmod
+from cuntzmod import numerics
 from cuntzmod.errors import DomainError, UsageError
 from cuntzmod.flow import projection_perturbation_data
 from cuntzmod.numerics import (
@@ -19,6 +25,9 @@ from cuntzmod.numerics import (
 # independently computed reference values (direct summation oracles)
 PI_COTH_PI = 3.153348094952035  # sum_{k in Z} 1/(1+k^2)
 ONE_SIDED_T1 = 0.4048813985713107  # sum_{k>=1} k e^{-k^2}
+# sf_integral at r = 1/2, cutoff 10_000, from scipy.integrate.quad (epsabs 1e-9)
+SF_FRACTIONAL = 0.6779492134117977  # [(7/3, 1/3), (-1/2, 1/5)]
+SF_M20 = 9.999990463257362  # [(-20, 2^-21), (20, 1/2)]
 
 
 def test_beta_constant_closed_forms():
@@ -52,7 +61,7 @@ def test_dixmier_limit_weighted():
 def test_dixmier_single_point_against_series_oracle():
     cfg = SummationConfig(cutoff=10_000)
     value = dixmier_limit(2, [2.0], cfg)
-    assert value == pytest.approx(PI_COTH_PI, abs=1e-6)
+    assert value == pytest.approx(PI_COTH_PI, abs=1e-10)
 
 
 def test_dixmier_refinement_stability():
@@ -88,10 +97,35 @@ def test_sf_integral_n3():
     assert abs(value - 2 / 9) < 1e-4
 
 
-def test_sf_integral_midpoint_quadrature():
-    x = ProjectionPerturbation.from_pairs(projection_perturbation_data(2, (1, 1), (2,)))
-    cfg = SummationConfig(cutoff=2_000, quadrature="midpoint", tolerance=1e-10)
-    assert abs(sf_integral(x, 0.5, cfg) - 0.25) < 1e-4
+def test_sf_integral_against_adaptive_reference():
+    cfg = SummationConfig(cutoff=10_000)
+    fractional = [(Fraction(7, 3), Fraction(1, 3)), (Fraction(-1, 2), Fraction(1, 5))]
+    # term j has period 1/20 in t, which a single-panel rule misses
+    m20 = [(Fraction(-20), Fraction(1, 2**21)), (Fraction(20), Fraction(1, 2))]
+    assert sf_integral(ProjectionPerturbation.from_pairs(fractional), 0.5, cfg) == pytest.approx(SF_FRACTIONAL, rel=1e-12)
+    assert sf_integral(ProjectionPerturbation.from_pairs(m20), 0.5, cfg) == pytest.approx(SF_M20, rel=1e-12)
+
+
+def test_sf_integral_refuses_unconverged_quadrature(monkeypatch):
+    # an integrand whose estimates keep moving must raise, not return
+    calls = []
+
+    def drifting(shift, expo, cfg):
+        calls.append(shift)
+        return float(len(calls))
+
+    monkeypatch.setattr(numerics, "lattice_sum", drifting)
+    x = ProjectionPerturbation.from_pairs([(Fraction(1), Fraction(1, 2))])
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        sf_integral(x, 0.5, SummationConfig(cutoff=100))
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, cuntzmod.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(cuntzmod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_sf_integral_validation():
@@ -146,7 +180,3 @@ def test_heat_sums():
 def test_summation_config_validation():
     with pytest.raises(UsageError):
         SummationConfig(cutoff=0)
-    with pytest.raises(UsageError):
-        SummationConfig(quadrature="simpson")
-    with pytest.raises(UsageError):
-        SummationConfig(tolerance=0.0)
