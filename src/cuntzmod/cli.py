@@ -46,6 +46,41 @@ CHECKS = {
     "tracesplit": lambda args: tracesplit_sweep(args.n, args.max_len),
 }
 
+# Largest sweep ``check`` starts: about 1e6 of the cheapest cases, tens of
+# seconds of kms or tomita work.
+CHECK_CASE_BUDGET = 1_000_000
+
+
+def _word_count(n: int, max_len: int) -> int:
+    """len(words_upto(n, max_len)) without listing the words; stops once
+    past the budget, which every estimate below grows with."""
+    total, level = 0, 1
+    for _ in range(max_len + 1):
+        total += level
+        level *= max(n, 0)
+        if not level or total > CHECK_CASE_BUDGET:
+            break
+    return total
+
+
+def _monomial_count(args) -> int:
+    """The sweeps' inputs: every S_mu S_nu^* with legs up to --max-len."""
+    return _word_count(args.n, args.max_len) ** 2
+
+
+# Cases each suite would run, by the loops of its sweep: pairs, triples,
+# the k ranges of the endomorphism sweeps and, for homotopy, the sampled
+# matrices of its four paths.
+CHECK_CASES = {
+    "kms": lambda args: _monomial_count(args) ** 2,
+    "tomita": lambda args: 7 * _monomial_count(args) + 6 * _monomial_count(args) ** 2,
+    "cocycle": lambda args: _monomial_count(args) + _monomial_count(args) ** 3,
+    "hochschild": lambda args: 4,
+    "keyfact": lambda args: 5 * _monomial_count(args),
+    "homotopy": lambda args: 4 * args.samples,
+    "tracesplit": lambda args: 7 * (2 + 2 * _word_count(args.n * args.n, args.max_len)),
+}
+
 
 def render_json(obj) -> str:
     """Minimal deterministic JSON: insertion-ordered keys, %.17g doubles;
@@ -188,6 +223,12 @@ def _dispatch(args) -> int:
     if verb == "check":
         if args.max_len < 0:
             raise UsageError(f"--max-len must be >= 0, got {args.max_len}")
+        estimate = CHECK_CASES[args.suite](args)
+        if estimate > CHECK_CASE_BUDGET:
+            raise UsageError(
+                f"check {args.suite} would run at least {estimate} cases, "
+                f"above the budget of {CHECK_CASE_BUDGET}"
+            )
         report = CHECKS[args.suite](args)
         if report["cases"] == 0:
             raise UsageError(f"check {args.suite} ran zero cases")

@@ -45,7 +45,7 @@ from .algebra import (
 )
 from .endos import compose_left_mult, phi_k_endo, tau_delta_endo
 from .errors import BackendError, DomainError, UsageError
-from .matrices import AlgMatrix, apply_sigma, build_u_mu_nu, is_modular_unitary
+from .matrices import AlgMatrix, _certify, apply_sigma, build_u_mu_nu, is_modular_unitary
 from .modular import commutator_D, delta_power, state_psi, trace_F
 from .scalars import QSqrt, scalar_str
 from .tally import Tally
@@ -88,16 +88,21 @@ def spectral_flow(u: AlgMatrix) -> Fraction:
     Refuses non-modular unitaries: only for those is U [D, U^*] a
     perturbation inside the fixed-point von Neumann algebra, which is what
     identifies the functional with spectral flow.
+
+    psi is linear, so with (U [D, U^*])_ii = sum_l u_il [D, u*_li] and
+    psi(S_mu S_nu^*) = delta_{mu,nu} n^-|mu|,
+
+        sf(U) = sum_{i,l} sum over matched term pairs (a, b) of u_il and
+                u*_li whose product is S_mu S_mu^*:  c_a c_b d_b n^-|mu|
+
+    (d_b the gauge degree of b).  The certificate's pass over U @ U^* adds
+    this up as it matches those pairs, and U [D, U^*] is never built.
     """
     if not u.exact:
         raise UsageError("spectral flow is computed on the exact backend")
-    if not is_modular_unitary(u):
+    unitarity, modular, total = _certify(u)
+    if unitarity != 0 or modular != 0:
         raise DomainError("spectral_flow needs a modular unitary")
-    u_star = u.adjoint()
-    total = QSqrt.zero(u.n)
-    for i in range(u.k):
-        for l in range(u.k):
-            total = total + state_psi(multiply(u.rows[i][l], commutator_D(u_star.rows[l][i])))
     return _as_fraction(total, "spectral flow")
 
 

@@ -14,10 +14,16 @@ v sigma(v^*), v^* sigma(v) over F,
     u_v = [[1 - v^* v,  v^*     ],
            [v,          1 - v v^*]].
 
-One function, ``modular_certificate``, decides both conditions: it forms
-U U^*, U^* U, U sigma(U^*) and U^* sigma(U) once and returns the unitarity
-defect and the modular defect (the largest coefficient of U U^* - I,
-U^* U - I and of the Phi-complements, in canonical form).
+One function, ``modular_certificate``, decides both conditions and returns
+the unitarity defect and the modular defect (the largest coefficient of
+U U^* - I, U^* U - I and of the Phi-complements of U sigma(U^*) and
+U^* sigma(U), in canonical form).  The four products come from single
+passes over term pairs: ``_pair_pass(A, B)`` matches each term pair of
+A @ B once and feeds the match to A B and to A sigma(B), since sigma
+only rescales a degree-d term of B by n^d.  The pass over U @ U^* also
+sums psi over the diagonal of U [D, U^*] ([D, .] rescales by d), which is
+the spectral flow, so ``flow.spectral_flow`` certifies and computes in
+one walk; the pass over U^* @ U runs only when U is not self-adjoint.
 
 Homotopies of modular unitaries are verified by sampling a parametrised
 path on a finite grid and reporting both defects per sample.  A sampled
@@ -44,7 +50,7 @@ from .algebra import (
 )
 from .errors import DomainError, UsageError
 from .modular import delta_power
-from .scalars import QSqrt, scalar_abs
+from .scalars import QSqrt, n_power, n_power_numeric, scalar_abs
 
 
 class AlgMatrix:
@@ -228,6 +234,118 @@ def _largest_coefficient(residues: list[AlgebraElement], u: AlgMatrix):
     return QSqrt.zero(u.n) if best is None else best.abs_exact()
 
 
+def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
+    """(A B, A sigma(B), sum_i psi((A [D, B])_ii)) from one match of the
+    term pairs of A @ B.
+
+    The products come back as k x k lists of term maps.  sigma scales a
+    degree-d term of B by n^d and [D, .] scales it by d, so each term of B
+    carries cb, cb n^d and cb d, and every matched pair feeds both products.
+    psi is linear and keeps only the S_mu S_mu^* terms, weighted n^-|mu|, so
+    the flow adds ca (cb d) n^-|mu| for each such key of a diagonal entry
+    and A [D, B] is never formed.  Pairs are visited in the order of
+    ``A @ B``, so numeric sums round as they do there.
+    """
+    n, k, exact = a.n, a.k, a.exact
+    prepared = []  # per entry of B: (al, be, |al|, cb, cb n^d, cb d or None)
+    for row in b.rows:
+        out_row = []
+        for x in row:
+            terms = []
+            for (al, be), cb in x.terms.items():
+                d = len(al) - len(be)
+                if d:  # the weight of delta_power(., -1), computed the same way
+                    w = n_power(n, d) if exact else n_power_numeric(n, complex(-1) * -d)
+                    terms.append((al, be, len(al), cb, cb * w, cb * d))
+                else:
+                    terms.append((al, be, len(al), cb, cb, None))
+            out_row.append(terms)
+        prepared.append(out_row)
+    flow = QSqrt.zero(n) if exact else 0j
+    products, sigma_products = [], []
+    for i in range(k):
+        arow = a.rows[i]
+        p_row, q_row = [], []
+        for j in range(k):
+            p: dict = {}
+            q: dict = {}
+            diagonal = i == j
+            for l in range(k):
+                bterms = prepared[l][j]
+                if not bterms:
+                    continue
+                for (mu, nu), ca in arow[l].terms.items():
+                    ln_nu = len(nu)
+                    for al, be, ln_al, cb, cb_sigma, cb_d in bterms:
+                        # the path-matching rule of algebra._multiply_into
+                        if ln_nu == ln_al:
+                            if nu != al:
+                                continue
+                            key = (mu, be)
+                        elif ln_nu > ln_al:
+                            if nu[:ln_al] != al:
+                                continue
+                            key = (mu, be + nu[ln_al:])
+                        else:
+                            if al[:ln_nu] != nu:
+                                continue
+                            key = (mu + al[ln_nu:], be)
+                        c = ca * cb
+                        v = p.get(key)
+                        s = c if v is None else v + c
+                        if (s.na == 0 and s.nb == 0) if exact else (s.real == 0.0 and s.imag == 0.0):
+                            p.pop(key, None)
+                        else:
+                            p[key] = s
+                        if cb_d is None:  # degree 0: sigma leaves the term alone
+                            s = c
+                        else:
+                            s = ca * cb_sigma
+                            if diagonal and key[0] == key[1]:
+                                m = -len(key[0])
+                                flow = flow + ca * cb_d * (n_power(n, m) if exact else n**m)
+                        v = q.get(key)
+                        if v is not None:
+                            s = v + s
+                        if (s.na == 0 and s.nb == 0) if exact else (s.real == 0.0 and s.imag == 0.0):
+                            q.pop(key, None)
+                        else:
+                            q[key] = s
+            p_row.append(p)
+            q_row.append(q)
+        products.append(p_row)
+        sigma_products.append(q_row)
+    return products, sigma_products, flow
+
+
+def _certify(u: AlgMatrix) -> tuple:
+    """(unitarity_defect, modular_defect, sum_i psi((U [D, U^*])_ii)): the
+    certificate and the spectral-flow sum from the same pair passes."""
+    n, exact = u.n, u.exact
+    u_star = u.adjoint()
+    unit, modular, flow = _pair_pass(u, u_star)
+    passes = [(unit, modular)]
+    if u != u_star:
+        unit, modular, _ = _pair_pass(u_star, u)
+        passes.append((unit, modular))
+    unit_residues = []  # entries of P - I that are not structurally zero
+    modular_residues = []  # non-empty Phi-complements
+    for unit, modular in passes:
+        for i, row in enumerate(unit):
+            for j, t in enumerate(row):
+                if i != j:
+                    if t:
+                        unit_residues.append(AlgebraElement._make(n, exact, t))
+                elif len(t) != 1 or t.get(_UNIT_KEY) != 1:
+                    unit_residues.append(AlgebraElement._make(n, exact, t) - one(n, exact))
+        for row in modular:
+            for t in row:
+                off = _off_degree_part(AlgebraElement._make(n, exact, t))
+                if off.terms:
+                    modular_residues.append(off)
+    return _largest_coefficient(unit_residues, u), _largest_coefficient(modular_residues, u), flow
+
+
 def modular_certificate(u: AlgMatrix) -> tuple:
     """(unitarity_defect, modular_defect) of U.
 
@@ -235,37 +353,16 @@ def modular_certificate(u: AlgMatrix) -> tuple:
     U^* U - I, the modular defect the largest coefficient of the
     Phi-complements of U sigma(U^*) and U^* sigma(U), all in canonical form.
     Each is an exact QSqrt on the exact backend (zero iff the condition
-    holds) and a float on the numeric one.  A self-adjoint U needs one
-    product of each kind.  Entries that are structurally 1 on the diagonal,
-    and off-degree parts that are empty, skip canonical_form.
+    holds) and a float on the numeric one.
+
+    One pass over the term pairs of U @ U^* yields both U U^* and
+    U sigma(U^*) (see ``_pair_pass``); a second pass, over U^* @ U, yields
+    U^* U and U^* sigma(U) and runs only when U is not self-adjoint.
+    Entries that are structurally 1 on the diagonal, and off-degree parts
+    that are empty, skip canonical_form.
     """
-    u_star = u.adjoint()
-    sigma_u_star = apply_sigma(u_star)
-    if u == u_star:
-        unit_products = (u @ u_star,)
-        modular_products = (u @ sigma_u_star,)
-    else:
-        unit_products = (u @ u_star, u_star @ u)
-        modular_products = (u @ sigma_u_star, u_star @ apply_sigma(u))
-    residues = []  # entries of P - I that are not structurally zero
-    for p in unit_products:
-        for i, row in enumerate(p.rows):
-            for j, x in enumerate(row):
-                t = x.terms
-                if i != j:
-                    if t:
-                        residues.append(x)
-                elif len(t) != 1 or t.get(_UNIT_KEY) != 1:
-                    residues.append(x - one(u.n, u.exact))
-    unitarity = _largest_coefficient(residues, u)
-    residues = []  # non-empty Phi-complements
-    for p in modular_products:
-        for row in p.rows:
-            for x in row:
-                off = _off_degree_part(x)
-                if off.terms:
-                    residues.append(off)
-    return unitarity, _largest_coefficient(residues, u)
+    unitarity, modular, _ = _certify(u)
+    return unitarity, modular
 
 
 def is_unitary(u: AlgMatrix) -> bool:

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzmod.algebra import monomial, words_upto, zero
+from cuntzmod.algebra import canonical_form, monomial, multiply, words_upto, zero
+from cuntzmod.matrices import AlgMatrix, apply_sigma
+from cuntzmod.modular import commutator_D, expectation, state_psi
+from cuntzmod.scalars import QSqrt
 
 COEFF_POOL = [
     Fraction(1),
@@ -30,6 +33,40 @@ def random_element(rng: random.Random, n: int, max_terms: int = 4, max_len: int 
 def monomial_elements(n: int, max_len: int):
     ws = words_upto(n, max_len)
     return [monomial(n, mu, nu) for mu in ws for nu in ws]
+
+
+def oracle_certificate(u: AlgMatrix) -> tuple:
+    """(unitarity_defect, modular_defect) from the explicit products
+    U U^* - I, U^* U - I, U sigma(U^*) and U^* sigma(U): the largest
+    canonical-form coefficient of the first two and of the off-degree parts
+    of the last two, exact or float like the engine's certificate."""
+    u_star = u.adjoint()
+    ident = AlgMatrix.identity(u.n, u.k, u.exact)
+    unit = [x for p in (u @ u_star - ident, u_star @ u - ident) for row in p.rows for x in row]
+    modular = [
+        x - expectation(x)
+        for p in (u @ apply_sigma(u_star), u_star @ apply_sigma(u))
+        for row in p.rows
+        for x in row
+    ]
+
+    def largest(entries):
+        coeffs = [c for x in entries for c in canonical_form(x).terms.values()]
+        if not u.exact:
+            return max((abs(c) for c in coeffs), default=0.0)
+        return max((c.abs_exact() for c in coeffs), key=float, default=QSqrt.zero(u.n))
+
+    return largest(unit), largest(modular)
+
+
+def oracle_flow(u: AlgMatrix):
+    """sum_{i,l} psi(u_il [D, u*_li]), with every product built."""
+    u_star = u.adjoint()
+    total = QSqrt.zero(u.n) if u.exact else 0j
+    for i in range(u.k):
+        for l in range(u.k):
+            total = total + state_psi(multiply(u.rows[i][l], commutator_D(u_star.rows[l][i])))
+    return total
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +188,32 @@ def test_zero_case_check_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setitem(cli.CHECKS, "kms", lambda args: {"check": "kms", "cases": 0, "failures": 0})
     code, out, err = run(capsys, "check", "kms", "--n", "2", "--max-len", "0")
     assert code == 2 and out == "" and "zero cases" in err
+
+
+def test_oversized_check_is_refused_before_it_runs(capsys):
+    start = time.process_time()
+    code, out, err = run(capsys, "check", "tomita", "--n", "4", "--max-len", "4")
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == ""
+    assert str(cli.CHECK_CASE_BUDGET) in err and str(7 * 341**2 + 6 * 341**4) in err
+
+
+@pytest.mark.parametrize("suite", [s for s in cli.CHECKS if s != "homotopy"])
+@pytest.mark.parametrize("n, max_len", [(2, 0), (2, 1), (3, 1)])
+def test_check_case_estimate_is_the_reported_count(suite, n, max_len):
+    args = argparse.Namespace(n=n, max_len=max_len, samples=5)
+    assert cli.CHECK_CASES[suite](args) == cli.CHECKS[suite](args)["cases"]
+
+
+def test_check_case_budget_is_a_strict_bound(capsys, monkeypatch):
+    # check kms --n 2 --max-len 1: 3 words, 9 monomials, 81 pairs
+    monkeypatch.setattr(cli, "CHECK_CASE_BUDGET", 81)
+    assert run(capsys, "check", "kms", "--n", "2", "--max-len", "1")[0] == 0
+    monkeypatch.setattr(cli, "CHECK_CASE_BUDGET", 80)
+    code, _, err = run(capsys, "check", "kms", "--n", "2", "--max-len", "1")
+    assert code == 2 and "at least 81 cases" in err and "budget of 80" in err
+    code, _, err = run(capsys, "check", "homotopy", "--n", "2", "--samples", "21")
+    assert code == 2 and "at least 84 cases" in err
 
 
 JSON_COMMANDS = [

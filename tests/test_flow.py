@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import monomial_elements, random_element
+from conftest import monomial_elements, oracle_flow, random_element
 from cuntzmod import flow, matrices
 from cuntzmod.algebra import adjoint, gen, monomial, multiply, one, words_upto
 from cuntzmod.errors import DomainError, UsageError
@@ -52,6 +52,17 @@ def test_spectral_flow_rejections():
         spectral_flow(bad)
     with pytest.raises(UsageError):
         spectral_flow(build_u_mu_nu(2, (1,), (2,)).to_numeric())
+    # S_1 meets the modular condition but U U^* = P_1; S_1^* passes the
+    # U @ U^* pass (S_1^* S_1 = 1) and fails only in the U^* @ U pass
+    for isometry in (gen(2, 1), adjoint(gen(2, 1))):
+        with pytest.raises(DomainError):
+            spectral_flow(AlgMatrix.single(isometry))
+
+
+def test_spectral_flow_on_non_self_adjoint_modular_unitary():
+    u = build_u_mu_nu(2, (1, 1), (2,)) @ build_u_mu_nu(2, (1,), (2, 2))
+    assert u != u.adjoint() and matrices.is_modular_unitary(u)
+    assert spectral_flow(u) == oracle_flow(u) == Fraction(7, 8)
 
 
 def test_spectral_flow_symmetry_and_additivity():
@@ -183,14 +194,16 @@ def test_flow_report():
 
 
 def test_flow_report_certifies_once(monkeypatch):
+    # u_{mu,nu} is self-adjoint: one pass over the term pairs of U @ U^*
+    # both certifies it and sums its spectral flow
     calls = []
-    certificate = matrices.modular_certificate
+    pair_pass = matrices._pair_pass
 
-    def counted(u):
-        calls.append(u)
-        return certificate(u)
+    def counted(a, b):
+        calls.append((a, b))
+        return pair_pass(a, b)
 
-    monkeypatch.setattr(matrices, "modular_certificate", counted)
+    monkeypatch.setattr(matrices, "_pair_pass", counted)
     assert flow_report(2, (1, 1), (2,)).sf == Fraction(1, 4)
     assert len(calls) == 1
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, projection, words_upto, zero
 from cuntzmod.errors import DomainError, UsageError
@@ -25,6 +26,7 @@ from cuntzmod.matrices import (
     whitehead_path,
 )
 from cuntzmod.modular import sigma
+from cuntzmod.scalars import QSqrt
 
 
 def test_matrix_arithmetic():
@@ -266,3 +268,103 @@ def test_matrix_grammar_serialisation():
     wire = json.dumps(u.as_strings())
     assert json.loads(wire)[0][1] == "S[1,1].S[2]'"
     assert AlgMatrix.from_strings(2, json.loads(wire)) == u
+
+
+# -- the single pair pass against explicit products -----------------------------
+
+
+def _assert_matches_oracle(u):
+    """The pair-pass certificate and flow sum equal the explicit-product
+    oracle exactly, and on the numeric backend within 1e-12."""
+    from cuntzmod.matrices import _certify
+    from conftest import oracle_certificate, oracle_flow
+
+    unitarity, modular, flow = _certify(u)
+    assert (unitarity, modular) == oracle_certificate(u)
+    assert flow == oracle_flow(u)
+    nu = u.to_numeric()
+    unitarity, modular, flow = _certify(nu)
+    assert modular_certificate(nu) == (unitarity, modular)
+    for got, want in zip((unitarity, modular, flow), (*oracle_certificate(nu), oracle_flow(nu))):
+        assert abs(got - want) <= 1e-12
+
+
+@st.composite
+def _words(draw, n, max_len=4):
+    return tuple(draw(st.lists(st.integers(1, n), max_size=max_len)))
+
+
+@st.composite
+def _u_mu_nu(draw, n=None):
+    n = draw(st.sampled_from((2, 3, 4))) if n is None else n
+    return build_u_mu_nu(n, draw(_words(n)), draw(_words(n)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_u_mu_nu())
+def test_pair_pass_matches_oracle_on_u_mu_nu(u):
+    _assert_matches_oracle(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(lambda n: st.tuples(st.just(n), _words(n), _words(n))))
+def test_pair_pass_matches_oracle_on_u_v(drawn):
+    n, mu, nu = drawn
+    _assert_matches_oracle(build_u_v(monomial(n, mu, nu)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda n: st.tuples(_u_mu_nu(n), _u_mu_nu(n))))
+def test_pair_pass_matches_oracle_on_products(pair):
+    # products of u_{mu,nu} are modular and, in general, not self-adjoint
+    left, right = pair
+    _assert_matches_oracle(left @ right)
+
+
+def _non_self_adjoint_modular() -> dict:
+    rot = AlgMatrix.from_scalars(2, [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]], exact=True)
+    u = build_u_mu_nu(2, (1, 1), (2,))
+    out = {}
+    for n in (2, 3):
+        out[f"branch_shift_{n}"] = AlgMatrix.single(branch_shift_unitary(n))
+        out[f"cartan_rotation_{n}"] = AlgMatrix.single(cartan_rotation(n, Fraction(3, 5), Fraction(4, 5)))
+    out["x_u_x*"] = rot @ u @ rot.adjoint()
+    out["x_u"] = rot @ u
+    out["branch_shift+u"] = out["branch_shift_2"].direct_sum(u)
+    out["x_u+cartan+branch_shift"] = out["x_u"].direct_sum(out["cartan_rotation_2"]).direct_sum(out["branch_shift_2"])
+    return out
+
+
+NON_SELF_ADJOINT_MODULAR = _non_self_adjoint_modular()
+
+
+@pytest.mark.parametrize("name", NON_SELF_ADJOINT_MODULAR)
+def test_pair_pass_matches_oracle_on_non_self_adjoint_modular_unitaries(name):
+    u = NON_SELF_ADJOINT_MODULAR[name]
+    assert is_modular_unitary(u)
+    _assert_matches_oracle(u)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_pass_matches_oracle_on_nonmodular_witness(n):
+    from cuntzmod.expr import parse
+
+    w = find_nonmodular_product_witness(n)
+    u = AlgMatrix.single(multiply(parse(w["left_expr"], n), parse(w["right_expr"], n)))
+    assert is_unitary(u) and not is_modular_unitary(u)
+    _assert_matches_oracle(u)
+
+
+@st.composite
+def _elements(draw, n):
+    acc = zero(n)
+    for _ in range(draw(st.integers(0, 3))):
+        coeff = QSqrt(n, Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4))), draw(st.integers(-2, 2)))
+        acc = acc + monomial(n, draw(_words(n, 2)), draw(_words(n, 2)), coeff)
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda n: st.lists(_elements(n), min_size=4, max_size=4)))
+def test_pair_pass_matches_oracle_on_drawn_matrices(entries):
+    _assert_matches_oracle(AlgMatrix([entries[:2], entries[2:]]))
