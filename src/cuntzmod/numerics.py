@@ -29,6 +29,8 @@ inside summation loops.
 
 Summation order is fixed (numpy sums over an ascending k grid, fsum for
 the eta cancellation), so identical configs reproduce identical doubles.
+numpy is imported by the functions that use it, not by this module, so a
+process that never sums (every exact verb of the CLI) never loads it.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError, UsageError
 
@@ -98,6 +98,8 @@ def _tail_integral(lower: float, expo: float, panels: int = 256) -> float:
         raise DomainError(f"tail integral diverges for exponent {expo} <= 1/2")
     if lower <= 0.0:
         raise DomainError(f"tail integral needs a positive lower bound, got {lower}")
+    import numpy as np
+
     p = 2.0 * expo - 1.0
     edges = np.linspace(0.0, 1.0, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -109,6 +111,8 @@ def _tail_integral(lower: float, expo: float, panels: int = 256) -> float:
 def lattice_sum(shift: float, expo: float, cfg: SummationConfig) -> float:
     """sum_{k in Z} (1+(k+shift)^2)^(-expo), truncated at |k| <= cutoff with
     midpoint-consistent integral tails when tail_correction is on."""
+    import numpy as np
+
     k = np.arange(-cfg.cutoff, cfg.cutoff + 1, dtype=np.float64)
     total = float(np.sum((1.0 + (k + shift) ** 2) ** (-expo)))
     if cfg.tail_correction:
@@ -137,6 +141,8 @@ def dixmier_limit(n: int, s_schedule: Sequence[float], cfg: SummationConfig, wei
     values = [(s - 1.0) * lattice_sum(0.0, s / 2.0, cfg) * w for s in schedule]
     if len(values) == 1:
         return values[0]
+    import numpy as np
+
     x = np.array([s - 1.0 for s in schedule])
     y = np.array(values)
     slope_intercept = np.polyfit(x, y, 1)
@@ -171,6 +177,8 @@ def _gauss_legendre(fn, panels: int) -> float:
     """int_0^1 fn(t) dt on ``panels`` equal panels, doubling the
     Gauss-Legendre order from 8 until two estimates agree within
     max(1e-9, 1.5e-8 |value|); an unconverged value is never returned."""
+    import numpy as np
+
     left = np.arange(panels) / panels
     estimates = []
     for order in (8, 16, 32, 64, 128, 256):

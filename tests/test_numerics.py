@@ -121,7 +121,7 @@ def test_sf_integral_refuses_unconverged_quadrature(monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
-    code = "import sys, cuntzmod.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "import sys, cuntzmod.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
     src = str(Path(cuntzmod.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
