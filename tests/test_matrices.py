@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_certificate, oracle_flow
 from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, projection, words_upto, zero
 from cuntzmod.errors import DomainError, UsageError
 from cuntzmod.expr import render
 from cuntzmod.matrices import (
     AlgMatrix,
+    _certify,
     apply_sigma,
     branch_shift_unitary,
     build_u_mu_nu,
@@ -276,9 +278,6 @@ def test_matrix_grammar_serialisation():
 def _assert_matches_oracle(u):
     """The pair-pass certificate and flow sum equal the explicit-product
     oracle exactly, and on the numeric backend within 1e-12."""
-    from cuntzmod.matrices import _certify
-    from conftest import oracle_certificate, oracle_flow
-
     unitarity, modular, flow = _certify(u)
     assert (unitarity, modular) == oracle_certificate(u)
     assert flow == oracle_flow(u)
@@ -321,7 +320,9 @@ def test_pair_pass_matches_oracle_on_products(pair):
     _assert_matches_oracle(left @ right)
 
 
-def _non_self_adjoint_modular() -> dict:
+def _modular_unitaries() -> dict:
+    """Modular unitaries outside the u_{mu,nu} and u_v families; all but
+    x_u_x* are not self-adjoint, so the U^* @ U pass runs for them."""
     rot = AlgMatrix.from_scalars(2, [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]], exact=True)
     u = build_u_mu_nu(2, (1, 1), (2,))
     out = {}
@@ -335,13 +336,13 @@ def _non_self_adjoint_modular() -> dict:
     return out
 
 
-NON_SELF_ADJOINT_MODULAR = _non_self_adjoint_modular()
+MODULAR_UNITARIES = _modular_unitaries()
 
 
-@pytest.mark.parametrize("name", NON_SELF_ADJOINT_MODULAR)
-def test_pair_pass_matches_oracle_on_non_self_adjoint_modular_unitaries(name):
-    u = NON_SELF_ADJOINT_MODULAR[name]
-    assert is_modular_unitary(u)
+@pytest.mark.parametrize("name", MODULAR_UNITARIES)
+def test_pair_pass_matches_oracle_on_modular_unitaries(name):
+    u = MODULAR_UNITARIES[name]
+    assert is_modular_unitary(u) and (u == u.adjoint()) == (name == "x_u_x*")
     _assert_matches_oracle(u)
 
 
