@@ -6,8 +6,9 @@ stderr.  Exit codes: 0 success/pass, 1 check failure, 2 usage error.
 
 Output is deterministic: dict keys keep a fixed order, rationals are
 serialized as "p/q" strings (Q(sqrt n) values as "p/q+p'/q'r") and doubles
-with 17 significant digits.  CUNTZ_TERM_BUDGET overrides the canonical-form
-expansion guard.
+with 17 significant digits.  CUNTZ_TERM_BUDGET overrides the term budget
+of the canonical-form expansion that ``eval`` prints (and of Phi_k); the
+equality and membership tests behind the other verbs never expand.
 """
 
 from __future__ import annotations

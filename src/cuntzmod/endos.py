@@ -140,9 +140,11 @@ def compose_left_mult(a: AlgebraElement, e: EndoSum) -> EndoSum:
 
 def phi_k_endo(k: int, n: int, exact: bool = True) -> EndoSum:
     """The degree-k spectral projection as a finite rank-one sum."""
-    if n ** abs(k) > term_budget():
+    budget = term_budget()
+    if n ** abs(k) > budget:
         raise TermBudgetExceeded(
-            f"Phi_{k} over O_{n} needs {n**abs(k)} rank-one terms, beyond the budget"
+            f"phi_k_endo: Phi_{k} over O_{n} needs {n}**{abs(k)} = {n**abs(k)} "
+            f"rank-one terms, past the term budget of {budget}"
         )
     out = EndoSum(n, None, exact)
     unit = QSqrt.one(n) if exact else 1 + 0j

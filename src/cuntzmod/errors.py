@@ -22,8 +22,11 @@ class DomainError(CuntzError, ValueError):
 
 
 class TermBudgetExceeded(CuntzError, RuntimeError):
-    """Canonical-form expansion would exceed the configured term budget.
+    """A max-level expansion would exceed the configured term budget.
 
+    Only ``algebra.canonical_form`` (the output form of ``eval``) and
+    ``endos.phi_k_endo`` are budgeted; semantic equality never expands.
+    The message names the site, the input's size and the count refused.
     The budget defaults to 100000 terms and can be overridden with the
     CUNTZ_TERM_BUDGET environment variable.
     """

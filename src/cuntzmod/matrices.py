@@ -3,7 +3,8 @@
 A unitary U over the algebra is *modular* when both U sigma(U^*) and
 U^* sigma(U) are matrices over the fixed-point algebra F (sigma acts
 entrywise).  Membership in F is decided exactly: the non-degree-0 part of
-an entry must canonicalise to zero.  The canonical modular unitaries are
+an entry must be zero under semantic equality.  The canonical modular
+unitaries are
 
     u_{mu,nu} = [[1 - P_mu,      S_mu S_nu^*],
                  [S_nu S_mu^*,   1 - P_nu   ]]
@@ -39,8 +40,8 @@ from typing import Callable, Iterable
 
 from .algebra import (
     AlgebraElement,
+    _disjoint_terms,
     adjoint,
-    canonical_form,
     equals,
     monomial,
     multiply,
@@ -202,11 +203,10 @@ def _off_degree_part(x: AlgebraElement) -> AlgebraElement:
 
 
 def in_fixed_algebra(x: AlgebraElement) -> bool:
-    """x lies in F_c: its non-degree-0 part canonicalises to zero."""
-    off = _off_degree_part(x)
-    if off.is_zero:
-        return True
-    return canonical_form(off).is_zero
+    """x lies in F_c: its non-degree-0 part is zero, i.e. nothing survives
+    when its terms are rewritten over disjoint cones (no expansion, so no
+    term budget and no depth limit)."""
+    return not _disjoint_terms(_off_degree_part(x).terms, x.n)
 
 
 _UNIT_KEY = ((), ())
@@ -222,10 +222,11 @@ def apply_sigma(u: AlgMatrix) -> AlgMatrix:
 def _largest_coefficient(residues: list[AlgebraElement], u: AlgMatrix):
     """Largest coefficient magnitude over the canonical forms of the
     residues: an exact QSqrt (zero iff every residue vanishes) on the exact
-    backend, a float on the numeric one."""
+    backend, a float on the numeric one.  The disjoint-cone terms carry
+    exactly the canonical form's coefficients, without its expansion."""
     best, best_abs = None, 0.0
     for x in residues:
-        for c in canonical_form(x).terms.values():
+        for c in _disjoint_terms(x.terms, x.n).values():
             mag = scalar_abs(c)
             if mag > best_abs:
                 best, best_abs = c, mag
@@ -359,7 +360,7 @@ def modular_certificate(u: AlgMatrix) -> tuple:
     U sigma(U^*) (see ``_pair_pass``); a second pass, over U^* @ U, yields
     U^* U and U^* sigma(U) and runs only when U is not self-adjoint.
     Entries that are structurally 1 on the diagonal, and off-degree parts
-    that are empty, skip canonical_form.
+    that are empty, are never scanned.
     """
     unitarity, modular, _ = _certify(u)
     return unitarity, modular

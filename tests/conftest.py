@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzmod.algebra import canonical_form, monomial, multiply, words_upto, zero
+from cuntzmod.algebra import canonical_form, monomial, multiply, projection, words_upto, zero
 from cuntzmod.matrices import AlgMatrix, apply_sigma
 from cuntzmod.modular import commutator_D, expectation, state_psi
 from cuntzmod.scalars import QSqrt
@@ -27,6 +27,17 @@ def random_element(rng: random.Random, n: int, max_terms: int = 4, max_len: int 
         mu = tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_len)))
         nu = tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_len)))
         acc = acc + monomial(n, mu, nu, rng.choice(COEFF_POOL))
+    return acc
+
+
+def branch_decomposition(n: int, w, deepest=1):
+    """sum_j sum_{a != w_j} P_{w_1..w_{j-1} a}, which equals 1 - P_w; the
+    branches at depth |w| get ``deepest``."""
+    acc = zero(n)
+    for j, letter in enumerate(w):
+        for a in range(1, n + 1):
+            if a != letter:
+                acc = acc + projection(n, w[:j] + (a,)).scale(deepest if j == len(w) - 1 else 1)
     return acc
 
 

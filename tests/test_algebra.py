@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import monomial_elements, random_element
+from conftest import branch_decomposition, monomial_elements, random_element
 from cuntzmod.algebra import (
     AlgebraElement,
+    _disjoint_terms,
     adjoint,
     canonical_form,
     equals,
@@ -198,6 +199,116 @@ def test_term_budget_guard(monkeypatch):
     monkeypatch.setenv("CUNTZ_TERM_BUDGET", "not-a-number")
     with pytest.raises(UsageError):
         canonical_form(one(2) - projection(2, (1,)))
+
+
+def test_term_budget_error_names_site_and_size(monkeypatch):
+    with pytest.raises(TermBudgetExceeded) as err:
+        canonical_form(one(2) - projection(2, (1,) * 17))
+    message = str(err.value)
+    assert "canonical_form" in message and "2-term input" in message
+    assert "2**17 = 131072" in message and "budget of 100000" in message
+    monkeypatch.setenv("CUNTZ_TERM_BUDGET", "3")
+    with pytest.raises(TermBudgetExceeded) as err:
+        canonical_form(one(3) + monomial(3, (1,), (2,)) - projection(3, (1, 1)))
+    assert "3-term input" in str(err.value) and "3**2 = 9" in str(err.value)
+
+
+# -- equality over disjoint cones against the expansion oracle --------------------
+
+
+def _expand(terms: dict, key, n: int, depth: int) -> dict:
+    """S_mu S_nu^* -> sum_{|s| = depth} S_{mu s} S_{nu s}^*, applied to one
+    term."""
+    out = dict(terms)
+    c = out.pop(key)
+    mu, nu = key
+    for s in itertools.product(range(1, n + 1), repeat=depth):
+        child = (mu + s, nu + s)
+        v = out.get(child)
+        out[child] = c if v is None else v + c
+    return out
+
+
+@st.composite
+def _elements(draw, n, max_terms):
+    word = st.lists(st.integers(1, n), max_size=4).map(tuple)
+    acc = zero(n)
+    for _ in range(draw(st.integers(0, max_terms))):
+        coeff = QSqrt(n, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))), draw(st.integers(-2, 2)))
+        acc = acc + monomial(n, draw(word), draw(word), coeff)
+    return acc
+
+
+@st.composite
+def equality_pairs(draw):
+    """(a, b) in O_n, n in {2, 3, 4}, with legs up to 4, mixed degrees and
+    coefficients in Q(sqrt n).  b is a with one term expanded by one or two
+    levels (and maybe one of the new terms again), or a plus
+    y (1 - sum_i P_i) x, or independent; then, half the time, b is nudged
+    by one monomial."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    a = draw(_elements(n, 4))
+    how = draw(st.sampled_from(("expand", "relator", "independent")))
+    if how == "expand" and a.terms:
+        key = draw(st.sampled_from(sorted(a.terms)))
+        depth = draw(st.integers(1, 2))
+        terms = _expand(a.terms, key, n, depth)
+        if draw(st.booleans()):
+            s = tuple(draw(st.integers(1, n)) for _ in range(depth))
+            terms = _expand(terms, (key[0] + s, key[1] + s), n, 1)
+        b = AlgebraElement(n, terms)
+    elif how == "relator":
+        relator = one(n) - linear_combine([(1, projection(n, (i,))) for i in range(1, n + 1)])
+        b = a + multiply(multiply(draw(_elements(n, 2)), relator), draw(_elements(n, 2)))
+    else:
+        b = draw(_elements(n, 4))
+    if draw(st.booleans()):
+        b = b + draw(_elements(n, 1))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(equality_pairs())
+def test_equals_matches_expansion_and_psi_oracles(pair):
+    a, b = pair
+    diff = a - b
+    expected = not canonical_form(diff).terms
+    assert equals(a, b) == expected
+    assert state_psi(multiply(adjoint(diff), diff)).is_zero == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(equality_pairs())
+def test_disjoint_terms_carry_the_canonical_coefficients(pair):
+    a, b = pair
+    diff = a - b
+    survivors = _disjoint_terms(diff.terms, diff.n)
+    canonical = canonical_form(diff).terms
+    assert set(survivors.values()) == set(canonical.values())
+    assert max((abs(float(c)) for c in survivors.values()), default=0.0) == max(
+        (abs(float(c)) for c in canonical.values()), default=0.0
+    )
+    assert not canonical_form(AlgebraElement(diff.n, survivors) - diff).terms
+
+
+def test_deep_equality_under_the_default_budget():
+    import time
+
+    w = (1,) * 12
+    lhs = one(4) - projection(4, w)
+    equal = branch_decomposition(4, w)
+    dropped = equal - projection(4, w[:-1] + (3,))
+    shifted = branch_decomposition(4, w, QSqrt(4, 1, 1))
+    start = time.thread_time()
+    answers = (equals(lhs, equal), equals(lhs, dropped), equals(lhs, shifted))
+    elapsed = time.thread_time() - start
+    assert answers == (True, False, False)
+    assert elapsed < 0.010
+    # the element canonical_form refuses in test_term_budget_guard
+    deep = (1,) * 17
+    assert equals(one(2) - projection(2, deep), branch_decomposition(2, deep))
+    with pytest.raises(TermBudgetExceeded):
+        canonical_form(one(2) - projection(2, deep) - branch_decomposition(2, deep))
 
 
 @st.composite

@@ -94,8 +94,9 @@ def test_phi_k_projection_laws(rng):
 
 
 def test_phi_k_budget():
-    with pytest.raises(TermBudgetExceeded):
+    with pytest.raises(TermBudgetExceeded) as err:
         phi_k_endo(30, 2)
+    assert "phi_k_endo" in str(err.value) and str(2**30) in str(err.value)
 
 
 def test_tau_tilde_values():

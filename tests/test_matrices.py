@@ -3,8 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_certificate, oracle_flow
-from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, projection, words_upto, zero
+from conftest import branch_decomposition, oracle_certificate, oracle_flow
+from cuntzmod.algebra import (
+    AlgebraElement,
+    adjoint,
+    canonical_form,
+    equals,
+    gen,
+    monomial,
+    multiply,
+    one,
+    projection,
+    words_upto,
+    zero,
+)
 from cuntzmod.errors import DomainError, UsageError
 from cuntzmod.expr import render
 from cuntzmod.matrices import (
@@ -18,6 +30,7 @@ from cuntzmod.matrices import (
     constant_path,
     find_nonmodular_product_witness,
     homotopy_path_check,
+    in_fixed_algebra,
     homotopy_sweep,
     is_modular_unitary,
     is_unitary,
@@ -288,6 +301,19 @@ def _assert_matches_oracle(u):
         assert abs(got - want) <= 1e-12
 
 
+def _assert_fixed_algebra_matches_oracle(u):
+    """in_fixed_algebra on each entry of U sigma(U^*) and U^* sigma(U)
+    agrees with the canonical form of its off-degree part, and all of them
+    lie in F iff the oracle's modular defect is zero."""
+    u_star = u.adjoint()
+    entries = [x for p in (u @ apply_sigma(u_star), u_star @ apply_sigma(u)) for row in p.rows for x in row]
+    verdicts = [in_fixed_algebra(x) for x in entries]
+    for x, verdict in zip(entries, verdicts):
+        off = {k: c for k, c in x.terms.items() if len(k[0]) != len(k[1])}
+        assert verdict == (not canonical_form(AlgebraElement(x.n, off)).terms)
+    assert all(verdicts) == (oracle_certificate(u)[1] == 0)
+
+
 @st.composite
 def _words(draw, n, max_len=4):
     return tuple(draw(st.lists(st.integers(1, n), max_size=max_len)))
@@ -354,6 +380,7 @@ def test_pair_pass_matches_oracle_on_nonmodular_witness(n):
     u = AlgMatrix.single(multiply(parse(w["left_expr"], n), parse(w["right_expr"], n)))
     assert is_unitary(u) and not is_modular_unitary(u)
     _assert_matches_oracle(u)
+    _assert_fixed_algebra_matches_oracle(u)
 
 
 @st.composite
@@ -368,4 +395,17 @@ def _elements(draw, n):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from((2, 3)).flatmap(lambda n: st.lists(_elements(n), min_size=4, max_size=4)))
 def test_pair_pass_matches_oracle_on_drawn_matrices(entries):
-    _assert_matches_oracle(AlgMatrix([entries[:2], entries[2:]]))
+    u = AlgMatrix([entries[:2], entries[2:]])
+    _assert_matches_oracle(u)
+    _assert_fixed_algebra_matches_oracle(u)
+
+
+def test_in_fixed_algebra_decides_deep_off_degree_elements():
+    # S_1 (1 - P_w) against S_1 times the branch decomposition of 1 - P_w:
+    # the expansion oracle would need 4^12 terms for S_1 P_w
+    n, w = 4, (2,) * 12
+    s1 = monomial(n, (1,), ())
+    lhs = multiply(s1, one(n) - projection(n, w))
+    zero_off_degree = lhs - multiply(s1, branch_decomposition(n, w)) + projection(n, (3,))
+    assert in_fixed_algebra(zero_off_degree)
+    assert not in_fixed_algebra(zero_off_degree - monomial(n, (1,) + w[:-1] + (4,), w[:-1] + (4,)))
