@@ -32,7 +32,13 @@ def random_element(rng: random.Random, n: int, max_terms: int = 4, max_len: int 
 
 def branch_decomposition(n: int, w, deepest=1):
     """sum_j sum_{a != w_j} P_{w_1..w_{j-1} a}, which equals 1 - P_w; the
-    branches at depth |w| get ``deepest``."""
+    branches at depth |w| get ``deepest``.
+
+    This mirrors ``exactbench/workloads.branch_decomposition`` on purpose:
+    the package's tests do not import the benchmark's tree, which changes
+    only with the benchmark, and this copy builds the sum term by term with
+    ``+`` rather than through ``linear_combine``, so it stays independent of
+    the code that the equality workload times."""
     acc = zero(n)
     for j, letter in enumerate(w):
         for a in range(1, n + 1):

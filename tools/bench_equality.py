@@ -34,6 +34,9 @@ from cuntzmod.scalars import QSqrt  # noqa: E402
 from workloads import EQ_SHAPES, branch_decomposition  # noqa: E402
 
 DEEP_SHAPE = (4, 12)
+SEED = 0
+MIN_SECONDS = 0.2  # CPU time per side and input
+MIN_REPEATS = 5
 
 
 def expansion_oracle(a, b) -> bool:
@@ -53,11 +56,11 @@ def queries(rng: random.Random):
             yield (n, k), variant, lhs, rhs, expected
 
 
-def cpu_ms(fn, args, min_seconds: float, min_repeats: int) -> tuple[float, int]:
+def cpu_ms(fn, args) -> tuple[float, int]:
     """Median CPU milliseconds per call and the number of calls timed."""
     samples = []
     spent = 0.0
-    while len(samples) < min_repeats or spent < min_seconds:
+    while len(samples) < MIN_REPEATS or spent < MIN_SECONDS:
         start = time.process_time()
         fn(*args)
         elapsed = time.process_time() - start
@@ -80,12 +83,9 @@ def cpu_model() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_equality.json"))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--min-seconds", type=float, default=0.2, help="CPU time per side and input")
-    parser.add_argument("--min-repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
-    cases = list(queries(random.Random(args.seed)))
+    cases = list(queries(random.Random(SEED)))
     rows = []
     for shape, variant, lhs, rhs, expected in cases:
         got = algebra.equals(lhs, rhs)
@@ -99,11 +99,9 @@ def main(argv=None) -> int:
                      "oracle_ran": oracle is not None})
 
     for row, (_, _, lhs, rhs, _) in zip(rows, cases):
-        row["equals_ms"], row["equals_repeats"] = cpu_ms(algebra.equals, (lhs, rhs), args.min_seconds, args.min_repeats)
+        row["equals_ms"], row["equals_repeats"] = cpu_ms(algebra.equals, (lhs, rhs))
         if row["oracle_ran"]:
-            row["oracle_ms"], row["oracle_repeats"] = cpu_ms(
-                expansion_oracle, (lhs, rhs), args.min_seconds, args.min_repeats
-            )
+            row["oracle_ms"], row["oracle_repeats"] = cpu_ms(expansion_oracle, (lhs, rhs))
             row["speedup"] = row["oracle_ms"] / row["equals_ms"]
         else:
             row["oracle_ms"] = None
@@ -115,9 +113,9 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cpu": cpu_model(),
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "seed": args.seed,
-        "min_seconds": args.min_seconds,
-        "min_repeats": args.min_repeats,
+        "seed": SEED,
+        "min_seconds": MIN_SECONDS,
+        "min_repeats": MIN_REPEATS,
         "rows": rows,
     }
     with open(args.out, "w") as f:
