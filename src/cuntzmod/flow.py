@@ -234,6 +234,8 @@ def aps_index_traces(v: AlgebraElement) -> tuple[Fraction, Fraction]:
 
 def closed_form_sf(n: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
     """(|mu|-|nu|)(n^-|nu| - n^-|mu|), the exact value for u_{mu,nu}."""
+    if n < 2:
+        raise UsageError(f"need n >= 2, got {n}")
     lm, ln = len(tuple(mu)), len(tuple(nu))
     return (lm - ln) * (Fraction(1, n**ln) - Fraction(1, n**lm))
 
@@ -259,6 +261,8 @@ def flow_report(n: int, mu: Sequence[int], nu: Sequence[int]) -> FlowReport:
 def projection_perturbation_data(n: int, mu: Sequence[int], nu: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
     """Diagonalised data of u_{mu,nu} [D (x) 1, u_{mu,nu}] = m(-P_mu (+) P_nu):
     pairs (coefficient, tau(projection)) consumed by the numeric integral."""
+    if n < 2:
+        raise UsageError(f"need n >= 2, got {n}")
     lm, ln = len(tuple(mu)), len(tuple(nu))
     m = lm - ln
     if m == 0:

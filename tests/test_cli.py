@@ -132,6 +132,9 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "sfint", "--n", "2", "--mu", "1", "--nu", "2", "--r", "0.5")
     assert code == 2 and "zero perturbation" in err
+    for n, mu in (("1", "1"), ("0", "")):
+        code, out, err = run(capsys, "sfint", "--n", n, "--mu", mu, "--nu", "", "--r", "0.5")
+        assert code == 2 and out == "" and "n >= 2" in err
 
 
 def test_term_budget_env(capsys, monkeypatch):

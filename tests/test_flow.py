@@ -180,6 +180,11 @@ def test_projection_perturbation_zeroth_moment():
         total = sum((c * w for c, w in data), Fraction(0))
         assert total == closed_form_sf(n, mu, nu)
     assert projection_perturbation_data(2, (1,), (2,)) == []
+    for n in (1, 0):
+        with pytest.raises(UsageError, match="n >= 2"):
+            projection_perturbation_data(n, (1,), ())
+        with pytest.raises(UsageError, match="n >= 2"):
+            closed_form_sf(n, (1,), ())
 
 
 def test_flow_report():

@@ -106,18 +106,49 @@ def test_sf_integral_against_adaptive_reference():
     assert sf_integral(ProjectionPerturbation.from_pairs(m20), 0.5, cfg) == pytest.approx(SF_M20, rel=1e-12)
 
 
-def test_sf_integral_refuses_unconverged_quadrature(monkeypatch):
-    # an integrand whose estimates keep moving must raise, not return
+def _slow_path_integral(c: Fraction, r: float, cfg: SummationConfig) -> float:
+    """sign(c) int_0^|c| lattice_sum / C by a 32-node Gauss-Legendre rule on
+    unit x-panels (the last one cut at |c|): the reference for the closed
+    form, which shares only lattice_sum's tail rule with it."""
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    top = float(abs(c))
+    total = 0.0
+    for left in range(math.ceil(top)):
+        half = (min(left + 1.0, top) - left) / 2.0
+        total += half * sum(wt * numerics.lattice_sum(left + half * (1.0 + t), 0.5 + r, cfg) for t, wt in zip(nodes, weights))
+    return math.copysign(total, c) / beta_constant(0.5 + r)
+
+
+@pytest.mark.parametrize("tails", [True, False])
+@pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 3.0])
+def test_sf_integral_matches_slow_path(r, tails):
+    cfg = SummationConfig(cutoff=2000, tail_correction=tails)
+    for c in (1, -1, 3, -3, 20, Fraction(7, 3), Fraction(-1, 2), Fraction(13, 4), Fraction(-41, 5)):
+        value = sf_integral(ProjectionPerturbation.from_pairs([(Fraction(c), Fraction(1))]), r, cfg)
+        assert value == pytest.approx(_slow_path_integral(Fraction(c), r, cfg), rel=1e-12), c
+
+
+def test_sf_integral_sums_lattice_only_for_fractional_coefficients(monkeypatch):
     calls = []
+    lattice_sum = numerics.lattice_sum
 
-    def drifting(shift, expo, cfg):
+    def counted(shift, expo, cfg):
         calls.append(shift)
-        return float(len(calls))
+        return lattice_sum(shift, expo, cfg)
 
-    monkeypatch.setattr(numerics, "lattice_sum", drifting)
-    x = ProjectionPerturbation.from_pairs([(Fraction(1), Fraction(1, 2))])
-    with pytest.raises(ArithmeticError, match="did not converge"):
-        sf_integral(x, 0.5, SummationConfig(cutoff=100))
+    monkeypatch.setattr(numerics, "lattice_sum", counted)
+    cfg = SummationConfig(cutoff=10_000)
+    criterion_10 = [(Fraction(-1), Fraction(1, 4)), (Fraction(1), Fraction(1, 2))]
+    m20 = [(Fraction(-20), Fraction(1, 2**21)), (Fraction(20), Fraction(1, 2))]
+    for data in (criterion_10, m20):
+        sf_integral(ProjectionPerturbation.from_pairs(data), 0.5, cfg)
+    assert calls == []
+    mixed = [(Fraction(7, 3), Fraction(1, 3)), (Fraction(-1, 2), Fraction(1, 5)), (Fraction(3), Fraction(1, 4))]
+    sf_integral(ProjectionPerturbation.from_pairs(mixed), 0.5, cfg)
+    assert len(calls) == 2 * numerics.REMAINDER_NODES == 32
+    assert all(2 < s < 7 / 3 for s in calls[:16]) and all(0 < s < 1 / 2 for s in calls[16:])
 
 
 def test_cli_import_loads_no_scipy():
@@ -136,8 +167,9 @@ def test_sf_integral_validation():
     with pytest.raises(UsageError):
         sf_integral(ProjectionPerturbation(()), 0.5, SummationConfig())
     huge = ProjectionPerturbation.from_pairs([(Fraction(50), Fraction(1, 2))])
-    with pytest.raises(DomainError):
-        sf_integral(huge, 0.5, SummationConfig(cutoff=10))
+    for tails in (True, False):
+        with pytest.raises(DomainError, match=r"cutoff 10 must exceed the largest \|c\| 50"):
+            sf_integral(huge, 0.5, SummationConfig(cutoff=10, tail_correction=tails))
 
 
 def test_projection_perturbation_validation():
