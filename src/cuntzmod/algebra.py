@@ -166,12 +166,9 @@ class AlgebraElement:
     def __repr__(self) -> str:
         kind = "exact" if self.exact else "numeric"
         if self.exact:
-            try:
-                from .expr import render
+            from .expr import render
 
-                return f"<O_{self.n} {kind}: {render(self)}>"
-            except Exception:
-                pass
+            return f"<O_{self.n} {kind}: {render(self)}>"
         return f"<O_{self.n} {kind}: {len(self.terms)} terms>"
 
     # -- arithmetic ----------------------------------------------------------

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import canonical_form, check_word, monomial
-from .endos import keyfact_sweep, tracesplit_sweep
+from .endos import KEYFACT_PROBE_LEN, keyfact_sweep, tracesplit_sweep
 from .errors import CuntzError, DomainError, UsageError
 from .expr import parse, render
 from .flow import (
@@ -48,7 +48,7 @@ CHECKS = {
 }
 
 # Largest sweep ``check`` starts: about 1e6 of the cheapest cases, tens of
-# seconds of kms or tomita work.
+# seconds of kms or tomita work.  A keyfact case counts once per probe.
 CHECK_CASE_BUDGET = 1_000_000
 
 
@@ -80,6 +80,13 @@ CHECK_CASES = {
     "keyfact": lambda args: 5 * _monomial_count(args),
     "homotopy": lambda args: 4 * args.samples,
     "tracesplit": lambda args: 7 * (2 + 2 * _word_count(args.n * args.n, args.max_len)),
+}
+
+# Probes per case, for the suites whose case is not one unit of work: a
+# keyfact case checks its identity on every S_a S_b^* with legs up to
+# KEYFACT_PROBE_LEN.
+CASE_PROBES = {
+    "keyfact": lambda args: _word_count(args.n, KEYFACT_PROBE_LEN) ** 2,
 }
 
 
@@ -225,9 +232,14 @@ def _dispatch(args) -> int:
         if args.max_len < 0:
             raise UsageError(f"--max-len must be >= 0, got {args.max_len}")
         estimate = CHECK_CASES[args.suite](args)
+        size = f"{estimate} cases"
+        if args.suite in CASE_PROBES:
+            probes = CASE_PROBES[args.suite](args)
+            estimate *= probes
+            size += f" of {probes} probes each, {estimate} probes in all"
         if estimate > CHECK_CASE_BUDGET:
             raise UsageError(
-                f"check {args.suite} would run at least {estimate} cases, "
+                f"check {args.suite} would run at least {size}, "
                 f"above the budget of {CHECK_CASE_BUDGET}"
             )
         report = CHECKS[args.suite](args)

@@ -211,6 +211,9 @@ def key_fact_check(v: AlgebraElement, k: int, probes) -> bool:
 
 # -- named invariant sweeps ------------------------------------------------
 
+# keyfact_sweep checks each case on every S_a S_b^* with legs up to this length.
+KEYFACT_PROBE_LEN = 3
+
 
 def tracesplit_sweep(n: int, max_len: int, k_span: int = 3) -> dict:
     """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) ==
@@ -233,7 +236,7 @@ def tracesplit_sweep(n: int, max_len: int, k_span: int = 3) -> dict:
     return tally.report("tracesplit", n=n, max_len=max_len)
 
 
-def keyfact_sweep(n: int, max_len: int, probe_len: int = 3, k_span: int = 2) -> dict:
+def keyfact_sweep(n: int, max_len: int, probe_len: int = KEYFACT_PROBE_LEN, k_span: int = 2) -> dict:
     """The compression identity v Phi_k v^* == v v^* Phi_{k+m} over monomial
     partial isometries with leg lengths up to max_len."""
     ws = words_upto(n, max_len)

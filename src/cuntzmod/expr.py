@@ -19,6 +19,15 @@ Rendering is deterministic: terms are ordered by (gauge degree, |nu|,
 mu lexicographic, nu lexicographic) and a coefficient a + b*sqrt(n) with
 both parts nonzero is emitted as two adjacent terms (the rational part
 first).  ``parse(render(a), a.n)`` reproduces ``a`` exactly.
+
+Cost of ``render``: one sort of the terms, then per term a few dict
+lookups and string concatenations.  Coefficient text comes straight from
+the integer triple ``(na, nb, den)`` of the QSqrt (signs and the unit test
+on ints, one ``gcd`` only when ``den != 1``).  Leg text is kept in a memo
+local to the call: a word's text is its parent word's text plus one
+letter, and consecutive terms in sorted order share parents, so most
+letters are never formatted twice; the second leg of a projection is a
+memo hit.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, adjoint, monomial, multiply, one, term_sort_key, zero
 from .errors import ExprSyntaxError, UsageError
-from .scalars import QSqrt, _frac_str
+from .scalars import QSqrt, ratio_str
 
 
 def _byte_offset(text: str, pos: int) -> int:
@@ -168,15 +177,36 @@ def parse(text: str, n: int) -> AlgebraElement:
     return _Parser(text, n).element()
 
 
-def _mono_text(mu, nu) -> str:
-    if not mu and not nu:
-        return "I"
-    parts = []
-    if mu:
-        parts.append("S[" + ",".join(map(str, mu)) + "]")
-    if nu:
-        parts.append("S[" + ",".join(map(str, nu)) + "]'")
-    return ".".join(parts)
+def _leg_text(word, memo: dict) -> str:
+    """Letters of a nonempty word as "1,2,3", stored in ``memo`` with the
+    text of its parent word ``word[:-1]``, from which it is built.  A parent
+    not yet in ``memo`` is joined afresh instead of from its own parent, so
+    a word costs at most one pass over its letters and ``memo`` stays
+    linear in the length of the output."""
+    parent = word[:-1]
+    if parent:
+        head = memo.get(parent)
+        if head is None:
+            head = memo[parent] = ",".join(map(str, parent))
+        text = f"{head},{word[-1]}"
+    else:
+        text = str(word[0])
+    memo[word] = text
+    return text
+
+
+def _piece(value: int, den: int, root: str, mono: str, first: bool) -> str:
+    """One rendered term ``value/den [r] * mono``.  The first term folds its
+    sign into the coefficient; a later one is joined by " + " or " - "."""
+    if first:
+        sign = ""
+    elif value < 0:
+        sign, value = " - ", -value
+    else:
+        sign = " + "
+    if value == den and not root:  # coefficient exactly 1
+        return sign + mono
+    return f"{sign}{ratio_str(value, den)}{root}*{mono}"
 
 
 def render(a: AlgebraElement) -> str:
@@ -186,30 +216,26 @@ def render(a: AlgebraElement) -> str:
         raise UsageError("render is defined for the exact backend only")
     if a.is_zero:
         return "0"
-    pieces: list[tuple[Fraction, bool, str]] = []  # (signed coeff, is_root, monomial text)
-    for key in sorted(a.terms, key=term_sort_key):
-        c = a.terms[key]
-        text = _mono_text(*key)
-        rat = c.rational_part()
-        root = c.root_part()
-        if rat != 0:
-            pieces.append((rat, False, text))
-        if root != 0:
-            pieces.append((root, True, text))
+    terms = a.terms
+    legs: dict = {}  # word -> its letters' text, for this call only
+    get = legs.get
     out: list[str] = []
-    for i, (coeff, is_root, text) in enumerate(pieces):
-        mag = abs(coeff)
-        if i == 0:
-            value = coeff  # fold a leading sign into the coefficient
-            explicit = value != 1 or is_root
+    first = True
+    for key in sorted(terms, key=term_sort_key):
+        mu, nu = key
+        if mu:
+            mono = "S[" + (get(mu) or _leg_text(mu, legs)) + "]"
+            if nu:
+                mono += ".S[" + (get(nu) or _leg_text(nu, legs)) + "]'"
+        elif nu:
+            mono = "S[" + (get(nu) or _leg_text(nu, legs)) + "]'"
         else:
-            out.append(" - " if coeff < 0 else " + ")
-            value = mag
-            explicit = mag != 1 or is_root
-        if text == "I":
-            out.append(f"{_frac_str(value)}{'r' if is_root else ''}*I" if explicit else "I")
-        elif explicit:
-            out.append(f"{_frac_str(value)}{'r' if is_root else ''}*{text}")
-        else:
-            out.append(text)
+            mono = "I"
+        c = terms[key]
+        if c.na:
+            out.append(_piece(c.na, c.den, "", mono, first))
+            first = False
+        if c.nb:
+            out.append(_piece(c.nb, c.den, "r", mono, first))
+            first = False
     return "".join(out)

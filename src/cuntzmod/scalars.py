@@ -323,21 +323,27 @@ def scalar_abs(c) -> float:
     return abs(c)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def ratio_str(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms as ``p`` or ``p/q``."""
+    if den != 1:
+        g = math.gcd(num, den)
+        if g != den:
+            return f"{num // g}/{den // g}"
+        num //= g
+    return str(num)
 
 
 def scalar_str(c) -> str:
     """Serialize an exact scalar as ``p/q`` or ``p/q+p'/q'r`` (r = sqrt n)."""
     if isinstance(c, (int, Fraction)):
-        return _frac_str(Fraction(c))
+        f = Fraction(c)
+        return ratio_str(f.numerator, f.denominator)
     if type(c) is QSqrt:
-        a = Fraction(c.na, c.den)
-        b = Fraction(c.nb, c.den)
-        if b == 0:
-            return _frac_str(a)
-        root = _frac_str(abs(b)) + "r"
-        if a == 0:
-            return root if b > 0 else "-" + root
-        return _frac_str(a) + ("+" if b > 0 else "-") + root
+        na, nb, den = c.na, c.nb, c.den
+        if nb == 0:
+            return ratio_str(na, den)
+        root = ratio_str(abs(nb), den) + "r"
+        if na == 0:
+            return root if nb > 0 else "-" + root
+        return ratio_str(na, den) + ("+" if nb > 0 else "-") + root
     raise UsageError(f"not an exact scalar: {c!r}")

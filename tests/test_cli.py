@@ -201,6 +201,19 @@ def test_oversized_check_is_refused_before_it_runs(capsys):
     assert str(cli.CHECK_CASE_BUDGET) in err and str(7 * 341**2 + 6 * 341**4) in err
 
 
+@pytest.mark.parametrize(
+    "n, max_len, cases, probes",
+    [(4, 4, 5 * 341**2, 85**2), (3, 2, 5 * 13**2, 40**2)],
+)
+def test_keyfact_check_is_charged_for_its_probes(capsys, n, max_len, cases, probes):
+    # every keyfact case checks S_a S_b^* for all legs a, b up to length 3
+    start = time.process_time()
+    code, out, err = run(capsys, "check", "keyfact", "--n", str(n), "--max-len", str(max_len))
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == ""
+    assert f"{cases} cases of {probes} probes each, {cases * probes} probes in all" in err
+
+
 @pytest.mark.parametrize("suite", [s for s in cli.CHECKS if s != "homotopy"])
 @pytest.mark.parametrize("n, max_len", [(2, 0), (2, 1), (3, 1)])
 def test_check_case_estimate_is_the_reported_count(suite, n, max_len):

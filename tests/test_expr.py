@@ -1,8 +1,22 @@
+import itertools
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cuntzmod.algebra import adjoint, gen, monomial, multiply, one, projection, zero
+from cuntzmod.algebra import (
+    AlgebraElement,
+    adjoint,
+    canonical_form,
+    gen,
+    monomial,
+    multiply,
+    one,
+    projection,
+    term_sort_key,
+    zero,
+)
 from cuntzmod.errors import ExprSyntaxError, UsageError
 from cuntzmod.expr import parse, render
 from cuntzmod.scalars import QSqrt
@@ -98,3 +112,110 @@ def test_multi_digit_letters_round_trip():
 def test_render_rejects_numeric_backend():
     with pytest.raises(UsageError):
         render(gen(2, 1).to_numeric())
+
+
+# -- the integer renderer against the Fraction-based one it replaced ---------
+
+
+def _oracle_frac(f: Fraction) -> str:
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def _oracle_mono(mu, nu) -> str:
+    if not mu and not nu:
+        return "I"
+    parts = []
+    if mu:
+        parts.append("S[" + ",".join(map(str, mu)) + "]")
+    if nu:
+        parts.append("S[" + ",".join(map(str, nu)) + "]'")
+    return ".".join(parts)
+
+
+def oracle_render(a) -> str:
+    """The renderer as it was before it worked on integer triples: every
+    coefficient part goes through Fraction, every leg through str.join."""
+    if a.is_zero:
+        return "0"
+    pieces = []
+    for key in sorted(a.terms, key=term_sort_key):
+        c = a.terms[key]
+        text = _oracle_mono(*key)
+        if c.rational_part() != 0:
+            pieces.append((c.rational_part(), False, text))
+        if c.root_part() != 0:
+            pieces.append((c.root_part(), True, text))
+    out = []
+    for i, (coeff, is_root, text) in enumerate(pieces):
+        if i == 0:
+            value = coeff
+            explicit = value != 1 or is_root
+        else:
+            out.append(" - " if coeff < 0 else " + ")
+            value = abs(coeff)
+            explicit = value != 1 or is_root
+        if explicit:
+            out.append(f"{_oracle_frac(value)}{'r' if is_root else ''}*{text}")
+        else:
+            out.append(text)
+    return "".join(out)
+
+
+_PART = st.one_of(
+    st.sampled_from((0, 1, -1)),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+
+
+@st.composite
+def render_elements(draw):
+    """Elements over n in {2, 3, 4, 9, 10, 12}: perfect squares fold the
+    root part, 10 and 12 have two-digit letters; legs up to 6 letters,
+    the empty word included; both coefficient parts with any sign and
+    denominators up to 12."""
+    n = draw(st.sampled_from((2, 3, 4, 9, 10, 12)))
+    word = st.lists(st.integers(1, n), max_size=6).map(tuple)
+    keys = draw(st.lists(st.tuples(word, word), max_size=8, unique=True))
+    return AlgebraElement(n, {key: QSqrt(n, draw(_PART), draw(_PART)) for key in keys})
+
+
+@settings(max_examples=400, deadline=None)
+@given(render_elements())
+def test_render_matches_the_fraction_oracle(a):
+    text = render(a)
+    assert text == oracle_render(a)
+    assert parse(text, a.n) == a
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_render_deep_words_without_recursion():
+    mu = tuple(1 + (i * 7) % 3 for i in range(2100))
+    nu = mu[:2000] + (3,)
+    a = monomial(3, mu, nu, QSqrt(3, Fraction(-2, 3), 5)) + monomial(3, mu, mu)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)  # far below the word length
+    try:
+        text = render(a)
+        back = parse(text, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert back == a
+    assert text == oracle_render(a)
+
+
+@pytest.mark.parametrize("n, w", [(2, (1, 1, 2)), (3, (2, 1, 3)), (10, (10, 3)), (2, (1,) * 10)])
+def test_render_complement_of_a_projection(n, w):
+    # canonical 1 - P_w: P_v for every v != w of length |w|, in lexicographic order
+    expected = " + ".join(
+        "S[{0}].S[{0}]'".format(",".join(map(str, v)))
+        for v in itertools.product(range(1, n + 1), repeat=len(w))
+        if v != w
+    )
+    assert render(canonical_form(one(n) - projection(n, w))) == expected

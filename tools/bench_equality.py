@@ -8,7 +8,10 @@ w = 1^12 in O_4, whose expansion (4^12 terms) exceeds the default term
 budget.  The harness first checks that both sides give the expected answer
 on every input (the oracle where the budget lets it run) and exits non-zero
 if one does not; then it times each side in CPU time and writes medians to
-a JSON file.  Run it from anywhere in a checkout:
+a JSON file.  It also times ``expr.render`` on the canonical form of 1 - P_w
+for the five ``EQ_SHAPES``, in CPU ms per call and microseconds per term,
+after checking the text against the one the benchmark expects.  Run it from
+anywhere in a checkout:
 
     python3 tools/bench_equality.py [--out BENCH_equality.json]
 """
@@ -28,10 +31,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "exactbench"))
 
-from cuntzmod import algebra  # noqa: E402
+from cuntzmod import algebra, expr  # noqa: E402
 from cuntzmod.errors import TermBudgetExceeded  # noqa: E402
 from cuntzmod.scalars import QSqrt  # noqa: E402
-from workloads import EQ_SHAPES, branch_decomposition  # noqa: E402
+from workloads import EQ_SHAPES, branch_decomposition, complement_text  # noqa: E402
 
 DEEP_SHAPE = (4, 12)
 SEED = 0
@@ -54,6 +57,13 @@ def queries(rng: random.Random):
         shifted = branch_decomposition(n, w, QSqrt(n, 1, 1))
         for variant, rhs, expected in (("equal", equal, True), ("dropped", dropped, False), ("shifted", shifted, False)):
             yield (n, k), variant, lhs, rhs, expected
+
+
+def render_inputs(rng: random.Random):
+    """(n, |w|, w, canonical form of 1 - P_w) for every shape of EQ_SHAPES."""
+    for n, k in EQ_SHAPES:
+        w = tuple(rng.randint(1, n) for _ in range(k))
+        yield n, k, w, algebra.canonical_form(algebra.one(n) - algebra.projection(n, w))
 
 
 def cpu_ms(fn, args) -> tuple[float, int]:
@@ -108,8 +118,19 @@ def main(argv=None) -> int:
             row["oracle_skipped"] = f"canonical_form exceeds the term budget of {algebra.term_budget()}"
         print(json.dumps(row), file=sys.stderr)
 
+    render_rows = []
+    for n, k, w, element in render_inputs(random.Random(SEED)):
+        if expr.render(element) != complement_text(n, w):
+            raise SystemExit(f"({n}, {k}): render of 1 - P_w differs from the expected text")
+        ms, repeats = cpu_ms(expr.render, (element,))
+        row = {"n": n, "depth": k, "terms": len(element.terms), "render_ms": ms,
+               "render_repeats": repeats, "render_us_per_term": ms * 1e3 / len(element.terms)}
+        render_rows.append(row)
+        print(json.dumps(row), file=sys.stderr)
+
     report = {
-        "what": "CPU ms per call (median): algebra.equals against not canonical_form(a - b).terms",
+        "what": "CPU ms per call (median): algebra.equals against not canonical_form(a - b).terms; "
+                "expr.render on canonical_form(1 - P_w)",
         "python": platform.python_version(),
         "cpu": cpu_model(),
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
@@ -117,6 +138,7 @@ def main(argv=None) -> int:
         "min_seconds": MIN_SECONDS,
         "min_repeats": MIN_REPEATS,
         "rows": rows,
+        "render_rows": render_rows,
     }
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
