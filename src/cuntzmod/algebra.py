@@ -306,7 +306,8 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The algebra product, bilinear extension of the path-matching rule."""
     a._check_mate(b)
     out: dict[MonomialKey, object] = {}
-    _multiply_into(out, a.terms, b.terms, a.exact)
+    if a.terms and b.terms:
+        _multiply_into(out, a.terms, b.terms, a.exact)
     return AlgebraElement._make(a.n, a.exact, out)
 
 

@@ -190,23 +190,33 @@ def tau_delta_truncated(e: EndoSum, cutoff: int):
     return tau_tilde(endo_compose(delta_n, e))
 
 
-def key_fact_check(v: AlgebraElement, k: int, probes) -> bool:
-    """v Phi_k v^* == v v^* Phi_{k+m} for the monomial partial isometry v of
-    gauge degree m, verified on every probe."""
+def _partial_isometry(v: AlgebraElement) -> tuple[int, AlgebraElement, AlgebraElement]:
+    """(m, v^*, v v^*) for the monomial partial isometry v = S_mu S_nu^* of
+    gauge degree m = |mu| - |nu|; anything else is a DomainError."""
     if len(v.terms) != 1:
         raise DomainError("key_fact_check needs a single monomial S_mu S_nu^*")
     (mu, nu), c = next(iter(v.terms.items()))
     if c != (QSqrt.one(v.n) if v.exact else 1 + 0j):
         raise DomainError("key_fact_check needs coefficient one on the monomial")
-    m = len(mu) - len(nu)
     v_star = adjoint(v)
-    range_proj = multiply(v, v_star)
-    for x in probes:
-        lhs = multiply(v, gauge_component(multiply(v_star, x), k))
-        rhs = multiply(range_proj, gauge_component(x, k + m))
-        if not equals(lhs, rhs):
+    return len(mu) - len(nu), v_star, multiply(v, v_star)
+
+
+def _key_fact_holds(v: AlgebraElement, range_proj: AlgebraElement, k: int, cases) -> bool:
+    """v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on every probe x, given as the
+    pairs (v^* x, Phi_{k+m}(x)); stops at the first probe that fails."""
+    for pulled, shifted in cases:
+        if not equals(multiply(v, gauge_component(pulled, k)), multiply(range_proj, shifted)):
             return False
     return True
+
+
+def key_fact_check(v: AlgebraElement, k: int, probes) -> bool:
+    """v Phi_k v^* == v v^* Phi_{k+m} for the monomial partial isometry v of
+    gauge degree m, verified on every probe."""
+    m, v_star, range_proj = _partial_isometry(v)
+    cases = ((multiply(v_star, x), gauge_component(x, k + m)) for x in probes)
+    return _key_fact_holds(v, range_proj, k, cases)
 
 
 # -- named invariant sweeps ------------------------------------------------
@@ -238,14 +248,22 @@ def tracesplit_sweep(n: int, max_len: int, k_span: int = 3) -> dict:
 
 def keyfact_sweep(n: int, max_len: int, probe_len: int = KEYFACT_PROBE_LEN, k_span: int = 2) -> dict:
     """The compression identity v Phi_k v^* == v v^* Phi_{k+m} over monomial
-    partial isometries with leg lengths up to max_len."""
+    partial isometries with leg lengths up to max_len, each case checked on
+    every probe like ``key_fact_check``.  Phi_j(x) is formed once per probe
+    and degree, and v^*, v v^* and the products v^* x once per v, shared by
+    its 2 k_span + 1 values of k."""
     ws = words_upto(n, max_len)
     probe_words = words_upto(n, probe_len)
     probes = [monomial(n, a, b) for a in probe_words for b in probe_words]
+    spread = k_span + max_len  # |k + m| never exceeds it
+    shifted = {j: [gauge_component(x, j) for x in probes] for j in range(-spread, spread + 1)}
     tally = Tally()
     for mu in ws:
         for nu in ws:
             v = monomial(n, mu, nu)
+            m, v_star, range_proj = _partial_isometry(v)
+            pulled = [multiply(v_star, x) for x in probes]
             for k in range(-k_span, k_span + 1):
-                tally.check(key_fact_check(v, k, probes), lambda: f"v=S_{mu}S*_{nu} k={k}")
+                tally.check(_key_fact_holds(v, range_proj, k, zip(pulled, shifted[k + m])),
+                            lambda: f"v=S_{mu}S*_{nu} k={k}")
     return tally.report("keyfact", n=n, max_len=max_len)

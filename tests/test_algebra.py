@@ -8,6 +8,7 @@ from conftest import branch_decomposition, monomial_elements, random_element
 from cuntzmod.algebra import (
     AlgebraElement,
     _disjoint_terms,
+    _multiply_into,
     adjoint,
     canonical_form,
     equals,
@@ -159,6 +160,21 @@ def test_mixed_backend_rejected():
         multiply(gen(2, 1), gen(3, 1))
 
 
+def test_multiply_by_an_empty_operand():
+    for n, exact in ((2, True), (3, False)):
+        x = gen(n, 1) if exact else gen(n, 1).to_numeric()
+        empty = zero(n, exact)
+        for a, b in ((empty, x), (x, empty), (empty, zero(n, exact))):
+            product = multiply(a, b)
+            assert (product.n, product.exact, product.terms) == (n, exact, {})
+            assert product.terms is not a.terms and product.terms is not b.terms
+    # the context checks still run when an operand is empty
+    for a, b in ((zero(2), gen(3, 1)), (gen(2, 1), zero(3)), (zero(2), zero(3)),
+                 (zero(2), gen(2, 1).to_numeric()), (zero(2, False), gen(2, 1)), (zero(2), zero(2, False))):
+        with pytest.raises(UsageError):
+            multiply(a, b)
+
+
 def test_scale_and_operators():
     a = gen(2, 1)
     assert a.scale(0).is_zero
@@ -289,6 +305,20 @@ def test_disjoint_terms_carry_the_canonical_coefficients(pair):
         (abs(float(c)) for c in canonical.values()), default=0.0
     )
     assert not canonical_form(AlgebraElement(diff.n, survivors) - diff).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_multiply_matches_the_term_map_product(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    a = data.draw(_elements(n, 3))
+    b = data.draw(st.one_of(st.just(zero(n)), _elements(n, 3)))
+    if data.draw(st.booleans()):
+        a, b = a.to_numeric(), b.to_numeric()
+    expected: dict = {}
+    _multiply_into(expected, a.terms, b.terms, a.exact)
+    product = multiply(a, b)
+    assert (product.n, product.exact, product.terms) == (n, a.exact, expected)
 
 
 def test_deep_equality_under_the_default_budget():

@@ -1,0 +1,85 @@
+"""The hoisted invariant sweeps against the per-case loops they replaced.
+
+``kms_sweep``, ``tomita_sweep`` and ``keyfact_sweep`` form each map of one
+operand once and share it across the cases that read it.  Their reports must
+equal those of the oracles in conftest, which form every map inside its
+case, on clean code and with a wrong map patched into the module attribute
+the sweep looks up.  Under a mutant the sweep must also fail some cases and
+keep its case count, so sharing a map did not make a check vacuous.  The
+first three mutants are wrong maps the sweeps share; the last two make
+tomita_sweep's first failures carry the loop variables of its hoisted
+loops, so a label that read the wrong operand or z would differ.
+"""
+
+import pytest
+
+from conftest import oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep
+from cuntzmod import endos, modular
+from cuntzmod.algebra import multiply
+
+SWEEPS = {
+    "kms": (modular.kms_sweep, oracle_kms_sweep, (2, 2), 2401),
+    "tomita": (modular.tomita_sweep, oracle_tomita_sweep, (2, 2), 14749),
+    "keyfact": (endos.keyfact_sweep, oracle_keyfact_sweep, (2, 2), 245),
+}
+
+
+def _sigma_identity(monkeypatch):
+    monkeypatch.setattr(modular, "sigma", lambda a: a)
+
+
+def _delta_negated(monkeypatch):
+    delta_power = modular.delta_power
+    monkeypatch.setattr(modular, "delta_power", lambda a, z: delta_power(a, -z))
+
+
+def _gauge_off_by_one(monkeypatch):
+    # Off by one on every nonzero degree.  A shift of every degree alike
+    # would go unseen: v Phi_k v^* == v v^* Phi_{k+m} holds at every k, so
+    # it only maps each case to another true one.
+    gauge_component = endos.gauge_component
+    monkeypatch.setattr(endos, "gauge_component", lambda a, k: gauge_component(a, k + 1 if k else k))
+
+
+def _s_identity(monkeypatch):
+    monkeypatch.setattr(modular, "tomita_S", lambda a: a)
+
+
+def _pairing_without_adjoint(monkeypatch):
+    monkeypatch.setattr(modular, "inner_product", lambda a, b: modular.state_psi(multiply(a, b)))
+
+
+MUTANTS = {
+    "sigma_identity": _sigma_identity,
+    "delta_negated": _delta_negated,
+    "gauge_off_by_one": _gauge_off_by_one,
+    "s_identity": _s_identity,
+    "pairing_without_adjoint": _pairing_without_adjoint,
+}
+
+# (sweep, mutant) for every mutant that reaches the sweep; None is clean code.
+CASES = [
+    ("kms", None),
+    ("tomita", None),
+    ("keyfact", None),
+    ("kms", "sigma_identity"),
+    ("kms", "delta_negated"),  # sigma is Delta^(-1)
+    ("tomita", "delta_negated"),  # fails the polar decompositions only
+    ("tomita", "s_identity"),  # fails the intertwining checks first, with their z
+    ("tomita", "pairing_without_adjoint"),  # fails the pair checks, the first with their z
+    ("keyfact", "gauge_off_by_one"),
+]
+
+
+@pytest.mark.parametrize("sweep, mutant", CASES)
+def test_sweep_report_matches_the_per_case_oracle(monkeypatch, sweep, mutant):
+    fast, oracle, args, cases = SWEEPS[sweep]
+    if mutant:
+        MUTANTS[mutant](monkeypatch)
+    report = fast(*args)
+    assert report == oracle(*args)
+    assert report["cases"] == cases
+    if mutant:
+        assert report["failures"] > 0 and report["first_failures"]
+    else:
+        assert report["failures"] == 0

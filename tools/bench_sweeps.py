@@ -1,0 +1,87 @@
+"""Layer harness for the named invariant sweeps: CPU time of each sweep of
+the benchmark's ``invariants`` workload, plus ``tomita_sweep(3, 2)`` from
+acceptance criterion 3, which the workload leaves out for its length.
+
+The harness first runs every sweep once and checks that it reports the case
+count its size fixes and no failure; it exits non-zero if one does not.
+Then it times every sweep once per round, for ROUNDS rounds, in CPU time,
+and writes each sweep's median, and the sum of the medians over the
+workload's nine sweeps (one workload round), to a JSON file.  Run it from
+anywhere in a checkout:
+
+    python3 tools/bench_sweeps.py [--out BENCH_sweeps.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "exactbench"))
+
+from bench_equality import cpu_model  # noqa: E402
+from cuntzmod import modular  # noqa: E402
+from workloads import INVARIANT_SWEEPS  # noqa: E402
+
+EXTRA_SWEEPS = ((modular, "tomita_sweep", (3, 2), 172549),)
+ROUNDS = 7  # timed calls of each sweep
+
+
+def cpu_ms_round_robin(calls) -> list[float]:
+    """Median CPU milliseconds of each call over ROUNDS rounds; each round
+    runs every call once, so a change in machine speed between rounds
+    reaches all of them alike."""
+    samples = [[] for _ in calls]
+    for _ in range(ROUNDS):
+        for out, (fn, args) in zip(samples, calls):
+            start = time.process_time()
+            fn(*args)
+            out.append((time.process_time() - start) * 1e3)
+    return [statistics.median(s) for s in samples]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_sweeps.json"))
+    args = parser.parse_args(argv)
+
+    sweeps = [(module, name, sweep_args, cases, True) for module, name, sweep_args, cases in INVARIANT_SWEEPS]
+    sweeps += [(module, name, sweep_args, cases, False) for module, name, sweep_args, cases in EXTRA_SWEEPS]
+    for module, name, sweep_args, cases, _ in sweeps:
+        report = getattr(module, name)(*sweep_args)
+        if report["cases"] != cases or report["failures"]:
+            raise SystemExit(f"{name}{sweep_args}: {report['cases']} cases (expected {cases}), "
+                             f"{report['failures']} failures")
+
+    medians = cpu_ms_round_robin([(getattr(module, name), sweep_args) for module, name, sweep_args, _, _ in sweeps])
+    rows = []
+    for (_, name, sweep_args, cases, in_round), ms in zip(sweeps, medians):
+        row = {"sweep": name, "args": list(sweep_args), "cases": cases, "in_round": in_round,
+               "ms": ms, "us_per_case": ms * 1e3 / cases}
+        rows.append(row)
+        print(json.dumps(row), file=sys.stderr)
+
+    report = {
+        "what": "CPU ms per sweep call (median); round_ms sums the invariants workload's sweeps",
+        "python": platform.python_version(),
+        "cpu": cpu_model(),
+        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "rounds": ROUNDS,
+        "round_ms": sum(row["ms"] for row in rows if row["in_round"]),
+        "rows": rows,
+    }
+    with open(args.out, "w") as f:
+        json.dump(report, f, indent=1)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
