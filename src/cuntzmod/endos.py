@@ -35,7 +35,7 @@ from .algebra import (
     words_upto,
 )
 from .errors import DomainError, TermBudgetExceeded, UsageError
-from .modular import delta_power, expectation, gauge_component, state_psi, trace_F
+from .modular import delta_power, expectation, gauge_component, psi_product, trace_F
 from .scalars import QSqrt, n_power, scalar_is_zero
 from .tally import Tally
 
@@ -161,19 +161,22 @@ def phi_k_endo(k: int, n: int, exact: bool = True) -> EndoSum:
 
 
 def tau_tilde(e: EndoSum):
-    """tau_tilde(Theta_{x,y}) = psi(y^* x), extended linearly."""
+    """tau_tilde(Theta_{x,y}) = psi(y^* x), extended linearly; each
+    psi(y^* x) is psi_product(y^*, x), without forming y^* x."""
     acc = QSqrt.zero(e.n) if e.exact else 0j
     for c, th in e.terms:
-        acc = acc + c * state_psi(multiply(adjoint(th.y), th.x))
+        acc = acc + c * psi_product(adjoint(th.y), th.x)
     return acc
 
 
 def tau_delta_endo(e: EndoSum):
     """tau_delta(e) = tau_tilde(Delta . e), with Delta applied to the output
-    leg; normalised so every Phi_k has weight exactly 1."""
+    leg; normalised so every Phi_k has weight exactly 1.  Each term is
+    psi(y^* Delta x) = psi_product(y^*, Delta x), without forming the
+    product."""
     acc = QSqrt.zero(e.n) if e.exact else 0j
     for c, th in e.terms:
-        acc = acc + c * state_psi(multiply(adjoint(th.y), delta_power(th.x, 1)))
+        acc = acc + c * psi_product(adjoint(th.y), delta_power(th.x, 1))
     return acc
 
 

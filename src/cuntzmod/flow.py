@@ -46,7 +46,7 @@ from .algebra import (
 from .endos import compose_left_mult, phi_k_endo, tau_delta_endo
 from .errors import BackendError, DomainError, UsageError
 from .matrices import AlgMatrix, _certify, apply_sigma, build_u_mu_nu, is_modular_unitary
-from .modular import commutator_D, delta_power, state_psi, trace_F
+from .modular import commutator_D, delta_power, psi_product, trace_F
 from .scalars import QSqrt, scalar_str
 from .tally import Tally
 
@@ -128,8 +128,9 @@ def _corrections(u: AlgMatrix) -> tuple[Fraction, Fraction]:
 
 
 def twisted_theta(a0: AlgebraElement, a1: AlgebraElement):
-    """theta(a0, a1) = psi(a0 [D, a1])."""
-    return state_psi(multiply(a0, commutator_D(a1)))
+    """theta(a0, a1) = psi(a0 [D, a1]) = psi_product(a0, [D, a1]); the
+    product a0 [D, a1] is never formed."""
+    return psi_product(a0, commutator_D(a1))
 
 
 def cocycle_b_defect(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement):

@@ -88,6 +88,12 @@ def oracle_flow(u: AlgMatrix):
     return total
 
 
+def oracle_psi_product(a, b):
+    """psi(a b) with the product built: what modular.psi_product computes
+    without forming it."""
+    return state_psi(multiply(a, b))
+
+
 # Sweep oracles: the straightforward loops that form every map inside the
 # case that reads it.  They call the maps through their modules' attributes,
 # as the sweeps do, so a map patched into a module reaches both sides.
