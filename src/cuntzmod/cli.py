@@ -9,42 +9,40 @@ serialized as "p/q" strings (Q(sqrt n) values as "p/q+p'/q'r") and doubles
 with 17 significant digits.  CUNTZ_TERM_BUDGET overrides the term budget
 of the canonical-form expansion that ``eval`` prints (and of Phi_k); the
 equality and membership tests behind the other verbs never expand.
+
+Most of a CLI process's time is interpreter start-up and imports, so this
+module imports only what parsing and rendering need.  Each verb imports
+its own functions when it runs, and each ``check`` suite its own module:
+``eval`` loads algebra, expr and scalars, ``dixmier`` numerics and no
+exact module, and numpy loads only inside the numeric functions.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from fractions import Fraction
 
-from .algebra import canonical_form, check_word, monomial
-from .endos import KEYFACT_PROBE_LEN, keyfact_sweep, tracesplit_sweep
 from .errors import CuntzError, DomainError, UsageError
-from .expr import parse, render
-from .flow import (
-    aps_index_traces,
-    closed_form_sf,
-    cocycle_sweep,
-    flow_report,
-    hochschild_sweep,
-    projection_perturbation_data,
-    spectral_flow,
-)
-from .matrices import build_u_v, homotopy_sweep
-from .modular import kms_sweep, tomita_sweep
-from .numerics import ProjectionPerturbation, SummationConfig, dixmier_limit, sf_integral
 from .scalars import scalar_str
 
+
+def _load(module: str, name: str):
+    """``name`` from the submodule ``module``, imported on first use."""
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
+
 CHECKS = {
-    "kms": lambda args: kms_sweep(args.n, args.max_len),
-    "tomita": lambda args: tomita_sweep(args.n, args.max_len),
-    "cocycle": lambda args: cocycle_sweep(args.n, args.max_len),
-    "hochschild": lambda args: hochschild_sweep(args.n),
-    "keyfact": lambda args: keyfact_sweep(args.n, args.max_len),
-    "homotopy": lambda args: homotopy_sweep(args.n, args.samples),
-    "tracesplit": lambda args: tracesplit_sweep(args.n, args.max_len),
+    "kms": lambda args: _load("modular", "kms_sweep")(args.n, args.max_len),
+    "tomita": lambda args: _load("modular", "tomita_sweep")(args.n, args.max_len),
+    "cocycle": lambda args: _load("flow", "cocycle_sweep")(args.n, args.max_len),
+    "hochschild": lambda args: _load("flow", "hochschild_sweep")(args.n),
+    "keyfact": lambda args: _load("endos", "keyfact_sweep")(args.n, args.max_len),
+    "homotopy": lambda args: _load("matrices", "homotopy_sweep")(args.n, args.samples),
+    "tracesplit": lambda args: _load("endos", "tracesplit_sweep")(args.n, args.max_len),
 }
 
 # Largest sweep ``check`` starts: about 1e6 of the cheapest cases, tens of
@@ -86,7 +84,7 @@ CHECK_CASES = {
 # keyfact case checks its identity on every S_a S_b^* with legs up to
 # KEYFACT_PROBE_LEN.
 CASE_PROBES = {
-    "keyfact": lambda args: _word_count(args.n, KEYFACT_PROBE_LEN) ** 2,
+    "keyfact": lambda args: _word_count(args.n, _load("endos", "KEYFACT_PROBE_LEN")) ** 2,
 }
 
 
@@ -128,6 +126,8 @@ def _emit(report: dict, mode: str) -> None:
 
 
 def _word(text: str, n: int):
+    from .algebra import check_word
+
     if text == "":
         return ()
     try:
@@ -197,6 +197,9 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     verb = args.verb
     if verb == "eval":
+        from .algebra import canonical_form
+        from .expr import parse, render
+
         element = canonical_form(parse(args.expr, args.n))
         if args.output == "text":
             print(render(element))
@@ -205,11 +208,17 @@ def _dispatch(args) -> int:
         return 0
 
     if verb in ("sf", "entropy"):
+        from .flow import flow_report
+
         report = flow_report(args.n, _word(args.mu, args.n), _word(args.nu, args.n))
         _emit(report.as_dict(), args.output)
         return 0
 
     if verb == "aps":
+        from .algebra import monomial
+        from .flow import aps_index_traces, spectral_flow
+        from .matrices import build_u_v
+
         mu = _word(args.mu, args.n)
         nu = _word(args.nu, args.n)
         v = monomial(args.n, mu, nu)
@@ -249,6 +258,8 @@ def _dispatch(args) -> int:
         return 0 if report["failures"] == 0 else 1
 
     if verb == "dixmier":
+        from .numerics import SummationConfig, dixmier_limit
+
         try:
             schedule = [float(s) for s in args.s_list.split(",") if s]
         except ValueError:
@@ -268,6 +279,9 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "sfint":
+        from .flow import closed_form_sf, projection_perturbation_data
+        from .numerics import ProjectionPerturbation, SummationConfig, sf_integral
+
         mu = _word(args.mu, args.n)
         nu = _word(args.nu, args.n)
         data = projection_perturbation_data(args.n, mu, nu)

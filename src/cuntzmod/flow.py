@@ -29,7 +29,7 @@ degrees the compression misses, through the endomorphism machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -51,16 +51,12 @@ from .scalars import QSqrt, scalar_str
 from .tally import Tally
 
 
-@dataclass
-class FlowReport:
-    n: int
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
-    sf: Fraction
-    eta_diff: Fraction
-    kernel_diff: Fraction
-    in_k0_range: bool
-    entropy: float
+class FlowReport(namedtuple("FlowReport", "n mu nu sf eta_diff kernel_diff in_k0_range entropy")):
+    """What ``flow_report`` finds for u_{mu,nu}: the words, the exact
+    spectral flow and its eta and kernel corrections (Fractions), k0-range
+    membership and the relative entropy (a float)."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

@@ -6,6 +6,7 @@ inside summation loops.
 
 * ``lattice_sum``: sum_{|k|<=K} (1+(k+shift)^2)^(-e), tail-corrected by the
   two integrals beyond |k| = K + 1/2 (the midpoint-consistent tail rule).
+  A cutoff past ``LATTICE_BUDGET`` points is refused before any allocation.
 * ``dixmier_limit``: (s-1) * lattice_sum(0, s/2), extrapolated linearly in
   (s-1) to s=1; the limit is 2 (2*tau(f) for a weighted variant).
 * ``beta_constant``: C_s = int (1+x^2)^(-s) dx = sqrt(pi) Gamma(s-1/2)/Gamma(s).
@@ -44,33 +45,34 @@ process that never sums (every exact verb of the CLI) never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, UsageError
 
 
-@dataclass(frozen=True)
-class SummationConfig:
-    cutoff: int = 10_000
-    tail_correction: bool = True
+class SummationConfig(namedtuple("SummationConfig", "cutoff tail_correction")):
+    """Lattice cutoff K (sums run over |k| <= K) and whether the integral
+    tails beyond K are added.  Immutable, compared and hashed by value."""
 
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise UsageError(f"cutoff must be >= 1, got {self.cutoff}")
+    __slots__ = ()
+
+    def __new__(cls, cutoff: int = 10_000, tail_correction: bool = True):
+        if cutoff < 1:
+            raise UsageError(f"cutoff must be >= 1, got {cutoff}")
+        return super().__new__(cls, cutoff, tail_correction)
 
 
-@dataclass(frozen=True)
-class ProjectionPerturbation:
+class ProjectionPerturbation(namedtuple("ProjectionPerturbation", "terms")):
     """Diagonalised perturbation data: X = sum_j c_j Q_j with pairwise
     orthogonal projections Q_j over F, stored as (c_j, tau(Q_j)) pairs."""
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, terms: Sequence[tuple[Fraction, Fraction]]):
         clean = []
-        for c, w in self.terms:
+        for c, w in terms:
             c = Fraction(c)
             w = Fraction(w)
             if c == 0:
@@ -78,7 +80,7 @@ class ProjectionPerturbation:
             if not 0 < w <= 1:
                 raise UsageError(f"projection weight {w} outside (0, 1]")
             clean.append((c, w))
-        object.__setattr__(self, "terms", tuple(clean))
+        return super().__new__(cls, tuple(clean))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[Fraction, Fraction]]) -> "ProjectionPerturbation":
@@ -127,9 +129,20 @@ def _tail_rule(expo: float):
     return 0.5 * (edges[:-1] + edges[1:]), (edges[1:] ** p - edges[:-1] ** p) / p
 
 
+# Most lattice points one lattice_sum allocates (cutoff <= 1e6): numpy holds
+# the float64 grid and its temporaries, 8 bytes a point each.
+LATTICE_BUDGET = 2_000_001
+
+
 def lattice_sum(shift: float, expo: float, cfg: SummationConfig) -> float:
     """sum_{k in Z} (1+(k+shift)^2)^(-expo), truncated at |k| <= cutoff with
     midpoint-consistent integral tails when tail_correction is on."""
+    points = 2 * cfg.cutoff + 1
+    if points > LATTICE_BUDGET:
+        raise UsageError(
+            f"lattice_sum: cutoff {cfg.cutoff} needs {points} lattice points, "
+            f"past the lattice budget of {LATTICE_BUDGET}"
+        )
     import numpy as np
 
     k = np.arange(-cfg.cutoff, cfg.cutoff + 1, dtype=np.float64)
@@ -145,7 +158,8 @@ def dixmier_limit(n: int, s_schedule: Sequence[float], cfg: SummationConfig, wei
     """Extrapolate (s-1) tau_delta(pi(f) (1+D^2)^(-s/2)) to s = 1.
 
     ``weight`` is tau(f); the limit is 2*weight.  A single-element schedule
-    returns the un-extrapolated value at that s."""
+    returns the un-extrapolated value at that s; a longer one needs at
+    least two distinct s to fit the line through."""
     if n < 2:
         raise UsageError(f"need n >= 2, got {n}")
     schedule = [float(s) for s in s_schedule]
@@ -154,6 +168,8 @@ def dixmier_limit(n: int, s_schedule: Sequence[float], cfg: SummationConfig, wei
     for s in schedule:
         if not 1.0 < s <= 2.0:
             raise DomainError(f"dixmier_limit needs s in (1, 2], got {s}")
+    if len(schedule) > 1 and len(set(schedule)) < 2:
+        raise DomainError(f"dixmier_limit extrapolates a line and needs two distinct s, got {schedule}")
     if cfg.cutoff < 1000:
         raise DomainError("dixmier_limit needs cutoff >= 1000")
     w = float(weight)

@@ -94,6 +94,21 @@ def test_dixmier_verb(capsys):
     assert json.loads(out)["tail_correction"] is False
 
 
+def test_dixmier_refuses_degenerate_schedule(capsys):
+    code, out, err = run(capsys, "dixmier", "--n", "2", "--s-list", "1.1,1.1", "--cutoff", "100000")
+    assert code == 2 and out == ""
+    assert err == "error: dixmier_limit extrapolates a line and needs two distinct s, got [1.1, 1.1]\n"
+
+
+def test_cutoff_past_lattice_budget(capsys):
+    code, out, err = run(capsys, "dixmier", "--n", "2", "--s-list", "1.1", "--cutoff", "10000000000")
+    assert code == 2 and out == ""
+    assert "lattice_sum: cutoff 10000000000 needs 20000000001 lattice points" in err
+    # integer coefficients never sum a lattice, so any cutoff works
+    code, out, _ = run(capsys, "sfint", "--n", "2", "--mu", "1,2", "--nu", "1", "--r", "0.5", "--cutoff", "100000000000")
+    assert code == 0 and json.loads(out)["sf_integral"] == 0.25
+
+
 def test_sfint_verb(capsys):
     code, out, _ = run(capsys, "sfint", "--n", "2", "--mu", "1,1", "--nu", "2", "--r", "0.5", "--cutoff", "10000")
     assert code == 0

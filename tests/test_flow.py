@@ -196,6 +196,11 @@ def test_flow_report():
     d = report.as_dict()
     assert d["sf"] == "1/4" and d["eta_diff"] == "0" and d["in_k0_range"] is True
     assert list(d) == ["n", "mu", "nu", "sf", "eta_diff", "kernel_diff", "in_k0_range", "entropy"]
+    assert report == flow_report(2, [1, 1], [2]) != flow_report(2, (1,), (2, 2))
+    assert repr(report) == (
+        "FlowReport(n=2, mu=(1, 1), nu=(2,), sf=Fraction(1, 4), eta_diff=Fraction(0, 1), "
+        "kernel_diff=Fraction(0, 1), in_k0_range=True, entropy=0.17328679513998632)"
+    )
 
 
 def test_flow_report_certifies_once(monkeypatch):

@@ -17,6 +17,7 @@ from cuntzmod.numerics import (
     beta_constant,
     dixmier_limit,
     eta_numeric,
+    lattice_sum,
     one_sided_heat_sum,
     sf_integral,
     symmetric_heat_sum,
@@ -78,6 +79,39 @@ def test_dixmier_validation():
         dixmier_limit(2, [1.1], SummationConfig(cutoff=10))
     with pytest.raises(UsageError):
         dixmier_limit(2, [], cfg)
+
+
+def test_dixmier_refuses_degenerate_schedule(monkeypatch):
+    # a line through one repeated abscissa has no intercept: refused before
+    # any lattice sum, while a one-element schedule keeps its plain value
+    monkeypatch.setattr(numerics, "lattice_sum", None)
+    cfg = SummationConfig(cutoff=100_000)
+    for schedule in ([1.1, 1.1], [1.5, 1.5, 1.5]):
+        with pytest.raises(DomainError, match="two distinct s"):
+            dixmier_limit(2, schedule, cfg)
+
+
+def test_lattice_budget(monkeypatch):
+    # refused before numpy is imported, so nothing is allocated
+    past = SummationConfig(cutoff=(numerics.LATTICE_BUDGET - 1) // 2 + 1)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(UsageError, match=rf"lattice_sum: cutoff {past.cutoff} needs {numerics.LATTICE_BUDGET + 2} "):
+        lattice_sum(0.0, 1.0, past)
+    with pytest.raises(UsageError, match="lattice budget"):
+        dixmier_limit(2, [1.1, 1.05], past)
+    monkeypatch.undo()
+    monkeypatch.setattr(numerics, "LATTICE_BUDGET", 21)
+    assert lattice_sum(0.0, 1.0, SummationConfig(cutoff=10)) == pytest.approx(PI_COTH_PI, rel=1e-4)
+    with pytest.raises(UsageError, match="23 lattice points, past the lattice budget of 21"):
+        lattice_sum(0.0, 1.0, SummationConfig(cutoff=11))
+
+
+def test_integer_sf_integral_has_no_lattice_budget():
+    huge = SummationConfig(cutoff=10**11)
+    integer = ProjectionPerturbation.from_pairs([(Fraction(-1), Fraction(1, 4)), (Fraction(1), Fraction(1, 2))])
+    assert sf_integral(integer, 0.5, huge) == 0.25
+    with pytest.raises(UsageError, match="lattice budget"):
+        sf_integral(ProjectionPerturbation.from_pairs([(Fraction(1, 2), Fraction(1, 2))]), 0.5, huge)
 
 
 def test_sf_integral_reproduces_exact_flow():
@@ -212,3 +246,17 @@ def test_heat_sums():
 def test_summation_config_validation():
     with pytest.raises(UsageError):
         SummationConfig(cutoff=0)
+
+
+def test_config_types_are_read_only_values():
+    cfg = SummationConfig()
+    assert cfg == SummationConfig(10_000, True) and hash(cfg) == hash(SummationConfig(cutoff=10_000))
+    assert cfg != SummationConfig(tail_correction=False)
+    assert repr(cfg) == "SummationConfig(cutoff=10000, tail_correction=True)"
+    x = ProjectionPerturbation([(1, Fraction(1, 2)), (Fraction(-3, 2), Fraction(1, 4))])
+    assert x == ProjectionPerturbation.from_pairs(x.terms) and hash(x) == hash(ProjectionPerturbation(x.terms))
+    assert x.terms == ((Fraction(1), Fraction(1, 2)), (Fraction(-3, 2), Fraction(1, 4)))
+    assert repr(x) == "ProjectionPerturbation(terms=((Fraction(1, 1), Fraction(1, 2)), (Fraction(-3, 2), Fraction(1, 4))))"
+    for obj, field in ((cfg, "cutoff"), (cfg, "tail_correction"), (x, "terms"), (cfg, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1)
