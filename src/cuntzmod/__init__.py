@@ -45,7 +45,7 @@ _HOME = {
     **dict.fromkeys(
         (
             "AlgMatrix", "apply_sigma", "build_u_mu_nu", "build_u_v", "homotopy_path_check",
-            "is_modular_unitary", "is_unitary", "modular_certificate",
+            "is_modular_unitary", "modular_certificate",
         ),
         "matrices",
     ),

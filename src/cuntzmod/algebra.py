@@ -17,7 +17,10 @@ Two backends share the representation: the exact one stores QSqrt
 coefficients (rationals plus rational multiples of sqrt n), the numeric one
 stores complex doubles.  They are deliberately never mixed; convert with
 :meth:`AlgebraElement.to_numeric` when a computation is inherently
-floating-point.
+floating-point.  Element and matrix arithmetic, the certificate on sampled
+homotopy paths, and Delta^z, sigma_t, J and F accept the numeric backend.
+psi and all read off it (the pairing, twisted cocycle, endomorphism traces,
+spectral flow, key fact) are exact-only and raise BackendError on it.
 
 Equality of elements is semantic.  A monomial is the sum of its n children,
 S_mu S_nu^* = sum_a S_{mu a} S_{nu a}^*, so each one stands for a cone of
@@ -41,7 +44,7 @@ import os
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import TermBudgetExceeded, UsageError
+from .errors import BackendError, TermBudgetExceeded, UsageError
 from .scalars import QSqrt, conj_scalar, scalar_is_zero
 
 Word = tuple[int, ...]
@@ -130,7 +133,7 @@ class AlgebraElement:
                 return c
             if isinstance(c, (int, Fraction)):
                 return QSqrt(self.n, c)
-            raise UsageError(f"exact backend cannot hold coefficient {c!r}")
+            raise BackendError(f"exact backend cannot hold coefficient {c!r}")
         if isinstance(c, (int, float, complex)):
             return complex(c)
         raise UsageError(f"numeric backend cannot hold coefficient {c!r}")
@@ -150,11 +153,6 @@ class AlgebraElement:
         if c is not None:
             return c
         return QSqrt.zero(self.n) if self.exact else 0j
-
-    def max_coeff_abs(self) -> float:
-        from .scalars import scalar_abs
-
-        return max((scalar_abs(c) for c in self.terms.values()), default=0.0)
 
     def __eq__(self, other) -> bool:
         """Structural equality (same term map); use :func:`equals` for

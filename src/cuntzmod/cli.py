@@ -195,6 +195,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.n < 2:  # every verb takes --n; refuse it before any work
+        raise UsageError(f"need n >= 2, got --n {args.n}")
     verb = args.verb
     if verb == "eval":
         from .algebra import canonical_form

@@ -19,7 +19,9 @@ tau_delta is evaluated by applying Delta directly to the output leg
 (Delta fixes the F-valued inner product, so Delta . Theta_{x,y} =
 Theta_{Delta x, y} exactly); ``tau_delta_truncated`` keeps the truncated
 definition sup_N tau_tilde(Delta_N e) alive as an independent cross-check,
-built honestly out of phi_k_endo and endo_compose.
+built honestly out of phi_k_endo and endo_compose.  Everything here is
+exact: a numeric-backend leg, multiplier or partial isometry raises
+BackendError.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from .algebra import (
     term_budget,
     words,
     words_upto,
+    zero,
 )
-from .errors import DomainError, TermBudgetExceeded, UsageError
+from .errors import BackendError, DomainError, TermBudgetExceeded, UsageError
 from .modular import delta_power, expectation, gauge_component, psi_product, trace_F
-from .scalars import QSqrt, n_power, scalar_is_zero
+from .scalars import QSqrt, n_power
 from .tally import Tally
 
 
@@ -55,33 +58,31 @@ class RankOne:
 
 
 class EndoSum:
-    """A finite linear combination of rank-one endomorphisms."""
+    """A finite linear combination of exact rank-one endomorphisms."""
 
-    __slots__ = ("n", "exact", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None, exact: bool = True):
+    def __init__(self, n: int, terms=None):
         self.n = n
-        self.exact = exact
-        self.terms: list[tuple[object, RankOne]] = []
+        self.terms: list[tuple[QSqrt, RankOne]] = []
         for c, th in terms or []:
-            if th.x.n != n or th.x.exact != exact:
+            if th.x.n != n:
                 raise UsageError("rank-one legs disagree with the EndoSum context")
-            if not scalar_is_zero(c) and not th.x.is_zero and not th.y.is_zero:
+            if not th.x.exact:
+                raise BackendError("EndoSum is exact-only; it refuses numeric-backend legs")
+            c = th.x._normalize_scalar(c)
+            if not c.is_zero and not th.x.is_zero and not th.y.is_zero:
                 self.terms.append((c, th))
 
-    @classmethod
-    def rank_one(cls, x: AlgebraElement, y: AlgebraElement) -> "EndoSum":
-        return cls(x.n, [(QSqrt.one(x.n) if x.exact else 1 + 0j, RankOne(x, y))], x.exact)
-
     def __add__(self, other: "EndoSum") -> "EndoSum":
-        if self.n != other.n or self.exact != other.exact:
+        if self.n != other.n:
             raise UsageError("mixed EndoSum contexts")
-        out = EndoSum(self.n, None, self.exact)
+        out = EndoSum(self.n)
         out.terms = self.terms + other.terms
         return out
 
     def scale(self, c) -> "EndoSum":
-        out = EndoSum(self.n, None, self.exact)
+        out = EndoSum(self.n)
         out.terms = [(c * coeff, th) for coeff, th in self.terms]
         return out
 
@@ -93,9 +94,7 @@ def endo_apply(e: EndoSum, z: AlgebraElement) -> AlgebraElement:
     """Apply the endomorphism: sum_i c_i x_i Phi(y_i^* z)."""
     if z.n != e.n:
         raise UsageError(f"element of O_{z.n} fed to an EndoSum over O_{e.n}")
-    from .algebra import zero
-
-    acc = zero(e.n, e.exact)
+    acc = zero(e.n)
     for c, th in e.terms:
         inner = expectation(multiply(adjoint(th.y), z))
         if inner.is_zero:
@@ -106,7 +105,7 @@ def endo_apply(e: EndoSum, z: AlgebraElement) -> AlgebraElement:
 
 def endo_compose(e1: EndoSum, e2: EndoSum) -> EndoSum:
     """Theta_{w,z} . Theta_{x,y} = Theta_{w (z|x)_R, y} extended bilinearly."""
-    if e1.n != e2.n or e1.exact != e2.exact:
+    if e1.n != e2.n:
         raise UsageError("mixed EndoSum contexts")
     terms = []
     for c1, t1 in e1.terms:
@@ -118,27 +117,29 @@ def endo_compose(e1: EndoSum, e2: EndoSum) -> EndoSum:
             if leg.is_zero:
                 continue
             terms.append((c1 * c2, RankOne(leg, t2.y)))
-    out = EndoSum(e1.n, None, e1.exact)
+    out = EndoSum(e1.n)
     out.terms = terms
     return out
 
 
 def compose_left_mult(a: AlgebraElement, e: EndoSum) -> EndoSum:
     """The fused product pi(a) . e; pi(a) alone is not finite rank."""
-    if a.n != e.n or a.exact != e.exact:
+    if a.n != e.n:
         raise UsageError("left multiplier disagrees with the EndoSum context")
+    if not a.exact:
+        raise BackendError("compose_left_mult is exact-only; it refuses a numeric-backend multiplier")
     terms = []
     for c, th in e.terms:
         leg = multiply(a, th.x)
         if leg.is_zero:
             continue
         terms.append((c, RankOne(leg, th.y)))
-    out = EndoSum(e.n, None, e.exact)
+    out = EndoSum(e.n)
     out.terms = terms
     return out
 
 
-def phi_k_endo(k: int, n: int, exact: bool = True) -> EndoSum:
+def phi_k_endo(k: int, n: int) -> EndoSum:
     """The degree-k spectral projection as a finite rank-one sum."""
     budget = term_budget()
     if n ** abs(k) > budget:
@@ -146,61 +147,56 @@ def phi_k_endo(k: int, n: int, exact: bool = True) -> EndoSum:
             f"phi_k_endo: Phi_{k} over O_{n} needs {n}**{abs(k)} = {n**abs(k)} "
             f"rank-one terms, past the term budget of {budget}"
         )
-    out = EndoSum(n, None, exact)
-    unit = QSqrt.one(n) if exact else 1 + 0j
-    if k >= 0:
-        for mu in words(n, k):
-            s = monomial(n, mu, (), 1, exact)
-            out.terms.append((unit, RankOne(s, s)))
-    else:
-        weight = n_power(n, k) if exact else complex(n**k)
-        for mu in words(n, -k):
-            s_star = monomial(n, (), mu, 1, exact)
-            out.terms.append((weight, RankOne(s_star, s_star)))
+    out = EndoSum(n)
+    weight = n_power(n, min(k, 0))
+    for mu in words(n, abs(k)):
+        s = monomial(n, mu, ()) if k >= 0 else monomial(n, (), mu)
+        out.terms.append((weight, RankOne(s, s)))
     return out
 
 
-def tau_tilde(e: EndoSum):
+def tau_tilde(e: EndoSum) -> QSqrt:
     """tau_tilde(Theta_{x,y}) = psi(y^* x), extended linearly; each
     psi(y^* x) is psi_product(y^*, x), without forming y^* x."""
-    acc = QSqrt.zero(e.n) if e.exact else 0j
+    acc = QSqrt.zero(e.n)
     for c, th in e.terms:
         acc = acc + c * psi_product(adjoint(th.y), th.x)
     return acc
 
 
-def tau_delta_endo(e: EndoSum):
+def tau_delta_endo(e: EndoSum) -> QSqrt:
     """tau_delta(e) = tau_tilde(Delta . e), with Delta applied to the output
     leg; normalised so every Phi_k has weight exactly 1.  Each term is
     psi(y^* Delta x) = psi_product(y^*, Delta x), without forming the
     product."""
-    acc = QSqrt.zero(e.n) if e.exact else 0j
+    acc = QSqrt.zero(e.n)
     for c, th in e.terms:
         acc = acc + c * psi_product(adjoint(th.y), delta_power(th.x, 1))
     return acc
 
 
-def tau_delta_truncated(e: EndoSum, cutoff: int):
+def tau_delta_truncated(e: EndoSum, cutoff: int) -> QSqrt:
     """tau_tilde(Delta_N e) for Delta_N = Delta (sum_{|k|<=N} Phi_k), built
     from phi_k_endo and endo_compose; stabilises to tau_delta_endo once the
     cutoff covers every gauge degree occurring in the output legs."""
     if cutoff < 0:
         raise UsageError("cutoff must be nonnegative")
-    delta_n = EndoSum(e.n, None, e.exact)
+    delta_n = EndoSum(e.n)
     for k in range(-cutoff, cutoff + 1):
-        weight = n_power(e.n, -k) if e.exact else complex(e.n**-k)
-        delta_n = delta_n + phi_k_endo(k, e.n, e.exact).scale(weight)
+        delta_n = delta_n + phi_k_endo(k, e.n).scale(n_power(e.n, -k))
     return tau_tilde(endo_compose(delta_n, e))
 
 
-def _partial_isometry(v: AlgebraElement) -> tuple[int, AlgebraElement, AlgebraElement]:
+def _partial_isometry(v: AlgebraElement, caller: str = "key_fact_check") -> tuple:
     """(m, v^*, v v^*) for the monomial partial isometry v = S_mu S_nu^* of
-    gauge degree m = |mu| - |nu|; anything else is a DomainError."""
+    gauge degree m = |mu| - |nu|; refuses anything else, naming the caller."""
+    if not v.exact:
+        raise BackendError(f"{caller} is exact-only; it refuses a numeric-backend partial isometry")
     if len(v.terms) != 1:
-        raise DomainError("key_fact_check needs a single monomial S_mu S_nu^*")
+        raise DomainError(f"{caller} needs a single monomial S_mu S_nu^*")
     (mu, nu), c = next(iter(v.terms.items()))
-    if c != (QSqrt.one(v.n) if v.exact else 1 + 0j):
-        raise DomainError("key_fact_check needs coefficient one on the monomial")
+    if c != QSqrt.one(v.n):
+        raise DomainError(f"{caller} needs coefficient one on the monomial")
     v_star = adjoint(v)
     return len(mu) - len(nu), v_star, multiply(v, v_star)
 

@@ -11,8 +11,8 @@ class UsageError(CuntzError, ValueError):
 
 
 class BackendError(UsageError):
-    """An exact-backend operation was requested with data that only the
-    numeric backend can represent (e.g. a non-half-integer modular power)."""
+    """An exact-only operation got a numeric-backend operand, or data only
+    that backend can represent (a float part, a non-half-integer power)."""
 
 
 class DomainError(CuntzError, ValueError):

@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 
 from .algebra import (
     AlgebraElement,
-    adjoint,
     equals,
     monomial,
     multiply,
@@ -43,7 +42,7 @@ from .algebra import (
     words,
     zero,
 )
-from .endos import compose_left_mult, phi_k_endo, tau_delta_endo
+from .endos import _partial_isometry, compose_left_mult, phi_k_endo, tau_delta_endo
 from .errors import BackendError, DomainError, UsageError
 from .matrices import AlgMatrix, _certify, apply_sigma, build_u_mu_nu, is_modular_unitary
 from .modular import commutator_D, delta_power, psi_product, trace_F
@@ -95,7 +94,7 @@ def spectral_flow(u: AlgMatrix) -> Fraction:
     this up as it matches those pairs, and U [D, U^*] is never built.
     """
     if not u.exact:
-        raise UsageError("spectral flow is computed on the exact backend")
+        raise BackendError("spectral flow is computed on the exact backend")
     unitarity, modular, total = _certify(u)
     if unitarity != 0 or modular != 0:
         raise DomainError("spectral_flow needs a modular unitary")
@@ -123,13 +122,13 @@ def _corrections(u: AlgMatrix) -> tuple[Fraction, Fraction]:
     return Fraction(0), _as_fraction(kernel, "kernel correction")
 
 
-def twisted_theta(a0: AlgebraElement, a1: AlgebraElement):
+def twisted_theta(a0: AlgebraElement, a1: AlgebraElement) -> QSqrt:
     """theta(a0, a1) = psi(a0 [D, a1]) = psi_product(a0, [D, a1]); the
     product a0 [D, a1] is never formed."""
     return psi_product(a0, commutator_D(a1))
 
 
-def cocycle_b_defect(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement):
+def cocycle_b_defect(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement) -> QSqrt:
     """b theta on a triple; exactly zero on the whole algebra."""
     return (
         twisted_theta(multiply(a0, a1), a2)
@@ -143,21 +142,21 @@ def cocycle_check(triples: Iterable[tuple[AlgebraElement, AlgebraElement, Algebr
     first slot; passes iff every value is exactly zero."""
     tally = Tally()
     for a0, a1, a2 in triples:
-        ident = one(a0.n, a0.exact)
         b = cocycle_b_defect(a0, a1, a2)
-        big_b = twisted_theta(ident, a0)
+        big_b = twisted_theta(one(a0.n), a0)
         for name, value in (("b", b), ("B", big_b)):
-            ok = value.is_zero if isinstance(value, QSqrt) else value == 0
-            tally.check(ok, lambda: f"{name}-defect {value} on ({a0!r}, {a1!r}, {a2!r})")
+            tally.check(value.is_zero, lambda: f"{name}-defect {value} on ({a0!r}, {a1!r}, {a2!r})")
     return tally.report("cocycle")
 
 
 def hochschild_orientation(n: int, drop: int | None = None) -> dict:
     """The orientation chain c = (1/n) sum_j S_j^* (x) S_j: twisted boundary
-    zero and represented by the identity.  ``drop`` omits one generator to
-    produce a deliberately broken chain (both properties then fail)."""
+    zero and represented by the identity.  ``drop`` omits one generator in
+    1..n to produce a deliberately broken chain (both properties then fail)."""
     if n < 2:
         raise UsageError(f"need n >= 2, got {n}")
+    if drop is not None and not 1 <= drop <= n:
+        raise UsageError(f"drop names a generator in 1..{n}, got {drop}")
     weight = Fraction(1, n)
     boundary = zero(n)
     represented = zero(n)
@@ -185,6 +184,8 @@ def relative_entropy(u: AlgMatrix) -> float:
 def k0_membership(q: Fraction, n: int) -> bool:
     """q in (n-1) Z[1/n]: the reduced denominator of q/(n-1) divides a
     power of n."""
+    if n < 2:
+        raise UsageError(f"need n >= 2, got {n}")
     q = Fraction(q)
     den = (q / (n - 1)).denominator
     g = math.gcd(den, n)
@@ -204,21 +205,13 @@ def aps_index_traces(v: AlgebraElement) -> tuple[Fraction, Fraction]:
 
     mirrored for m < 0 and (0, 0) for m = 0.  Their sum always equals
     spectral_flow(build_u_v(v))."""
-    if len(v.terms) != 1 or not v.exact:
-        raise DomainError("aps_index_traces needs a single exact monomial S_mu S_nu^*")
-    (mu, nu), c = next(iter(v.terms.items()))
-    if c != QSqrt.one(v.n):
-        raise DomainError("aps_index_traces needs coefficient one on the monomial")
-    n = v.n
-    m = len(mu) - len(nu)
+    m, v_star, range_proj = _partial_isometry(v, "aps_index_traces")
     if m == 0:
         return Fraction(0), Fraction(0)
-    v_star = adjoint(v)
-    range_proj = multiply(v, v_star)
     source_proj = multiply(v_star, v)
 
     def tau_delta_applied(f: AlgebraElement, k: int) -> Fraction:
-        return _as_fraction(tau_delta_endo(compose_left_mult(f, phi_k_endo(k, n))), "APS trace")
+        return _as_fraction(tau_delta_endo(compose_left_mult(f, phi_k_endo(k, v.n))), "APS trace")
 
     if m > 0:
         range_trace = -sum((tau_delta_applied(range_proj, k) for k in range(0, m)), Fraction(0))

@@ -49,7 +49,7 @@ from .algebra import (
     projection,
     zero,
 )
-from .errors import DomainError, UsageError
+from .errors import BackendError, DomainError, UsageError
 from .modular import delta_power
 from .scalars import QSqrt, n_power, n_power_numeric, scalar_abs
 
@@ -91,11 +91,6 @@ class AlgMatrix:
         return cls(
             [[one(n, exact) if i == j else zero(n, exact) for j in range(k)] for i in range(k)]
         )
-
-    @classmethod
-    def from_scalars(cls, n: int, entries, exact: bool = False) -> "AlgMatrix":
-        """Matrix with constant entries c*1 from a square array of numbers."""
-        return cls([[one(n, exact).scale(c) for c in row] for row in entries])
 
     @classmethod
     def single(cls, a: AlgebraElement) -> "AlgMatrix":
@@ -160,27 +155,10 @@ class AlgMatrix:
         out += [[z if j < k1 else other.rows[i][j - k1] for j in range(k1 + k2)] for i in range(k2)]
         return AlgMatrix._make(self.n, self.exact, out)
 
-    def map_entries(self, fn: Callable[[AlgebraElement], AlgebraElement]) -> "AlgMatrix":
-        # the function may change the backend, so re-derive the context
-        return AlgMatrix([[fn(x) for x in row] for row in self.rows])
-
     def to_numeric(self) -> "AlgMatrix":
         return AlgMatrix._make(
             self.n, False, [[x.to_numeric() for x in row] for row in self.rows]
         )
-
-    def as_strings(self) -> list[list[str]]:
-        """Entries rendered in the element grammar (the wire format for
-        matrices: a JSON array of arrays of these strings)."""
-        from .expr import render
-
-        return [[render(x) for x in row] for row in self.rows]
-
-    @classmethod
-    def from_strings(cls, n: int, rows: list[list[str]]) -> "AlgMatrix":
-        from .expr import parse
-
-        return cls([[parse(text, n) for text in row] for row in rows])
 
     def __eq__(self, other) -> bool:
         """Structural equality of entries (term maps)."""
@@ -366,11 +344,6 @@ def modular_certificate(u: AlgMatrix) -> tuple:
     return unitarity, modular
 
 
-def is_unitary(u: AlgMatrix) -> bool:
-    """U U^* == I and U^* U == I under semantic equality."""
-    return modular_certificate(u)[0] == 0
-
-
 def is_modular_unitary(u: AlgMatrix) -> bool:
     """U is unitary and U sigma(U^*), U^* sigma(U) are matrices over F."""
     unitarity, modular = modular_certificate(u)
@@ -382,7 +355,7 @@ def modular_defect_exact(u: AlgMatrix) -> QSqrt:
     in the Phi-complement of the modular products; zero iff the modular
     condition holds."""
     if not u.exact:
-        raise UsageError("exact defects need the exact backend")
+        raise BackendError("exact defects need the exact backend")
     return modular_certificate(u)[1]
 
 

@@ -27,7 +27,10 @@ termwise:
 
 The distinguished algebraic automorphism sigma = Delta^(-1) (the t = i
 point of the modular flow) stays exact; real-t sigma_t is numeric only.
-All functions are pure and inputs are never mutated.
+
+psi, trace_F, psi_product and inner_product are exact-only: a numeric
+element raises BackendError.  Delta^z, sigma_t, J and F act on both
+backends.  All functions are pure and inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -51,34 +54,32 @@ def expectation(a: AlgebraElement) -> AlgebraElement:
     return gauge_component(a, 0)
 
 
-def trace_F(f: AlgebraElement):
-    """The normalised trace on F_c; rejects terms of nonzero gauge degree."""
+def trace_F(f: AlgebraElement) -> QSqrt:
+    """The normalised trace on F_c; refuses a numeric element (in state_psi)
+    before terms of nonzero gauge degree."""
+    value = state_psi(f)
     for mu, nu in f.terms:
         if len(mu) != len(nu):
             raise DomainError(
                 f"trace_F needs a gauge-degree-0 element; term S_{mu}S*_{nu} has degree "
                 f"{len(mu) - len(nu)}"
             )
-    return state_psi(f)
+    return value
 
 
-def state_psi(a: AlgebraElement):
+def state_psi(a: AlgebraElement) -> QSqrt:
     """psi = trace_F . expectation, the gauge-invariant KMS state."""
+    if not a.exact:
+        raise BackendError("state_psi is exact-only; it refuses numeric-backend elements")
     n = a.n
-    if a.exact:
-        acc = QSqrt.zero(n)
-        for (mu, nu), c in a.terms.items():
-            if mu == nu:
-                acc = acc + c * n_power(n, -len(mu))
-        return acc
-    acc = 0j
+    acc = QSqrt.zero(n)
     for (mu, nu), c in a.terms.items():
         if mu == nu:
-            acc = acc + c * n ** (-len(mu))
+            acc = acc + c * n_power(n, -len(mu))
     return acc
 
 
-def psi_product(a: AlgebraElement, b: AlgebraElement):
+def psi_product(a: AlgebraElement, b: AlgebraElement) -> QSqrt:
     """psi(a b), without forming a b.
 
     The term pairs are matched by the path-matching rule of
@@ -90,10 +91,11 @@ def psi_product(a: AlgebraElement, b: AlgebraElement):
         al = nu + gam   ->  S_{mu+gam} S_be^*    needs mu + gam == be
 
     c_a c_b is summed per length |w|, and each sum is weighted n^(-|w|).
-    Equals ``state_psi(multiply(a, b))``: exactly on the exact backend, up
-    to rounding on the numeric one.
+    Equals ``state_psi(multiply(a, b))`` exactly.
     """
     a._check_mate(b)
+    if not a.exact:
+        raise BackendError("psi_product is exact-only; it refuses numeric-backend elements")
     by_len = {}  # |w| -> sum of c_a c_b over the pairs landing on S_w S_w^*
     bterms = b.terms.items()
     for (mu, nu), ca in a.terms.items():
@@ -116,18 +118,13 @@ def psi_product(a: AlgebraElement, b: AlgebraElement):
             s = by_len.get(k)
             by_len[k] = c if s is None else s + c
     n = a.n
-    if a.exact:
-        acc = QSqrt.zero(n)
-        for k, s in by_len.items():
-            acc = acc + s * n_power(n, -k)
-        return acc
-    acc = 0j
+    acc = QSqrt.zero(n)
     for k, s in by_len.items():
-        acc = acc + s * n ** (-k)
+        acc = acc + s * n_power(n, -k)
     return acc
 
 
-def inner_product(a: AlgebraElement, b: AlgebraElement):
+def inner_product(a: AlgebraElement, b: AlgebraElement) -> QSqrt:
     """<a, b> = psi(a* b) = psi_product(a*, b); conjugate-linear in the
     first slot, linear in the second (the convention used throughout this
     package)."""

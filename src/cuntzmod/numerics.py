@@ -86,10 +86,6 @@ class ProjectionPerturbation(namedtuple("ProjectionPerturbation", "terms")):
     def from_pairs(cls, pairs: Sequence[tuple[Fraction, Fraction]]) -> "ProjectionPerturbation":
         return cls(tuple(pairs))
 
-    def zeroth_moment(self) -> Fraction:
-        """sum_j c_j w_j; equals the exact spectral flow for u_{mu,nu} data."""
-        return sum((c * w for c, w in self.terms), Fraction(0))
-
 
 def beta_constant(s: float) -> float:
     """C_s = int_-inf^inf (1+x^2)^(-s) dx via log-gamma."""

@@ -39,8 +39,8 @@ class QSqrt:
     def __init__(self, n: int, a: Fraction | int = 0, b: Fraction | int = 0):
         if n < 2:
             raise UsageError(f"quadratic field needs n >= 2, got {n}")
-        a = Fraction(a)
-        b = Fraction(b)
+        if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
+            raise BackendError(f"Q(sqrt {n}) takes int or Fraction parts, got {a!r} and {b!r}")
         value = QSqrt._raw(
             n,
             a.numerator * b.denominator,
@@ -199,10 +199,6 @@ class QSqrt:
         """Complex conjugation; the identity, since the field is real."""
         return self
 
-    def galois(self) -> "QSqrt":
-        """The field automorphism sqrt(n) -> -sqrt(n)."""
-        return QSqrt._raw(self.n, self.na, -self.nb, self.den)
-
     def sign(self) -> int:
         """Exact sign of the real value: -1, 0 or +1."""
         a, b = self.na, self.nb
@@ -227,12 +223,6 @@ class QSqrt:
         if self.nb != 0:
             raise BackendError(f"{self} has an irrational part, not a rational")
         return Fraction(self.na, self.den)
-
-    def rational_part(self) -> Fraction:
-        return Fraction(self.na, self.den)
-
-    def root_part(self) -> Fraction:
-        return Fraction(self.nb, self.den)
 
     def __float__(self) -> float:
         return (self.na + self.nb * math.sqrt(self.n)) / self.den

@@ -49,6 +49,11 @@ def branch_decomposition(n: int, w, deepest=1):
     return acc
 
 
+def max_coeff_abs(a) -> float:
+    """The largest coefficient magnitude of an element on either backend."""
+    return max((abs(complex(c)) for c in a.terms.values()), default=0.0)
+
+
 def monomial_elements(n: int, max_len: int):
     ws = words_upto(n, max_len)
     return [monomial(n, mu, nu) for mu in ws for nu in ws]

@@ -152,6 +152,26 @@ def test_usage_errors(capsys):
         assert code == 2 and out == "" and "n >= 2" in err
 
 
+# one command line per verb, each check suite included; --n is appended
+N_BELOW_TWO_ARGV = {
+    "eval": ["eval", "I"],
+    "sf": ["sf", "--mu", "1", "--nu", ""],
+    "entropy": ["entropy", "--mu", "1", "--nu", ""],
+    "aps": ["aps", "--mu", "1", "--nu", ""],
+    **{f"check {suite}": ["check", suite] for suite in cli.CHECKS},
+    "dixmier": ["dixmier", "--s-list", "1.1,1.05", "--cutoff", "1000"],
+    "sfint": ["sfint", "--mu", "1", "--nu", "", "--r", "0.5"],
+}
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-2"])
+@pytest.mark.parametrize("verb", N_BELOW_TWO_ARGV)
+def test_every_verb_refuses_n_below_two(capsys, verb, n):
+    code, out, err = run(capsys, *N_BELOW_TWO_ARGV[verb], "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: need n >= 2, got --n {n}\n"
+
+
 def test_term_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CUNTZ_TERM_BUDGET", "3")
     code, _, err = run(capsys, "eval", "--n", "2", "I - S[1,1].S[1,1]'")

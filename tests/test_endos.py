@@ -25,7 +25,7 @@ from cuntzmod.scalars import QSqrt, n_power
 
 
 def theta(x, y):
-    return EndoSum.rank_one(x, y)
+    return EndoSum(x.n, [(1, RankOne(x, y))])
 
 
 def test_endo_apply_examples():

@@ -141,10 +141,10 @@ def oracle_render(a) -> str:
     for key in sorted(a.terms, key=term_sort_key):
         c = a.terms[key]
         text = _oracle_mono(*key)
-        if c.rational_part() != 0:
-            pieces.append((c.rational_part(), False, text))
-        if c.root_part() != 0:
-            pieces.append((c.root_part(), True, text))
+        if c.na != 0:
+            pieces.append((Fraction(c.na, c.den), False, text))
+        if c.nb != 0:
+            pieces.append((Fraction(c.nb, c.den), True, text))
     out = []
     for i, (coeff, is_root, text) in enumerate(pieces):
         if i == 0:

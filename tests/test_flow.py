@@ -7,7 +7,7 @@ import pytest
 from conftest import monomial_elements, oracle_flow, random_element
 from cuntzmod import flow, matrices
 from cuntzmod.algebra import adjoint, gen, monomial, multiply, one, words_upto
-from cuntzmod.errors import DomainError, UsageError
+from cuntzmod.errors import BackendError, DomainError, UsageError
 from cuntzmod.expr import parse
 from cuntzmod.flow import (
     aps_index_traces,
@@ -50,7 +50,7 @@ def test_spectral_flow_rejections():
     bad = AlgMatrix.single(multiply(parse(w["left_expr"], 2), parse(w["right_expr"], 2)))
     with pytest.raises(DomainError):
         spectral_flow(bad)
-    with pytest.raises(UsageError):
+    with pytest.raises(BackendError):
         spectral_flow(build_u_mu_nu(2, (1,), (2,)).to_numeric())
     # S_1 meets the modular condition but U U^* = P_1; S_1^* passes the
     # U @ U^* pass (S_1^* S_1 = 1) and fails only in the U^* @ U pass
@@ -118,6 +118,14 @@ def test_hochschild_orientation():
     assert hochschild_sweep(3)["failures"] == 0
 
 
+@pytest.mark.parametrize("drop", [0, 3, 5, -1])
+def test_hochschild_orientation_refuses_a_drop_outside_the_generators(drop):
+    # a drop that names no generator would leave the chain intact, so the
+    # "broken" control would pass
+    with pytest.raises(UsageError, match=r"1\.\.2"):
+        hochschild_orientation(2, drop=drop)
+
+
 def test_hochschild_sweep_counts_each_property(monkeypatch):
     # the good chain loses its zero boundary and the dropped control gains
     # one: two of the four properties break
@@ -143,6 +151,12 @@ def test_k0_membership():
     assert k0_membership(Fraction(0), 5)
     assert k0_membership(Fraction(3, 2), 4)  # (3/2)/3 = 1/2 and 2 | 4
     assert not k0_membership(Fraction(1, 5), 4)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_k0_membership_refuses_n_below_two(n):
+    with pytest.raises(UsageError, match="n >= 2"):
+        k0_membership(Fraction(1, 3), n)
 
 
 def test_aps_index_traces():

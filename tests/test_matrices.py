@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import branch_decomposition, oracle_certificate, oracle_flow
+from conftest import branch_decomposition, max_coeff_abs, oracle_certificate, oracle_flow
 from cuntzmod.algebra import (
     AlgebraElement,
     adjoint,
@@ -33,7 +33,6 @@ from cuntzmod.matrices import (
     in_fixed_algebra,
     homotopy_sweep,
     is_modular_unitary,
-    is_unitary,
     modular_certificate,
     modular_defect_exact,
     rotation_direct_sum_path,
@@ -58,6 +57,16 @@ def test_matrix_arithmetic():
         u - AlgMatrix.identity(2, 3)
     with pytest.raises(UsageError):
         AlgMatrix([[one(2), one(2)]])  # not square
+
+
+def is_unitary(u):
+    """U U^* == I and U^* U == I: the certificate's unitarity defect is zero."""
+    return modular_certificate(u)[0] == 0
+
+
+def scalar_matrix(n, entries):
+    """The exact matrix with constant entries c * 1."""
+    return AlgMatrix([[one(n).scale(c) for c in row] for row in entries])
 
 
 def test_is_unitary():
@@ -150,7 +159,7 @@ def test_direct_sum_preserves_modularity():
 
 def test_scalar_conjugation_preserves_modularity():
     u = build_u_mu_nu(2, (1, 1), (2,))
-    x = AlgMatrix.from_scalars(2, [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]], exact=True)
+    x = scalar_matrix(2, [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]])
     assert is_unitary(x)
     assert is_modular_unitary(x @ u @ x.adjoint())
 
@@ -216,7 +225,7 @@ def test_homotopy_two_stage_swap_path():
     for got, want in ((start, target0), (end, target1)):
         for i in range(2):
             for j in range(2):
-                assert (got.rows[i][j] - want.rows[i][j]).max_coeff_abs() < 1e-12
+                assert max_coeff_abs(got.rows[i][j] - want.rows[i][j]) < 1e-12
 
 
 def test_homotopy_whitehead_path():
@@ -231,7 +240,7 @@ def test_homotopy_whitehead_path():
     for i in range(2):
         for j in range(2):
             diff = canonical_form(end.rows[i][j] - ident.rows[i][j])
-            assert diff.max_coeff_abs() < 1e-12
+            assert max_coeff_abs(diff) < 1e-12
 
 
 def test_homotopy_constant_paths():
@@ -253,16 +262,6 @@ def test_homotopy_sweep():
     assert report["details"]["nonmodular_witness"] is not None
 
 
-def test_map_entries_rederives_backend():
-    u = build_u_mu_nu(2, (1,), (2,))
-    converted = u.map_entries(lambda x: x.to_numeric())
-    assert converted.exact is False
-    assert u.to_numeric().exact is False
-    # and numeric matrices multiply without touching the exact machinery
-    prod = converted @ converted.adjoint()
-    assert prod.exact is False
-
-
 def test_spectral_flow_additivity_mixed_blocks():
     from cuntzmod.flow import spectral_flow
 
@@ -276,28 +275,21 @@ def test_single_entry_render_helper():
     assert render(u)  # serialisable via the element grammar
 
 
-def test_matrix_grammar_serialisation():
-    import json
-
-    u = build_u_mu_nu(2, (1, 1), (2,))
-    wire = json.dumps(u.as_strings())
-    assert json.loads(wire)[0][1] == "S[1,1].S[2]'"
-    assert AlgMatrix.from_strings(2, json.loads(wire)) == u
-
-
 # -- the single pair pass against explicit products -----------------------------
 
 
 def _assert_matches_oracle(u):
     """The pair-pass certificate and flow sum equal the explicit-product
-    oracle exactly, and on the numeric backend within 1e-12."""
+    oracle exactly, and on the numeric backend within 1e-12 (psi is
+    exact-only, so the numeric flow is held to the exact oracle's)."""
     unitarity, modular, flow = _certify(u)
     assert (unitarity, modular) == oracle_certificate(u)
-    assert flow == oracle_flow(u)
+    exact_flow = oracle_flow(u)
+    assert flow == exact_flow
     nu = u.to_numeric()
     unitarity, modular, flow = _certify(nu)
     assert modular_certificate(nu) == (unitarity, modular)
-    for got, want in zip((unitarity, modular, flow), (*oracle_certificate(nu), oracle_flow(nu))):
+    for got, want in zip((unitarity, modular, flow), (*oracle_certificate(nu), float(exact_flow))):
         assert abs(got - want) <= 1e-12
 
 
@@ -349,7 +341,7 @@ def test_pair_pass_matches_oracle_on_products(pair):
 def _modular_unitaries() -> dict:
     """Modular unitaries outside the u_{mu,nu} and u_v families; all but
     x_u_x* are not self-adjoint, so the U^* @ U pass runs for them."""
-    rot = AlgMatrix.from_scalars(2, [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]], exact=True)
+    rot = scalar_matrix(2, [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]])
     u = build_u_mu_nu(2, (1, 1), (2,))
     out = {}
     for n in (2, 3):

@@ -211,8 +211,8 @@ def test_projection_perturbation_validation():
         ProjectionPerturbation(((Fraction(0), Fraction(1, 2)),))
     with pytest.raises(UsageError):
         ProjectionPerturbation(((Fraction(1), Fraction(2)),))
-    x = ProjectionPerturbation.from_pairs([(Fraction(-1), Fraction(1, 4)), (Fraction(1), Fraction(1, 2))])
-    assert x.zeroth_moment() == Fraction(1, 4)
+    x = ProjectionPerturbation.from_pairs([(-1, Fraction(1, 4)), (1, Fraction(1, 2))])
+    assert x.terms == ((Fraction(-1), Fraction(1, 4)), (Fraction(1), Fraction(1, 2)))
 
 
 def test_dixmier_functional_recovers_spectral_flow():

@@ -2,11 +2,10 @@
 
 ``modular.psi_product(a, b)`` sums c_a c_b n^(-|w|) over the matched term
 pairs whose product is S_w S_w^*.  It must equal ``oracle_psi_product``,
-which builds a b and reads psi off it: exactly on the exact backend, and up
-to rounding on the numeric one, where the kernel adds the pairs grouped by
-|w| rather than key by key.  The pairing, the twisted cocycle and the two
-endomorphism traces read psi of a product through the kernel; each must
-still equal the formula that built the product.
+which builds a b and reads psi off it, exactly.  The pairing, the twisted
+cocycle and the two endomorphism traces read psi of a product through the
+kernel; each must still equal the formula that built the product.  psi and
+everything read off it are exact-only: numeric operands raise BackendError.
 """
 
 from fractions import Fraction
@@ -15,27 +14,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monomial_elements, oracle_psi_product, random_element
-from cuntzmod.algebra import adjoint, gen, monomial, multiply, zero
-from cuntzmod.endos import EndoSum, RankOne, compose_left_mult, phi_k_endo, tau_delta_endo, tau_tilde
-from cuntzmod.errors import UsageError
-from cuntzmod.flow import twisted_theta
-from cuntzmod.modular import commutator_D, delta_power, inner_product, psi_product, state_psi
+from cuntzmod.algebra import adjoint, gen, monomial, multiply, one, projection, zero
+from cuntzmod.endos import (
+    EndoSum,
+    RankOne,
+    compose_left_mult,
+    key_fact_check,
+    phi_k_endo,
+    tau_delta_endo,
+    tau_tilde,
+)
+from cuntzmod.errors import BackendError, UsageError
+from cuntzmod.flow import aps_index_traces, cocycle_check, twisted_theta
+from cuntzmod.matrices import build_u_mu_nu, modular_defect_exact
+from cuntzmod.modular import commutator_D, delta_power, inner_product, psi_product, state_psi, trace_F
 from cuntzmod.scalars import QSqrt
-
-NUMERIC_RTOL = 1e-12
-
-
-def _coeff_mass(a) -> float:
-    return sum(abs(complex(c)) for c in a.terms.values())
 
 
 def _assert_psi_product(a, b):
-    value, expected = psi_product(a, b), oracle_psi_product(a, b)
-    if a.exact:
-        assert type(value) is QSqrt and value == expected
-    else:
-        assert type(value) is complex
-        assert abs(value - expected) <= NUMERIC_RTOL * max(1.0, _coeff_mass(a) * _coeff_mass(b))
+    value = psi_product(a, b)
+    assert type(value) is QSqrt and value == oracle_psi_product(a, b)
 
 
 @st.composite
@@ -51,14 +49,9 @@ def _elements(draw, n):
 
 @st.composite
 def operand_pairs(draw):
-    """(a, b) in O_n, n in {2, 3, 4}, on either backend; a numeric pair
-    gets complex coefficients."""
+    """(a, b) in O_n, n in {2, 3, 4}."""
     n = draw(st.sampled_from((2, 3, 4)))
-    a, b = draw(_elements(n)), draw(_elements(n))
-    if draw(st.booleans()):
-        a = a.to_numeric().scale(complex(draw(st.integers(-2, 2)), draw(st.integers(-2, 2))) or 1j)
-        b = b.to_numeric().scale(complex(draw(st.integers(-2, 2)), 1))
-    return a, b
+    return draw(_elements(n)), draw(_elements(n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -95,12 +88,11 @@ def test_psi_product_hand_values():
 
 
 def test_psi_product_on_empty_operands():
-    for n, exact in ((2, True), (3, False)):
-        x = gen(n, 1) if exact else gen(n, 1).to_numeric()
-        empty = zero(n, exact)
-        for a, b in ((empty, x), (x, empty), (empty, zero(n, exact))):
+    for n in (2, 3):
+        x, empty = gen(n, 1), zero(n)
+        for a, b in ((empty, x), (x, empty), (empty, zero(n))):
             value = psi_product(a, b)
-            assert value == 0 and type(value) is (QSqrt if exact else complex)
+            assert value == 0 and type(value) is QSqrt
 
 
 def test_psi_product_rejects_mixed_contexts():
@@ -124,9 +116,6 @@ def _random_pairs(rng, count=60):
 def test_inner_product_equals_psi_of_the_built_product(rng):
     for _, a, b in _random_pairs(rng):
         assert inner_product(a, b) == state_psi(multiply(adjoint(a), b))
-        an, bn = a.to_numeric().scale(1 - 2j), b.to_numeric().scale(3 + 1j)
-        expected = state_psi(multiply(adjoint(an), bn))
-        assert abs(inner_product(an, bn) - expected) <= NUMERIC_RTOL * max(1.0, 10 * _coeff_mass(a) * _coeff_mass(b))
 
 
 def test_twisted_theta_equals_psi_of_the_built_product(rng):
@@ -152,6 +141,36 @@ def test_endo_traces_equal_psi_of_the_built_product(rng):
                     QSqrt.zero(n))
         assert tau_tilde(e) == tilde
         assert tau_delta_endo(e) == delta
+
+
+# -- the exact-only entry points refuse the numeric backend -----------------------
+
+_X = monomial(2, (1,), (2,)).to_numeric().scale(1 - 2j)  # a numeric operand of degree 0
+_P = projection(2, (1,)).to_numeric()  # degree 0, so trace_F has no degree to object to
+
+NUMERIC_CALLS = {
+    "state_psi": lambda: state_psi(_P),
+    "psi_product": lambda: psi_product(_X, _P),
+    "psi_product_empty": lambda: psi_product(zero(2, False), zero(2, False)),
+    "inner_product": lambda: inner_product(_X, _P),
+    "trace_F": lambda: trace_F(_P),
+    "trace_F_off_degree": lambda: trace_F(gen(2, 1).to_numeric()),
+    "twisted_theta": lambda: twisted_theta(_X, gen(2, 1).to_numeric()),
+    "cocycle_check": lambda: cocycle_check([(_X, _P, one(2, False))]),
+    "EndoSum": lambda: EndoSum(2, [(1, RankOne(_P, _P))]),
+    "EndoSum_coefficient": lambda: EndoSum(2, [(0.5, RankOne(gen(2, 1), gen(2, 1)))]),
+    "compose_left_mult": lambda: compose_left_mult(_P, phi_k_endo(1, 2)),
+    "compose_left_mult_empty": lambda: compose_left_mult(_P, EndoSum(2)),
+    "key_fact_check": lambda: key_fact_check(gen(2, 1).to_numeric(), 0, [_P]),
+    "aps_index_traces": lambda: aps_index_traces(monomial(2, (1, 1), (2,)).to_numeric()),
+    "modular_defect_exact": lambda: modular_defect_exact(build_u_mu_nu(2, (1, 1), (2,)).to_numeric()),
+}
+
+
+@pytest.mark.parametrize("name", NUMERIC_CALLS)
+def test_numeric_operands_are_refused(name):
+    with pytest.raises(BackendError):
+        NUMERIC_CALLS[name]()
 
 
 def test_psi_product_is_exported():

@@ -69,8 +69,7 @@ def test_sign_and_abs():
 def test_galois_and_conjugate():
     a = QSqrt(2, 1, 3)
     assert a.conjugate() is a
-    assert a.galois() == QSqrt(2, 1, -3)
-    assert (a * a.galois()).nb == 0  # the field norm is rational
+    assert (a * QSqrt(2, 1, -3)).nb == 0  # times its Galois conjugate: the rational field norm
 
 
 def test_as_fraction():
@@ -88,6 +87,13 @@ def test_mixed_fields_rejected():
         QSqrt(2, 1) + QSqrt(3, 1)
     with pytest.raises(TypeError):
         QSqrt(2, 1) + 0.5  # floats never coerce into the exact backend
+
+
+@pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), (1.0, 0), (Fraction(1, 2), 2.0), (1j,), ("1/2",)])
+def test_constructor_refuses_inexact_parts(parts):
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    with pytest.raises(BackendError):
+        QSqrt(2, *parts)
 
 
 def test_equality_hash_against_rationals():
