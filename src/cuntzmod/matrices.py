@@ -215,7 +215,8 @@ def _largest_coefficient(residues: list[AlgebraElement], u: AlgMatrix):
 
 def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
     """(A B, A sigma(B), sum_i psi((A [D, B])_ii)) from one match of the
-    term pairs of A @ B.
+    term pairs of A @ B; the flow sum is None on the numeric backend, since
+    psi is exact-only.
 
     The products come back as k x k lists of term maps.  sigma scales a
     degree-d term of B by n^d and [D, .] scales it by d, so each term of B
@@ -240,7 +241,7 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
                     terms.append((al, be, len(al), cb, cb, None))
             out_row.append(terms)
         prepared.append(out_row)
-    flow = QSqrt.zero(n) if exact else 0j
+    flow = QSqrt.zero(n) if exact else None
     products, sigma_products = [], []
     for i in range(k):
         arow = a.rows[i]
@@ -248,7 +249,7 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
         for j in range(k):
             p: dict = {}
             q: dict = {}
-            diagonal = i == j
+            diagonal = exact and i == j
             for l in range(k):
                 bterms = prepared[l][j]
                 if not bterms:
@@ -282,7 +283,7 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
                             s = ca * cb_sigma
                             if diagonal and key[0] == key[1]:
                                 m = -len(key[0])
-                                flow = flow + ca * cb_d * (n_power(n, m) if exact else n**m)
+                                flow = flow + ca * cb_d * n_power(n, m)
                         v = q.get(key)
                         if v is not None:
                             s = v + s
@@ -299,7 +300,8 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
 
 def _certify(u: AlgMatrix) -> tuple:
     """(unitarity_defect, modular_defect, sum_i psi((U [D, U^*])_ii)): the
-    certificate and the spectral-flow sum from the same pair passes."""
+    certificate and the spectral-flow sum from the same pair passes (the
+    sum is None on the numeric backend)."""
     n, exact = u.n, u.exact
     u_star = u.adjoint()
     unit, modular, flow = _pair_pass(u, u_star)

@@ -4,8 +4,8 @@ Everything here consumes exact rationals (weights, coefficients) and
 converts to double precision at the boundary; no exact arithmetic happens
 inside summation loops.
 
-* ``lattice_sum``: sum_{|k|<=K} (1+(k+shift)^2)^(-e), tail-corrected by the
-  two integrals beyond |k| = K + 1/2 (the midpoint-consistent tail rule).
+* ``lattice_sum``: sum_{|k|<=K} (1+(k+shift)^2)^(-e) plus the two integrals
+  T beyond |k| = K + 1/2, each a closed-form positive series; |shift| <= K.
   A cutoff past ``LATTICE_BUDGET`` points is refused before any allocation.
 * ``dixmier_limit``: (s-1) * lattice_sum(0, s/2), extrapolated linearly in
   (s-1) to s=1; the limit is 2 (2*tau(f) for a weighted variant).
@@ -22,11 +22,11 @@ inside summation loops.
   sum Q_j contributes nothing, and the trace-split lemma evaluates each
   block weight; in the K -> infinity limit the t-integral telescopes to
   sum_j c_j w_j exactly, independently of r > 0.  With L = lattice_sum
-  (even in x), g(y) = (1+y^2)^(-1/2-r), T(a) = int_a^inf g and C = C_{1/2+r},
+  (even in x), e = 1/2 + r, g(y) = (1+y^2)^(-e), T(a) = int_a^inf g, C = C_e,
   term j is sign(c_j) w_j int_0^|c_j| L / C.  Over q = floor |c_j| whole
   periods the body gives q C - sum_{K-q<k<=K+q} T(k), and the tails add
-  int T over [K-q+1/2, K+q+1/2]: for the tail rule's T, a sum of positive
-  shares [(m^2+y^2)^(1/2-r)] / (1-2r) over its panel midpoints m, where by
+  int T over [K-q+1/2, K+q+1/2]: T's series in y (1+y^2)^(-e-j) integrates
+  term by term to positive shares [(1+y^2)^p] / 2p, p = 1-e-j, where by
   parts [y T] + int y g would cancel a factor of about K^(1-2r)/r.  The
   rest [q, |c_j|] is one fixed 16-node Gauss-Legendre panel: L is analytic
   for |Im x| < 1 and the panel is shorter than 1, so 16 nodes already agree
@@ -36,8 +36,8 @@ inside summation loops.
   the k <-> -k symmetry; the truncated sum is evaluated and must stay
   below 1e-14 before 0.0 is returned.
 
-Summation order is fixed (numpy sums over an ascending k grid, fsum for
-the eta cancellation), so identical configs reproduce identical doubles.
+Summation order is fixed (numpy's ascending k grid, ascending j in the
+series, fsum for eta), so identical configs reproduce identical doubles.
 numpy is imported by the functions that use it, not by this module, so a
 process that never sums (every exact verb of the CLI) never loads it.
 """
@@ -94,35 +94,34 @@ def beta_constant(s: float) -> float:
     return math.exp(0.5 * math.log(math.pi) + math.lgamma(s - 0.5) - math.lgamma(s))
 
 
-TAIL_PANELS = 256
 REMAINDER_NODES = 16
 
 
+def _series(expo: float, w: float, share=None) -> float:
+    """sum_j (e)_j / (e+1/2)_j w^j share(1-e-j) for 0 < w < 1 and positive,
+    decreasing shares (1 when share is None), summed until a term no longer
+    moves the sum."""
+    total, term, j = 0.0, 1.0, 0
+    while True:
+        step = term if share is None else term * share(1.0 - expo - j)
+        if total + step == total:
+            return total
+        total += step
+        term *= w * (expo + j) / (expo + 0.5 + j)
+        j += 1
+
+
 def _tail_integral(lower: float, expo: float) -> float:
-    """int_lower^inf (1+y^2)^(-expo) dy with y = lower/u, evaluated by a
-    weighted midpoint rule that integrates the endpoint factor u^(2e-2)
-    exactly on each panel (the rest is smooth and nearly constant, so this
-    stays accurate down to expo -> 1/2 where generic adaptive quadrature on
-    the unbounded interval breaks down)."""
-    if expo <= 0.5:
+    """T(a) = int_a^inf (1+y^2)^(-e) dy = a w^e/(2e-1) sum_j (e)_j/(e+1/2)_j w^j,
+    w = 1/(1+a^2): Pfaff's transformation (DLMF 15.8.1) of the closed form
+    a^(1-2e)/(2e-1) 2F1(e, e-1/2; e+1/2; -1/a^2).  About 150 terms at a = 1/2,
+    23 at 2, 2 at 1e5; the count grows like 1/a^2, so a < 1/2 is refused."""
+    if not expo > 0.5:
         raise DomainError(f"tail integral diverges for exponent {expo} <= 1/2")
-    if lower <= 0.0:
-        raise DomainError(f"tail integral needs a positive lower bound, got {lower}")
-    import numpy as np
-
-    mids, weights = _tail_rule(expo)
-    smooth = lower * (mids * mids + lower * lower) ** (-expo)
-    return float(np.dot(smooth, weights))
-
-
-def _tail_rule(expo: float):
-    """Midpoints m_i and weights w_i of the tail rule: the tail integral
-    from a is sum_i w_i a (m_i^2 + a^2)^(-expo)."""
-    import numpy as np
-
-    p = 2.0 * expo - 1.0
-    edges = np.linspace(0.0, 1.0, TAIL_PANELS + 1)
-    return 0.5 * (edges[:-1] + edges[1:]), (edges[1:] ** p - edges[:-1] ** p) / p
+    if not lower >= 0.5:
+        raise DomainError(f"tail integral needs a lower bound >= 1/2, got {lower}")
+    w = 1.0 / (1.0 + lower * lower)
+    return lower * w**expo / (2.0 * expo - 1.0) * _series(expo, w)
 
 
 # Most lattice points one lattice_sum allocates (cutoff <= 1e6): numpy holds
@@ -132,7 +131,9 @@ LATTICE_BUDGET = 2_000_001
 
 def lattice_sum(shift: float, expo: float, cfg: SummationConfig) -> float:
     """sum_{k in Z} (1+(k+shift)^2)^(-expo), truncated at |k| <= cutoff with
-    midpoint-consistent integral tails when tail_correction is on."""
+    the integral tails beyond when tail_correction is on; |shift| <= cutoff."""
+    if not abs(shift) <= cfg.cutoff:
+        raise DomainError(f"lattice_sum needs |shift| <= cutoff {cfg.cutoff}, got {shift}")
     points = 2 * cfg.cutoff + 1
     if points > LATTICE_BUDGET:
         raise UsageError(
@@ -195,9 +196,8 @@ def sf_integral(x: ProjectionPerturbation, r: float, cfg: SummationConfig) -> fl
     import numpy as np
 
     expo = 0.5 + r
-    p, norm = 1.0 - expo, beta_constant(expo)
+    norm = beta_constant(expo)
     nodes, weights = np.polynomial.legendre.leggauss(REMAINDER_NODES)
-    mids, tail_weights = _tail_rule(expo)
     total = 0.0
     for c, w in x.terms:
         q, f = divmod(abs(c), 1)
@@ -205,10 +205,10 @@ def sf_integral(x: ProjectionPerturbation, r: float, cfg: SummationConfig) -> fl
         area = q * norm - sum(_tail_integral(k, expo) for k in range(low, high))
         if cfg.tail_correction:
             a, b = low - 0.5, high - 0.5
-            base = mids * mids + a * a
-            log_ratio = np.log1p((b - a) * (b + a) / base)  # ln((m^2 + b^2) / (m^2 + a^2))
-            rise = base**p * np.expm1(p * log_ratio) / (2.0 * p) if p else log_ratio / 2.0
-            area += float(np.dot(rise, tail_weights))
+            base = 1.0 + a * a
+            ell = math.log1p((b - a) * (b + a) / base)  # ln((1 + b^2) / (1 + a^2))
+            rise = _series(expo, 1.0 / base, lambda p: math.expm1(p * ell) / (2.0 * p) if p else ell / 2.0)
+            area += base ** (1.0 - expo) * rise / (2.0 * expo - 1.0)
         if f:
             half = float(f) / 2.0
             area += half * float(np.dot(weights, [lattice_sum(q + half * (1.0 + t), expo, cfg) for t in nodes]))

@@ -249,6 +249,17 @@ def test_keyfact_check_is_charged_for_its_probes(capsys, n, max_len, cases, prob
     assert f"{cases} cases of {probes} probes each, {cases * probes} probes in all" in err
 
 
+def test_homotopy_check_is_charged_for_n(capsys):
+    # a homotopy case certifies matrices over all n letters: n^2 probes each
+    start = time.process_time()
+    code, out, err = run(capsys, "check", "homotopy", "--n", "1000", "--samples", "2")
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == ""
+    assert "8 cases of 1000000 probes each, 8000000 probes in all" in err
+    code, out, _ = run(capsys, "check", "homotopy", "--n", "40", "--samples", "21")
+    assert code == 0 and json.loads(out)["failures"] == 0
+
+
 @pytest.mark.parametrize("suite", [s for s in cli.CHECKS if s != "homotopy"])
 @pytest.mark.parametrize("n, max_len", [(2, 0), (2, 1), (3, 1)])
 def test_check_case_estimate_is_the_reported_count(suite, n, max_len):

@@ -31,6 +31,61 @@ SF_FRACTIONAL = 0.6779492134117977  # [(7/3, 1/3), (-1/2, 1/5)]
 SF_M20 = 9.999990463257362  # [(-20, 2^-21), (20, 1/2)]
 
 
+# T(a) = int_a^inf (1+y^2)^(-e) dy from its closed form
+# a^(1-2e)/(2e-1) 2F1(e, e-1/2; e+1/2; -1/a^2), computed with mpmath.hyp2f1 at
+# 60 digits with e the exact double below, and rounded to 20 digits.  Row e,
+# column a in TAIL_LOWERS.
+TAIL_LOWERS = (0.5, 1, 1.5, 2, 20, 100.5, 100000.5)
+TAIL_CLOSED_FORM = {
+    0.505: (
+        100.21041388749654293, 99.81113304908882544, 99.499196272731029796, 99.252049443838481335,
+        97.04808604127788506, 95.494471902381293305, 89.125089357108634159,
+    ),
+    0.55: (
+        10.197322729743466492, 9.8058752598046541673, 9.5067081650899202742, 9.2745576793420624581,
+        7.4108597053471458665, 6.3064109512423867729, 3.1622760790256092533,
+    ),
+    0.75: (
+        2.1497747817275168262, 1.7911613381111823392, 1.5425938339671308147, 1.3667569208961671076,
+        0.4470460938871534015, 0.19949890453843346579, 0.0063245395089128831372,
+    ),
+    1: (
+        1.107148717794090503, 0.78539816339744830962, 0.58800260354756755125, 0.46364760900080611621,
+        0.04995839572194276141, 0.0099499203928051694529, 9.9999499999166704166e-6,
+    ),
+    1.5: (
+        0.55278640450004206072, 0.2928932188134524756, 0.16794970566215631697, 0.10557280900008412144,
+        0.0012476611221553253019, 0.00004950004953037218529, 4.999950000000005e-11,
+    ),
+    3.5: (
+        0.14217050846937012244, 0.026573473482974274179, 0.0055475844989141450461, 0.0014472970853833575475,
+        2.5871534345013223372e-9, 1.6171098175800853734e-13, 1.6666166671041724998e-31,
+    ),
+}
+# sf_integral of [(c, 1)] at r and cutoff K, each in closed form with mpmath at
+# 60 digits, e = 0.5 + r rounded to a double as sf_integral rounds it, and
+# G(y) = int_0^y (1+t^2)^(-e) dt = y 2F1(1/2, e; 3/2; -y^2):
+#   sign(c)/C_e * [sum_{|k|<=K} (G(k+|c|) - G(k)) + int_{K+1/2-|c|}^{K+1/2+|c|} T],
+#   int_al^be T = (be-al) C_e/2 - [y G(y) - (1+y^2)^(1-e) / (2-2e)]_al^be
+# (ln(1+y^2)/2 in place of the last term at e = 1), rounded to 20 digits.  mpmath.quad of the tail-corrected lattice sum agreed
+# with three of them to 1e-30.  Row (c, r), column K in SF_CUTOFFS.
+SF_CUTOFFS = (2, 5, 20)
+SF_CLOSED_FORM = {
+    (1, 0.1): (1.0010137245158374542, 1.0002028276092459101, 1.0000114687997315322),
+    (1, 0.5): (1.002966016562884197, 1.0003139521842786765, 1.000006152708204238),
+    (1, 3): (1.0004747940177271814, 1.0000007537788113552, 1.0000000000177561329),
+    (Fraction(1, 2), 0.1): (0.50046769671680990452, 0.50009879634632511445, 0.500005722494633936),
+    (Fraction(1, 2), 0.5): (0.5012807702333160271, 0.50015006807350133485, 0.50000306546853487155),
+    (Fraction(1, 2), 3): (0.50010178321884020675, 0.50000029001747882399, 0.50000000000869175769),
+    (Fraction(-7, 4), 0.1): (-1.7521007644519953366, -1.7503135953075272821, -1.749951360464289449),
+    (Fraction(-7, 4), 0.5): (-1.7569985746296663957, -1.7500301970987242713, -1.7494164482691838876),
+    (Fraction(-7, 4), 3): (-1.7385503261133770077, -1.7325285382167600196, -1.732525887194665001),
+    (Fraction(3, 2), 0.1): (1.5017283721711106074, 1.5003181518900515078, 1.5000172630325163309),
+    (Fraction(3, 2), 0.5): (1.505647113788870092, 1.5005085911899318655, 1.5000092838765302989),
+    (Fraction(3, 2), 3): (1.5025025739475766515, 1.500001731226811854, 1.5000000000275902357),
+}
+
+
 def test_beta_constant_closed_forms():
     assert beta_constant(1.0) == pytest.approx(math.pi, rel=1e-12)
     assert beta_constant(1.5) == pytest.approx(2.0, rel=1e-12)
@@ -143,7 +198,7 @@ def test_sf_integral_against_adaptive_reference():
 def _slow_path_integral(c: Fraction, r: float, cfg: SummationConfig) -> float:
     """sign(c) int_0^|c| lattice_sum / C by a 32-node Gauss-Legendre rule on
     unit x-panels (the last one cut at |c|): the reference for the closed
-    form, which shares only lattice_sum's tail rule with it."""
+    form, which shares only the tail series of _tail_integral with it."""
     import numpy as np
 
     nodes, weights = np.polynomial.legendre.leggauss(32)
@@ -162,6 +217,37 @@ def test_sf_integral_matches_slow_path(r, tails):
     for c in (1, -1, 3, -3, 20, Fraction(7, 3), Fraction(-1, 2), Fraction(13, 4), Fraction(-41, 5)):
         value = sf_integral(ProjectionPerturbation.from_pairs([(Fraction(c), Fraction(1))]), r, cfg)
         assert value == pytest.approx(_slow_path_integral(Fraction(c), r, cfg), rel=1e-12), c
+
+
+@pytest.mark.parametrize("expo", TAIL_CLOSED_FORM)
+def test_tail_integral_matches_closed_form(expo):
+    for lower, want in zip(TAIL_LOWERS, TAIL_CLOSED_FORM[expo]):
+        assert numerics._tail_integral(lower, expo) == pytest.approx(want, rel=2e-15, abs=0), lower
+
+
+@pytest.mark.parametrize("c, r", SF_CLOSED_FORM, ids=str)
+def test_sf_integral_matches_closed_form_at_small_cutoffs(c, r):
+    x = ProjectionPerturbation.from_pairs([(Fraction(c), Fraction(1))])
+    for cutoff, want in zip(SF_CUTOFFS, SF_CLOSED_FORM[c, r]):
+        assert sf_integral(x, r, SummationConfig(cutoff=cutoff)) == pytest.approx(want, rel=0, abs=1e-14), cutoff
+
+
+def test_tail_bounds_stay_at_one_half_or_more():
+    # the tail series needs about 1/a^2 terms, so bounds below 1/2 are refused
+    assert numerics._tail_integral(0.5, 1.0) == pytest.approx(math.atan(2.0), rel=1e-15)
+    for lower in (0.4999, 0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="lower bound >= 1/2"):
+            numerics._tail_integral(lower, 1.0)
+    with pytest.raises(DomainError, match="diverges"):
+        numerics._tail_integral(1.0, 0.5)
+    # at |shift| = cutoff one tail starts at 1/2: at e = 1, T(a) = pi/2 - atan(a)
+    cfg = SummationConfig(cutoff=10)
+    edge = math.fsum(1 / (1 + m * m) for m in range(21)) + math.pi - math.atan(20.5) - math.atan(0.5)
+    for shift in (10.0, -10.0):
+        assert lattice_sum(shift, 1.0, cfg) == pytest.approx(edge, rel=1e-14)
+    for shift in (10.5, -10.001, math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"\|shift\| <= cutoff 10"):
+            lattice_sum(shift, 1.0, cfg)
 
 
 def test_sf_integral_sums_lattice_only_for_fractional_coefficients(monkeypatch):
