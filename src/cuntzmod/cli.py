@@ -13,8 +13,9 @@ equality and membership tests behind the other verbs never expand.
 Most of a CLI process's time is interpreter start-up and imports, so this
 module imports only what parsing and rendering need.  Each verb imports
 its own functions when it runs, and each ``check`` suite its own module:
-``eval`` loads algebra, expr and scalars, ``dixmier`` numerics and no
-exact module, and numpy loads only inside the numeric functions.
+``eval`` loads algebra, expr and scalars, and ``dixmier`` numerics and no
+exact module.  No verb loads a third-party module: the numerics are pure
+Python too.
 """
 
 from __future__ import annotations

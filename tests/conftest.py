@@ -99,6 +99,22 @@ def oracle_psi_product(a, b):
     return state_psi(multiply(a, b))
 
 
+def oracle_lattice_sum(shift: float, expo: float, cfg) -> float:
+    """numerics.lattice_sum as a numpy grid sum: (1+(k+shift)^2)^(-expo)
+    over the float64 grid k = -K..K, summed by np.sum, plus the same tails
+    beyond K + 1/2.  numpy is a test dependency only."""
+    import numpy as np
+
+    from cuntzmod.numerics import _tail_integral
+
+    k = np.arange(-cfg.cutoff, cfg.cutoff + 1, dtype=np.float64)
+    total = float(np.sum((1.0 + (k + shift) ** 2) ** (-expo)))
+    if cfg.tail_correction:
+        total += _tail_integral(cfg.cutoff + 0.5 + shift, expo)
+        total += _tail_integral(cfg.cutoff + 0.5 - shift, expo)
+    return total
+
+
 # Sweep oracles: the straightforward loops that form every map inside the
 # case that reads it.  They call the maps through their modules' attributes,
 # as the sweeps do, so a map patched into a module reaches both sides.

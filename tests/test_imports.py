@@ -1,6 +1,7 @@
 """The package loads lazily: a bare ``import cuntzmod`` imports no
 submodule, each CLI verb imports only the modules it runs, and no process
-loads ``dataclasses``.  Module sets are read in a fresh interpreter."""
+loads ``dataclasses`` or ``numpy``.  Module sets are read in a fresh
+interpreter."""
 
 import json
 import os
@@ -28,6 +29,7 @@ print(json.dumps({
     "code": code,
     "package": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cuntzmod.")),
     "dataclasses": "dataclasses" in sys.modules,
+    "numpy": "numpy" in sys.modules,
 }))
 """
 
@@ -67,11 +69,12 @@ def test_each_verb_loads_only_its_modules(argv, expected):
     assert set(got["package"]) == expected
     assert not set(got["package"]) & NEVER.get(argv[0], set())
     assert not got["dataclasses"]
+    assert not got["numpy"]
 
 
 def test_bare_import_loads_no_submodule():
     got = _loaded(None)
-    assert got["package"] == [] and not got["dataclasses"]
+    assert got["package"] == [] and not got["dataclasses"] and not got["numpy"]
 
 
 def test_every_public_name_is_its_home_binding():

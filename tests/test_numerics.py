@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import oracle_lattice_sum
 
 import cuntzmod
 from cuntzmod import numerics
@@ -139,7 +140,7 @@ def test_dixmier_validation():
 def test_dixmier_refuses_degenerate_schedule(monkeypatch):
     # a line through one repeated abscissa has no intercept: refused before
     # any lattice sum, while a one-element schedule keeps its plain value
-    monkeypatch.setattr(numerics, "lattice_sum", None)
+    monkeypatch.setattr(numerics, "_lattice_sums", None)
     cfg = SummationConfig(cutoff=100_000)
     for schedule in ([1.1, 1.1], [1.5, 1.5, 1.5]):
         with pytest.raises(DomainError, match="two distinct s"):
@@ -147,9 +148,9 @@ def test_dixmier_refuses_degenerate_schedule(monkeypatch):
 
 
 def test_lattice_budget(monkeypatch):
-    # refused before numpy is imported, so nothing is allocated
+    # refused before any square is formed
     past = SummationConfig(cutoff=(numerics.LATTICE_BUDGET - 1) // 2 + 1)
-    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setattr(numerics, "range", None, raising=False)
     with pytest.raises(UsageError, match=rf"lattice_sum: cutoff {past.cutoff} needs {numerics.LATTICE_BUDGET + 2} "):
         lattice_sum(0.0, 1.0, past)
     with pytest.raises(UsageError, match="lattice budget"):
@@ -196,9 +197,10 @@ def test_sf_integral_against_adaptive_reference():
 
 
 def _slow_path_integral(c: Fraction, r: float, cfg: SummationConfig) -> float:
-    """sign(c) int_0^|c| lattice_sum / C by a 32-node Gauss-Legendre rule on
-    unit x-panels (the last one cut at |c|): the reference for the closed
-    form, which shares only the tail series of _tail_integral with it."""
+    """sign(c) int_0^|c| L / C by a 32-node Gauss-Legendre rule on unit
+    x-panels (the last one cut at |c|), with L the numpy grid sum
+    conftest.oracle_lattice_sum: the reference for the closed form, which
+    shares only the tail series of _tail_integral with it."""
     import numpy as np
 
     nodes, weights = np.polynomial.legendre.leggauss(32)
@@ -206,7 +208,7 @@ def _slow_path_integral(c: Fraction, r: float, cfg: SummationConfig) -> float:
     total = 0.0
     for left in range(math.ceil(top)):
         half = (min(left + 1.0, top) - left) / 2.0
-        total += half * sum(wt * numerics.lattice_sum(left + half * (1.0 + t), 0.5 + r, cfg) for t, wt in zip(nodes, weights))
+        total += half * sum(wt * oracle_lattice_sum(left + half * (1.0 + t), 0.5 + r, cfg) for t, wt in zip(nodes, weights))
     return math.copysign(total, c) / beta_constant(0.5 + r)
 
 
@@ -332,6 +334,70 @@ def test_heat_sums():
 def test_summation_config_validation():
     with pytest.raises(UsageError):
         SummationConfig(cutoff=0)
+    # a float cutoff would sum a shifted grid: 2.5 gave 3.1347 for pi coth pi
+    for cutoff in (2.5, 1000.7, 1000.0, "5", True, False, None):
+        with pytest.raises(UsageError, match="cutoff must be an integer"):
+            SummationConfig(cutoff=cutoff)
+        with pytest.raises(UsageError, match="cutoff must be an integer"):
+            SummationConfig(cutoff, False)
+    assert SummationConfig(cutoff=2).cutoff == 2
+    with pytest.raises(UsageError, match="cutoff must be an integer"):
+        SummationConfig()._replace(cutoff=2.5)
+    with pytest.raises(UsageError, match="cutoff must be an integer"):
+        SummationConfig._make((2.5, True))
+    assert SummationConfig()._replace(cutoff=7) == SummationConfig(7)
+
+
+LATTICE_EXPOS = (0.505, 0.55, 0.75, 1.0, 3.5)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 10, 2000, 100_000])
+def test_lattice_sum_matches_the_numpy_grid_oracle(cutoff):
+    # all exponents over one grid: lattice_sum reads the same sums one by one
+    shifts = [s for s in (0.0, 0.3, -0.3, 2.7, cutoff, -cutoff, cutoff - 0.5) if abs(s) <= cutoff]
+    worst = 0.0
+    for tails in (True, False):
+        cfg = SummationConfig(cutoff=cutoff, tail_correction=tails)
+        for shift in shifts:
+            for expo, got in zip(LATTICE_EXPOS, numerics._lattice_sums(shift, LATTICE_EXPOS, cfg)):
+                want = oracle_lattice_sum(shift, expo, cfg)
+                worst = max(worst, abs(got - want) / want)
+    assert worst < 2e-15
+
+
+def test_lattice_sums_share_one_grid_bit_for_bit():
+    for cutoff, shift in ((50, 0.0), (50, 0.3), (50, -7.25), (50, 50.0), (1, -0.5)):
+        cfg = SummationConfig(cutoff=cutoff)
+        assert numerics._lattice_sums(shift, LATTICE_EXPOS, cfg) == [lattice_sum(shift, e, cfg) for e in LATTICE_EXPOS]
+
+
+def test_remainder_rule_is_numpy_leggauss_16():
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(numerics.REMAINDER_NODES)
+    assert all(x > 0 for x, _ in numerics.REMAINDER_RULE)
+    rule = sorted((t, wt) for x, wt in numerics.REMAINDER_RULE for t in (-x, x))
+    assert [t for t, _ in rule] == nodes.tolist()
+    assert [wt for _, wt in rule] == weights.tolist()
+
+
+@pytest.mark.parametrize("n, weight", [(2, 1), (2, Fraction(1, 2)), (3, Fraction(1, 4))])
+def test_dixmier_intercept_matches_polyfit(n, weight):
+    import numpy as np
+
+    cfg = SummationConfig(cutoff=100_000)
+    schedule = [1.1, 1.05, 1.02, 1.01]
+    x = [s - 1.0 for s in schedule]
+    y = [(s - 1.0) * lattice_sum(0.0, s / 2.0, cfg) * float(weight) for s in schedule]
+    assert dixmier_limit(n, schedule, cfg, weight=weight) == pytest.approx(float(np.polyfit(x, y, 1)[1]), rel=0, abs=1e-14)
+
+
+def test_numerics_run_without_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    fractional = ProjectionPerturbation.from_pairs([(Fraction(7, 3), Fraction(1, 3)), (Fraction(-1, 2), Fraction(1, 5))])
+    assert abs(dixmier_limit(2, [1.1, 1.05, 1.02, 1.01], SummationConfig(cutoff=1000)) - 2.0) < 1e-1
+    assert sf_integral(fractional, 0.5, SummationConfig()) == pytest.approx(SF_FRACTIONAL, rel=1e-12)
+    assert eta_numeric(0.1, SummationConfig(cutoff=100)) == 0.0
 
 
 def test_config_types_are_read_only_values():
