@@ -36,7 +36,7 @@ _HOME = {
     **dict.fromkeys(("parse", "render"), "expr"),
     **dict.fromkeys(
         (
-            "FlowReport", "aps_index_traces", "closed_form_sf", "cocycle_check", "correction_terms",
+            "FlowReport", "aps_index_traces", "closed_form_sf", "correction_terms",
             "flow_report", "hochschild_orientation", "k0_membership", "projection_perturbation_data",
             "relative_entropy", "spectral_flow", "twisted_theta",
         ),

@@ -87,6 +87,21 @@ def words_upto(n: int, max_len: int) -> list[Word]:
     return out
 
 
+WORD_COUNT_CAP = 2**63
+
+
+def word_count(n: int, max_len: int) -> int:
+    """len(words_upto(n, max_len)) for n >= 2, capped at WORD_COUNT_CAP, which
+    64 levels pass: far above any budget, yet a plan's powers of it print."""
+    return min((n ** (min(max_len, 63) + 1) - 1) // (n - 1), WORD_COUNT_CAP)
+
+
+def monomials_upto(n: int, max_len: int) -> list[AlgebraElement]:
+    """Every S_mu S_nu^* with both legs in words_upto(n, max_len), mu-major."""
+    ws = words_upto(n, max_len)
+    return [monomial(n, mu, nu) for mu in ws for nu in ws]
+
+
 def term_sort_key(key: MonomialKey):
     """Deterministic term order: (degree, |nu|, mu lexicographic, nu lexicographic)."""
     mu, nu = key

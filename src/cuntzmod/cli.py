@@ -16,6 +16,9 @@ its own functions when it runs, and each ``check`` suite its own module:
 ``eval`` loads algebra, expr and scalars, and ``dixmier`` numerics and no
 exact module.  No verb loads a third-party module: the numerics are pure
 Python too.
+
+A check suite's size lives with its loop: ``<suite>_plan`` beside each
+``<suite>_sweep`` returns the sweep's cases and the work the budget charges.
 """
 
 from __future__ import annotations
@@ -36,59 +39,20 @@ def _load(module: str, name: str):
     return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
+# Each suite's module, home of its plan and sweep, and the options they take.
 CHECKS = {
-    "kms": lambda args: _load("modular", "kms_sweep")(args.n, args.max_len),
-    "tomita": lambda args: _load("modular", "tomita_sweep")(args.n, args.max_len),
-    "cocycle": lambda args: _load("flow", "cocycle_sweep")(args.n, args.max_len),
-    "hochschild": lambda args: _load("flow", "hochschild_sweep")(args.n),
-    "keyfact": lambda args: _load("endos", "keyfact_sweep")(args.n, args.max_len),
-    "homotopy": lambda args: _load("matrices", "homotopy_sweep")(args.n, args.samples),
-    "tracesplit": lambda args: _load("endos", "tracesplit_sweep")(args.n, args.max_len),
+    "kms": ("modular", ("n", "max_len")),
+    "tomita": ("modular", ("n", "max_len")),
+    "cocycle": ("flow", ("n", "max_len")),
+    "hochschild": ("flow", ("n",)),
+    "keyfact": ("endos", ("n", "max_len")),
+    "homotopy": ("matrices", ("n", "samples")),
+    "tracesplit": ("endos", ("n", "max_len")),
 }
 
-# Largest sweep ``check`` starts: about 1e6 of the cheapest cases, tens of
-# seconds of kms or tomita work.  A keyfact case counts once per probe.
+# Largest sweep check starts: about 1e6 units of work, each a few to tens of
+# CPU microseconds (a kms or tomita case, a keyfact probe).
 CHECK_CASE_BUDGET = 1_000_000
-
-
-def _word_count(n: int, max_len: int) -> int:
-    """len(words_upto(n, max_len)) without listing the words; stops once
-    past the budget, which every estimate below grows with."""
-    total, level = 0, 1
-    for _ in range(max_len + 1):
-        total += level
-        level *= n
-        if total > CHECK_CASE_BUDGET:
-            break
-    return total
-
-
-def _monomial_count(args) -> int:
-    """The sweeps' inputs: every S_mu S_nu^* with legs up to --max-len."""
-    return _word_count(args.n, args.max_len) ** 2
-
-
-# Cases each suite would run, by the loops of its sweep: pairs, triples,
-# the k ranges of the endomorphism sweeps and, for homotopy, the sampled
-# matrices of its four paths.
-CHECK_CASES = {
-    "kms": lambda args: _monomial_count(args) ** 2,
-    "tomita": lambda args: 7 * _monomial_count(args) + 6 * _monomial_count(args) ** 2,
-    "cocycle": lambda args: _monomial_count(args) + _monomial_count(args) ** 3,
-    "hochschild": lambda args: 4,
-    "keyfact": lambda args: 5 * _monomial_count(args),
-    "homotopy": lambda args: 4 * args.samples,
-    "tracesplit": lambda args: 7 * (2 + 2 * _word_count(args.n * args.n, args.max_len)),
-}
-
-# Probes per case, for the suites whose case is not one unit of work: a
-# keyfact case checks its identity on every S_a S_b^* with legs up to
-# KEYFACT_PROBE_LEN, and a homotopy case certifies matrices whose entries
-# sum over the n letters (its time grew about like n^1.65 from n = 40 to 160).
-CASE_PROBES = {
-    "keyfact": lambda args: _word_count(args.n, _load("endos", "KEYFACT_PROBE_LEN")) ** 2,
-    "homotopy": lambda args: args.n**2,
-}
 
 
 def render_json(obj) -> str:
@@ -245,18 +209,15 @@ def _dispatch(args) -> int:
     if verb == "check":
         if args.max_len < 0:
             raise UsageError(f"--max-len must be >= 0, got {args.max_len}")
-        estimate = CHECK_CASES[args.suite](args)
-        size = f"{estimate} cases"
-        if args.suite in CASE_PROBES:
-            probes = CASE_PROBES[args.suite](args)
-            estimate *= probes
-            size += f" of {probes} probes each, {estimate} probes in all"
-        if estimate > CHECK_CASE_BUDGET:
+        module, names = CHECKS[args.suite]
+        sweep_args = [getattr(args, name) for name in names]
+        cases, work = _load(module, f"{args.suite}_plan")(*sweep_args)
+        if work > CHECK_CASE_BUDGET:
             raise UsageError(
-                f"check {args.suite} would run at least {size}, "
+                f"check {args.suite} would run at least {cases} cases, {work} units of work, "
                 f"above the budget of {CHECK_CASE_BUDGET}"
             )
-        report = CHECKS[args.suite](args)
+        report = _load(module, f"{args.suite}_sweep")(*sweep_args)
         if report["cases"] == 0:
             raise UsageError(f"check {args.suite} ran zero cases")
         _emit(report, args.output)

@@ -31,8 +31,10 @@ from .algebra import (
     adjoint,
     equals,
     monomial,
+    monomials_upto,
     multiply,
     term_budget,
+    word_count,
     words,
     words_upto,
     zero,
@@ -224,6 +226,12 @@ def key_fact_check(v: AlgebraElement, k: int, probes) -> bool:
 KEYFACT_PROBE_LEN = 3
 
 
+def tracesplit_plan(n: int, max_len: int, k_span: int = 3) -> tuple[int, int]:
+    """(cases, work) of tracesplit_sweep: per k, 2 + 2 per S_a S_b^*, |a| = |b|."""
+    cases = (2 * k_span + 1) * (2 + 2 * word_count(n * n, max_len))
+    return cases, cases
+
+
 def tracesplit_sweep(n: int, max_len: int, k_span: int = 3) -> dict:
     """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) ==
     tau(f) for degree-0 monomials f, plus the Phi_k weights themselves."""
@@ -245,6 +253,12 @@ def tracesplit_sweep(n: int, max_len: int, k_span: int = 3) -> dict:
     return tally.report("tracesplit", n=n, max_len=max_len)
 
 
+def keyfact_plan(n: int, max_len: int, probe_len: int = KEYFACT_PROBE_LEN, k_span: int = 2) -> tuple[int, int]:
+    """(cases, work) of keyfact_sweep: a case per v and k, charged per probe."""
+    cases = (2 * k_span + 1) * word_count(n, max_len) ** 2
+    return cases, cases * word_count(n, probe_len) ** 2
+
+
 def keyfact_sweep(n: int, max_len: int, probe_len: int = KEYFACT_PROBE_LEN, k_span: int = 2) -> dict:
     """The compression identity v Phi_k v^* == v v^* Phi_{k+m} over monomial
     partial isometries with leg lengths up to max_len, each case checked on
@@ -252,8 +266,7 @@ def keyfact_sweep(n: int, max_len: int, probe_len: int = KEYFACT_PROBE_LEN, k_sp
     and degree, and v^*, v v^* and the products v^* x once per v, shared by
     its 2 k_span + 1 values of k."""
     ws = words_upto(n, max_len)
-    probe_words = words_upto(n, probe_len)
-    probes = [monomial(n, a, b) for a in probe_words for b in probe_words]
+    probes = monomials_upto(n, probe_len)
     spread = k_span + max_len  # |k + m| never exceeds it
     shifted = {j: [gauge_component(x, j) for x in probes] for j in range(-spread, spread + 1)}
     tally = Tally()

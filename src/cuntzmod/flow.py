@@ -31,14 +31,16 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import (
     AlgebraElement,
     equals,
     monomial,
+    monomials_upto,
     multiply,
     one,
+    word_count,
     words,
     zero,
 )
@@ -135,18 +137,6 @@ def cocycle_b_defect(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement)
         - twisted_theta(a0, multiply(a1, a2))
         + twisted_theta(multiply(delta_power(a2, -1), a0), a1)
     )
-
-
-def cocycle_check(triples: Iterable[tuple[AlgebraElement, AlgebraElement, AlgebraElement]]) -> dict:
-    """Evaluate b theta on each triple and B theta = theta(1, .) on each
-    first slot; passes iff every value is exactly zero."""
-    tally = Tally()
-    for a0, a1, a2 in triples:
-        b = cocycle_b_defect(a0, a1, a2)
-        big_b = twisted_theta(one(a0.n), a0)
-        for name, value in (("b", b), ("B", big_b)):
-            tally.check(value.is_zero, lambda: f"{name}-defect {value} on ({a0!r}, {a1!r}, {a2!r})")
-    return tally.report("cocycle")
 
 
 def hochschild_orientation(n: int, drop: int | None = None) -> dict:
@@ -277,13 +267,17 @@ def sf_closed_form_chunk(n: int, len_mu: int, len_nu: int) -> dict:
     return tally.report("sf_closed_form", n=n, len_mu=len_mu, len_nu=len_nu)
 
 
+def cocycle_plan(n: int, max_len: int) -> tuple[int, int]:
+    """(cases, work) of cocycle_sweep: a B case per monomial, a b case per triple."""
+    monos = word_count(n, max_len) ** 2
+    cases = monos + monos**3
+    return cases, cases
+
+
 def cocycle_sweep(n: int, max_len: int) -> dict:
     """b theta and B theta vanish on all monomial triples with leg lengths
     up to max_len."""
-    from .algebra import words_upto
-
-    ws = words_upto(n, max_len)
-    monos = [monomial(n, a, b) for a in ws for b in ws]
+    monos = monomials_upto(n, max_len)
     ident = one(n)
     tally = Tally()
     for a0 in monos:
@@ -295,6 +289,12 @@ def cocycle_sweep(n: int, max_len: int) -> dict:
                 value = cocycle_b_defect(a0, a1, a2)
                 tally.check(value.is_zero, lambda: f"b-defect {value} on ({a0!r}, {a1!r}, {a2!r})")
     return tally.report("cocycle", n=n, max_len=max_len)
+
+
+def hochschild_plan(n: int) -> tuple[int, int]:
+    """(cases, work) of hochschild_sweep: four cases on two chains, each built
+    letter by letter by copying a running sum of up to n terms (see README)."""
+    return 4, 4 + n + n * n // 200
 
 
 def hochschild_sweep(n: int) -> dict:

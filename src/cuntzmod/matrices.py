@@ -572,6 +572,11 @@ def find_nonmodular_product_witness(n: int) -> dict | None:
     return None
 
 
+def homotopy_plan(n: int, samples: int = 21) -> tuple[int, int]:
+    """(cases, work) of homotopy_sweep: four paths, n^2 a sample (see README)."""
+    return 4, 4 * samples * n * n
+
+
 def homotopy_sweep(n: int, samples: int = 21) -> dict:
     """The named homotopy suite: the rotation path, the two-stage swap path,
     the Whitehead contraction over F, a constant non-modular path that must

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, adjoint
+from .algebra import AlgebraElement, adjoint, monomials_upto, word_count
 from .errors import BackendError, DomainError, UsageError
 from .scalars import QSqrt, conj_scalar, n_power, n_power_numeric, scalar_is_zero
 from .tally import Tally
@@ -228,18 +228,17 @@ def sigma_auto(a: AlgebraElement, t) -> AlgebraElement:
 # -- named invariant sweeps ----------------------------------------------------
 
 
-def _monomials(n: int, max_len: int) -> list[AlgebraElement]:
-    from .algebra import monomial, words_upto
-
-    ws = words_upto(n, max_len)
-    return [monomial(n, mu, nu) for mu in ws for nu in ws]
+def kms_plan(n: int, max_len: int) -> tuple[int, int]:
+    """(cases, work) of kms_sweep: one case per ordered pair of monomials."""
+    cases = word_count(n, max_len) ** 4
+    return cases, cases
 
 
 def kms_sweep(n: int, max_len: int) -> dict:
     """psi(ab) == psi(sigma(b) a) exactly, over all monomial pairs with leg
     lengths up to max_len.  sigma(b) is formed once per monomial; every
     pair still evaluates both sides, each with psi_product."""
-    monos = _monomials(n, max_len)
+    monos = monomials_upto(n, max_len)
     sigmas = [sigma(b) for b in monos]
     tally = Tally()
     for a in monos:
@@ -248,6 +247,13 @@ def kms_sweep(n: int, max_len: int) -> dict:
             rhs = psi_product(sigma_b, a)
             tally.check(lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}")
     return tally.report("kms", n=n, max_len=max_len)
+
+
+def tomita_plan(n: int, max_len: int) -> tuple[int, int]:
+    """(cases, work) of tomita_sweep: 7 cases per monomial, 6 per ordered pair."""
+    monos = word_count(n, max_len) ** 2
+    cases = 7 * monos + 6 * monos**2
+    return cases, cases
 
 
 def tomita_sweep(n: int, max_len: int) -> dict:
@@ -261,7 +267,7 @@ def tomita_sweep(n: int, max_len: int) -> dict:
     pair still forms all of its inner products."""
     from .algebra import equals
 
-    monos = _monomials(n, max_len)
+    monos = monomials_upto(n, max_len)
     half = Fraction(1, 2)
     zs = [Fraction(-1), Fraction(-1, 2), half, Fraction(1)]
     # (a, [Delta^z a for z in zs], F a, S a) for each monomial a; a list in

@@ -70,10 +70,8 @@ class SummationConfig(namedtuple("SummationConfig", "cutoff tail_correction")):
             raise UsageError(f"cutoff must be >= 1, got {cutoff}")
         return super().__new__(cls, cutoff, tail_correction)
 
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make, and _replace through it, would skip __new__
-        return cls(*iterable)
+    # namedtuple's _make, and _replace through it, would skip __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 class ProjectionPerturbation(namedtuple("ProjectionPerturbation", "terms")):
@@ -93,6 +91,8 @@ class ProjectionPerturbation(namedtuple("ProjectionPerturbation", "terms")):
                 raise UsageError(f"projection weight {w} outside (0, 1]")
             clean.append((c, w))
         return super().__new__(cls, tuple(clean))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # as in SummationConfig
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[Fraction, Fraction]]) -> "ProjectionPerturbation":

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import branch_decomposition, monomial_elements, random_element
 from cuntzmod.algebra import (
+    WORD_COUNT_CAP,
     AlgebraElement,
     _disjoint_terms,
     _multiply_into,
@@ -18,6 +19,7 @@ from cuntzmod.algebra import (
     multiply,
     one,
     projection,
+    word_count,
     words_upto,
     zero,
 )
@@ -203,6 +205,15 @@ def test_word_validation():
         monomial(2, (3,), ())
     with pytest.raises(UsageError):
         monomial(2, (0,), ())
+
+
+def test_word_count_is_the_number_of_words():
+    for n in (2, 3, 4):
+        for max_len in range(5):
+            assert word_count(n, max_len) == len(words_upto(n, max_len))
+    assert word_count(2, 62) == WORD_COUNT_CAP - 1  # exact up to the cap
+    for n, max_len in ((2, 63), (2, 10**9), (10**6, 4)):
+        assert word_count(n, max_len) == WORD_COUNT_CAP
 
 
 def test_term_budget_guard(monkeypatch):

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -223,7 +222,9 @@ def test_check_rejects_negative_max_len(capsys, argv):
 
 
 def test_zero_case_check_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setitem(cli.CHECKS, "kms", lambda args: {"check": "kms", "cases": 0, "failures": 0})
+    from cuntzmod import modular
+
+    monkeypatch.setattr(modular, "kms_sweep", lambda n, max_len: {"check": "kms", "cases": 0, "failures": 0})
     code, out, err = run(capsys, "check", "kms", "--n", "2", "--max-len", "0")
     assert code == 2 and out == "" and "zero cases" in err
 
@@ -237,6 +238,23 @@ def test_oversized_check_is_refused_before_it_runs(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["hochschild", "--n", "200000"],
+        *([suite, "--n", "2", "--max-len", "1000000000"] for suite, (_, names) in cli.CHECKS.items()
+          if "max_len" in names),
+    ],
+    ids=" ".join,
+)
+def test_huge_check_is_refused_at_once(capsys, argv):
+    start = time.process_time()
+    code, out, err = run(capsys, "check", *argv)
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == ""
+    assert f"above the budget of {cli.CHECK_CASE_BUDGET}" in err
+
+
+@pytest.mark.parametrize(
     "n, max_len, cases, probes",
     [(4, 4, 5 * 341**2, 85**2), (3, 2, 5 * 13**2, 40**2)],
 )
@@ -246,25 +264,31 @@ def test_keyfact_check_is_charged_for_its_probes(capsys, n, max_len, cases, prob
     code, out, err = run(capsys, "check", "keyfact", "--n", str(n), "--max-len", str(max_len))
     assert time.process_time() - start < 0.5
     assert code == 2 and out == ""
-    assert f"{cases} cases of {probes} probes each, {cases * probes} probes in all" in err
+    assert f"at least {cases} cases, {cases * probes} units of work" in err
 
 
 def test_homotopy_check_is_charged_for_n(capsys):
-    # a homotopy case certifies matrices over all n letters: n^2 probes each
+    # a homotopy path certifies matrices over all n letters: n^2 a sample
     start = time.process_time()
     code, out, err = run(capsys, "check", "homotopy", "--n", "1000", "--samples", "2")
     assert time.process_time() - start < 0.5
     assert code == 2 and out == ""
-    assert "8 cases of 1000000 probes each, 8000000 probes in all" in err
+    assert "at least 4 cases, 8000000 units of work" in err
     code, out, _ = run(capsys, "check", "homotopy", "--n", "40", "--samples", "21")
     assert code == 0 and json.loads(out)["failures"] == 0
 
 
-@pytest.mark.parametrize("suite", [s for s in cli.CHECKS if s != "homotopy"])
-@pytest.mark.parametrize("n, max_len", [(2, 0), (2, 1), (3, 1)])
+@pytest.mark.parametrize(
+    "n, max_len, suite",
+    [(n, max_len, suite) for suite in cli.CHECKS for n, max_len in ((2, 0), (2, 1), (3, 1))]
+    + [(4, 0, "hochschild")],
+)
 def test_check_case_estimate_is_the_reported_count(suite, n, max_len):
-    args = argparse.Namespace(n=n, max_len=max_len, samples=5)
-    assert cli.CHECK_CASES[suite](args) == cli.CHECKS[suite](args)["cases"]
+    module, names = cli.CHECKS[suite]
+    args = [{"n": n, "max_len": max_len, "samples": 3}[name] for name in names]
+    cases, work = cli._load(module, f"{suite}_plan")(*args)
+    assert cases == cli._load(module, f"{suite}_sweep")(*args)["cases"]
+    assert work >= cases
 
 
 def test_check_case_budget_is_a_strict_bound(capsys, monkeypatch):
@@ -273,9 +297,10 @@ def test_check_case_budget_is_a_strict_bound(capsys, monkeypatch):
     assert run(capsys, "check", "kms", "--n", "2", "--max-len", "1")[0] == 0
     monkeypatch.setattr(cli, "CHECK_CASE_BUDGET", 80)
     code, _, err = run(capsys, "check", "kms", "--n", "2", "--max-len", "1")
-    assert code == 2 and "at least 81 cases" in err and "budget of 80" in err
+    assert code == 2
+    assert err == "error: check kms would run at least 81 cases, 81 units of work, above the budget of 80\n"
     code, _, err = run(capsys, "check", "homotopy", "--n", "2", "--samples", "21")
-    assert code == 2 and "at least 84 cases" in err
+    assert code == 2 and "at least 4 cases, 336 units of work" in err
 
 
 JSON_COMMANDS = [

@@ -13,7 +13,6 @@ from cuntzmod.flow import (
     aps_index_traces,
     closed_form_sf,
     cocycle_b_defect,
-    cocycle_check,
     cocycle_sweep,
     correction_terms,
     flow_report,
@@ -92,16 +91,6 @@ def test_cocycle_vanishes_on_monomials():
     monos = monomial_elements(2, 1)
     for a0, a1, a2 in itertools.product(monos[:9], repeat=3):
         assert cocycle_b_defect(a0, a1, a2).is_zero
-
-
-def test_cocycle_check_randomized(rng):
-    triples = [
-        (random_element(rng, 3, 5), random_element(rng, 3, 5), random_element(rng, 3, 5))
-        for _ in range(50)
-    ]
-    report = cocycle_check(triples)
-    assert report["failures"] == 0
-    assert report["cases"] == 100
 
 
 def test_cocycle_sweep_small():

@@ -303,6 +303,16 @@ def test_projection_perturbation_validation():
     assert x.terms == ((Fraction(-1), Fraction(1, 4)), (Fraction(1), Fraction(1, 2)))
 
 
+def test_projection_perturbation_make_and_replace_validate():
+    # namedtuple's own _make builds the tuple without __new__'s checks
+    with pytest.raises(UsageError, match="weight 3 outside"):
+        ProjectionPerturbation([(1, 1)])._replace(terms=((5, 3),))
+    with pytest.raises(UsageError, match="nonzero"):
+        ProjectionPerturbation._make([((0, 2),)])
+    x = ProjectionPerturbation([(1, 1)])._replace(terms=((2, Fraction(1, 2)),))
+    assert x == ProjectionPerturbation([(2, Fraction(1, 2))]) and type(x) is ProjectionPerturbation
+
+
 def test_dixmier_functional_recovers_spectral_flow():
     # sf = (1/2) lim (s-1) tau_delta(u[D,u^*](1+D^2)^(-s/2)); the element
     # u[D,u^*] lies in F with trace equal to the zeroth moment, so the

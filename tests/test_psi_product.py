@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monomial_elements, oracle_psi_product, random_element
-from cuntzmod.algebra import adjoint, gen, monomial, multiply, one, projection, zero
+from cuntzmod.algebra import adjoint, gen, monomial, multiply, projection, zero
 from cuntzmod.endos import (
     EndoSum,
     RankOne,
@@ -25,7 +25,7 @@ from cuntzmod.endos import (
     tau_tilde,
 )
 from cuntzmod.errors import BackendError, UsageError
-from cuntzmod.flow import aps_index_traces, cocycle_check, twisted_theta
+from cuntzmod.flow import aps_index_traces, twisted_theta
 from cuntzmod.matrices import build_u_mu_nu, modular_defect_exact
 from cuntzmod.modular import commutator_D, delta_power, inner_product, psi_product, state_psi, trace_F
 from cuntzmod.scalars import QSqrt
@@ -156,7 +156,6 @@ NUMERIC_CALLS = {
     "trace_F": lambda: trace_F(_P),
     "trace_F_off_degree": lambda: trace_F(gen(2, 1).to_numeric()),
     "twisted_theta": lambda: twisted_theta(_X, gen(2, 1).to_numeric()),
-    "cocycle_check": lambda: cocycle_check([(_X, _P, one(2, False))]),
     "EndoSum": lambda: EndoSum(2, [(1, RankOne(_P, _P))]),
     "EndoSum_coefficient": lambda: EndoSum(2, [(0.5, RankOne(gen(2, 1), gen(2, 1)))]),
     "compose_left_mult": lambda: compose_left_mult(_P, phi_k_endo(1, 2)),
