@@ -40,7 +40,7 @@ from .algebra import (
     zero,
 )
 from .errors import BackendError, DomainError, TermBudgetExceeded, UsageError
-from .modular import delta_power, expectation, gauge_component, psi_product, trace_F
+from .modular import delta_power, expectation, gauge_component, inner_product, trace_F
 from .scalars import QSqrt, n_power
 from .tally import Tally
 
@@ -158,22 +158,21 @@ def phi_k_endo(k: int, n: int) -> EndoSum:
 
 
 def tau_tilde(e: EndoSum) -> QSqrt:
-    """tau_tilde(Theta_{x,y}) = psi(y^* x), extended linearly; each
-    psi(y^* x) is psi_product(y^*, x), without forming y^* x."""
+    """tau_tilde(Theta_{x,y}) = psi(y^* x) = <y, x>, extended linearly; the
+    psi walk reads y's terms swapped and x's as they are."""
     acc = QSqrt.zero(e.n)
     for c, th in e.terms:
-        acc = acc + c * psi_product(adjoint(th.y), th.x)
+        acc = acc + c * inner_product(th.y, th.x)
     return acc
 
 
 def tau_delta_endo(e: EndoSum) -> QSqrt:
     """tau_delta(e) = tau_tilde(Delta . e), with Delta applied to the output
     leg; normalised so every Phi_k has weight exactly 1.  Each term is
-    psi(y^* Delta x) = psi_product(y^*, Delta x), without forming the
-    product."""
+    <y, Delta x>: the psi walk reads y's terms swapped, Delta x's as they are."""
     acc = QSqrt.zero(e.n)
     for c, th in e.terms:
-        acc = acc + c * psi_product(adjoint(th.y), delta_power(th.x, 1))
+        acc = acc + c * inner_product(th.y, delta_power(th.x, 1))
     return acc
 
 
@@ -227,9 +226,10 @@ KEYFACT_PROBE_LEN = 3
 
 
 def tracesplit_plan(n: int, max_len: int, k_span: int = 3) -> tuple[int, int]:
-    """(cases, work) of tracesplit_sweep: per k, 2 + 2 per S_a S_b^*, |a| = |b|."""
-    cases = (2 * k_span + 1) * (2 + 2 * word_count(n * n, max_len))
-    return cases, cases
+    """(cases, work) of tracesplit_sweep: per k, 2 + 2 per S_a S_b^*, |a| = |b|, each
+    charged for the n^|k| terms of Phi_k it walks (sum_k n^|k| = 2 word_count(n, k_span) - 1)."""
+    per_k = 2 + 2 * word_count(n * n, max_len)
+    return (2 * k_span + 1) * per_k, per_k * (2 * word_count(n, k_span) - 1)
 
 
 def tracesplit_sweep(n: int, max_len: int, k_span: int = 3) -> dict:

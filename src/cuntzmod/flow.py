@@ -47,7 +47,7 @@ from .algebra import (
 from .endos import _partial_isometry, compose_left_mult, phi_k_endo, tau_delta_endo
 from .errors import BackendError, DomainError, UsageError
 from .matrices import AlgMatrix, _certify, apply_sigma, build_u_mu_nu, is_modular_unitary
-from .modular import commutator_D, delta_power, psi_product, trace_F
+from .modular import _psi_walk, commutator_D, delta_power, trace_F
 from .scalars import QSqrt, scalar_str
 from .tally import Tally
 
@@ -125,9 +125,9 @@ def _corrections(u: AlgMatrix) -> tuple[Fraction, Fraction]:
 
 
 def twisted_theta(a0: AlgebraElement, a1: AlgebraElement) -> QSqrt:
-    """theta(a0, a1) = psi(a0 [D, a1]) = psi_product(a0, [D, a1]); the
-    product a0 [D, a1] is never formed."""
-    return psi_product(a0, commutator_D(a1))
+    """theta(a0, a1) = psi(a0 [D, a1]): the psi walk over the term pairs of
+    a0 and a1, each matched pair weighted by the gauge degree of a1's term."""
+    return _psi_walk(a0, a1, weigh=True)
 
 
 def cocycle_b_defect(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement) -> QSqrt:

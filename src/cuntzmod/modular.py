@@ -14,11 +14,12 @@ term pairs whose product is diagonal:
                (c_a S_mu S_nu^*, c_b S_al S_be^*) of a and b whose
                path-matched product is S_w S_w^*
 
-``psi_product`` evaluates this sum without forming a b; the pairing, the KMS
-sweep, the twisted cocycle and the endomorphism traces read psi of a
-product through it.  The generator D multiplies a monomial by its gauge
-degree, the modular operator is Delta = n^(-D), and the Tomita data act
-termwise:
+One private walk evaluates this sum without forming a b.  ``psi_product``
+reads both operands as they are, ``inner_product`` (psi(a^* b)) reads a's
+terms swapped, and ``flow.twisted_theta`` (psi(a0 [D, a1])) weights each
+matched pair by the gauge degree of a1's term.  The generator D multiplies
+a monomial by its gauge degree, the modular operator is Delta = n^(-D),
+and the Tomita data act termwise:
 
     S(S_mu S_nu^*)       = S_nu S_mu^*
     F(S_mu S_nu^*)       = n^(|mu|-|nu|)       * S_nu S_mu^*
@@ -79,28 +80,36 @@ def state_psi(a: AlgebraElement) -> QSqrt:
     return acc
 
 
-def psi_product(a: AlgebraElement, b: AlgebraElement) -> QSqrt:
-    """psi(a b), without forming a b.
+def _psi_walk(a: AlgebraElement, b: AlgebraElement, star_a: bool = False, weigh: bool = False) -> QSqrt:
+    """psi(a' b) over the term pairs of a and b.  a' reads each term c S_mu S_nu^*
+    of a as it is or, if star_a, as c S_nu S_mu^* (so a' = a*: exact coefficients
+    are real).  If weigh, c is also multiplied by the gauge degree of b's term; on
+    a diagonal pair that is |nu| - |mu|, so it is read once per term of a.
 
-    The term pairs are matched by the path-matching rule of
-    ``algebra._multiply_into``; a matched pair counts only if its product
-    key is diagonal, S_w S_w^*:
+    A pair counts if its product, by ``algebra._multiply_into``'s rule, is S_w S_w^*:
 
         nu == al        ->  S_mu S_be^*          needs mu == be
         nu = al + lam   ->  S_mu S_{be+lam}^*    needs mu == be + lam
         al = nu + gam   ->  S_{mu+gam} S_be^*    needs mu + gam == be
 
     c_a c_b is summed per length |w|, and each sum is weighted n^(-|w|).
-    Equals ``state_psi(multiply(a, b))`` exactly.
     """
-    a._check_mate(b)
-    if not a.exact:
-        raise BackendError("psi_product is exact-only; it refuses numeric-backend elements")
+    n = a.n
+    if n != b.n or not (a.exact and b.exact):  # one test on the common path
+        a._check_mate(b)  # raises on mixed contexts
+        raise BackendError("psi is exact-only; it refuses numeric-backend elements")
+    if not a.terms or not b.terms:
+        return QSqrt.zero(n)
     by_len = {}  # |w| -> sum of c_a c_b over the pairs landing on S_w S_w^*
-    bterms = b.terms.items()
     for (mu, nu), ca in a.terms.items():
+        if star_a:
+            mu, nu = nu, mu
+        if weigh:
+            if len(nu) == len(mu):
+                continue
+            ca = ca * (len(nu) - len(mu))
         ln_nu = len(nu)
-        for (al, be), cb in bterms:
+        for (al, be), cb in b.terms.items():
             ln_al = len(al)
             if ln_nu == ln_al:
                 if nu != al or mu != be:
@@ -117,18 +126,23 @@ def psi_product(a: AlgebraElement, b: AlgebraElement) -> QSqrt:
             c = ca * cb
             s = by_len.get(k)
             by_len[k] = c if s is None else s + c
-    n = a.n
-    acc = QSqrt.zero(n)
-    for k, s in by_len.items():
+    if not by_len:
+        return QSqrt.zero(n)
+    (k, s), *more = by_len.items()
+    acc = s * n_power(n, -k)  # all of psi when every pair has one length
+    for k, s in more:
         acc = acc + s * n_power(n, -k)
     return acc
 
 
+def psi_product(a: AlgebraElement, b: AlgebraElement) -> QSqrt:
+    """psi(a b) = state_psi(multiply(a, b)), without forming a b."""
+    return _psi_walk(a, b)
+
+
 def inner_product(a: AlgebraElement, b: AlgebraElement) -> QSqrt:
-    """<a, b> = psi(a* b) = psi_product(a*, b); conjugate-linear in the
-    first slot, linear in the second (the convention used throughout this
-    package)."""
-    return psi_product(adjoint(a), b)
+    """<a, b> = psi(a* b), reading a's terms swapped; conjugate-linear in a, linear in b."""
+    return _psi_walk(a, b, star_a=True)
 
 
 def commutator_D(a: AlgebraElement) -> AlgebraElement:

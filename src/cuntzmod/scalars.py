@@ -19,8 +19,6 @@ from fractions import Fraction
 from .errors import BackendError, UsageError
 
 _SQRT_CACHE: dict[int, int] = {}
-_ZERO_CACHE: dict[int, "QSqrt"] = {}
-_ONE_CACHE: dict[int, "QSqrt"] = {}
 
 
 def _perfect_root(n: int) -> int:
@@ -31,6 +29,18 @@ def _perfect_root(n: int) -> int:
         r = s if s * s == n else 0
         _SQRT_CACHE[n] = r
     return r
+
+
+class _Constants(dict):
+    """n -> the cached QSqrt(n, value), made on first lookup."""
+
+    def __init__(self, value: int):
+        super().__init__()
+        self.value = value
+
+    def __missing__(self, n: int) -> "QSqrt":
+        made = self[n] = QSqrt._raw(n, self.value, 0, 1)
+        return made
 
 
 class QSqrt:
@@ -78,19 +88,9 @@ class QSqrt:
         obj.den = den
         return obj
 
-    @classmethod
-    def zero(cls, n: int) -> "QSqrt":
-        cached = _ZERO_CACHE.get(n)
-        if cached is None:
-            cached = _ZERO_CACHE[n] = cls._raw(n, 0, 0, 1)
-        return cached
-
-    @classmethod
-    def one(cls, n: int) -> "QSqrt":
-        cached = _ONE_CACHE.get(n)
-        if cached is None:
-            cached = _ONE_CACHE[n] = cls._raw(n, 1, 0, 1)
-        return cached
+    # QSqrt.zero(n), QSqrt.one(n): cached, and looked up without a Python call
+    zero = staticmethod(_Constants(0).__getitem__)
+    one = staticmethod(_Constants(1).__getitem__)
 
     def _coerce(self, other) -> "QSqrt | None":
         if type(other) is QSqrt:
@@ -232,7 +232,7 @@ class QSqrt:
 
     def __eq__(self, other) -> bool:
         if type(other) is QSqrt:
-            return (
+            return other is self or (  # cached values often meet themselves
                 self.n == other.n
                 and self.na == other.na
                 and self.nb == other.nb

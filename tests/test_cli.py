@@ -267,6 +267,16 @@ def test_keyfact_check_is_charged_for_its_probes(capsys, n, max_len, cases, prob
     assert f"at least {cases} cases, {cases * probes} units of work" in err
 
 
+def test_tracesplit_check_is_charged_for_phi_k(capsys):
+    # every tracesplit case walks the n^|k| rank-one terms of Phi_k, |k| <= 3
+    start = time.process_time()
+    code, out, err = run(capsys, "check", "tracesplit", "--n", "60", "--max-len", "0")
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == ""
+    work = 4 * (1 + 2 * (60 + 60**2 + 60**3))  # 2 + 2 cases per k, times sum_k 60^|k|
+    assert f"at least 28 cases, {work} units of work" in err
+
+
 def test_homotopy_check_is_charged_for_n(capsys):
     # a homotopy path certifies matrices over all n letters: n^2 a sample
     start = time.process_time()

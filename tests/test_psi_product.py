@@ -1,10 +1,11 @@
 """psi of a product without the product.
 
-``modular.psi_product(a, b)`` sums c_a c_b n^(-|w|) over the matched term
-pairs whose product is S_w S_w^*.  It must equal ``oracle_psi_product``,
-which builds a b and reads psi off it, exactly.  The pairing, the twisted
-cocycle and the two endomorphism traces read psi of a product through the
-kernel; each must still equal the formula that built the product.  psi and
+One walk sums c_a c_b n^(-|w|) over the matched term pairs whose product is
+S_w S_w^*.  ``psi_product(a, b)`` must equal ``oracle_psi_product``, which
+builds a b and reads psi off it, exactly.  The pairing reads a's terms
+swapped and the twisted cocycle weights each pair by a1's term degree, and
+the two endomorphism traces call the pairing; each must still equal the
+formula that built a*, [D, a1] and the product.  psi and
 everything read off it are exact-only: numeric operands raise BackendError.
 """
 
@@ -62,6 +63,26 @@ def test_psi_product_matches_the_product_oracle(pair):
     _assert_psi_product(b, a)
 
 
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_inner_product_matches_psi_of_the_built_adjoint_product(pair):
+    # the walk reads a's terms swapped; the oracle forms a* and a* b
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        value = inner_product(x, y)
+        assert type(value) is QSqrt and value == state_psi(multiply(adjoint(x), y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_twisted_theta_matches_psi_of_the_built_commutator_product(pair):
+    # the walk weights each pair by a1's term degree; the oracle forms [D, a1]
+    a0, a1 = pair
+    for x, y in ((a0, a1), (a1, a0)):
+        value = twisted_theta(x, y)
+        assert type(value) is QSqrt and value == state_psi(multiply(x, commutator_D(y)))
+
+
 def test_psi_product_on_every_monomial_pair():
     monos = monomial_elements(3, 2)
     for a in monos:
@@ -87,21 +108,28 @@ def test_psi_product_hand_values():
     assert psi_product(a, gen(n, 1).adjoint()) == QSqrt(n, Fraction(4, 9))
 
 
+# Every pairing is one call of the same walk, with its own reading of the operands.
+PAIRINGS = (psi_product, inner_product, twisted_theta)
+
+
 def test_psi_product_on_empty_operands():
-    for n in (2, 3):
-        x, empty = gen(n, 1), zero(n)
-        for a, b in ((empty, x), (x, empty), (empty, zero(n))):
-            value = psi_product(a, b)
-            assert value == 0 and type(value) is QSqrt
+    # an empty operand on either side gives the exact zero, for every pairing
+    for pairing in PAIRINGS:
+        for n in (2, 3):
+            x, empty = gen(n, 1) + gen(n, 2).adjoint() + monomial(n, (1,), (2,)), zero(n)
+            for a, b in ((empty, x), (x, empty), (empty, zero(n))):
+                value = pairing(a, b)
+                assert value == 0 and type(value) is QSqrt, pairing.__name__
 
 
 def test_psi_product_rejects_mixed_contexts():
-    # the context checks run even when an operand is empty
-    for a, b in ((gen(2, 1), gen(3, 1)), (zero(2), gen(3, 1)), (gen(2, 1), zero(3)), (zero(2), zero(3)),
-                 (gen(2, 1), gen(2, 1).to_numeric()), (zero(2), gen(2, 1).to_numeric()),
-                 (zero(2, False), gen(2, 1)), (zero(2), zero(2, False))):
-        with pytest.raises(UsageError):
-            psi_product(a, b)
+    # the context checks run even when an operand is empty, for every pairing
+    for pairing in PAIRINGS:
+        for a, b in ((gen(2, 1), gen(3, 1)), (zero(2), gen(3, 1)), (gen(2, 1), zero(3)), (zero(2), zero(3)),
+                     (gen(2, 1), gen(2, 1).to_numeric()), (zero(2), gen(2, 1).to_numeric()),
+                     (zero(2, False), gen(2, 1)), (zero(2), zero(2, False))):
+            with pytest.raises(UsageError, match="mixed"):  # the context error, not the numeric refusal
+                pairing(a, b)
 
 
 # -- the call sites against the formulas that built the product ------------------
