@@ -197,13 +197,7 @@ class AlgebraElement:
             return NotImplemented
         self._check_mate(other)
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            s = c if v is None else v + c
-            if scalar_is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+        _add_into(out, other.terms)
         return AlgebraElement._make(self.n, self.exact, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -285,6 +279,18 @@ def projection(n: int, mu: Iterable[int]) -> AlgebraElement:
 
 
 # -- core operations -----------------------------------------------------------
+
+
+def _add_into(out: dict, terms: dict) -> None:
+    """Add a term map into ``out`` in place, dropping the keys that cancel
+    (shared by ``+`` and the sums built term by term)."""
+    for key, c in terms.items():
+        v = out.get(key)
+        s = c if v is None else v + c
+        if scalar_is_zero(s):
+            out.pop(key, None)
+        else:
+            out[key] = s
 
 
 def _multiply_into(out: dict, aterms: dict, bterms: dict, exact: bool) -> None:

@@ -162,7 +162,9 @@ def tau_tilde(e: EndoSum) -> QSqrt:
     psi walk reads y's terms swapped and x's as they are."""
     acc = QSqrt.zero(e.n)
     for c, th in e.terms:
-        acc = acc + c * inner_product(th.y, th.x)
+        value = inner_product(th.y, th.x)
+        if value:
+            acc = acc + c * value
     return acc
 
 
@@ -172,7 +174,9 @@ def tau_delta_endo(e: EndoSum) -> QSqrt:
     <y, Delta x>: the psi walk reads y's terms swapped, Delta x's as they are."""
     acc = QSqrt.zero(e.n)
     for c, th in e.terms:
-        acc = acc + c * inner_product(th.y, delta_power(th.x, 1))
+        value = inner_product(th.y, delta_power(th.x, 1))
+        if value:
+            acc = acc + c * value
     return acc
 
 

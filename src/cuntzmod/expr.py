@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, adjoint, monomial, multiply, one, term_sort_key, zero
+from .algebra import AlgebraElement, _add_into, adjoint, monomial, multiply, one, term_sort_key, zero
 from .errors import ExprSyntaxError, UsageError
 from .scalars import QSqrt, ratio_str
 
@@ -152,24 +152,20 @@ class _Parser:
                 if self.peek() == "" and rat == 0:
                     return zero(self.n)
                 self.pos = mark
-        acc = zero(self.n)
-        sign = 1
-        if self.peek() == "-":
+        acc = zero(self.n)  # each term is added into one map, so the cost is linear
+        negate = self.peek() == "-"
+        if negate:
             self.pos += 1
-            sign = -1
-        acc = acc + self.term().scale(sign)
         while True:
+            el = self.term()
+            _add_into(acc.terms, (-el if negate else el).terms)
             c = self.peek()
-            if c == "+":
-                self.pos += 1
-                acc = acc + self.term()
-            elif c == "-":
-                self.pos += 1
-                acc = acc - self.term()
-            elif c == "":
+            if c == "":
                 return acc
-            else:
+            if c not in "+-":
                 self.error("unexpected input after element")
+            negate = c == "-"
+            self.pos += 1
 
 
 def parse(text: str, n: int) -> AlgebraElement:

@@ -20,11 +20,13 @@ the unitarity defect and the modular defect (the largest coefficient of
 U U^* - I, U^* U - I and of the Phi-complements of U sigma(U^*) and
 U^* sigma(U), in canonical form).  The four products come from single
 passes over term pairs: ``_pair_pass(A, B)`` matches each term pair of
-A @ B once and feeds the match to A B and to A sigma(B), since sigma
-only rescales a degree-d term of B by n^d.  The pass over U @ U^* also
-sums psi over the diagonal of U [D, U^*] ([D, .] rescales by d), which is
-the spectral flow, so ``flow.spectral_flow`` certifies and computes in
-one walk; the pass over U^* @ U runs only when U is not self-adjoint.
+A @ B once and returns A B, the off-degree part of A sigma(B) (sigma
+only rescales a degree-d term of B by n^d, and a pair's degree is the sum
+of its terms' degrees, so the degree-0 part is never accumulated) and the
+sum of psi over the diagonal of A [D, B] ([D, .] rescales by d).  Over
+U @ U^* that sum is the spectral flow, so ``flow.spectral_flow`` certifies
+and computes in one walk; the pass over U^* @ U runs only when U is not
+self-adjoint.
 
 Homotopies of modular unitaries are verified by sampling a parametrised
 path on a finite grid and reporting both defects per sample.  A sampled
@@ -40,6 +42,7 @@ from typing import Callable, Iterable
 
 from .algebra import (
     AlgebraElement,
+    _add_into,
     _disjoint_terms,
     adjoint,
     equals,
@@ -49,7 +52,7 @@ from .algebra import (
     projection,
     zero,
 )
-from .errors import BackendError, DomainError, UsageError
+from .errors import DomainError, UsageError
 from .modular import delta_power
 from .scalars import QSqrt, n_power, n_power_numeric, scalar_abs
 
@@ -175,16 +178,11 @@ class AlgMatrix:
 # -- unitarity and the modular condition --------------------------------------
 
 
-def _off_degree_part(x: AlgebraElement) -> AlgebraElement:
-    out = {key: c for key, c in x.terms.items() if len(key[0]) != len(key[1])}
-    return AlgebraElement._make(x.n, x.exact, out)
-
-
 def in_fixed_algebra(x: AlgebraElement) -> bool:
     """x lies in F_c: its non-degree-0 part is zero, i.e. nothing survives
     when its terms are rewritten over disjoint cones (no expansion, so no
     term budget and no depth limit)."""
-    return not _disjoint_terms(_off_degree_part(x).terms, x.n)
+    return not _disjoint_terms({key: c for key, c in x.terms.items() if len(key[0]) != len(key[1])}, x.n)
 
 
 _UNIT_KEY = ((), ())
@@ -197,37 +195,41 @@ def apply_sigma(u: AlgMatrix) -> AlgMatrix:
     )
 
 
-def _largest_coefficient(residues: list[AlgebraElement], u: AlgMatrix):
+def _largest_coefficient(residues: list[dict], n: int, exact: bool):
     """Largest coefficient magnitude over the canonical forms of the
-    residues: an exact QSqrt (zero iff every residue vanishes) on the exact
-    backend, a float on the numeric one.  The disjoint-cone terms carry
-    exactly the canonical form's coefficients, without its expansion."""
+    residue term maps: an exact QSqrt (zero iff every residue vanishes) on
+    the exact backend, a float on the numeric one.  The disjoint-cone terms
+    carry exactly the canonical form's coefficients, without its expansion."""
     best, best_abs = None, 0.0
-    for x in residues:
-        for c in _disjoint_terms(x.terms, x.n).values():
+    for terms in residues:
+        for c in _disjoint_terms(terms, n).values():
             mag = scalar_abs(c)
             if mag > best_abs:
                 best, best_abs = c, mag
-    if not u.exact:
+    if not exact:
         return best_abs
-    return QSqrt.zero(u.n) if best is None else best.abs_exact()
+    return QSqrt.zero(n) if best is None else best.abs_exact()
 
 
 def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
-    """(A B, A sigma(B), sum_i psi((A [D, B])_ii)) from one match of the
-    term pairs of A @ B; the flow sum is None on the numeric backend, since
-    psi is exact-only.
+    """(A B, the off-degree part of A sigma(B), sum_i psi((A [D, B])_ii))
+    from one match of the term pairs of A @ B; the flow sum is None on the
+    numeric backend, since psi is exact-only.
 
-    The products come back as k x k lists of term maps.  sigma scales a
-    degree-d term of B by n^d and [D, .] scales it by d, so each term of B
-    carries cb, cb n^d and cb d, and every matched pair feeds both products.
-    psi is linear and keeps only the S_mu S_mu^* terms, weighted n^-|mu|, so
-    the flow adds ca (cb d) n^-|mu| for each such key of a diagonal entry
+    The products come back as k x k lists of term maps.  A matched pair of
+    a degree-da term of A and a degree-db term of B lands on a key of degree
+    da + db, and every pair feeds A B.  sigma scales a degree-d term of B by
+    n^d, so each term of B carries db, cb, cb n^db and cb db, and a pair
+    with da + db != 0 feeds the sigma map; the degree-0 keys of A sigma(B),
+    which the certificate never reads, are not accumulated.  A degree-0
+    pair on a diagonal entry feeds the flow instead: [D, .] scales a term of
+    B by db, and psi is linear and keeps only the S_mu S_mu^* terms,
+    weighted n^-|mu|, so the flow adds ca (cb db) n^-|mu| for each such key
     and A [D, B] is never formed.  Pairs are visited in the order of
     ``A @ B``, so numeric sums round as they do there.
     """
     n, k, exact = a.n, a.k, a.exact
-    prepared = []  # per entry of B: (al, be, |al|, cb, cb n^d, cb d or None)
+    prepared = []  # per entry of B: (al, be, |al|, db, cb, cb n^db, cb db)
     for row in b.rows:
         out_row = []
         for x in row:
@@ -236,9 +238,9 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
                 d = len(al) - len(be)
                 if d:  # the weight of delta_power(., -1), computed the same way
                     w = n_power(n, d) if exact else n_power_numeric(n, complex(-1) * -d)
-                    terms.append((al, be, len(al), cb, cb * w, cb * d))
+                    terms.append((al, be, len(al), d, cb, cb * w, cb * d))
                 else:
-                    terms.append((al, be, len(al), cb, cb, None))
+                    terms.append((al, be, len(al), 0, cb, cb, None))
             out_row.append(terms)
         prepared.append(out_row)
     flow = QSqrt.zero(n) if exact else None
@@ -256,7 +258,8 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
                     continue
                 for (mu, nu), ca in arow[l].terms.items():
                     ln_nu = len(nu)
-                    for al, be, ln_al, cb, cb_sigma, cb_d in bterms:
+                    da = len(mu) - ln_nu
+                    for al, be, ln_al, db, cb, cb_sigma, cb_d in bterms:
                         # the path-matching rule of algebra._multiply_into
                         if ln_nu == ln_al:
                             if nu != al:
@@ -277,20 +280,17 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
                             p.pop(key, None)
                         else:
                             p[key] = s
-                        if cb_d is None:  # degree 0: sigma leaves the term alone
-                            s = c
-                        else:
-                            s = ca * cb_sigma
-                            if diagonal and key[0] == key[1]:
-                                m = -len(key[0])
-                                flow = flow + ca * cb_d * n_power(n, m)
-                        v = q.get(key)
-                        if v is not None:
-                            s = v + s
-                        if (s.na == 0 and s.nb == 0) if exact else (s.real == 0.0 and s.imag == 0.0):
-                            q.pop(key, None)
-                        else:
-                            q[key] = s
+                        if da + db:
+                            s = ca * cb_sigma if db else c
+                            v = q.get(key)
+                            if v is not None:
+                                s = v + s
+                            if (s.na == 0 and s.nb == 0) if exact else (s.real == 0.0 and s.imag == 0.0):
+                                q.pop(key, None)
+                            else:
+                                q[key] = s
+                        elif diagonal and db and key[0] == key[1]:
+                            flow = flow + ca * cb_d * n_power(n, -len(key[0]))
             p_row.append(p)
             q_row.append(q)
         products.append(p_row)
@@ -301,30 +301,31 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
 def _certify(u: AlgMatrix) -> tuple:
     """(unitarity_defect, modular_defect, sum_i psi((U [D, U^*])_ii)): the
     certificate and the spectral-flow sum from the same pair passes (the
-    sum is None on the numeric backend)."""
+    sum is None on the numeric backend).  The residues are term maps: each
+    off-diagonal entry of U U^* (and U^* U), each diagonal entry with 1
+    taken off its unit key, and the off-degree parts the passes return."""
     n, exact = u.n, u.exact
     u_star = u.adjoint()
     unit, modular, flow = _pair_pass(u, u_star)
     passes = [(unit, modular)]
     if u != u_star:
-        unit, modular, _ = _pair_pass(u_star, u)
-        passes.append((unit, modular))
-    unit_residues = []  # entries of P - I that are not structurally zero
-    modular_residues = []  # non-empty Phi-complements
+        passes.append(_pair_pass(u_star, u)[:2])
+    minus_one = {_UNIT_KEY: -QSqrt.one(n) if exact else -complex(1)}
+    unit_residues, modular_residues = [], []
     for unit, modular in passes:
         for i, row in enumerate(unit):
             for j, t in enumerate(row):
-                if i != j:
-                    if t:
-                        unit_residues.append(AlgebraElement._make(n, exact, t))
-                elif len(t) != 1 or t.get(_UNIT_KEY) != 1:
-                    unit_residues.append(AlgebraElement._make(n, exact, t) - one(n, exact))
-        for row in modular:
-            for t in row:
-                off = _off_degree_part(AlgebraElement._make(n, exact, t))
-                if off.terms:
-                    modular_residues.append(off)
-    return _largest_coefficient(unit_residues, u), _largest_coefficient(modular_residues, u), flow
+                if i == j:
+                    t = dict(t)
+                    _add_into(t, minus_one)
+                if t:
+                    unit_residues.append(t)
+        modular_residues += [t for row in modular for t in row if t]
+    return (
+        _largest_coefficient(unit_residues, n, exact),
+        _largest_coefficient(modular_residues, n, exact),
+        flow,
+    )
 
 
 def modular_certificate(u: AlgMatrix) -> tuple:
@@ -336,11 +337,10 @@ def modular_certificate(u: AlgMatrix) -> tuple:
     Each is an exact QSqrt on the exact backend (zero iff the condition
     holds) and a float on the numeric one.
 
-    One pass over the term pairs of U @ U^* yields both U U^* and
-    U sigma(U^*) (see ``_pair_pass``); a second pass, over U^* @ U, yields
-    U^* U and U^* sigma(U) and runs only when U is not self-adjoint.
-    Entries that are structurally 1 on the diagonal, and off-degree parts
-    that are empty, are never scanned.
+    One pass over the term pairs of U @ U^* returns U U^* and the
+    off-degree part of U sigma(U^*) (see ``_pair_pass``); a second pass,
+    over U^* @ U, returns U^* U and the off-degree part of U^* sigma(U) and
+    runs only when U is not self-adjoint.  Empty residues are never scanned.
     """
     unitarity, modular, _ = _certify(u)
     return unitarity, modular
@@ -350,15 +350,6 @@ def is_modular_unitary(u: AlgMatrix) -> bool:
     """U is unitary and U sigma(U^*), U^* sigma(U) are matrices over F."""
     unitarity, modular = modular_certificate(u)
     return unitarity == 0 and modular == 0
-
-
-def modular_defect_exact(u: AlgMatrix) -> QSqrt:
-    """Exact certificate: the largest offending coefficient (by magnitude)
-    in the Phi-complement of the modular products; zero iff the modular
-    condition holds."""
-    if not u.exact:
-        raise BackendError("exact defects need the exact backend")
-    return modular_certificate(u)[1]
 
 
 # -- canonical modular unitaries -----------------------------------------------
@@ -512,9 +503,9 @@ def branch_shift_unitary(n: int) -> AlgebraElement:
     2 -> 21 (identity on letters > 2).  Its gauge degrees are {-1, 0, +1},
     yet it is modular: u sigma(u^*) is a positive combination of branch
     projections."""
-    u = monomial(n, (1,), (1, 1)) + monomial(n, (2, 1), (2,)) + sum_rest_projections(n)
-    for j in range(2, n + 1):
-        u = u + monomial(n, (2, j), (1, j))
+    u = monomial(n, (1,), (1, 1))
+    for x in [monomial(n, (2, 1), (2,)), sum_rest_projections(n)] + [monomial(n, (2, j), (1, j)) for j in range(2, n + 1)]:
+        _add_into(u.terms, x.terms)
     return u
 
 
@@ -559,7 +550,7 @@ def find_nonmodular_product_witness(n: int) -> dict | None:
     modular = [(name, el) for name, el in candidates if is_modular_unitary(AlgMatrix.single(el))]
     for left_name, left_el in modular:
         for right_name, right_el in modular:
-            defect = modular_defect_exact(AlgMatrix.single(multiply(left_el, right_el)))
+            defect = modular_certificate(AlgMatrix.single(multiply(left_el, right_el)))[1]
             if not defect.is_zero:
                 return {
                     "left": left_name,
@@ -607,5 +598,5 @@ def sum_rest_projections(n: int) -> AlgebraElement:
     """sum_{j>2} P_j, padding a two-letter swap to a unitary over F."""
     acc = zero(n)
     for j in range(3, n + 1):
-        acc = acc + projection(n, (j,))
+        _add_into(acc.terms, projection(n, (j,)).terms)
     return acc

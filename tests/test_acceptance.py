@@ -31,7 +31,7 @@ from cuntzmod.matrices import (
     build_u_v,
     find_nonmodular_product_witness,
     homotopy_path_check,
-    modular_defect_exact,
+    modular_certificate,
     rotation_direct_sum_path,
     swap_two_stage_path,
 )
@@ -235,7 +235,7 @@ def test_criterion_13_homotopy_checks():
         product = AlgMatrix.single(
             multiply(parse(witness["left_expr"], 2), parse(witness["right_expr"], 2))
         )
-        defect = modular_defect_exact(product)
+        defect = modular_certificate(product)[1]
         witness_ok = (not defect.is_zero) and str(defect) == witness["defect"]
     worst = max(
         max(s["unitarity_defect"], s["modular_defect"]) for s in rot["samples"] + swap["samples"]

@@ -22,6 +22,7 @@ from cuntzmod.expr import render
 from cuntzmod.matrices import (
     AlgMatrix,
     _certify,
+    _pair_pass,
     apply_sigma,
     branch_shift_unitary,
     build_u_mu_nu,
@@ -34,7 +35,6 @@ from cuntzmod.matrices import (
     homotopy_sweep,
     is_modular_unitary,
     modular_certificate,
-    modular_defect_exact,
     rotation_direct_sum_path,
     swap_two_stage_path,
     whitehead_path,
@@ -168,8 +168,15 @@ def test_defects_on_modular_inputs_vanish():
     u = build_u_mu_nu(2, (1, 1), (2,))
     unitarity, modular = modular_certificate(u)
     assert unitarity.is_zero and modular.is_zero
-    assert modular_defect_exact(u).is_zero
     assert modular_certificate(u.to_numeric()) == (0.0, 0.0)
+
+
+def test_unitarity_defect_reads_off_diagonal_entries():
+    # unit rows that are not orthogonal: U U^* = [[1, 1], [1, 1]] is exactly
+    # 1 on its diagonal, so the largest defect sits off the diagonal
+    u = scalar_matrix(2, [[Fraction(3, 5), Fraction(4, 5)], [Fraction(3, 5), Fraction(4, 5)]])
+    assert modular_certificate(u)[0] == 1 == oracle_certificate(u)[0]
+    _assert_matches_oracle(u)
 
 
 def test_monomial_unitary_products_stay_modular():
@@ -180,14 +187,14 @@ def test_monomial_unitary_products_stay_modular():
     for m1, n1 in pairs:
         left = build_u_mu_nu(2, m1, n1)
         for m2, n2 in pairs[:8]:
-            assert modular_defect_exact(left @ build_u_mu_nu(2, m2, n2)).is_zero
+            assert modular_certificate(left @ build_u_mu_nu(2, m2, n2))[1].is_zero
     # every pair of length-1 words in O_3
     letters = [(a,) for a in range(1, 4)]
     pairs = [(m, n_) for m in letters for n_ in letters if m != n_]
     for m1, n1 in pairs:
         left = build_u_mu_nu(3, m1, n1)
         for m2, n2 in pairs:
-            assert modular_defect_exact(left @ build_u_mu_nu(3, m2, n2)).is_zero
+            assert modular_certificate(left @ build_u_mu_nu(3, m2, n2))[1].is_zero
 
 
 def test_nonmodular_product_witness():
@@ -203,7 +210,7 @@ def test_nonmodular_product_witness():
         product = left @ right
         assert is_unitary(product)
         assert not is_modular_unitary(product)
-        assert str(modular_defect_exact(product)) == w["defect"]
+        assert str(modular_certificate(product)[1]) == w["defect"]
 
 
 def test_homotopy_rotation_path():
@@ -280,11 +287,22 @@ def test_single_entry_render_helper():
 
 def _assert_matches_oracle(u):
     """The pair-pass certificate and flow sum equal the explicit-product
-    oracle exactly; on the numeric backend the certificate is within 1e-12
-    of the oracle's and no flow is summed (psi is exact-only)."""
+    oracle exactly, and each pass's maps are the term maps of A B and of
+    the off-degree part of A sigma(B), entry by entry; on the numeric
+    backend the certificate is within 1e-12 of the oracle's and no flow is
+    summed (psi is exact-only)."""
     unitarity, modular, flow = _certify(u)
     assert (unitarity, modular) == oracle_certificate(u)
     assert flow == oracle_flow(u)
+    u_star = u.adjoint()
+    for a, b in ((u, u_star), (u_star, u)):
+        products, sigma_products, _ = _pair_pass(a, b)
+        plain, twisted = a @ b, a @ apply_sigma(b)
+        for i in range(u.k):
+            for j in range(u.k):
+                assert products[i][j] == plain.rows[i][j].terms
+                off = {key: c for key, c in twisted.rows[i][j].terms.items() if len(key[0]) != len(key[1])}
+                assert sigma_products[i][j] == off
     nu = u.to_numeric()
     unitarity, modular, flow = _certify(nu)
     assert modular_certificate(nu) == (unitarity, modular) and flow is None

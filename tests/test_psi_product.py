@@ -27,7 +27,6 @@ from cuntzmod.endos import (
 )
 from cuntzmod.errors import BackendError, UsageError
 from cuntzmod.flow import aps_index_traces, twisted_theta
-from cuntzmod.matrices import build_u_mu_nu, modular_defect_exact
 from cuntzmod.modular import commutator_D, delta_power, inner_product, psi_product, state_psi, trace_F
 from cuntzmod.scalars import QSqrt
 
@@ -190,7 +189,6 @@ NUMERIC_CALLS = {
     "compose_left_mult_empty": lambda: compose_left_mult(_P, EndoSum(2)),
     "key_fact_check": lambda: key_fact_check(gen(2, 1).to_numeric(), 0, [_P]),
     "aps_index_traces": lambda: aps_index_traces(monomial(2, (1, 1), (2,)).to_numeric()),
-    "modular_defect_exact": lambda: modular_defect_exact(build_u_mu_nu(2, (1, 1), (2,)).to_numeric()),
 }
 
 
