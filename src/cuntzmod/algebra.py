@@ -345,7 +345,7 @@ def linear_combine(pairs: Iterable[tuple[object, AlgebraElement]]) -> AlgebraEle
     acc = zero(first.n, first.exact)
     for c, el in pairs:
         first._check_mate(el)
-        acc = acc + el.scale(c)
+        _add_into(acc.terms, el.scale(c).terms)
     return acc
 
 

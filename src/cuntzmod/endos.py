@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from .algebra import (
     AlgebraElement,
+    _add_into,
     adjoint,
     equals,
     monomial,
@@ -101,7 +102,7 @@ def endo_apply(e: EndoSum, z: AlgebraElement) -> AlgebraElement:
         inner = expectation(multiply(adjoint(th.y), z))
         if inner.is_zero:
             continue
-        acc = acc + multiply(th.x, inner).scale(c)
+        _add_into(acc.terms, multiply(th.x, inner).scale(c).terms)
     return acc
 
 
@@ -225,22 +226,23 @@ def key_fact_check(v: AlgebraElement, k: int, probes) -> bool:
 
 # -- named invariant sweeps ------------------------------------------------
 
-# keyfact_sweep checks each case on every S_a S_b^* with legs up to this length.
-KEYFACT_PROBE_LEN = 3
+TRACESPLIT_K_SPAN = 3  # tracesplit_sweep checks every degree |k| <= this
+KEYFACT_K_SPAN = 2  # keyfact_sweep checks every degree |k| <= this,
+KEYFACT_PROBE_LEN = 3  # each on every S_a S_b^* with legs up to this length
 
 
-def tracesplit_plan(n: int, max_len: int, k_span: int = 3) -> tuple[int, int]:
-    """(cases, work) of tracesplit_sweep: per k, 2 + 2 per S_a S_b^*, |a| = |b|, each
-    charged for the n^|k| terms of Phi_k it walks (sum_k n^|k| = 2 word_count(n, k_span) - 1)."""
+def tracesplit_plan(n: int, max_len: int) -> tuple[int, int]:
+    """(cases, work) of tracesplit_sweep: per k, 2 + 2 per S_a S_b^*, |a| = |b|, each charged
+    for the n^|k| terms of Phi_k it walks (sum_k n^|k| = 2 word_count(n, TRACESPLIT_K_SPAN) - 1)."""
     per_k = 2 + 2 * word_count(n * n, max_len)
-    return (2 * k_span + 1) * per_k, per_k * (2 * word_count(n, k_span) - 1)
+    return (2 * TRACESPLIT_K_SPAN + 1) * per_k, per_k * (2 * word_count(n, TRACESPLIT_K_SPAN) - 1)
 
 
-def tracesplit_sweep(n: int, max_len: int, k_span: int = 3) -> dict:
-    """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) ==
-    tau(f) for degree-0 monomials f, plus the Phi_k weights themselves."""
+def tracesplit_sweep(n: int, max_len: int) -> dict:
+    """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) == tau(f) for
+    degree-0 monomials f and |k| <= TRACESPLIT_K_SPAN, plus the Phi_k weights themselves."""
     tally = Tally()
-    for k in range(-k_span, k_span + 1):
+    for k in range(-TRACESPLIT_K_SPAN, TRACESPLIT_K_SPAN + 1):
         phi_k = phi_k_endo(k, n)
         tally.check(tau_tilde(phi_k) == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}")
         tally.check(tau_delta_endo(phi_k) == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1")
@@ -257,21 +259,21 @@ def tracesplit_sweep(n: int, max_len: int, k_span: int = 3) -> dict:
     return tally.report("tracesplit", n=n, max_len=max_len)
 
 
-def keyfact_plan(n: int, max_len: int, probe_len: int = KEYFACT_PROBE_LEN, k_span: int = 2) -> tuple[int, int]:
-    """(cases, work) of keyfact_sweep: a case per v and k, charged per probe."""
-    cases = (2 * k_span + 1) * word_count(n, max_len) ** 2
-    return cases, cases * word_count(n, probe_len) ** 2
+def keyfact_plan(n: int, max_len: int) -> tuple[int, int]:
+    """(cases, work) of keyfact_sweep: a case per v and |k| <= KEYFACT_K_SPAN, charged per probe."""
+    cases = (2 * KEYFACT_K_SPAN + 1) * word_count(n, max_len) ** 2
+    return cases, cases * word_count(n, KEYFACT_PROBE_LEN) ** 2
 
 
-def keyfact_sweep(n: int, max_len: int, probe_len: int = KEYFACT_PROBE_LEN, k_span: int = 2) -> dict:
+def keyfact_sweep(n: int, max_len: int) -> dict:
     """The compression identity v Phi_k v^* == v v^* Phi_{k+m} over monomial
-    partial isometries with leg lengths up to max_len, each case checked on
-    every probe like ``key_fact_check``.  Phi_j(x) is formed once per probe
-    and degree, and v^*, v v^* and the products v^* x once per v, shared by
-    its 2 k_span + 1 values of k."""
+    partial isometries with leg lengths up to max_len and |k| <= KEYFACT_K_SPAN,
+    each case checked like ``key_fact_check`` on every probe with legs up to
+    KEYFACT_PROBE_LEN.  Phi_j(x) is formed once per probe and degree, and v^*,
+    v v^* and the products v^* x once per v, shared by its values of k."""
     ws = words_upto(n, max_len)
-    probes = monomials_upto(n, probe_len)
-    spread = k_span + max_len  # |k + m| never exceeds it
+    probes = monomials_upto(n, KEYFACT_PROBE_LEN)
+    spread = KEYFACT_K_SPAN + max_len  # |k + m| never exceeds it
     shifted = {j: [gauge_component(x, j) for x in probes] for j in range(-spread, spread + 1)}
     tally = Tally()
     for mu in ws:
@@ -279,7 +281,7 @@ def keyfact_sweep(n: int, max_len: int, probe_len: int = KEYFACT_PROBE_LEN, k_sp
             v = monomial(n, mu, nu)
             m, v_star, range_proj = _partial_isometry(v)
             pulled = [multiply(v_star, x) for x in probes]
-            for k in range(-k_span, k_span + 1):
+            for k in range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1):
                 tally.check(_key_fact_holds(v, range_proj, k, zip(pulled, shifted[k + m])),
                             lambda: f"v=S_{mu}S*_{nu} k={k}")
     return tally.report("keyfact", n=n, max_len=max_len)

@@ -68,11 +68,14 @@ class _Parser:
     def digits(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected digits", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # int() refuses numbers past its digit limit
+            self.error(f"number of {self.pos - start} digits is too long", start)
 
     def rational(self) -> Fraction:
         self.skip_ws()
@@ -122,7 +125,7 @@ class _Parser:
     def term(self) -> AlgebraElement:
         c = self.peek()
         coeff = None
-        if c == "-" or c.isdigit():
+        if c == "-" or c.isdecimal():
             rat = self.rational()
             if self.peek() == "r":
                 self.pos += 1
@@ -142,7 +145,7 @@ class _Parser:
         # bare "0" (optionally signed) denotes the zero element
         mark = self.pos
         c = self.peek()
-        if c == "-" or c.isdigit():
+        if c == "-" or c.isdecimal():
             try:
                 rat = self.rational()
             except ExprSyntaxError:

@@ -161,11 +161,12 @@ def oracle_tomita_sweep(n: int, max_len: int) -> dict:
     return tally.report("tomita", n=n, max_len=max_len)
 
 
-def oracle_keyfact_sweep(n: int, max_len: int, probe_len: int = endos.KEYFACT_PROBE_LEN, k_span: int = 2) -> dict:
+def oracle_keyfact_sweep(n: int, max_len: int) -> dict:
     """keyfact_sweep with v^*, v v^*, every v^* x and every Phi_j(x) formed
     again for each (v, k)."""
+    k_span = endos.KEYFACT_K_SPAN
     ws = words_upto(n, max_len)
-    probes = monomial_elements(n, probe_len)
+    probes = monomial_elements(n, endos.KEYFACT_PROBE_LEN)
     tally = Tally()
     for mu in ws:
         for nu in ws:

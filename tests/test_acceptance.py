@@ -160,8 +160,8 @@ def test_criterion_07_aps_traces():
 
 
 def test_criterion_08_trace_split():
-    r2 = tracesplit_sweep(2, 2, k_span=3)
-    r3 = tracesplit_sweep(3, 2, k_span=3)
+    r2 = tracesplit_sweep(2, 2)
+    r3 = tracesplit_sweep(3, 2)
     failures = r2["failures"] + r3["failures"]
     ok = failures == 0
     report(8, ok, f"{r2['cases'] + r3['cases']} trace-split identities, {failures} failures")

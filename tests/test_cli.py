@@ -151,6 +151,17 @@ def test_usage_errors(capsys):
         assert code == 2 and out == "" and "n >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("S[\u00b2]", "expected digits (at byte 2)"), ("1" * 5000 + "*I", "5000 digits is too long (at byte 0)")],
+)
+def test_eval_refuses_unreadable_digits(capsys, text, message):
+    # a superscript passes str.isdigit, and int() refuses 5,000 digits
+    code, out, err = run(capsys, "eval", "--n", "2", text)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 # one command line per verb, each check suite included; --n is appended
 N_BELOW_TWO_ARGV = {
     "eval": ["eval", "I"],

@@ -166,7 +166,7 @@ def test_key_fact_examples():
 def test_sweeps():
     r = tracesplit_sweep(2, 2)
     assert r["failures"] == 0
-    r = keyfact_sweep(2, 1, probe_len=2)
+    r = keyfact_sweep(2, 1)
     assert r["failures"] == 0
 
 

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuntzmod.algebra import (
     AlgebraElement,
@@ -17,7 +17,7 @@ from cuntzmod.algebra import (
     term_sort_key,
     zero,
 )
-from cuntzmod.errors import ExprSyntaxError, UsageError
+from cuntzmod.errors import CuntzError, ExprSyntaxError, UsageError
 from cuntzmod.expr import parse, render
 from cuntzmod.scalars import QSqrt
 
@@ -71,6 +71,31 @@ def test_parse_errors_carry_byte_offsets():
         parse("", 2)
     with pytest.raises(ExprSyntaxError):
         parse("1/2", 2)  # a bare nonzero rational is not an element
+
+
+def test_parse_reads_decimal_digits_only():
+    # int() reads every Unicode decimal digit, but not a superscript
+    assert parse("\u0663*S[\uff11]", 2) == gen(2, 1).scale(3)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("S[\u00b2]", 2)
+    assert err.value.offset == 2 and "expected digits" in str(err.value)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("S[1] + " + "1" * 5000 + "*I", 2)  # past int()'s digit limit
+    assert err.value.offset == 7 and "5000 digits is too long" in str(err.value)
+
+
+# the grammar's characters, spaces, a superscript and two non-ASCII decimal digits
+_PARSER_ALPHABET = "SI[],.'+-*/r0123456789 \u00b2\uff11\u0663"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(_PARSER_ALPHABET, max_size=24), st.sampled_from((2, 3, 12)))
+@example("S[\u00b2]", 2)
+def test_parse_raises_only_package_errors(text, n):
+    try:
+        parse(text, n)
+    except CuntzError:
+        pass
 
 
 def test_render_examples():

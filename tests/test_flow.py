@@ -78,6 +78,10 @@ def test_correction_terms():
     over_f = AlgMatrix.single(monomial(2, (1,), (2,)) + monomial(2, (2,), (1,)))
     assert correction_terms(over_f) == (0, 0)
     assert correction_terms(build_u_mu_nu(2, (1, 1), (2,))) == (0, 0)
+    w = find_nonmodular_product_witness(2)
+    product = AlgMatrix.single(multiply(parse(w["left_expr"], 2), parse(w["right_expr"], 2)))
+    with pytest.raises(DomainError, match="correction_terms needs a modular unitary"):
+        correction_terms(product)
 
 
 def test_twisted_theta():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from cuntzmod.matrices import (
     AlgMatrix,
     _certify,
     _pair_pass,
+    _rotation_block,
     apply_sigma,
     branch_shift_unitary,
     build_u_mu_nu,
@@ -102,6 +104,10 @@ def test_build_u_v():
     assert build_u_v(zero(2)) == AlgMatrix.identity(2, 2)
     with pytest.raises(DomainError, match="v\\*v"):
         build_u_v(gen(2, 1) + gen(2, 2))
+    with pytest.raises(DomainError, match="v\\*v is not over the fixed-point algebra"):
+        build_u_v(adjoint(gen(2, 1)).scale(2) + monomial(2, (1, 1), (2, 2)))
+    with pytest.raises(DomainError, match="v\\*v is not a projection"):
+        build_u_v(monomial(2, (2, 2), (2, 2)).scale(2) + gen(2, 1).scale(2))
 
 
 def test_build_u_v_matches_swapped_u_mu_nu():
@@ -211,6 +217,21 @@ def test_nonmodular_product_witness():
         assert is_unitary(product)
         assert not is_modular_unitary(product)
         assert str(modular_certificate(product)[1]) == w["defect"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2, 1.234, math.pi, -0.7, 3 * math.pi / 2])
+def test_rotation_block_matches_scaled_identities(k, theta):
+    # oracle: three scaled numeric identities glued row by row
+    c, s = math.cos(theta), math.sin(theta)
+
+    def scaled_identity(x):
+        return [[e.scale(x) for e in row] for row in AlgMatrix.identity(2, k, exact=False).rows]
+
+    cos_rows, sin_rows, neg_sin_rows = scaled_identity(c), scaled_identity(s), scaled_identity(-s)
+    oracle = [a + b for a, b in zip(cos_rows, sin_rows)] + [a + b for a, b in zip(neg_sin_rows, cos_rows)]
+    block = _rotation_block(2, k, theta)
+    assert [[repr(e.terms) for e in row] for row in block.rows] == [[repr(e.terms) for e in row] for row in oracle]
 
 
 def test_homotopy_rotation_path():
