@@ -204,15 +204,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_mate(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            s = -c if v is None else v - c
-            if scalar_is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return AlgebraElement._make(self.n, self.exact, out)
+        return AlgebraElement._make(self.n, self.exact, _difference(self.terms, other.terms))
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement._make(self.n, self.exact, {k: -c for k, c in self.terms.items()})
@@ -291,6 +283,19 @@ def _add_into(out: dict, terms: dict) -> None:
             out.pop(key, None)
         else:
             out[key] = s
+
+
+def _difference(a_terms: dict, b_terms: dict) -> dict:
+    """The term map of a - b, dropping the keys that cancel."""
+    out = dict(a_terms)
+    for key, c in b_terms.items():
+        v = out.get(key)
+        s = -c if v is None else v - c
+        if scalar_is_zero(s):
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
 
 
 def _multiply_into(out: dict, aterms: dict, bterms: dict, exact: bool) -> None:
@@ -440,10 +445,17 @@ def _disjoint_terms(terms: dict, n: int) -> dict:
     return {k: c for k, c in out.items() if not scalar_is_zero(c)}
 
 
-def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
-    """Semantic equality: a - b rewritten over disjoint cones is the empty
-    sum (see ``_disjoint_terms``); no expansion, so no term budget."""
-    a._check_mate(b)
-    if a.terms == b.terms:
+def _terms_equal(a_terms: dict, b_terms: dict, n: int) -> bool:
+    """Semantic equality of two term maps over O_n: structurally equal, or
+    their difference rewritten over disjoint cones is the empty sum (see
+    ``_disjoint_terms``); no expansion, so no term budget."""
+    if a_terms == b_terms:
         return True
-    return not _disjoint_terms((a - b).terms, a.n)
+    return not _disjoint_terms(_difference(a_terms, b_terms), n)
+
+
+def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
+    """Semantic equality of two elements of one algebra and backend, by
+    ``_terms_equal`` on their term maps."""
+    a._check_mate(b)
+    return _terms_equal(a.terms, b.terms, a.n)

@@ -50,8 +50,8 @@ CHECKS = {
     "tracesplit": ("endos", ("n", "max_len")),
 }
 
-# Largest sweep check starts: about 1e6 units of work, each a few to tens of
-# CPU microseconds (a kms or tomita case, a keyfact probe).
+# Largest sweep check starts: about 1e6 units of work, each about one (a
+# keyfact probe) to tens (a kms or tomita case) of CPU microseconds.
 CHECK_CASE_BUDGET = 1_000_000
 
 

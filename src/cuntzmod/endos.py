@@ -22,15 +22,26 @@ definition sup_N tau_tilde(Delta_N e) alive as an independent cross-check,
 built honestly out of phi_k_endo and endo_compose.  Everything here is
 exact: a numeric-backend leg, multiplier or partial isometry raises
 BackendError.
+
+The compression identity v Phi_k v^* = v v^* Phi_{k+m} of a monomial
+partial isometry v of gauge degree m is checked on probes x by
+``key_fact_check`` and over every such v by ``keyfact_sweep``.  Both form
+each side of every probe on term maps, with the product rule of
+``algebra._multiply_into`` and the degree filter ``gauge_component``, and
+compare the sides with ``algebra._terms_equal``, the oracle behind
+``equals``.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .algebra import (
     AlgebraElement,
     _add_into,
+    _multiply_into,
+    _terms_equal,
     adjoint,
-    equals,
     monomial,
     monomials_upto,
     multiply,
@@ -207,21 +218,38 @@ def _partial_isometry(v: AlgebraElement, caller: str = "key_fact_check") -> tupl
     return len(mu) - len(nu), v_star, multiply(v, v_star)
 
 
-def _key_fact_holds(v: AlgebraElement, range_proj: AlgebraElement, k: int, cases) -> bool:
-    """v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on every probe x, given as the
-    pairs (v^* x, Phi_{k+m}(x)); stops at the first probe that fails."""
+def _key_fact_holds(n: int, v_terms: dict, range_terms: dict, k: int, cases) -> bool:
+    """v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on every probe x of O_n, given as
+    the pairs (v^* x, the term map of Phi_{k+m}(x)).  v and v v^* come as
+    term maps.  Both sides are formed by the term-map product, which, as in
+    ``multiply``, runs only when neither factor is empty, and are compared
+    by the equality oracle ``_terms_equal``; stops at the first probe that
+    fails."""
     for pulled, shifted in cases:
-        if not equals(multiply(v, gauge_component(pulled, k)), multiply(range_proj, shifted)):
+        left: dict = {}
+        if pulled.terms:
+            filtered = gauge_component(pulled, k).terms
+            if filtered:
+                _multiply_into(left, v_terms, filtered, True)
+        right: dict = {}
+        if shifted:
+            _multiply_into(right, range_terms, shifted, True)
+        if not _terms_equal(left, right, n):
             return False
     return True
 
 
-def key_fact_check(v: AlgebraElement, k: int, probes) -> bool:
+def key_fact_check(v: AlgebraElement, k: int, probes: Iterable[AlgebraElement]) -> bool:
     """v Phi_k v^* == v v^* Phi_{k+m} for the monomial partial isometry v of
-    gauge degree m, verified on every probe."""
+    gauge degree m, verified on every probe.  An empty probe list is a usage
+    error, not a pass; each v^* x is formed by ``multiply``, which refuses a
+    probe from another algebra or backend."""
+    probes = list(probes)
+    if not probes:
+        raise UsageError("key_fact_check needs at least one probe")
     m, v_star, range_proj = _partial_isometry(v)
-    cases = ((multiply(v_star, x), gauge_component(x, k + m)) for x in probes)
-    return _key_fact_holds(v, range_proj, k, cases)
+    cases = ((multiply(v_star, x), gauge_component(x, k + m).terms) for x in probes)
+    return _key_fact_holds(v.n, v.terms, range_proj.terms, k, cases)
 
 
 # -- named invariant sweeps ------------------------------------------------
@@ -269,19 +297,24 @@ def keyfact_sweep(n: int, max_len: int) -> dict:
     """The compression identity v Phi_k v^* == v v^* Phi_{k+m} over monomial
     partial isometries with leg lengths up to max_len and |k| <= KEYFACT_K_SPAN,
     each case checked like ``key_fact_check`` on every probe with legs up to
-    KEYFACT_PROBE_LEN.  Phi_j(x) is formed once per probe and degree, and v^*,
-    v v^* and the products v^* x once per v, shared by its values of k."""
+    KEYFACT_PROBE_LEN.  The term map of Phi_j(x) is formed once per probe and
+    degree, and v^*, v v^* and the products v^* x (by ``_multiply_into``)
+    once per v, shared by its values of k."""
     ws = words_upto(n, max_len)
     probes = monomials_upto(n, KEYFACT_PROBE_LEN)
     spread = KEYFACT_K_SPAN + max_len  # |k + m| never exceeds it
-    shifted = {j: [gauge_component(x, j) for x in probes] for j in range(-spread, spread + 1)}
+    shifted = {j: [gauge_component(x, j).terms for x in probes] for j in range(-spread, spread + 1)}
     tally = Tally()
     for mu in ws:
         for nu in ws:
             v = monomial(n, mu, nu)
             m, v_star, range_proj = _partial_isometry(v)
-            pulled = [multiply(v_star, x) for x in probes]
+            pulled = []
+            for x in probes:
+                terms: dict = {}
+                _multiply_into(terms, v_star.terms, x.terms, True)
+                pulled.append(AlgebraElement._make(n, True, terms))
             for k in range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1):
-                tally.check(_key_fact_holds(v, range_proj, k, zip(pulled, shifted[k + m])),
+                tally.check(_key_fact_holds(n, v.terms, range_proj.terms, k, zip(pulled, shifted[k + m])),
                             lambda: f"v=S_{mu}S*_{nu} k={k}")
     return tally.report("keyfact", n=n, max_len=max_len)

@@ -46,7 +46,10 @@ from .tally import Tally
 
 def gauge_component(a: AlgebraElement, k: int) -> AlgebraElement:
     """Sub-sum of the terms with gauge degree |mu| - |nu| = k."""
-    out = {key: c for key, c in a.terms.items() if len(key[0]) - len(key[1]) == k}
+    out = {}  # a loop, not a comprehension: cheaper on the one-term maps of keyfact_sweep
+    for key, c in a.terms.items():
+        if len(key[0]) - len(key[1]) == k:
+            out[key] = c
     return AlgebraElement._make(a.n, a.exact, out)
 
 

@@ -19,7 +19,7 @@ from cuntzmod.endos import (
     tau_tilde,
     tracesplit_sweep,
 )
-from cuntzmod.errors import DomainError, TermBudgetExceeded
+from cuntzmod.errors import DomainError, TermBudgetExceeded, UsageError
 from cuntzmod.modular import gauge_component, trace_F
 from cuntzmod.scalars import QSqrt, n_power
 
@@ -161,6 +161,29 @@ def test_key_fact_examples():
         key_fact_check(gen(2, 1) + gen(2, 2), 0, probes)
     with pytest.raises(DomainError):
         key_fact_check(gen(2, 1).scale(2), 0, probes)
+
+
+def test_key_fact_check_refuses_an_empty_probe_list():
+    # a check that ran on no probe must not report a pass
+    with pytest.raises(UsageError, match="at least one probe"):
+        key_fact_check(gen(2, 1), 0, [])
+    with pytest.raises(UsageError, match="at least one probe"):
+        key_fact_check(gen(2, 1), 0, iter(()))
+
+
+def test_key_fact_check_refuses_a_probe_from_another_algebra():
+    with pytest.raises(UsageError, match="mixed algebras O_2 and O_3"):
+        key_fact_check(gen(2, 1), 0, [gen(3, 1)])
+    # the foreign probe is refused wherever it sits in the list
+    with pytest.raises(UsageError, match="mixed algebras O_2 and O_3"):
+        key_fact_check(gen(2, 1), 0, [gen(2, 2), gen(3, 1)])
+
+
+def test_key_fact_check_refuses_a_numeric_probe():
+    with pytest.raises(UsageError, match="mixed exact and numeric backends"):
+        key_fact_check(gen(2, 1), 0, [gen(2, 1).to_numeric()])
+    with pytest.raises(UsageError, match="mixed exact and numeric backends"):
+        key_fact_check(monomial(2, (1,), (2,)), 1, [one(2), gen(2, 2).to_numeric()])
 
 
 def test_sweeps():

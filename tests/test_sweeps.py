@@ -21,6 +21,7 @@ SWEEPS = {
     "kms": (modular.kms_sweep, oracle_kms_sweep, (2, 2), 2401),
     "tomita": (modular.tomita_sweep, oracle_tomita_sweep, (2, 2), 14749),
     "keyfact": (endos.keyfact_sweep, oracle_keyfact_sweep, (2, 2), 245),
+    "keyfact_n3": (endos.keyfact_sweep, oracle_keyfact_sweep, (3, 1), 80),
 }
 
 
@@ -62,6 +63,7 @@ CASES = [
     ("kms", None),
     ("tomita", None),
     ("keyfact", None),
+    ("keyfact_n3", None),  # three letters: probes the two-letter sweeps never build
     ("kms", "sigma_identity"),
     ("kms", "delta_negated"),  # sigma is Delta^(-1)
     ("tomita", "delta_negated"),  # fails the polar decompositions only

@@ -3,7 +3,8 @@ the benchmark's ``invariants`` workload, plus ``tomita_sweep(3, 2)`` from
 acceptance criterion 3, which the workload leaves out for its length, one
 chunk of criterion 1, ``sf_closed_form_chunk(4, 2, 3)``, whose 1,024 cases
 each run the modular certificate and the spectral flow, and
-``homotopy_sweep(2, 21)``, whose sampled paths build rotation blocks.
+``homotopy_sweep(2, 21)``, whose sampled paths build rotation blocks, and
+``keyfact_sweep(3, 1)``, the key-fact check on three letters.
 
 The harness first runs every sweep once and checks that it reports the case
 count its size fixes and no failure; it exits non-zero if one does not.
@@ -30,13 +31,14 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "exactbench"))
 
 from bench_equality import cpu_model  # noqa: E402
-from cuntzmod import flow, matrices, modular  # noqa: E402
+from cuntzmod import endos, flow, matrices, modular  # noqa: E402
 from workloads import INVARIANT_SWEEPS  # noqa: E402
 
 EXTRA_SWEEPS = (
     (modular, "tomita_sweep", (3, 2), 172549),
     (flow, "sf_closed_form_chunk", (4, 2, 3), 1024),
     (matrices, "homotopy_sweep", (2, 21), 4),
+    (endos, "keyfact_sweep", (3, 1), 80),
 )
 ROUNDS = 7  # timed calls of each sweep
 
