@@ -52,7 +52,7 @@ _HOME = {
     **dict.fromkeys(
         (
             "commutator_D", "delta_power", "expectation", "gauge_component", "inner_product",
-            "modular_conjugation_J", "psi_product", "sigma", "sigma_auto", "state_psi",
+            "modular_conjugation_J", "psi_product", "sigma", "state_psi",
             "tomita_F", "tomita_S", "trace_F",
         ),
         "modular",

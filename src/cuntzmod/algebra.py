@@ -13,14 +13,10 @@ Products follow the path-matching rule
 which together with S_i^* S_j = delta_ij and sum_i S_i S_i^* = 1 closes the
 monomial family under multiplication.
 
-Two backends share the representation: the exact one stores QSqrt
-coefficients (rationals plus rational multiples of sqrt n), the numeric one
-stores complex doubles.  They are deliberately never mixed; convert with
-:meth:`AlgebraElement.to_numeric` when a computation is inherently
-floating-point.  Element and matrix arithmetic, the certificate on sampled
-homotopy paths, and Delta^z, sigma_t, J and F accept the numeric backend.
-psi and all read off it (the pairing, twisted cocycle, endomorphism traces,
-spectral flow, key fact) are exact-only and raise BackendError on it.
+Coefficients are exact QSqrt values: rationals plus rational multiples of
+sqrt n.  The field is real, so the adjoint only swaps the legs of each key.
+A float or complex coefficient is refused with BackendError; floats live
+only in the ``numerics`` layer, which reads exact results at its boundary.
 
 Equality of elements is semantic.  A monomial is the sum of its n children,
 S_mu S_nu^* = sum_a S_{mu a} S_{nu a}^*, so each one stands for a cone of
@@ -45,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import BackendError, TermBudgetExceeded, UsageError
-from .scalars import QSqrt, conj_scalar, scalar_is_zero
+from .scalars import QSqrt
 
 Word = tuple[int, ...]
 MonomialKey = tuple[Word, Word]
@@ -115,43 +111,37 @@ class AlgebraElement:
     construction, so elements can be shared freely between workers.
     """
 
-    __slots__ = ("n", "exact", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[MonomialKey, object] | None = None, exact: bool = True):
+    def __init__(self, n: int, terms: dict[MonomialKey, object] | None = None):
         if n < 2:
             raise UsageError(f"Cuntz algebra needs n >= 2, got {n}")
         self.n = n
-        self.exact = exact
-        clean: dict[MonomialKey, object] = {}
+        clean: dict[MonomialKey, QSqrt] = {}
         if terms:
             for key, c in terms.items():
                 mu = check_word(n, key[0])
                 nu = check_word(n, key[1])
                 c = self._normalize_scalar(c)
-                if not scalar_is_zero(c):
+                if not c.is_zero:
                     clean[(mu, nu)] = c
         self.terms = clean
 
     @classmethod
-    def _make(cls, n: int, exact: bool, terms: dict) -> "AlgebraElement":
+    def _make(cls, n: int, terms: dict) -> "AlgebraElement":
         obj = object.__new__(cls)
         obj.n = n
-        obj.exact = exact
         obj.terms = terms
         return obj
 
-    def _normalize_scalar(self, c):
-        if self.exact:
-            if type(c) is QSqrt:
-                if c.n != self.n:
-                    raise UsageError(f"scalar from Q(sqrt {c.n}) used in O_{self.n}")
-                return c
-            if isinstance(c, (int, Fraction)):
-                return QSqrt(self.n, c)
-            raise BackendError(f"exact backend cannot hold coefficient {c!r}")
-        if isinstance(c, (int, float, complex)):
-            return complex(c)
-        raise UsageError(f"numeric backend cannot hold coefficient {c!r}")
+    def _normalize_scalar(self, c) -> QSqrt:
+        if type(c) is QSqrt:
+            if c.n != self.n:
+                raise UsageError(f"scalar from Q(sqrt {c.n}) used in O_{self.n}")
+            return c
+        if isinstance(c, (int, Fraction)):
+            return QSqrt(self.n, c)
+        raise BackendError(f"O_{self.n} takes QSqrt, int or Fraction coefficients, got {c!r}")
 
     # -- queries -----------------------------------------------------------
 
@@ -167,30 +157,25 @@ class AlgebraElement:
         c = self.terms.get(key)
         if c is not None:
             return c
-        return QSqrt.zero(self.n) if self.exact else 0j
+        return QSqrt.zero(self.n)
 
     def __eq__(self, other) -> bool:
         """Structural equality (same term map); use :func:`equals` for
         semantic equality of algebra elements."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.n == other.n and self.exact == other.exact and self.terms == other.terms
+        return self.n == other.n and self.terms == other.terms
 
     def __repr__(self) -> str:
-        kind = "exact" if self.exact else "numeric"
-        if self.exact:
-            from .expr import render
+        from .expr import render
 
-            return f"<O_{self.n} {kind}: {render(self)}>"
-        return f"<O_{self.n} {kind}: {len(self.terms)} terms>"
+        return f"<O_{self.n}: {render(self)}>"
 
     # -- arithmetic ----------------------------------------------------------
 
     def _check_mate(self, other: "AlgebraElement"):
         if self.n != other.n:
             raise UsageError(f"mixed algebras O_{self.n} and O_{other.n}")
-        if self.exact != other.exact:
-            raise UsageError("mixed exact and numeric backends; convert explicitly")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
@@ -198,22 +183,22 @@ class AlgebraElement:
         self._check_mate(other)
         out = dict(self.terms)
         _add_into(out, other.terms)
-        return AlgebraElement._make(self.n, self.exact, out)
+        return AlgebraElement._make(self.n, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_mate(other)
-        return AlgebraElement._make(self.n, self.exact, _difference(self.terms, other.terms))
+        return AlgebraElement._make(self.n, _difference(self.terms, other.terms))
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._make(self.n, self.exact, {k: -c for k, c in self.terms.items()})
+        return AlgebraElement._make(self.n, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> "AlgebraElement":
         c = self._normalize_scalar(c)
-        if scalar_is_zero(c):
-            return AlgebraElement._make(self.n, self.exact, {})
-        return AlgebraElement._make(self.n, self.exact, {k: v * c for k, v in self.terms.items()})
+        if c.is_zero:
+            return AlgebraElement._make(self.n, {})
+        return AlgebraElement._make(self.n, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -226,22 +211,16 @@ class AlgebraElement:
     def adjoint(self) -> "AlgebraElement":
         return adjoint(self)
 
-    def to_numeric(self) -> "AlgebraElement":
-        """Explicit conversion to the complex-double backend."""
-        if not self.exact:
-            return self
-        return AlgebraElement._make(self.n, False, {k: complex(c) for k, c in self.terms.items()})
-
 
 # -- constructors -------------------------------------------------------------
 
 
-def zero(n: int, exact: bool = True) -> AlgebraElement:
-    return AlgebraElement._make(n, exact, {})
+def zero(n: int) -> AlgebraElement:
+    return AlgebraElement._make(n, {})
 
 
-def one(n: int, exact: bool = True) -> AlgebraElement:
-    return monomial(n, (), (), 1, exact)
+def one(n: int) -> AlgebraElement:
+    return monomial(n, (), ())
 
 
 def gen(n: int, i: int) -> AlgebraElement:
@@ -254,12 +233,12 @@ def s_word(n: int, mu: Iterable[int]) -> AlgebraElement:
     return monomial(n, mu, ())
 
 
-def monomial(n: int, mu: Iterable[int], nu: Iterable[int], coeff=1, exact: bool = True) -> AlgebraElement:
+def monomial(n: int, mu: Iterable[int], nu: Iterable[int], coeff=1) -> AlgebraElement:
     """coeff * S_mu S_nu^*."""
     key = (check_word(n, mu), check_word(n, nu))
-    el = AlgebraElement._make(n, exact, {})
+    el = AlgebraElement._make(n, {})
     c = el._normalize_scalar(coeff)
-    if not scalar_is_zero(c):
+    if not c.is_zero:
         el.terms[key] = c
     return el
 
@@ -279,7 +258,7 @@ def _add_into(out: dict, terms: dict) -> None:
     for key, c in terms.items():
         v = out.get(key)
         s = c if v is None else v + c
-        if scalar_is_zero(s):
+        if s.is_zero:
             out.pop(key, None)
         else:
             out[key] = s
@@ -291,16 +270,17 @@ def _difference(a_terms: dict, b_terms: dict) -> dict:
     for key, c in b_terms.items():
         v = out.get(key)
         s = -c if v is None else v - c
-        if scalar_is_zero(s):
+        if s.is_zero:
             out.pop(key, None)
         else:
             out[key] = s
     return out
 
 
-def _multiply_into(out: dict, aterms: dict, bterms: dict, exact: bool) -> None:
+def _multiply_into(out: dict, aterms: dict, bterms: dict, _unused=True) -> None:
     """Accumulate the product of two term maps into ``out`` (shared by
     multiply and the matrix product's inner sums)."""
+    # _unused: the layer table in exactbench/layers.py still passes a fourth argument
     for (mu, nu), ca in aterms.items():
         ln_nu = len(nu)
         for (al, be), cb in bterms.items():
@@ -320,7 +300,7 @@ def _multiply_into(out: dict, aterms: dict, bterms: dict, exact: bool) -> None:
             c = ca * cb
             v = out.get(key)
             s = c if v is None else v + c
-            if (s.na == 0 and s.nb == 0) if exact else (s.real == 0.0 and s.imag == 0.0):
+            if s.na == 0 and s.nb == 0:
                 out.pop(key, None)
             else:
                 out[key] = s
@@ -331,14 +311,14 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._check_mate(b)
     out: dict[MonomialKey, object] = {}
     if a.terms and b.terms:
-        _multiply_into(out, a.terms, b.terms, a.exact)
-    return AlgebraElement._make(a.n, a.exact, out)
+        _multiply_into(out, a.terms, b.terms)
+    return AlgebraElement._make(a.n, out)
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
-    """(S_mu S_nu^*)^* = S_nu S_mu^*, with conjugated coefficients."""
-    out = {(nu, mu): conj_scalar(c) for (mu, nu), c in a.terms.items()}
-    return AlgebraElement._make(a.n, a.exact, out)
+    """(S_mu S_nu^*)^* = S_nu S_mu^*; the coefficients are real."""
+    out = {(nu, mu): c for (mu, nu), c in a.terms.items()}
+    return AlgebraElement._make(a.n, out)
 
 
 def linear_combine(pairs: Iterable[tuple[object, AlgebraElement]]) -> AlgebraElement:
@@ -347,7 +327,7 @@ def linear_combine(pairs: Iterable[tuple[object, AlgebraElement]]) -> AlgebraEle
     if not pairs:
         raise UsageError("linear_combine needs at least one (scalar, element) pair")
     first = pairs[0][1]
-    acc = zero(first.n, first.exact)
+    acc = zero(first.n)
     for c, el in pairs:
         first._check_mate(el)
         _add_into(acc.terms, el.scale(c).terms)
@@ -400,8 +380,8 @@ def canonical_form(a: AlgebraElement) -> AlgebraElement:
             key = (mu + sfx, nu + sfx)
             v = out.get(key)
             out[key] = c if v is None else v + c
-    out = {k: v for k, v in out.items() if not scalar_is_zero(v)}
-    return AlgebraElement._make(a.n, a.exact, out)
+    out = {k: v for k, v in out.items() if not v.is_zero}
+    return AlgebraElement._make(a.n, out)
 
 
 def _disjoint_terms(terms: dict, n: int) -> dict:
@@ -442,7 +422,7 @@ def _disjoint_terms(terms: dict, n: int) -> dict:
             child = (mu + a, nu + a)
             v = out.get(child)
             out[child] = c if v is None else v + c
-    return {k: c for k, c in out.items() if not scalar_is_zero(c)}
+    return {k: c for k, c in out.items() if not c.is_zero}
 
 
 def _terms_equal(a_terms: dict, b_terms: dict, n: int) -> bool:
@@ -455,7 +435,7 @@ def _terms_equal(a_terms: dict, b_terms: dict, n: int) -> bool:
 
 
 def equals(a: AlgebraElement, b: AlgebraElement) -> bool:
-    """Semantic equality of two elements of one algebra and backend, by
+    """Semantic equality of two elements of one algebra, by
     ``_terms_equal`` on their term maps."""
     a._check_mate(b)
     return _terms_equal(a.terms, b.terms, a.n)

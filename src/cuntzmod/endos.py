@@ -19,14 +19,13 @@ tau_delta is evaluated by applying Delta directly to the output leg
 (Delta fixes the F-valued inner product, so Delta . Theta_{x,y} =
 Theta_{Delta x, y} exactly); ``tau_delta_truncated`` keeps the truncated
 definition sup_N tau_tilde(Delta_N e) alive as an independent cross-check,
-built honestly out of phi_k_endo and endo_compose.  Everything here is
-exact: a numeric-backend leg, multiplier or partial isometry raises
-BackendError.
+built honestly out of phi_k_endo and endo_compose.  Every value here is
+exact: the legs are algebra elements and the coefficients QSqrt values.
 
 The compression identity v Phi_k v^* = v v^* Phi_{k+m} of a monomial
 partial isometry v of gauge degree m is checked on probes x by
 ``key_fact_check`` and over every such v by ``keyfact_sweep``.  Both form
-each side of every probe on term maps, with the product rule of
+v^* x and each side of every probe on term maps, with the product rule of
 ``algebra._multiply_into`` and the degree filter ``gauge_component``, and
 compare the sides with ``algebra._terms_equal``, the oracle behind
 ``equals``.
@@ -51,7 +50,7 @@ from .algebra import (
     words_upto,
     zero,
 )
-from .errors import BackendError, DomainError, TermBudgetExceeded, UsageError
+from .errors import DomainError, TermBudgetExceeded, UsageError
 from .modular import delta_power, expectation, gauge_component, inner_product, trace_F
 from .scalars import QSqrt, n_power
 from .tally import Tally
@@ -82,8 +81,6 @@ class EndoSum:
         for c, th in terms or []:
             if th.x.n != n:
                 raise UsageError("rank-one legs disagree with the EndoSum context")
-            if not th.x.exact:
-                raise BackendError("EndoSum is exact-only; it refuses numeric-backend legs")
             c = th.x._normalize_scalar(c)
             if not c.is_zero and not th.x.is_zero and not th.y.is_zero:
                 self.terms.append((c, th))
@@ -140,8 +137,6 @@ def compose_left_mult(a: AlgebraElement, e: EndoSum) -> EndoSum:
     """The fused product pi(a) . e; pi(a) alone is not finite rank."""
     if a.n != e.n:
         raise UsageError("left multiplier disagrees with the EndoSum context")
-    if not a.exact:
-        raise BackendError("compose_left_mult is exact-only; it refuses a numeric-backend multiplier")
     terms = []
     for c, th in e.terms:
         leg = multiply(a, th.x)
@@ -207,8 +202,6 @@ def tau_delta_truncated(e: EndoSum, cutoff: int) -> QSqrt:
 def _partial_isometry(v: AlgebraElement, caller: str = "key_fact_check") -> tuple:
     """(m, v^*, v v^*) for the monomial partial isometry v = S_mu S_nu^* of
     gauge degree m = |mu| - |nu|; refuses anything else, naming the caller."""
-    if not v.exact:
-        raise BackendError(f"{caller} is exact-only; it refuses a numeric-backend partial isometry")
     if len(v.terms) != 1:
         raise DomainError(f"{caller} needs a single monomial S_mu S_nu^*")
     (mu, nu), c = next(iter(v.terms.items()))
@@ -230,26 +223,38 @@ def _key_fact_holds(n: int, v_terms: dict, range_terms: dict, k: int, cases) -> 
         if pulled.terms:
             filtered = gauge_component(pulled, k).terms
             if filtered:
-                _multiply_into(left, v_terms, filtered, True)
+                _multiply_into(left, v_terms, filtered)
         right: dict = {}
         if shifted:
-            _multiply_into(right, range_terms, shifted, True)
+            _multiply_into(right, range_terms, shifted)
         if not _terms_equal(left, right, n):
             return False
     return True
 
 
+def _pulled(v_star: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
+    """v^* x by the term-map product, for a probe x of v's algebra."""
+    terms: dict = {}
+    _multiply_into(terms, v_star.terms, x.terms)
+    return AlgebraElement._make(v_star.n, terms)
+
+
 def key_fact_check(v: AlgebraElement, k: int, probes: Iterable[AlgebraElement]) -> bool:
     """v Phi_k v^* == v v^* Phi_{k+m} for the monomial partial isometry v of
-    gauge degree m, verified on every probe.  An empty probe list is a usage
-    error, not a pass; each v^* x is formed by ``multiply``, which refuses a
-    probe from another algebra or backend."""
+    gauge degree m, verified on every probe, like ``keyfact_sweep``.  An
+    empty probe list is a usage error, not a pass, and so is a probe from
+    another algebra."""
     probes = list(probes)
     if not probes:
         raise UsageError("key_fact_check needs at least one probe")
+    n = v.n
     m, v_star, range_proj = _partial_isometry(v)
-    cases = ((multiply(v_star, x), gauge_component(x, k + m).terms) for x in probes)
-    return _key_fact_holds(v.n, v.terms, range_proj.terms, k, cases)
+    cases = []
+    for x in probes:
+        if x.n != n:
+            raise UsageError(f"mixed algebras O_{n} and O_{x.n}")
+        cases.append((_pulled(v_star, x), gauge_component(x, k + m).terms))
+    return _key_fact_holds(n, v.terms, range_proj.terms, k, cases)
 
 
 # -- named invariant sweeps ------------------------------------------------
@@ -309,11 +314,7 @@ def keyfact_sweep(n: int, max_len: int) -> dict:
         for nu in ws:
             v = monomial(n, mu, nu)
             m, v_star, range_proj = _partial_isometry(v)
-            pulled = []
-            for x in probes:
-                terms: dict = {}
-                _multiply_into(terms, v_star.terms, x.terms, True)
-                pulled.append(AlgebraElement._make(n, True, terms))
+            pulled = [_pulled(v_star, x) for x in probes]
             for k in range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1):
                 tally.check(_key_fact_holds(n, v.terms, range_proj.terms, k, zip(pulled, shifted[k + m])),
                             lambda: f"v=S_{mu}S*_{nu} k={k}")

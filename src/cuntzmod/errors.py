@@ -6,13 +6,14 @@ class CuntzError(Exception):
 
 
 class UsageError(CuntzError, ValueError):
-    """Caller mixed incompatible contexts (different n, different scalar
-    backends) or passed arguments outside an operation's contract."""
+    """Caller mixed incompatible contexts (elements or scalars over different
+    n) or passed arguments outside an operation's contract."""
 
 
 class BackendError(UsageError):
-    """An exact-only operation got a numeric-backend operand, or data only
-    that backend can represent (a float part, a non-half-integer power)."""
+    """Data the exact field Q(sqrt n) cannot hold: a float or complex
+    coefficient or part, a power of n outside (1/2)Z (so Delta^z for such
+    z), or the rational value of an irrational number."""
 
 
 class DomainError(CuntzError, ValueError):

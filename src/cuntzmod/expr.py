@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraElement, _add_into, adjoint, monomial, multiply, one, term_sort_key, zero
-from .errors import ExprSyntaxError, UsageError
+from .errors import ExprSyntaxError
 from .scalars import QSqrt, ratio_str
 
 
@@ -172,7 +172,7 @@ class _Parser:
 
 
 def parse(text: str, n: int) -> AlgebraElement:
-    """Parse element text over O_n (exact backend)."""
+    """Parse element text over O_n."""
     return _Parser(text, n).element()
 
 
@@ -209,10 +209,8 @@ def _piece(value: int, den: int, root: str, mono: str, first: bool) -> str:
 
 
 def render(a: AlgebraElement) -> str:
-    """Deterministic text for an exact element; inverse of :func:`parse`
+    """Deterministic text for an element; inverse of :func:`parse`
     up to semantic equality (in fact up to the exact term map)."""
-    if not a.exact:
-        raise UsageError("render is defined for the exact backend only")
     if a.is_zero:
         return "0"
     terms = a.terms

@@ -96,8 +96,6 @@ def spectral_flow(u: AlgMatrix) -> Fraction:
     (d_b the gauge degree of b).  The certificate's pass over U @ U^* adds
     this up as it matches those pairs, and U [D, U^*] is never built.
     """
-    if not u.exact:
-        raise BackendError("spectral flow is computed on the exact backend")
     unitarity, modular, total = _certify(u)
     if unitarity != 0 or modular != 0:
         raise DomainError("spectral_flow needs a modular unitary")
@@ -118,7 +116,7 @@ def correction_terms(u: AlgMatrix) -> tuple[Fraction, Fraction]:
 
 def _corrections(u: AlgMatrix) -> tuple[Fraction, Fraction]:
     """correction_terms without the certificate, for a U already certified."""
-    diff = AlgMatrix.identity(u.n, u.k, u.exact) - (apply_sigma(u.adjoint()) @ u)
+    diff = AlgMatrix.identity(u.n, u.k) - (apply_sigma(u.adjoint()) @ u)
     kernel = QSqrt.zero(u.n)
     for i in range(u.k):
         kernel = kernel + trace_F(diff.rows[i][i])

@@ -29,14 +29,16 @@ and computes in one walk; the pass over U^* @ U runs only when U is not
 self-adjoint.
 
 Homotopies of modular unitaries are verified by sampling a parametrised
-path on a finite grid and reporting both defects per sample.  A sampled
-check evidences continuity, it does not prove it; failures between grid
-points are invisible by construction.
+path at the rational points t = i/(samples - 1) and certifying each sample
+exactly: a sample passes only when both defects are exactly 0.  The paths
+stay exact because every rotation is taken at a rational point of the
+circle, and a complex phase is carried by the realification
+A + iB -> [[A, -B], [B, A]].  A sampled check evidences continuity, it does
+not prove it; failures between grid points are invisible by construction.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -54,7 +56,7 @@ from .algebra import (
 )
 from .errors import DomainError, UsageError
 from .modular import delta_power
-from .scalars import QSqrt, n_power, n_power_numeric, scalar_abs
+from .scalars import QSqrt, n_power
 
 
 class AlgMatrix:
@@ -63,7 +65,7 @@ class AlgMatrix:
     Immutable by convention; operations return new matrices.
     """
 
-    __slots__ = ("n", "exact", "k", "rows")
+    __slots__ = ("n", "k", "rows")
 
     def __init__(self, rows: Iterable[Iterable[AlgebraElement]]):
         rows = [list(r) for r in rows]
@@ -76,24 +78,20 @@ class AlgMatrix:
         self.rows = rows
         self.k = len(rows)
         self.n = first.n
-        self.exact = first.exact
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _make(cls, n: int, exact: bool, rows: list[list[AlgebraElement]]) -> "AlgMatrix":
+    def _make(cls, n: int, rows: list[list[AlgebraElement]]) -> "AlgMatrix":
         obj = object.__new__(cls)
         obj.n = n
-        obj.exact = exact
         obj.k = len(rows)
         obj.rows = rows
         return obj
 
     @classmethod
-    def identity(cls, n: int, k: int, exact: bool = True) -> "AlgMatrix":
-        return cls(
-            [[one(n, exact) if i == j else zero(n, exact) for j in range(k)] for i in range(k)]
-        )
+    def identity(cls, n: int, k: int) -> "AlgMatrix":
+        return cls([[one(n) if i == j else zero(n) for j in range(k)] for i in range(k)])
 
     @classmethod
     def single(cls, a: AlgebraElement) -> "AlgMatrix":
@@ -111,7 +109,6 @@ class AlgMatrix:
         from .algebra import _multiply_into
 
         k = self.k
-        exact = self.exact
         brows = other.rows
         out = []
         for i in range(k):
@@ -120,37 +117,31 @@ class AlgMatrix:
             for j in range(k):
                 acc: dict = {}
                 for l in range(k):
-                    _multiply_into(acc, arow[l].terms, brows[l][j].terms, exact)
-                row.append(AlgebraElement._make(self.n, exact, acc))
+                    _multiply_into(acc, arow[l].terms, brows[l][j].terms)
+                row.append(AlgebraElement._make(self.n, acc))
             out.append(row)
-        return AlgMatrix._make(self.n, self.exact, out)
+        return AlgMatrix._make(self.n, out)
 
     def __sub__(self, other: "AlgMatrix") -> "AlgMatrix":
         self._check_shape(other)
         return AlgMatrix._make(
             self.n,
-            self.exact,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
     def adjoint(self) -> "AlgMatrix":
         k = self.k
         return AlgMatrix._make(
-            self.n, self.exact, [[adjoint(self.rows[j][i]) for j in range(k)] for i in range(k)]
+            self.n, [[adjoint(self.rows[j][i]) for j in range(k)] for i in range(k)]
         )
 
     def direct_sum(self, other: "AlgMatrix") -> "AlgMatrix":
         self.rows[0][0]._check_mate(other.rows[0][0])
         k1, k2 = self.k, other.k
-        z = zero(self.n, self.exact)
+        z = zero(self.n)
         out = [[self.rows[i][j] if j < k1 else z for j in range(k1 + k2)] for i in range(k1)]
         out += [[z if j < k1 else other.rows[i][j - k1] for j in range(k1 + k2)] for i in range(k2)]
-        return AlgMatrix._make(self.n, self.exact, out)
-
-    def to_numeric(self) -> "AlgMatrix":
-        return AlgMatrix._make(
-            self.n, False, [[x.to_numeric() for x in row] for row in self.rows]
-        )
+        return AlgMatrix._make(self.n, out)
 
     def __eq__(self, other) -> bool:
         """Structural equality of entries (term maps)."""
@@ -161,7 +152,7 @@ class AlgMatrix:
         )
 
     def __repr__(self):
-        return f"AlgMatrix(n={self.n}, k={self.k}, {'exact' if self.exact else 'numeric'})"
+        return f"AlgMatrix(n={self.n}, k={self.k})"
 
 
 # -- unitarity and the modular condition --------------------------------------
@@ -179,31 +170,26 @@ _UNIT_KEY = ((), ())
 
 def apply_sigma(u: AlgMatrix) -> AlgMatrix:
     """Entrywise sigma = Delta^(-1), i.e. sigma tensor Id_k."""
-    return AlgMatrix._make(
-        u.n, u.exact, [[delta_power(x, -1) for x in row] for row in u.rows]
-    )
+    return AlgMatrix._make(u.n, [[delta_power(x, -1) for x in row] for row in u.rows])
 
 
-def _largest_coefficient(residues: list[dict], n: int, exact: bool):
+def _largest_coefficient(residues: list[dict], n: int) -> QSqrt:
     """Largest coefficient magnitude over the canonical forms of the
-    residue term maps: an exact QSqrt (zero iff every residue vanishes) on
-    the exact backend, a float on the numeric one.  The disjoint-cone terms
-    carry exactly the canonical form's coefficients, without its expansion."""
+    residue term maps, as an exact QSqrt: zero iff every residue vanishes.
+    The disjoint-cone terms carry exactly the canonical form's
+    coefficients, without its expansion."""
     best, best_abs = None, 0.0
     for terms in residues:
         for c in _disjoint_terms(terms, n).values():
-            mag = scalar_abs(c)
+            mag = abs(float(c))
             if mag > best_abs:
                 best, best_abs = c, mag
-    if not exact:
-        return best_abs
     return QSqrt.zero(n) if best is None else best.abs_exact()
 
 
 def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
     """(A B, the off-degree part of A sigma(B), sum_i psi((A [D, B])_ii))
-    from one match of the term pairs of A @ B; the flow sum is None on the
-    numeric backend, since psi is exact-only.
+    from one match of the term pairs of A @ B.
 
     The products come back as k x k lists of term maps.  A matched pair of
     a degree-da term of A and a degree-db term of B lands on a key of degree
@@ -214,10 +200,9 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
     pair on a diagonal entry feeds the flow instead: [D, .] scales a term of
     B by db, and psi is linear and keeps only the S_mu S_mu^* terms,
     weighted n^-|mu|, so the flow adds ca (cb db) n^-|mu| for each such key
-    and A [D, B] is never formed.  Pairs are visited in the order of
-    ``A @ B``, so numeric sums round as they do there.
+    and A [D, B] is never formed.
     """
-    n, k, exact = a.n, a.k, a.exact
+    n, k = a.n, a.k
     prepared = []  # per entry of B: (al, be, |al|, db, cb, cb n^db, cb db)
     for row in b.rows:
         out_row = []
@@ -225,14 +210,13 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
             terms = []
             for (al, be), cb in x.terms.items():
                 d = len(al) - len(be)
-                if d:  # the weight of delta_power(., -1), computed the same way
-                    w = n_power(n, d) if exact else n_power_numeric(n, complex(-1) * -d)
-                    terms.append((al, be, len(al), d, cb, cb * w, cb * d))
+                if d:  # cb n^d, the coefficient of delta_power(., -1)
+                    terms.append((al, be, len(al), d, cb, cb * n_power(n, d), cb * d))
                 else:
                     terms.append((al, be, len(al), 0, cb, cb, None))
             out_row.append(terms)
         prepared.append(out_row)
-    flow = QSqrt.zero(n) if exact else None
+    flow = QSqrt.zero(n)
     products, sigma_products = [], []
     for i in range(k):
         arow = a.rows[i]
@@ -240,7 +224,7 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
         for j in range(k):
             p: dict = {}
             q: dict = {}
-            diagonal = exact and i == j
+            diagonal = i == j
             for l in range(k):
                 bterms = prepared[l][j]
                 if not bterms:
@@ -265,7 +249,7 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
                         c = ca * cb
                         v = p.get(key)
                         s = c if v is None else v + c
-                        if (s.na == 0 and s.nb == 0) if exact else (s.real == 0.0 and s.imag == 0.0):
+                        if s.na == 0 and s.nb == 0:
                             p.pop(key, None)
                         else:
                             p[key] = s
@@ -274,7 +258,7 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
                             v = q.get(key)
                             if v is not None:
                                 s = v + s
-                            if (s.na == 0 and s.nb == 0) if exact else (s.real == 0.0 and s.imag == 0.0):
+                            if s.na == 0 and s.nb == 0:
                                 q.pop(key, None)
                             else:
                                 q[key] = s
@@ -289,17 +273,17 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
 
 def _certify(u: AlgMatrix) -> tuple:
     """(unitarity_defect, modular_defect, sum_i psi((U [D, U^*])_ii)): the
-    certificate and the spectral-flow sum from the same pair passes (the
-    sum is None on the numeric backend).  The residues are term maps: each
+    certificate and the spectral-flow sum from the same pair passes.  The
+    residues are term maps: each
     off-diagonal entry of U U^* (and U^* U), each diagonal entry with 1
     taken off its unit key, and the off-degree parts the passes return."""
-    n, exact = u.n, u.exact
+    n = u.n
     u_star = u.adjoint()
     unit, modular, flow = _pair_pass(u, u_star)
     passes = [(unit, modular)]
     if u != u_star:
         passes.append(_pair_pass(u_star, u)[:2])
-    minus_one = {_UNIT_KEY: -QSqrt.one(n) if exact else -complex(1)}
+    minus_one = {_UNIT_KEY: -QSqrt.one(n)}
     unit_residues, modular_residues = [], []
     for unit, modular in passes:
         for i, row in enumerate(unit):
@@ -311,8 +295,8 @@ def _certify(u: AlgMatrix) -> tuple:
                     unit_residues.append(t)
         modular_residues += [t for row in modular for t in row if t]
     return (
-        _largest_coefficient(unit_residues, n, exact),
-        _largest_coefficient(modular_residues, n, exact),
+        _largest_coefficient(unit_residues, n),
+        _largest_coefficient(modular_residues, n),
         flow,
     )
 
@@ -323,8 +307,7 @@ def modular_certificate(u: AlgMatrix) -> tuple:
     The unitarity defect is the largest coefficient of U U^* - I and
     U^* U - I, the modular defect the largest coefficient of the
     Phi-complements of U sigma(U^*) and U^* sigma(U), all in canonical form.
-    Each is an exact QSqrt on the exact backend (zero iff the condition
-    holds) and a float on the numeric one.
+    Each is an exact QSqrt, zero iff the condition holds.
 
     One pass over the term pairs of U @ U^* returns U U^* and the
     off-degree part of U sigma(U^*) (see ``_pair_pass``); a second pass,
@@ -355,15 +338,14 @@ def build_u_mu_nu(n: int, mu: Iterable[int], nu: Iterable[int]) -> AlgMatrix:
 
     def complement(w):  # 1 - P_w, with 1 - P_empty = 0
         if not w:
-            return AlgebraElement._make(n, True, {})
-        return AlgebraElement._make(n, True, {_UNIT_KEY: unit, (w, w): minus})
+            return AlgebraElement._make(n, {})
+        return AlgebraElement._make(n, {_UNIT_KEY: unit, (w, w): minus})
 
     return AlgMatrix._make(
         n,
-        True,
         [
-            [complement(mu), AlgebraElement._make(n, True, {(mu, nu): unit})],
-            [AlgebraElement._make(n, True, {(nu, mu): unit}), complement(nu)],
+            [complement(mu), AlgebraElement._make(n, {(mu, nu): unit})],
+            [AlgebraElement._make(n, {(nu, mu): unit}), complement(nu)],
         ],
     )
 
@@ -387,103 +369,111 @@ def build_u_v(v: AlgebraElement) -> AlgMatrix:
         raise DomainError("v sigma(v*) is not over the fixed-point algebra")
     if not in_fixed_algebra(multiply(v_star, sig_v)):
         raise DomainError("v* sigma(v) is not over the fixed-point algebra")
-    ident = one(n, v.exact)
+    ident = one(n)
     return AlgMatrix([[ident - source, v_star], [v, ident - rng]])
 
 
 # -- homotopy machinery ---------------------------------------------------------
 
 
-HOMOTOPY_TOLERANCE = 1e-12  # the defect bound of every numeric homotopy sample
-
-
-def homotopy_path_check(path: Callable[[float], AlgMatrix], samples: int = 21) -> dict:
-    """Sample a path of matrices on a uniform grid over [0, 1] and report
-    both defects per sample.  Exact samples must have defect exactly 0;
-    numeric samples must stay below HOMOTOPY_TOLERANCE (the report's "tolerance")."""
+def homotopy_path_check(path: Callable[[Fraction], AlgMatrix], samples: int = 21) -> dict:
+    """Sample a path of matrices at the exact points t = i/(samples - 1) of
+    [0, 1] and certify each sample; it passes only when both defects are
+    exactly 0.  The report gives t and the defects as floats."""
     if samples < 2:
         raise UsageError("need at least two samples")
     report = []
-    passed = True
     for i in range(samples):
-        t = i / (samples - 1)
-        u = path(t)
-        ud, md = (float(d) for d in modular_certificate(u))
-        ok = max(ud, md) == 0.0 if u.exact else max(ud, md) < HOMOTOPY_TOLERANCE
-        passed = passed and ok
-        report.append({"t": t, "unitarity_defect": ud, "modular_defect": md, "ok": ok})
-    return {"passed": passed, "tolerance": HOMOTOPY_TOLERANCE, "samples": report}
+        t = Fraction(i, samples - 1)
+        unitarity, modular = modular_certificate(path(t))
+        report.append({
+            "t": float(t),
+            "unitarity_defect": float(unitarity),
+            "modular_defect": float(modular),
+            "ok": unitarity.is_zero and modular.is_zero,
+        })
+    return {"passed": all(sample["ok"] for sample in report), "samples": report}
 
 
-def _rotation_block(n: int, k: int, theta: float) -> AlgMatrix:
-    """[[cos I_k, sin I_k], [-sin I_k, cos I_k]] as a numeric scalar matrix,
-    built entry by entry: cos on the diagonal, sin where column - row = k,
-    -sin where it is -k, zero elsewhere."""
-    entry = {0: math.cos(theta), k: math.sin(theta), -k: -math.sin(theta)}
-    return AlgMatrix(
-        [[monomial(n, (), (), entry.get(j - i, 0), exact=False) for j in range(2 * k)] for i in range(2 * k)]
-    )
+def _circle_point(s: Fraction) -> tuple[Fraction, Fraction]:
+    """(cos, sin) of the angle 2 arctan s, exactly: ((1 - s^2), 2s) / (1 + s^2)."""
+    q = 1 + s * s
+    return Fraction(1 - s * s, q), Fraction(2 * s, q)
 
 
-def rotation_direct_sum_path(u: AlgMatrix, v: AlgMatrix) -> Callable[[float], AlgMatrix]:
+def _rotation_block(n: int, k: int, s: Fraction) -> AlgMatrix:
+    """[[cos I_k, sin I_k], [-sin I_k, cos I_k]] at the rational circle point
+    of s (see ``_circle_point``), built entry by entry: cos on the diagonal,
+    sin where column - row = k, -sin where it is -k, zero elsewhere.  s runs
+    over [0, 1] for a quarter turn."""
+    cos, sin = _circle_point(s)
+    entry = {0: cos, k: sin, -k: -sin}
+    return AlgMatrix([[monomial(n, (), (), entry.get(j - i, 0)) for j in range(2 * k)] for i in range(2 * k)])
+
+
+def _realify(re: AlgMatrix, im: AlgMatrix) -> AlgMatrix:
+    """A + iB as the real matrix [[A, -B], [B, A]].  The map is injective and
+    keeps products, adjoints, sigma (a real weight) and membership of F, so
+    the image is a modular unitary exactly when A + iB is one."""
+    minus_im = [[-x for x in row] for row in im.rows]
+    rows = [a + b for a, b in zip(re.rows, minus_im)] + [b + a for b, a in zip(im.rows, re.rows)]
+    return AlgMatrix._make(re.n, rows)
+
+
+def rotation_direct_sum_path(u: AlgMatrix, v: AlgMatrix) -> Callable[[Fraction], AlgMatrix]:
     """R_t (u (+) v) R_t^*: the rotation trick carrying u (+) v to v (+) u."""
     u._check_shape(v)
-    block = u.to_numeric().direct_sum(v.to_numeric())
+    block = u.direct_sum(v)
     k = u.k
 
-    def path(t: float) -> AlgMatrix:
-        r = _rotation_block(u.n, k, t * math.pi / 2)
+    def path(t: Fraction) -> AlgMatrix:
+        r = _rotation_block(u.n, k, t)
         return r @ block @ r.adjoint()
 
     return path
 
 
-def swap_two_stage_path(n: int, mu: Iterable[int], nu: Iterable[int]) -> Callable[[float], AlgMatrix]:
-    """The two-stage modular homotopy from u_{mu,nu} to u_{nu,mu}: rotation
-    conjugation on [0, 1/2], then a phase unwinding on [1/2, 1]."""
-    mu = tuple(mu)
-    nu = tuple(nu)
-    base = build_u_mu_nu(n, mu, nu).to_numeric()
-    p_mu = projection(n, mu).to_numeric()
-    p_nu = projection(n, nu).to_numeric()
-    ident = one(n, exact=False)
-    up = monomial(n, nu, mu, 1, exact=False)  # S_nu S_mu^*
-    down = monomial(n, mu, nu, 1, exact=False)
+def swap_two_stage_path(n: int, mu: Iterable[int], nu: Iterable[int]) -> Callable[[Fraction], AlgMatrix]:
+    """The two-stage modular homotopy from u_{mu,nu} to u_{nu,mu}, realified
+    (see ``_realify``): rotation conjugation on [0, 1/2], reaching a quarter
+    turn at t = 1/2, then the phase e^(i theta) = (cos + i sin)^2 at the
+    circle point of s = 2 - 2t on [1/2, 1], which unwinds from -1 to 1 on
+    the off-diagonal entries S_nu S_mu^* (and its conjugate on S_mu S_nu^*)."""
+    base = build_u_mu_nu(n, mu, nu)
+    (comp_nu, up), (down, comp_mu) = build_u_mu_nu(n, nu, mu).rows
+    empty = zero(n)
 
-    def path(t: float) -> AlgMatrix:
-        if t <= 0.5:
-            theta = math.pi * t  # reaches pi/2 at t = 1/2
-            r = _rotation_block(n, 1, theta)
-            return r @ base @ r.adjoint()
-        theta = math.pi * (2.0 - 2.0 * t)  # from pi back to 0
-        phase = complex(math.cos(theta), math.sin(theta))
-        return AlgMatrix(
-            [
-                [ident - p_nu, up.scale(phase)],
-                [down.scale(phase.conjugate()), ident - p_mu],
-            ]
+    def path(t: Fraction) -> AlgMatrix:
+        if t <= Fraction(1, 2):
+            r = _rotation_block(n, 1, 2 * t)
+            x = r @ base @ r.adjoint()
+            return x.direct_sum(x)  # realify(X) for a real X
+        cos, sin = _circle_point(2 - 2 * t)
+        re, im = cos * cos - sin * sin, 2 * cos * sin
+        return _realify(
+            AlgMatrix._make(n, [[comp_nu, up.scale(re)], [down.scale(re), comp_mu]]),
+            AlgMatrix._make(n, [[empty, up.scale(im)], [down.scale(-im), empty]]),
         )
 
     return path
 
 
-def whitehead_path(u: AlgMatrix) -> Callable[[float], AlgMatrix]:
+def whitehead_path(u: AlgMatrix) -> Callable[[Fraction], AlgMatrix]:
     """(u (+) 1) R_t (1 (+) u^*) R_t^*: the standard contraction of
     u (+) u^* to the identity; stays over F when u is over F."""
     k = u.k
-    nm = u.to_numeric()
-    ident = AlgMatrix.identity(u.n, k, exact=False)
-    left = nm.direct_sum(ident)
-    inner = ident.direct_sum(nm.adjoint())
+    ident = AlgMatrix.identity(u.n, k)
+    left = u.direct_sum(ident)
+    inner = ident.direct_sum(u.adjoint())
 
-    def path(t: float) -> AlgMatrix:
-        r = _rotation_block(u.n, k, t * math.pi / 2)
+    def path(t: Fraction) -> AlgMatrix:
+        r = _rotation_block(u.n, k, t)
         return left @ r @ inner @ r.adjoint()
 
     return path
 
 
-def constant_path(u: AlgMatrix) -> Callable[[float], AlgMatrix]:
+def constant_path(u: AlgMatrix) -> Callable[[Fraction], AlgMatrix]:
     return lambda t: u
 
 

@@ -27,11 +27,10 @@ and the Tomita data act termwise:
     Delta^z(S_mu S_nu^*) = n^(z(|nu|-|mu|))    * S_mu S_nu^*
 
 The distinguished algebraic automorphism sigma = Delta^(-1) (the t = i
-point of the modular flow) stays exact; real-t sigma_t is numeric only.
-
-psi, trace_F, psi_product and inner_product are exact-only: a numeric
-element raises BackendError.  Delta^z, sigma_t, J and F act on both
-backends.  All functions are pure and inputs are never mutated.
+point of the modular flow) is the only modular map the index pairing
+reads.  Every value here is exact in Q(sqrt n): Delta^z takes z in (1/2)Z,
+and coefficients are real, so S, J and F only swap the legs of a key and
+rescale.  All functions are pure and inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraElement, adjoint, monomials_upto, word_count
-from .errors import BackendError, DomainError, UsageError
-from .scalars import QSqrt, conj_scalar, n_power, n_power_numeric, scalar_is_zero
+from .errors import BackendError, DomainError
+from .scalars import QSqrt, n_power
 from .tally import Tally
 
 
@@ -50,7 +49,7 @@ def gauge_component(a: AlgebraElement, k: int) -> AlgebraElement:
     for key, c in a.terms.items():
         if len(key[0]) - len(key[1]) == k:
             out[key] = c
-    return AlgebraElement._make(a.n, a.exact, out)
+    return AlgebraElement._make(a.n, out)
 
 
 def expectation(a: AlgebraElement) -> AlgebraElement:
@@ -59,8 +58,7 @@ def expectation(a: AlgebraElement) -> AlgebraElement:
 
 
 def trace_F(f: AlgebraElement) -> QSqrt:
-    """The normalised trace on F_c; refuses a numeric element (in state_psi)
-    before terms of nonzero gauge degree."""
+    """The normalised trace on F_c; refuses terms of nonzero gauge degree."""
     value = state_psi(f)
     for mu, nu in f.terms:
         if len(mu) != len(nu):
@@ -73,8 +71,6 @@ def trace_F(f: AlgebraElement) -> QSqrt:
 
 def state_psi(a: AlgebraElement) -> QSqrt:
     """psi = trace_F . expectation, the gauge-invariant KMS state."""
-    if not a.exact:
-        raise BackendError("state_psi is exact-only; it refuses numeric-backend elements")
     n = a.n
     acc = QSqrt.zero(n)
     for (mu, nu), c in a.terms.items():
@@ -85,7 +81,7 @@ def state_psi(a: AlgebraElement) -> QSqrt:
 
 def _psi_walk(a: AlgebraElement, b: AlgebraElement, star_a: bool = False, weigh: bool = False) -> QSqrt:
     """psi(a' b) over the term pairs of a and b.  a' reads each term c S_mu S_nu^*
-    of a as it is or, if star_a, as c S_nu S_mu^* (so a' = a*: exact coefficients
+    of a as it is or, if star_a, as c S_nu S_mu^* (so a' = a*: coefficients
     are real).  If weigh, c is also multiplied by the gauge degree of b's term; on
     a diagonal pair that is |nu| - |mu|, so it is read once per term of a.
 
@@ -98,9 +94,8 @@ def _psi_walk(a: AlgebraElement, b: AlgebraElement, star_a: bool = False, weigh:
     c_a c_b is summed per length |w|, and each sum is weighted n^(-|w|).
     """
     n = a.n
-    if n != b.n or not (a.exact and b.exact):  # one test on the common path
-        a._check_mate(b)  # raises on mixed contexts
-        raise BackendError("psi is exact-only; it refuses numeric-backend elements")
+    if n != b.n:
+        a._check_mate(b)  # raises the mixed-algebras error
     if not a.terms or not b.terms:
         return QSqrt.zero(n)
     by_len = {}  # |w| -> sum of c_a c_b over the pairs landing on S_w S_w^*
@@ -156,38 +151,24 @@ def commutator_D(a: AlgebraElement) -> AlgebraElement:
         d = len(key[0]) - len(key[1])
         if d:
             out[key] = c * d
-    return AlgebraElement._make(a.n, a.exact, out)
+    return AlgebraElement._make(a.n, out)
 
 
 def delta_power(a: AlgebraElement, z) -> AlgebraElement:
-    """Delta^z: scale each term by n^(z(|nu|-|mu|)).
-
-    Exact backend: z must be a half-integer (int or Fraction with
-    denominator 1 or 2).  Numeric backend: any real or complex z.
-    """
+    """Delta^z: scale each term by n^(z(|nu|-|mu|)).  z must lie in (1/2)Z
+    (an int, or a Fraction with denominator 1 or 2), where the scale stays
+    in Q(sqrt n); any other z raises BackendError.  A nonzero coefficient
+    times a power of n is nonzero, so no term cancels."""
+    if isinstance(z, Fraction) and z.denominator == 1:
+        z = z.numerator  # int exponents hit the cached fast path
+    if not (isinstance(z, int) or isinstance(z, Fraction) and z.denominator == 2):
+        raise BackendError(f"Delta^z needs z in (1/2)Z, got {z}")
     n = a.n
     out = {}
-    if a.exact:
-        if not isinstance(z, (int, Fraction)):
-            raise BackendError(
-                f"Delta^z on the exact backend needs z in (1/2)Z, got {z!r}; "
-                "convert the element with to_numeric() first"
-            )
-        if isinstance(z, Fraction):
-            if z.denominator > 2:
-                raise BackendError(f"Delta^z on the exact backend needs z in (1/2)Z, got {z}")
-            if z.denominator == 1:
-                z = z.numerator  # int exponents hit the cached fast path
-        for key, c in a.terms.items():
-            d = len(key[1]) - len(key[0])
-            out[key] = c * n_power(n, z * d) if d else c
-    else:
-        zc = complex(z)
-        for key, c in a.terms.items():
-            d = len(key[1]) - len(key[0])
-            out[key] = c * n_power_numeric(n, zc * d) if d else c
-    out = {k: v for k, v in out.items() if not scalar_is_zero(v)}
-    return AlgebraElement._make(n, a.exact, out)
+    for key, c in a.terms.items():
+        d = len(key[1]) - len(key[0])
+        out[key] = c * n_power(n, z * d) if d else c
+    return AlgebraElement._make(n, out)
 
 
 def modular_conjugation_J(a: AlgebraElement) -> AlgebraElement:
@@ -196,11 +177,8 @@ def modular_conjugation_J(a: AlgebraElement) -> AlgebraElement:
     out = {}
     for (mu, nu), c in a.terms.items():
         d = len(mu) - len(nu)
-        c = conj_scalar(c)
-        if d:
-            c = c * (n_power(n, Fraction(d, 2)) if a.exact else n ** (d / 2))
-        out[(nu, mu)] = c
-    return AlgebraElement._make(n, a.exact, out)
+        out[(nu, mu)] = c * n_power(n, Fraction(d, 2)) if d else c
+    return AlgebraElement._make(n, out)
 
 
 def tomita_S(a: AlgebraElement) -> AlgebraElement:
@@ -215,31 +193,14 @@ def tomita_F(a: AlgebraElement) -> AlgebraElement:
     out = {}
     for (mu, nu), c in a.terms.items():
         d = len(mu) - len(nu)
-        c = conj_scalar(c)
-        if d:
-            c = c * (n_power(n, d) if a.exact else n ** float(d))
-        out[(nu, mu)] = c
-    return AlgebraElement._make(n, a.exact, out)
+        out[(nu, mu)] = c * n_power(n, d) if d else c
+    return AlgebraElement._make(n, out)
 
 
 def sigma(a: AlgebraElement) -> AlgebraElement:
     """The distinguished regular automorphism sigma = Delta^(-1); scales a
-    degree-d term by n^d.  Exact on the exact backend."""
+    degree-d term by n^d."""
     return delta_power(a, -1)
-
-
-def sigma_auto(a: AlgebraElement, t) -> AlgebraElement:
-    """The modular flow sigma_t on generators.
-
-    ``t == 1j`` is the distinguished algebraic point and dispatches to the
-    exact :func:`sigma`.  Real ``t`` is Delta^(it): it scales a degree-d
-    term by e^(-i t d ln n) and returns a numeric-backend element.
-    """
-    if isinstance(t, complex) and t == 1j:
-        return sigma(a)
-    if isinstance(t, complex) and t.imag != 0:
-        raise UsageError("sigma_auto supports real t or the imaginary unit t=1j")
-    return delta_power(a.to_numeric(), 1j * t)
 
 
 # -- named invariant sweeps ----------------------------------------------------

@@ -5,14 +5,14 @@ A value is stored as an integer triple ``(na, nb, den)`` meaning
 When ``n`` is a perfect square the root part is folded into the rational
 part, so ``nb == 0`` always holds there and equality stays structural.
 
-These scalars are the coefficients of the exact backend; the numeric
-backend uses plain ``complex``.  The two are never mixed silently: QSqrt
-arithmetic only accepts QSqrt, int and Fraction operands.
+These scalars are the coefficients of every algebra element.  QSqrt
+arithmetic only accepts QSqrt, int and Fraction operands; a float part, a
+power of n outside (1/2)Z and the rational value of an irrational number
+raise BackendError.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -227,9 +227,6 @@ class QSqrt:
     def __float__(self) -> float:
         return (self.na + self.nb * math.sqrt(self.n)) / self.den
 
-    def __complex__(self) -> complex:
-        return complex(float(self))
-
     def __eq__(self, other) -> bool:
         if type(other) is QSqrt:
             return other is self or (  # cached values often meet themselves
@@ -282,35 +279,6 @@ def n_power(n: int, exponent: Fraction | int) -> QSqrt:
         raise BackendError(f"exact power n^{num}/{den} needs a half-integer exponent")
     _POWER_CACHE[(n, num, den)] = value
     return value
-
-
-def n_power_numeric(n: int, z: complex) -> complex:
-    """n**z for the numeric backend."""
-    return cmath.exp(complex(z) * math.log(n))
-
-
-# -- backend-generic helpers ------------------------------------------------
-#
-# Exact coefficients are QSqrt; numeric coefficients are complex (we accept
-# int/float in numeric positions and treat them as complex).
-
-
-def conj_scalar(c):
-    if type(c) is QSqrt:
-        return c
-    return c.conjugate() if isinstance(c, complex) else c
-
-
-def scalar_is_zero(c) -> bool:
-    if type(c) is QSqrt:
-        return c.is_zero
-    return c == 0
-
-
-def scalar_abs(c) -> float:
-    if type(c) is QSqrt:
-        return abs(float(c))
-    return abs(c)
 
 
 def ratio_str(num: int, den: int) -> str:

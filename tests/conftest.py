@@ -49,11 +49,6 @@ def branch_decomposition(n: int, w, deepest=1):
     return acc
 
 
-def max_coeff_abs(a) -> float:
-    """The largest coefficient magnitude of an element on either backend."""
-    return max((abs(complex(c)) for c in a.terms.values()), default=0.0)
-
-
 def monomial_elements(n: int, max_len: int):
     ws = words_upto(n, max_len)
     return [monomial(n, mu, nu) for mu in ws for nu in ws]
@@ -63,9 +58,9 @@ def oracle_certificate(u: AlgMatrix) -> tuple:
     """(unitarity_defect, modular_defect) from the explicit products
     U U^* - I, U^* U - I, U sigma(U^*) and U^* sigma(U): the largest
     canonical-form coefficient of the first two and of the off-degree parts
-    of the last two, exact or float like the engine's certificate."""
+    of the last two, exact like the engine's certificate."""
     u_star = u.adjoint()
-    ident = AlgMatrix.identity(u.n, u.k, u.exact)
+    ident = AlgMatrix.identity(u.n, u.k)
     unit = [x for p in (u @ u_star - ident, u_star @ u - ident) for row in p.rows for x in row]
     modular = [
         x - expectation(x)
@@ -76,8 +71,6 @@ def oracle_certificate(u: AlgMatrix) -> tuple:
 
     def largest(entries):
         coeffs = [c for x in entries for c in canonical_form(x).terms.values()]
-        if not u.exact:
-            return max((abs(c) for c in coeffs), default=0.0)
         return max((c.abs_exact() for c in coeffs), key=float, default=QSqrt.zero(u.n))
 
     return largest(unit), largest(modular)
@@ -86,7 +79,7 @@ def oracle_certificate(u: AlgMatrix) -> tuple:
 def oracle_flow(u: AlgMatrix):
     """sum_{i,l} psi(u_il [D, u*_li]), with every product built."""
     u_star = u.adjoint()
-    total = QSqrt.zero(u.n) if u.exact else 0j
+    total = QSqrt.zero(u.n)
     for i in range(u.k):
         for l in range(u.k):
             total = total + state_psi(multiply(u.rows[i][l], commutator_D(u_star.rows[l][i])))

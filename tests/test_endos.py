@@ -179,13 +179,6 @@ def test_key_fact_check_refuses_a_probe_from_another_algebra():
         key_fact_check(gen(2, 1), 0, [gen(2, 2), gen(3, 1)])
 
 
-def test_key_fact_check_refuses_a_numeric_probe():
-    with pytest.raises(UsageError, match="mixed exact and numeric backends"):
-        key_fact_check(gen(2, 1), 0, [gen(2, 1).to_numeric()])
-    with pytest.raises(UsageError, match="mixed exact and numeric backends"):
-        key_fact_check(monomial(2, (1,), (2,)), 1, [one(2), gen(2, 2).to_numeric()])
-
-
 def test_sweeps():
     r = tracesplit_sweep(2, 2)
     assert r["failures"] == 0

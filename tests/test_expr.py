@@ -17,7 +17,7 @@ from cuntzmod.algebra import (
     term_sort_key,
     zero,
 )
-from cuntzmod.errors import CuntzError, ExprSyntaxError, UsageError
+from cuntzmod.errors import CuntzError, ExprSyntaxError
 from cuntzmod.expr import parse, render
 from cuntzmod.scalars import QSqrt
 
@@ -132,11 +132,6 @@ def test_multi_digit_letters_round_trip():
     a = monomial(12, (10, 11), (12,))
     assert render(a) == "S[10,11].S[12]'"
     assert parse(render(a), 12) == a
-
-
-def test_render_rejects_numeric_backend():
-    with pytest.raises(UsageError):
-        render(gen(2, 1).to_numeric())
 
 
 # -- the integer renderer against the Fraction-based one it replaced ---------

@@ -7,7 +7,7 @@ import pytest
 from conftest import monomial_elements, oracle_flow, random_element
 from cuntzmod import flow, matrices
 from cuntzmod.algebra import adjoint, gen, monomial, multiply, one, words_upto
-from cuntzmod.errors import BackendError, DomainError, UsageError
+from cuntzmod.errors import DomainError, UsageError
 from cuntzmod.expr import parse
 from cuntzmod.flow import (
     aps_index_traces,
@@ -49,8 +49,6 @@ def test_spectral_flow_rejections():
     bad = AlgMatrix.single(multiply(parse(w["left_expr"], 2), parse(w["right_expr"], 2)))
     with pytest.raises(DomainError):
         spectral_flow(bad)
-    with pytest.raises(BackendError):
-        spectral_flow(build_u_mu_nu(2, (1,), (2,)).to_numeric())
     # S_1 meets the modular condition but U U^* = P_1; S_1^* passes the
     # U @ U^* pass (S_1^* S_1 = 1) and fails only in the U^* @ U pass
     for isometry in (gen(2, 1), adjoint(gen(2, 1))):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import branch_decomposition, max_coeff_abs, oracle_certificate, oracle_flow
+from conftest import branch_decomposition, oracle_certificate, oracle_flow
 from cuntzmod.algebra import (
     AlgebraElement,
     adjoint,
@@ -24,6 +24,7 @@ from cuntzmod.matrices import (
     AlgMatrix,
     _certify,
     _pair_pass,
+    _realify,
     _rotation_block,
     apply_sigma,
     branch_shift_unitary,
@@ -174,7 +175,6 @@ def test_defects_on_modular_inputs_vanish():
     u = build_u_mu_nu(2, (1, 1), (2,))
     unitarity, modular = modular_certificate(u)
     assert unitarity.is_zero and modular.is_zero
-    assert modular_certificate(u.to_numeric()) == (0.0, 0.0)
 
 
 def test_unitarity_defect_reads_off_diagonal_entries():
@@ -219,56 +219,92 @@ def test_nonmodular_product_witness():
         assert str(modular_certificate(product)[1]) == w["defect"]
 
 
+def matrices_equal(a, b):
+    """Entrywise semantic equality of two exact matrices."""
+    return a.k == b.k and all(equals(x, y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2, 1.234, math.pi, -0.7, 3 * math.pi / 2])
-def test_rotation_block_matches_scaled_identities(k, theta):
-    # oracle: three scaled numeric identities glued row by row
-    c, s = math.cos(theta), math.sin(theta)
+@pytest.mark.parametrize("s", [0.0, math.pi / 4, math.pi / 2, 1.234, math.pi, -0.7, 3 * math.pi / 2])
+def test_rotation_block_matches_scaled_identities(k, s):
+    # each float is a dyadic rational, so Fraction(s) is an exact rational s;
+    # oracle: three scaled exact identities glued row by row
+    s = Fraction(s)
+    c, d = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+    assert c * c + d * d == 1
 
     def scaled_identity(x):
-        return [[e.scale(x) for e in row] for row in AlgMatrix.identity(2, k, exact=False).rows]
+        return [[e.scale(x) for e in row] for row in AlgMatrix.identity(2, k).rows]
 
-    cos_rows, sin_rows, neg_sin_rows = scaled_identity(c), scaled_identity(s), scaled_identity(-s)
-    oracle = [a + b for a, b in zip(cos_rows, sin_rows)] + [a + b for a, b in zip(neg_sin_rows, cos_rows)]
-    block = _rotation_block(2, k, theta)
-    assert [[repr(e.terms) for e in row] for row in block.rows] == [[repr(e.terms) for e in row] for row in oracle]
+    cos_rows, sin_rows, neg_sin_rows = scaled_identity(c), scaled_identity(d), scaled_identity(-d)
+    oracle = AlgMatrix([a + b for a, b in zip(cos_rows, sin_rows)] + [a + b for a, b in zip(neg_sin_rows, cos_rows)])
+    block = _rotation_block(2, k, s)
+    assert block == oracle
+    assert block @ block.adjoint() == AlgMatrix.identity(2, 2 * k)
 
 
 def test_homotopy_rotation_path():
-    u = build_u_mu_nu(2, (1, 1), (2,))
-    v = build_u_mu_nu(2, (1,), (2,))
-    report = homotopy_path_check(rotation_direct_sum_path(u, v), samples=11)
-    assert report["passed"]
-    assert all(s["modular_defect"] < 1e-12 for s in report["samples"])
+    for n in (2, 3):
+        u = build_u_mu_nu(n, (1, 1), (2,))
+        v = build_u_mu_nu(n, (1,), (2,))
+        path = rotation_direct_sum_path(u, v)
+        report = homotopy_path_check(path, samples=11)
+        assert report["passed"]
+        assert all(s["unitarity_defect"] == s["modular_defect"] == 0.0 for s in report["samples"])
+        # a quarter turn: from u (+) v to v (+) u, exactly
+        assert path(Fraction(0)) == u.direct_sum(v)
+        assert path(Fraction(1)) == v.direct_sum(u)
 
 
 def test_homotopy_two_stage_swap_path():
-    path = swap_two_stage_path(2, (1, 1), (2,))
-    report = homotopy_path_check(path, samples=21)
-    assert report["passed"]
-    # endpoints are u_{mu,nu} and u_{nu,mu}
-    start, end = path(0.0), path(1.0)
-    target0 = build_u_mu_nu(2, (1, 1), (2,)).to_numeric()
-    target1 = build_u_mu_nu(2, (2,), (1, 1)).to_numeric()
-    for got, want in ((start, target0), (end, target1)):
-        for i in range(2):
-            for j in range(2):
-                assert max_coeff_abs(got.rows[i][j] - want.rows[i][j]) < 1e-12
+    mu, nu = (1, 1), (2,)
+    for n in (2, 3):
+        path = swap_two_stage_path(n, mu, nu)
+        report = homotopy_path_check(path, samples=21)
+        assert report["passed"]
+        assert all(s["unitarity_defect"] == s["modular_defect"] == 0.0 for s in report["samples"])
+        # the end points are realify(u_{mu,nu}) and realify(u_{nu,mu}); both
+        # are real, so realify(X) = X (+) X
+        start, swapped = build_u_mu_nu(n, mu, nu), build_u_mu_nu(n, nu, mu)
+        assert path(Fraction(0)) == start.direct_sum(start)
+        assert path(Fraction(1)) == swapped.direct_sum(swapped)
+        # the stages meet at t = 1/2: the quarter turn of u_{mu,nu} is
+        # u_{nu,mu} with phase -1 on its off-diagonal entries, where the
+        # phase stage starts
+        (a, b), (c, d) = swapped.rows
+        meet = AlgMatrix([[a, -b], [-c, d]])
+        assert path(Fraction(1, 2)) == meet.direct_sum(meet)
+        # and neither stage jumps there: each moves O(eps) away from the meeting
+        # point (the rotation at speed 2, the phase at speed 4)
+        eps = Fraction(1, 1000)
+        for t in (Fraction(1, 2) - eps, Fraction(1, 2) + eps):
+            diff = path(t) - path(Fraction(1, 2))
+            assert max(abs(c.as_fraction()) for row in diff.rows for x in row for c in x.terms.values()) < 5 * eps
+        # past the meeting point the samples carry an imaginary part, and the
+        # phase and its conjugate keep them self-adjoint, like u_{mu,nu}
+        late = path(Fraction(3, 4))
+        assert not late.rows[2][1].is_zero and late == late.adjoint()
 
 
 def test_homotopy_whitehead_path():
-    u = AlgMatrix.single(monomial(2, (1,), (2,)) + monomial(2, (2,), (1,)))
-    path = whitehead_path(u)
-    report = homotopy_path_check(path, samples=21)
-    assert report["passed"]
-    end = path(1.0)
-    ident = AlgMatrix.identity(2, 2, exact=False)
-    from cuntzmod.algebra import canonical_form
+    # a self-adjoint unitary over F, and one that is not
+    swap = AlgMatrix.single(monomial(2, (1,), (2,)) + monomial(2, (2,), (1,)))
+    rot = AlgMatrix.single(cartan_rotation(2, Fraction(3, 5), Fraction(4, 5)))
+    for u in (swap, rot):
+        path = whitehead_path(u)
+        report = homotopy_path_check(path, samples=21)
+        assert report["passed"]
+        assert matrices_equal(path(Fraction(0)), u.direct_sum(u.adjoint()))
+        assert matrices_equal(path(Fraction(1)), AlgMatrix.identity(2, 2))
 
-    for i in range(2):
-        for j in range(2):
-            diff = canonical_form(end.rows[i][j] - ident.rows[i][j])
-            assert max_coeff_abs(diff) < 1e-12
+
+def test_homotopy_path_check_samples_exact_points():
+    seen = []
+    u = build_u_mu_nu(2, (1,), (2,))
+    report = homotopy_path_check(lambda t: seen.append(t) or u, samples=4)
+    assert seen == [Fraction(i, 3) for i in range(4)] and all(type(t) is Fraction for t in seen)
+    assert [s["t"] for s in report["samples"]] == [0.0, 1 / 3, 2 / 3, 1.0]
+    assert report["passed"] and set(report) == {"passed", "samples"}
 
 
 def test_homotopy_constant_paths():
@@ -309,9 +345,7 @@ def test_single_entry_render_helper():
 def _assert_matches_oracle(u):
     """The pair-pass certificate and flow sum equal the explicit-product
     oracle exactly, and each pass's maps are the term maps of A B and of
-    the off-degree part of A sigma(B), entry by entry; on the numeric
-    backend the certificate is within 1e-12 of the oracle's and no flow is
-    summed (psi is exact-only)."""
+    the off-degree part of A sigma(B), entry by entry."""
     unitarity, modular, flow = _certify(u)
     assert (unitarity, modular) == oracle_certificate(u)
     assert flow == oracle_flow(u)
@@ -324,11 +358,6 @@ def _assert_matches_oracle(u):
                 assert products[i][j] == plain.rows[i][j].terms
                 off = {key: c for key, c in twisted.rows[i][j].terms.items() if len(key[0]) != len(key[1])}
                 assert sigma_products[i][j] == off
-    nu = u.to_numeric()
-    unitarity, modular, flow = _certify(nu)
-    assert modular_certificate(nu) == (unitarity, modular) and flow is None
-    for got, want in zip((unitarity, modular), oracle_certificate(nu)):
-        assert abs(got - want) <= 1e-12
 
 
 def _assert_fixed_algebra_matches_oracle(u):
@@ -439,3 +468,19 @@ def test_in_fixed_algebra_decides_deep_off_degree_elements():
     zero_off_degree = lhs - multiply(s1, branch_decomposition(n, w)) + projection(n, (3,))
     assert in_fixed_algebra(zero_off_degree)
     assert not in_fixed_algebra(zero_off_degree - monomial(n, (1,) + w[:-1] + (4,), w[:-1] + (4,)))
+
+
+def _negated(m):
+    return AlgMatrix([[-x for x in row] for row in m.rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda n: st.lists(_elements(n), min_size=16, max_size=16)))
+def test_realify_is_a_star_homomorphism(entries):
+    # (A + iB)(C + iD) = (AC - BD) + i(AD + BC) and (A + iB)^* = A^* - iB^*,
+    # and sigma acts on both parts alike
+    a, b, c, d = (AlgMatrix([entries[i:i + 2], entries[i + 2:i + 4]]) for i in range(0, 16, 4))
+    product = _realify(a @ c - b @ d, a @ d - _negated(b @ c))
+    assert matrices_equal(_realify(a, b) @ _realify(c, d), product)
+    assert _realify(a, b).adjoint() == _realify(a.adjoint(), _negated(b.adjoint()))
+    assert apply_sigma(_realify(a, b)) == _realify(apply_sigma(a), apply_sigma(b))

@@ -5,8 +5,9 @@ S_w S_w^*.  ``psi_product(a, b)`` must equal ``oracle_psi_product``, which
 builds a b and reads psi off it, exactly.  The pairing reads a's terms
 swapped and the twisted cocycle weights each pair by a1's term degree, and
 the two endomorphism traces call the pairing; each must still equal the
-formula that built a*, [D, a1] and the product.  psi and
-everything read off it are exact-only: numeric operands raise BackendError.
+formula that built a*, [D, a1] and the product.  No operand of psi or of
+anything read off it can carry a float: the constructors refuse one with
+BackendError.
 """
 
 from fractions import Fraction
@@ -124,10 +125,8 @@ def test_psi_product_on_empty_operands():
 def test_psi_product_rejects_mixed_contexts():
     # the context checks run even when an operand is empty, for every pairing
     for pairing in PAIRINGS:
-        for a, b in ((gen(2, 1), gen(3, 1)), (zero(2), gen(3, 1)), (gen(2, 1), zero(3)), (zero(2), zero(3)),
-                     (gen(2, 1), gen(2, 1).to_numeric()), (zero(2), gen(2, 1).to_numeric()),
-                     (zero(2, False), gen(2, 1)), (zero(2), zero(2, False))):
-            with pytest.raises(UsageError, match="mixed"):  # the context error, not the numeric refusal
+        for a, b in ((gen(2, 1), gen(3, 1)), (zero(2), gen(3, 1)), (gen(2, 1), zero(3)), (zero(2), zero(3))):
+            with pytest.raises(UsageError, match="mixed algebras"):
                 pairing(a, b)
 
 
@@ -170,25 +169,38 @@ def test_endo_traces_equal_psi_of_the_built_product(rng):
         assert tau_delta_endo(e) == delta
 
 
-# -- the exact-only entry points refuse the numeric backend -----------------------
+# -- float data never reaches an exact entry point --------------------------------
+#
+# No element holds a float or complex coefficient, so no entry point guards
+# against one.  Each call below asks for the float operand its entry point
+# would read (a degree-0 one where trace_F would object to the degree), and
+# the constructor that would build it raises BackendError first; only
+# EndoSum_coefficient reaches its entry point, whose own coefficient is the
+# float.
 
-_X = monomial(2, (1,), (2,)).to_numeric().scale(1 - 2j)  # a numeric operand of degree 0
-_P = projection(2, (1,)).to_numeric()  # degree 0, so trace_F has no degree to object to
+
+def _x():
+    return monomial(2, (1,), (2,), 1 - 2j)
+
+
+def _p():
+    return projection(2, (1,)).scale(0.5)
+
 
 NUMERIC_CALLS = {
-    "state_psi": lambda: state_psi(_P),
-    "psi_product": lambda: psi_product(_X, _P),
-    "psi_product_empty": lambda: psi_product(zero(2, False), zero(2, False)),
-    "inner_product": lambda: inner_product(_X, _P),
-    "trace_F": lambda: trace_F(_P),
-    "trace_F_off_degree": lambda: trace_F(gen(2, 1).to_numeric()),
-    "twisted_theta": lambda: twisted_theta(_X, gen(2, 1).to_numeric()),
-    "EndoSum": lambda: EndoSum(2, [(1, RankOne(_P, _P))]),
+    "state_psi": lambda: state_psi(_p()),
+    "psi_product": lambda: psi_product(_x(), projection(2, (1,))),
+    "psi_product_empty": lambda: psi_product(zero(2).scale(0.5), zero(2)),
+    "inner_product": lambda: inner_product(_x(), projection(2, (1,))),
+    "trace_F": lambda: trace_F(_p()),
+    "trace_F_off_degree": lambda: trace_F(monomial(2, (1,), (), 0.5)),
+    "twisted_theta": lambda: twisted_theta(gen(2, 1), _x()),
+    "EndoSum": lambda: EndoSum(2, [(1, RankOne(_p(), projection(2, (1,))))]),
     "EndoSum_coefficient": lambda: EndoSum(2, [(0.5, RankOne(gen(2, 1), gen(2, 1)))]),
-    "compose_left_mult": lambda: compose_left_mult(_P, phi_k_endo(1, 2)),
-    "compose_left_mult_empty": lambda: compose_left_mult(_P, EndoSum(2)),
-    "key_fact_check": lambda: key_fact_check(gen(2, 1).to_numeric(), 0, [_P]),
-    "aps_index_traces": lambda: aps_index_traces(monomial(2, (1, 1), (2,)).to_numeric()),
+    "compose_left_mult": lambda: compose_left_mult(_p(), phi_k_endo(1, 2)),
+    "compose_left_mult_empty": lambda: compose_left_mult(_p(), EndoSum(2)),
+    "key_fact_check": lambda: key_fact_check(gen(2, 1), 0, [_p()]),
+    "aps_index_traces": lambda: aps_index_traces(monomial(2, (1, 1), (2,), 0.5)),
 }
 
 
