@@ -17,8 +17,8 @@ its own functions when it runs, and each ``check`` suite its own module:
 exact module.  No verb loads a third-party module: the numerics are pure
 Python too.
 
-A check suite's size lives with its loop: ``<suite>_plan`` beside each
-``<suite>_sweep`` returns the sweep's cases and the work the budget charges.
+``tally.sweep`` counts the cases each ``<suite>_sweep`` yields; ``<suite>_plan``
+beside it estimates them, and the work the budget charges, before it starts.
 """
 
 from __future__ import annotations

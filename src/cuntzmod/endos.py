@@ -53,7 +53,7 @@ from .algebra import (
 from .errors import DomainError, TermBudgetExceeded, UsageError
 from .modular import delta_power, expectation, gauge_component, inner_product, trace_F
 from .scalars import QSqrt, n_power
-from .tally import Tally
+from .tally import sweep
 
 
 class RankOne:
@@ -271,25 +271,23 @@ def tracesplit_plan(n: int, max_len: int) -> tuple[int, int]:
     return (2 * TRACESPLIT_K_SPAN + 1) * per_k, per_k * (2 * word_count(n, TRACESPLIT_K_SPAN) - 1)
 
 
-def tracesplit_sweep(n: int, max_len: int) -> dict:
+@sweep("tracesplit", "n", "max_len")
+def tracesplit_sweep(n: int, max_len: int):
     """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) == tau(f) for
     degree-0 monomials f and |k| <= TRACESPLIT_K_SPAN, plus the Phi_k weights themselves."""
-    tally = Tally()
     for k in range(-TRACESPLIT_K_SPAN, TRACESPLIT_K_SPAN + 1):
         phi_k = phi_k_endo(k, n)
-        tally.check(tau_tilde(phi_k) == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}")
-        tally.check(tau_delta_endo(phi_k) == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1")
+        yield tau_tilde(phi_k) == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}"
+        yield tau_delta_endo(phi_k) == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1"
         for length in range(max_len + 1):
             for alpha in words(n, length):
                 for beta in words(n, length):
                     f = monomial(n, alpha, beta)
                     tf = trace_F(f)
                     fused = compose_left_mult(f, phi_k)
-                    tally.check(tau_tilde(fused) == n_power(n, k) * tf,
-                                lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
-                    tally.check(tau_delta_endo(fused) == tf,
-                                lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}")
-    return tally.report("tracesplit", n=n, max_len=max_len)
+                    yield (tau_tilde(fused) == n_power(n, k) * tf,
+                           lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
+                    yield tau_delta_endo(fused) == tf, lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}"
 
 
 def keyfact_plan(n: int, max_len: int) -> tuple[int, int]:
@@ -298,7 +296,8 @@ def keyfact_plan(n: int, max_len: int) -> tuple[int, int]:
     return cases, cases * word_count(n, KEYFACT_PROBE_LEN) ** 2
 
 
-def keyfact_sweep(n: int, max_len: int) -> dict:
+@sweep("keyfact", "n", "max_len")
+def keyfact_sweep(n: int, max_len: int):
     """The compression identity v Phi_k v^* == v v^* Phi_{k+m} over monomial
     partial isometries with leg lengths up to max_len and |k| <= KEYFACT_K_SPAN,
     each case checked like ``key_fact_check`` on every probe with legs up to
@@ -309,13 +308,11 @@ def keyfact_sweep(n: int, max_len: int) -> dict:
     probes = monomials_upto(n, KEYFACT_PROBE_LEN)
     spread = KEYFACT_K_SPAN + max_len  # |k + m| never exceeds it
     shifted = {j: [gauge_component(x, j).terms for x in probes] for j in range(-spread, spread + 1)}
-    tally = Tally()
     for mu in ws:
         for nu in ws:
             v = monomial(n, mu, nu)
             m, v_star, range_proj = _partial_isometry(v)
             pulled = [_pulled(v_star, x) for x in probes]
             for k in range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1):
-                tally.check(_key_fact_holds(n, v.terms, range_proj.terms, k, zip(pulled, shifted[k + m])),
-                            lambda: f"v=S_{mu}S*_{nu} k={k}")
-    return tally.report("keyfact", n=n, max_len=max_len)
+                yield (_key_fact_holds(n, v.terms, range_proj.terms, k, zip(pulled, shifted[k + m])),
+                       lambda: f"v=S_{mu}S*_{nu} k={k}")

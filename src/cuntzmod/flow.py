@@ -50,7 +50,7 @@ from .errors import BackendError, DomainError, UsageError
 from .matrices import AlgMatrix, _certify, apply_sigma, build_u_mu_nu, is_modular_unitary
 from .modular import _psi_walk, commutator_D, delta_power, trace_F
 from .scalars import QSqrt, scalar_str
-from .tally import Tally
+from .tally import sweep
 
 
 class FlowReport(namedtuple("FlowReport", "n mu nu sf eta_diff kernel_diff in_k0_range entropy")):
@@ -253,18 +253,17 @@ def projection_perturbation_data(n: int, mu: Sequence[int], nu: Sequence[int]) -
 # -- named invariant sweeps ------------------------------------------------
 
 
-def sf_closed_form_chunk(n: int, len_mu: int, len_nu: int) -> dict:
+@sweep("sf_closed_form", "n", "len_mu", "len_nu")
+def sf_closed_form_chunk(n: int, len_mu: int, len_nu: int):
     """One (n, |mu|, |nu|) block of the closed-form sweep: spectral_flow of
     every u_{mu,nu} equals the closed form, is positive, and lies in
     (n-1)Z[1/n]."""
-    tally = Tally()
     expected = closed_form_sf(n, (1,) * len_mu, (1,) * len_nu)
     membership = k0_membership(expected, n)
     for mu in words(n, len_mu):
         for nu in words(n, len_nu):
             sf = spectral_flow(build_u_mu_nu(n, mu, nu))
-            tally.check(sf == expected and sf > 0 and membership, lambda: f"mu={mu} nu={nu} sf={sf}")
-    return tally.report("sf_closed_form", n=n, len_mu=len_mu, len_nu=len_nu)
+            yield sf == expected and sf > 0 and membership, lambda: f"mu={mu} nu={nu} sf={sf}"
 
 
 def cocycle_plan(n: int, max_len: int) -> tuple[int, int]:
@@ -274,21 +273,20 @@ def cocycle_plan(n: int, max_len: int) -> tuple[int, int]:
     return cases, cases
 
 
-def cocycle_sweep(n: int, max_len: int) -> dict:
+@sweep("cocycle", "n", "max_len")
+def cocycle_sweep(n: int, max_len: int):
     """b theta and B theta vanish on all monomial triples with leg lengths
     up to max_len."""
     monos = monomials_upto(n, max_len)
     ident = one(n)
-    tally = Tally()
     for a0 in monos:
         value = twisted_theta(ident, a0)
-        tally.check(value.is_zero, lambda: f"B-defect {value} on {a0!r}")
+        yield value.is_zero, lambda: f"B-defect {value} on {a0!r}"
     for a0 in monos:
         for a1 in monos:
             for a2 in monos:
                 value = cocycle_b_defect(a0, a1, a2)
-                tally.check(value.is_zero, lambda: f"b-defect {value} on ({a0!r}, {a1!r}, {a2!r})")
-    return tally.report("cocycle", n=n, max_len=max_len)
+                yield value.is_zero, lambda: f"b-defect {value} on ({a0!r}, {a1!r}, {a2!r})"
 
 
 def hochschild_plan(n: int) -> tuple[int, int]:

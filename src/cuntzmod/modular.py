@@ -40,7 +40,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, adjoint, monomials_upto, word_count
 from .errors import BackendError, DomainError
 from .scalars import QSqrt, n_power
-from .tally import Tally
+from .tally import sweep
 
 
 def gauge_component(a: AlgebraElement, k: int) -> AlgebraElement:
@@ -212,19 +212,18 @@ def kms_plan(n: int, max_len: int) -> tuple[int, int]:
     return cases, cases
 
 
-def kms_sweep(n: int, max_len: int) -> dict:
+@sweep("kms", "n", "max_len")
+def kms_sweep(n: int, max_len: int):
     """psi(ab) == psi(sigma(b) a) exactly, over all monomial pairs with leg
     lengths up to max_len.  sigma(b) is formed once per monomial; every
     pair still evaluates both sides, each with psi_product."""
     monos = monomials_upto(n, max_len)
     sigmas = [sigma(b) for b in monos]
-    tally = Tally()
     for a in monos:
         for b, sigma_b in zip(monos, sigmas):
             lhs = psi_product(a, b)
             rhs = psi_product(sigma_b, a)
-            tally.check(lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}")
-    return tally.report("kms", n=n, max_len=max_len)
+            yield lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}"
 
 
 def tomita_plan(n: int, max_len: int) -> tuple[int, int]:
@@ -234,7 +233,8 @@ def tomita_plan(n: int, max_len: int) -> tuple[int, int]:
     return cases, cases
 
 
-def tomita_sweep(n: int, max_len: int) -> dict:
+@sweep("tomita", "n", "max_len")
+def tomita_sweep(n: int, max_len: int):
     """The Tomita-algebra identities over monomials up to max_len: the
     involution intertwines the modular powers, the modular powers are
     symmetric for the pairing, F is adjoint to S, and the polar
@@ -251,24 +251,18 @@ def tomita_sweep(n: int, max_len: int) -> dict:
     # (a, [Delta^z a for z in zs], F a, S a) for each monomial a; a list in
     # zs order rather than a dict, since a Fraction key is hashed per lookup
     maps = [(a, [delta_power(a, z) for z in zs], tomita_F(a), tomita_S(a)) for a in monos]
-    tally = Tally()
     for a, a_z, f_a, s_a in maps:
         for z, dz_a in zip(zs, a_z):  # S(Delta^z a) = Delta^(-conj z)(S a); z real here
-            tally.check(equals(tomita_S(dz_a), delta_power(s_a, -z)),
-                        lambda: f"S/Delta^z intertwining a={a!r} z={z}")
-        tally.check(equals(s_a, modular_conjugation_J(a_z[2])),  # a_z[2] = Delta^(1/2) a
-                    lambda: f"polar S a={a!r}")
-        tally.check(equals(f_a, delta_power(modular_conjugation_J(a), half)), lambda: f"polar F a={a!r}")
-        tally.check(equals(modular_conjugation_J(modular_conjugation_J(a)), a), lambda: f"J^2 a={a!r}")
+            yield equals(tomita_S(dz_a), delta_power(s_a, -z)), lambda: f"S/Delta^z intertwining a={a!r} z={z}"
+        yield equals(s_a, modular_conjugation_J(a_z[2])), lambda: f"polar S a={a!r}"  # a_z[2] = Delta^(1/2) a
+        yield equals(f_a, delta_power(modular_conjugation_J(a), half)), lambda: f"polar F a={a!r}"
+        yield equals(modular_conjugation_J(modular_conjugation_J(a)), a), lambda: f"J^2 a={a!r}"
     for a, a_z, f_a, s_a in maps:
         for b, b_z, f_b, s_b in maps:
             for z, dz_a, dz_b in zip(zs, a_z, b_z):  # <Delta^z a, b> = <a, Delta^(conj z) b>
-                tally.check(inner_product(dz_a, b) == inner_product(a, dz_b),
-                            lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={z}")
+                yield (inner_product(dz_a, b) == inner_product(a, dz_b),
+                       lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={z}")
             # <F a, S b> = <b, a>
-            tally.check(inner_product(f_a, s_b) == inner_product(b, a),
-                        lambda: f"F/S exchange a={a!r} b={b!r}")
+            yield inner_product(f_a, s_b) == inner_product(b, a), lambda: f"F/S exchange a={a!r} b={b!r}"
             # <S a, b> = <F b, a>
-            tally.check(inner_product(s_a, b) == inner_product(f_b, a),
-                        lambda: f"F adjoint to S a={a!r} b={b!r}")
-    return tally.report("tomita", n=n, max_len=max_len)
+            yield inner_product(s_a, b) == inner_product(f_b, a), lambda: f"F adjoint to S a={a!r} b={b!r}"

@@ -195,10 +195,6 @@ class QSqrt:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def conjugate(self) -> "QSqrt":
-        """Complex conjugation; the identity, since the field is real."""
-        return self
-
     def sign(self) -> int:
         """Exact sign of the real value: -1, 0 or +1."""
         a, b = self.na, self.nb

@@ -1,36 +1,36 @@
-"""Case bookkeeping shared by the named invariant sweeps."""
+"""The one runner of the named invariant sweeps.
+
+A sweep is a generator that yields one ``(ok, label)`` pair per case, and
+``sweep`` turns it into the function that runs it and returns the report.
+A label is a zero-argument callable naming its case.  The runner calls it
+only for the first FIRST_FAILURES failures, while the generator is paused
+at that case's ``yield``, so the label reads that case's loop values.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import wraps
 
 FIRST_FAILURES = 5
 
 
-class Tally:
-    """Counts a sweep's cases and failures and keeps the labels of the
-    first few failures.  A label is built only when its case fails."""
+def sweep(check: str, *params: str):
+    """Decorator: the report is {"check", *params, "cases", "failures",
+    "first_failures"}, where ``params`` name the positional arguments."""
 
-    __slots__ = ("cases", "failures", "first_failures")
+    def decorate(generate):
+        @wraps(generate)
+        def run(*args) -> dict:
+            cases = failures = 0
+            first_failures: list[str] = []
+            for cases, (ok, label) in enumerate(generate(*args), 1):
+                if not ok:
+                    failures += 1
+                    if len(first_failures) < FIRST_FAILURES:
+                        first_failures.append(label())
+            return {"check": check, **dict(zip(params, args)), "cases": cases,
+                    "failures": failures, "first_failures": first_failures}
 
-    def __init__(self):
-        self.cases = 0
-        self.failures = 0
-        self.first_failures: list[str] = []
+        return run
 
-    def check(self, ok: bool, label: Callable[[], str]) -> None:
-        self.cases += 1
-        if not ok:
-            self.failures += 1
-            if len(self.first_failures) < FIRST_FAILURES:
-                self.first_failures.append(label())
-
-    def report(self, check: str, **params) -> dict:
-        """The sweep report: name, parameters, then the counts."""
-        return {
-            "check": check,
-            **params,
-            "cases": self.cases,
-            "failures": self.failures,
-            "first_failures": self.first_failures,
-        }
+    return decorate

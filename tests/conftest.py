@@ -8,7 +8,7 @@ from cuntzmod.algebra import adjoint, canonical_form, equals, monomial, multiply
 from cuntzmod.matrices import AlgMatrix, apply_sigma
 from cuntzmod.modular import commutator_D, expectation, state_psi
 from cuntzmod.scalars import QSqrt
-from cuntzmod.tally import Tally
+from cuntzmod.tally import sweep
 
 COEFF_POOL = [
     Fraction(1),
@@ -113,54 +113,52 @@ def oracle_lattice_sum(shift: float, expo: float, cfg) -> float:
 # as the sweeps do, so a map patched into a module reaches both sides.
 
 
-def oracle_kms_sweep(n: int, max_len: int) -> dict:
+@sweep("kms", "n", "max_len")
+def oracle_kms_sweep(n: int, max_len: int):
     """kms_sweep with sigma(b) formed for every pair."""
     monos = monomial_elements(n, max_len)
-    tally = Tally()
     for a in monos:
         for b in monos:
             lhs = state_psi(multiply(a, b))
             rhs = state_psi(multiply(modular.sigma(b), a))
-            tally.check(lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}")
-    return tally.report("kms", n=n, max_len=max_len)
+            yield lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}"
 
 
-def oracle_tomita_sweep(n: int, max_len: int) -> dict:
+@sweep("tomita", "n", "max_len")
+def oracle_tomita_sweep(n: int, max_len: int):
     """tomita_sweep with Delta^z, F and S formed inside every case."""
     mod = modular
     monos = monomial_elements(n, max_len)
     zs = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
     half = Fraction(1, 2)
-    tally = Tally()
     for a in monos:
         for z in zs:
-            tally.check(equals(mod.tomita_S(mod.delta_power(a, z)), mod.delta_power(mod.tomita_S(a), -z)),
-                        lambda: f"S/Delta^z intertwining a={a!r} z={z}")
-        tally.check(equals(mod.tomita_S(a), mod.modular_conjugation_J(mod.delta_power(a, half))),
-                    lambda: f"polar S a={a!r}")
-        tally.check(equals(mod.tomita_F(a), mod.delta_power(mod.modular_conjugation_J(a), half)),
-                    lambda: f"polar F a={a!r}")
-        tally.check(equals(mod.modular_conjugation_J(mod.modular_conjugation_J(a)), a), lambda: f"J^2 a={a!r}")
+            yield (equals(mod.tomita_S(mod.delta_power(a, z)), mod.delta_power(mod.tomita_S(a), -z)),
+                   lambda: f"S/Delta^z intertwining a={a!r} z={z}")
+        yield (equals(mod.tomita_S(a), mod.modular_conjugation_J(mod.delta_power(a, half))),
+               lambda: f"polar S a={a!r}")
+        yield (equals(mod.tomita_F(a), mod.delta_power(mod.modular_conjugation_J(a), half)),
+               lambda: f"polar F a={a!r}")
+        yield equals(mod.modular_conjugation_J(mod.modular_conjugation_J(a)), a), lambda: f"J^2 a={a!r}"
     for a in monos:
         for b in monos:
             for z in zs:
                 lhs = mod.inner_product(mod.delta_power(a, z), b)
-                tally.check(lhs == mod.inner_product(a, mod.delta_power(b, z)),
-                            lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={z}")
-            tally.check(mod.inner_product(mod.tomita_F(a), mod.tomita_S(b)) == mod.inner_product(b, a),
-                        lambda: f"F/S exchange a={a!r} b={b!r}")
-            tally.check(mod.inner_product(mod.tomita_S(a), b) == mod.inner_product(mod.tomita_F(b), a),
-                        lambda: f"F adjoint to S a={a!r} b={b!r}")
-    return tally.report("tomita", n=n, max_len=max_len)
+                yield (lhs == mod.inner_product(a, mod.delta_power(b, z)),
+                       lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={z}")
+            yield (mod.inner_product(mod.tomita_F(a), mod.tomita_S(b)) == mod.inner_product(b, a),
+                   lambda: f"F/S exchange a={a!r} b={b!r}")
+            yield (mod.inner_product(mod.tomita_S(a), b) == mod.inner_product(mod.tomita_F(b), a),
+                   lambda: f"F adjoint to S a={a!r} b={b!r}")
 
 
-def oracle_keyfact_sweep(n: int, max_len: int) -> dict:
+@sweep("keyfact", "n", "max_len")
+def oracle_keyfact_sweep(n: int, max_len: int):
     """keyfact_sweep with v^*, v v^*, every v^* x and every Phi_j(x) formed
     again for each (v, k)."""
     k_span = endos.KEYFACT_K_SPAN
     ws = words_upto(n, max_len)
     probes = monomial_elements(n, endos.KEYFACT_PROBE_LEN)
-    tally = Tally()
     for mu in ws:
         for nu in ws:
             v = monomial(n, mu, nu)
@@ -173,8 +171,7 @@ def oracle_keyfact_sweep(n: int, max_len: int) -> dict:
                            multiply(range_proj, endos.gauge_component(x, k + m)))
                     for x in probes
                 )
-                tally.check(ok, lambda: f"v=S_{mu}S*_{nu} k={k}")
-    return tally.report("keyfact", n=n, max_len=max_len)
+                yield ok, lambda: f"v=S_{mu}S*_{nu} k={k}"
 
 
 @pytest.fixture

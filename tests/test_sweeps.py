@@ -9,6 +9,9 @@ keep its case count, so sharing a map did not make a check vacuous.  The
 first three mutants are wrong maps the sweeps share; the last two make
 tomita_sweep's first failures carry the loop variables of its hoisted
 loops, so a label that read the wrong operand or z would differ.
+
+The sweeps and their oracles share one runner, ``tally.sweep``, so that
+equality cannot see a miscount.  A toy sweep checks the runner on its own.
 """
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from conftest import oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep
 from cuntzmod import endos, modular
 from cuntzmod.algebra import multiply
+from cuntzmod.tally import sweep
 
 SWEEPS = {
     "kms": (modular.kms_sweep, oracle_kms_sweep, (2, 2), 2401),
@@ -85,3 +89,26 @@ def test_sweep_report_matches_the_per_case_oracle(monkeypatch, sweep, mutant):
         assert report["failures"] > 0 and report["first_failures"]
     else:
         assert report["failures"] == 0
+
+
+def _passing_label():
+    raise AssertionError("the label of a passing case was called")
+
+
+@sweep("toy", "size")
+def _toy_sweep(size: int):
+    """Cases 0..size-1; only case 3 passes, inside the span the first failures cover."""
+    for i in range(size):
+        yield (True, _passing_label) if i == 3 else (False, lambda: f"i={i}")
+
+
+def test_runner_counts_cases_and_labels_the_first_failures():
+    # Each label reads its own i: a runner that called it after advancing
+    # the generator would read the next case's i.
+    assert _toy_sweep(8) == {
+        "check": "toy",
+        "size": 8,
+        "cases": 8,
+        "failures": 7,
+        "first_failures": ["i=0", "i=1", "i=2", "i=4", "i=5"],
+    }
