@@ -376,11 +376,17 @@ def canonical_form(a: AlgebraElement) -> AlgebraElement:
                     "raise CUNTZ_TERM_BUDGET if this is intended"
                 )
             suffixes = itertools.product(letters, repeat=need)
+        diagonal = mu == nu
         for sfx in suffixes:
-            key = (mu + sfx, nu + sfx)
+            left = mu + sfx
+            key = (left, left if diagonal else nu + sfx)
             v = out.get(key)
-            out[key] = c if v is None else v + c
-    out = {k: v for k, v in out.items() if not v.is_zero}
+            if v is None:
+                out[key] = c
+            elif (v := v + c).is_zero:  # only a key given a second coefficient can cancel
+                del out[key]
+            else:
+                out[key] = v
     return AlgebraElement._make(a.n, out)
 
 

@@ -20,74 +20,70 @@ mu lexicographic, nu lexicographic) and a coefficient a + b*sqrt(n) with
 both parts nonzero is emitted as two adjacent terms (the rational part
 first).  ``parse(render(a), a.n)`` reproduces ``a`` exactly.
 
-Cost of ``render``: one sort of the terms, then per term a few dict
-lookups and string concatenations.  Coefficient text comes straight from
-the integer triple ``(na, nb, den)`` of the QSqrt (signs and the unit test
-on ints, one ``gcd`` only when ``den != 1``).  Leg text is kept in a memo
-local to the call: a word's text is its parent word's text plus one
-letter, and consecutive terms in sorted order share parents, so most
-letters are never formatted twice; the second leg of a projection is a
-memo hit.  Nothing is cached across calls.
+Cost: ``render`` sorts the terms, then joins each leg from letter texts
+cached for the call (the second leg of a projection reuses the first), and
+takes coefficient text straight from the integer triple ``(na, nb, den)``
+of the QSqrt (one ``gcd`` only when ``den != 1``).  ``parse`` splits the
+text with one compiled token pattern and reads a generator's indices in bulk.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from fractions import Fraction
 
-from .algebra import AlgebraElement, _add_into, adjoint, monomial, multiply, one, term_sort_key, zero
+from .algebra import AlgebraElement, _add_into, multiply, one, term_sort_key, zero
 from .errors import ExprSyntaxError
-from .scalars import QSqrt, ratio_str
+from .scalars import QSqrt, _Lazy, ratio_str
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
+# A token is a run of decimal digits, any other character but whitespace
+# (which only separates tokens), or "" at the end of the text.  On a str
+# pattern \d and \S accept exactly what str.isdecimal and not str.isspace do.
+_TOKEN = re.compile(r"\d+|\S|\Z")
 
 
 class _Parser:
+    """Recursive descent over the tokens of the text, which end in one ""."""
+
     def __init__(self, text: str, n: int):
         self.text = text
         self.n = n
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text)
+        self.i = 0
+        self.unit = QSqrt(n, 1)  # refuses n < 2 before any token is read
 
-    def error(self, message: str, pos: int | None = None):
-        raise ExprSyntaxError(message, _byte_offset(self.text, self.pos if pos is None else pos))
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, message: str, at: int | None = None):
+        """Raise at the byte offset of token ``at`` (default: the current one)."""
+        token = next(itertools.islice(_TOKEN.finditer(self.text), self.i if at is None else at, None))
+        raise ExprSyntaxError(message, len(self.text[: token.start()].encode("utf-8")))
 
     def take(self, char: str):
-        if self.peek() != char:
+        if self.tokens[self.i] != char:
             self.error(f"expected {char!r}")
-        self.pos += 1
+        self.i += 1
 
     def digits(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected digits", start)
+        token = self.tokens[self.i]
+        if not token.isdecimal():
+            self.error("expected digits")
         try:
-            return int(self.text[start : self.pos])
+            value = int(token)
         except ValueError:  # int() refuses numbers past its digit limit
-            self.error(f"number of {self.pos - start} digits is too long", start)
+            self.error(f"number of {len(token)} digits is too long")
+        self.i += 1
+        return value
 
     def rational(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        negative = False
-        if self.peek() == "-":
-            negative = True
-            self.pos += 1
+        start = self.i
+        negative = self.tokens[start] == "-"
+        if negative:
+            self.i += 1
         num = self.digits()
         den = 1
-        if self.peek() == "/":
-            self.pos += 1
+        if self.tokens[self.i] == "/":
+            self.i += 1
             den = self.digits()
             if den == 0:
                 self.error("malformed rational: zero denominator", start)
@@ -95,103 +91,98 @@ class _Parser:
         return -value if negative else value
 
     def index(self) -> int:
-        self.skip_ws()
-        start = self.pos
         value = self.digits()
         if not 1 <= value <= self.n:
-            self.error(f"index {value} outside 1..{self.n}", start)
+            self.error(f"index {value} outside 1..{self.n}", self.i - 1)
         return value
 
+    def word(self) -> tuple:
+        """The indices of a generator block, through its "]".  Valid indices
+        are read in bulk; a faulty block is walked up to its first fault."""
+        tokens = self.tokens
+        start = self.i
+        try:
+            close = tokens.index("]", start)
+            word = tuple(map(int, tokens[start:close:2]))
+            if tokens[start + 1 : close : 2] == [","] * (len(word) - 1) and 1 <= min(word) and max(word) <= self.n:
+                self.i = close + 1
+                return word
+        except ValueError:  # no "]", a token that is no index, or an empty block
+            pass
+        letters = [self.index()]
+        while tokens[self.i] == ",":
+            self.i += 1
+            letters.append(self.index())
+        self.take("]")
+        return tuple(letters)
+
     def factor(self) -> AlgebraElement:
-        c = self.peek()
+        tokens = self.tokens
+        c = tokens[self.i]
         if c == "I":
-            self.pos += 1
+            self.i += 1
             return one(self.n)
         if c != "S":
             self.error("expected a factor ('I' or 'S[...]')")
-        self.pos += 1
+        self.i += 1
         self.take("[")
-        letters = [self.index()]
-        while self.peek() == ",":
-            self.pos += 1
-            letters.append(self.index())
-        self.take("]")
-        el = monomial(self.n, tuple(letters), ())
-        if self.peek() == "'":
-            self.pos += 1
-            el = adjoint(el)
-        return el
+        word = self.word()
+        key = (word, ())
+        if tokens[self.i] == "'":
+            self.i += 1
+            key = ((), word)
+        return AlgebraElement._make(self.n, {key: self.unit})
 
     def term(self) -> AlgebraElement:
-        c = self.peek()
+        tokens = self.tokens
+        c = tokens[self.i]
         coeff = None
         if c == "-" or c.isdecimal():
             rat = self.rational()
-            if self.peek() == "r":
-                self.pos += 1
+            if tokens[self.i] == "r":
+                self.i += 1
                 coeff = QSqrt(self.n, 0, rat)
             else:
                 coeff = QSqrt(self.n, rat)
             self.take("*")
         el = self.factor()
-        while self.peek() == ".":
-            self.pos += 1
+        while tokens[self.i] == ".":
+            self.i += 1
             el = multiply(el, self.factor())
         if coeff is not None:
             el = el.scale(coeff)
         return el
 
     def element(self) -> AlgebraElement:
+        tokens = self.tokens
         # bare "0" (optionally signed) denotes the zero element
-        mark = self.pos
-        c = self.peek()
+        c = tokens[0]
         if c == "-" or c.isdecimal():
             try:
-                rat = self.rational()
-            except ExprSyntaxError:
-                rat = None
-                self.pos = mark
-            if rat is not None:
-                if self.peek() == "" and rat == 0:
+                if self.rational() == 0 and tokens[self.i] == "":
                     return zero(self.n)
-                self.pos = mark
+            except ExprSyntaxError:
+                pass
+            self.i = 0
         acc = zero(self.n)  # each term is added into one map, so the cost is linear
-        negate = self.peek() == "-"
+        negate = tokens[0] == "-"
         if negate:
-            self.pos += 1
+            self.i += 1
         while True:
             el = self.term()
             _add_into(acc.terms, (-el if negate else el).terms)
-            c = self.peek()
+            c = tokens[self.i]
             if c == "":
                 return acc
             if c not in "+-":
                 self.error("unexpected input after element")
             negate = c == "-"
-            self.pos += 1
+            self.i += 1
 
 
 def parse(text: str, n: int) -> AlgebraElement:
     """Parse element text over O_n."""
     return _Parser(text, n).element()
-
-
-def _leg_text(word, memo: dict) -> str:
-    """Letters of a nonempty word as "1,2,3", stored in ``memo`` with the
-    text of its parent word ``word[:-1]``, from which it is built.  A parent
-    not yet in ``memo`` is joined afresh instead of from its own parent, so
-    a word costs at most one pass over its letters and ``memo`` stays
-    linear in the length of the output."""
-    parent = word[:-1]
-    if parent:
-        head = memo.get(parent)
-        if head is None:
-            head = memo[parent] = ",".join(map(str, parent))
-        text = f"{head},{word[-1]}"
-    else:
-        text = str(word[0])
-    memo[word] = text
-    return text
 
 
 def _piece(value: int, den: int, root: str, mono: str, first: bool) -> str:
@@ -214,18 +205,20 @@ def render(a: AlgebraElement) -> str:
     if a.is_zero:
         return "0"
     terms = a.terms
-    legs: dict = {}  # word -> its letters' text, for this call only
-    get = legs.get
+    leg = ",".join
+    letter = _Lazy(str).__getitem__  # letter -> its text, for this call only
     out: list[str] = []
     first = True
     for key in sorted(terms, key=term_sort_key):
         mu, nu = key
         if mu:
-            mono = "S[" + (get(mu) or _leg_text(mu, legs)) + "]"
+            head = leg(map(letter, mu))
             if nu:
-                mono += ".S[" + (get(nu) or _leg_text(nu, legs)) + "]'"
+                mono = f"S[{head}].S[{head if nu == mu else leg(map(letter, nu))}]'"
+            else:
+                mono = f"S[{head}]"
         elif nu:
-            mono = "S[" + (get(nu) or _leg_text(nu, legs)) + "]'"
+            mono = f"S[{leg(map(letter, nu))}]'"
         else:
             mono = "I"
         c = terms[key]

@@ -31,15 +31,15 @@ def _perfect_root(n: int) -> int:
     return r
 
 
-class _Constants(dict):
-    """n -> the cached QSqrt(n, value), made on first lookup."""
+class _Lazy(dict):
+    """key -> make(key), made on first lookup and kept."""
 
-    def __init__(self, value: int):
+    def __init__(self, make):
         super().__init__()
-        self.value = value
+        self.make = make
 
-    def __missing__(self, n: int) -> "QSqrt":
-        made = self[n] = QSqrt._raw(n, self.value, 0, 1)
+    def __missing__(self, key):
+        made = self[key] = self.make(key)
         return made
 
 
@@ -89,8 +89,8 @@ class QSqrt:
         return obj
 
     # QSqrt.zero(n), QSqrt.one(n): cached, and looked up without a Python call
-    zero = staticmethod(_Constants(0).__getitem__)
-    one = staticmethod(_Constants(1).__getitem__)
+    zero = staticmethod(_Lazy(lambda n: QSqrt._raw(n, 0, 0, 1)).__getitem__)
+    one = staticmethod(_Lazy(lambda n: QSqrt._raw(n, 1, 0, 1)).__getitem__)
 
     def _coerce(self, other) -> "QSqrt | None":
         if type(other) is QSqrt:

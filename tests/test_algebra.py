@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import branch_decomposition, monomial_elements, random_element
 from cuntzmod.algebra import (
@@ -100,6 +100,57 @@ def test_canonical_form_per_degree():
     assert c.degrees() == {0, 1}
     for (mu, nu) in c.terms:
         assert min(len(mu), len(nu)) == 1
+
+
+def _expand_then_filter(a) -> dict:
+    """canonical_form's term map as it was computed before it deleted a key
+    as soon as its coefficients cancelled: expand every term to the deepest
+    min-level of its gauge degree, then drop every zero of the whole map."""
+    levels: dict = {}
+    for mu, nu in a.terms:
+        d = len(mu) - len(nu)
+        levels[d] = max(levels.get(d, 0), len(nu) if d >= 0 else len(mu))
+    out: dict = {}
+    for (mu, nu), c in a.terms.items():
+        d = len(mu) - len(nu)
+        need = levels[d] - (len(nu) if d >= 0 else len(mu))
+        for sfx in itertools.product(range(1, a.n + 1), repeat=need):
+            key = (mu + sfx, nu + sfx)
+            out[key] = out[key] + c if key in out else c
+    return {k: v for k, v in out.items() if not v.is_zero}
+
+
+@st.composite
+def canonical_inputs(draw):
+    """Elements over n in {2, 3, 10} with diagonal and off-diagonal terms of
+    mixed gauge degree at different levels and coefficients in Q(sqrt n),
+    plus up to two relators c (sum_a S_{mu a} S_{nu a}^* - S_mu S_nu^*),
+    which are zero, so their expansion cancels n keys at once."""
+    n = draw(st.sampled_from((2, 3, 10)))
+    max_len = 1 if n == 10 else 3
+    word = st.lists(st.integers(1, n), max_size=max_len).map(tuple)
+    coeff = st.builds(lambda p, q: QSqrt(n, p, q), st.integers(-3, 3), st.integers(-2, 2))
+    acc = zero(n)
+    for mu, nu, c in draw(st.lists(st.tuples(word, word, coeff), max_size=5)):
+        if draw(st.booleans()):
+            nu = mu
+        acc = acc + monomial(n, mu, nu, c)
+    for mu, nu, c in draw(st.lists(st.tuples(word, word, coeff), max_size=2)):
+        if draw(st.booleans()):
+            nu = mu
+        children = linear_combine([(1, monomial(n, mu + (a,), nu + (a,))) for a in range(1, n + 1)])
+        acc = acc + (children - monomial(n, mu, nu)).scale(c)
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_inputs())
+@example(projection(2, (1,)) + projection(2, (2,)) - one(2))
+@example(projection(3, (2,)) - projection(3, (1, 2)).scale(QSqrt(3, 0, 1)) + monomial(3, (1,), (3, 1)))
+@example(one(2) - projection(2, (1,)) + projection(2, (1, 1)).scale(3))  # (11, 11) cancels, then gets 3
+def test_canonical_form_matches_expand_then_filter(a):
+    c = canonical_form(a)
+    assert (c.n, c.terms) == (a.n, _expand_then_filter(a))
 
 
 def test_equals_examples():

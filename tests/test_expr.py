@@ -239,3 +239,19 @@ def test_render_complement_of_a_projection(n, w):
         if v != w
     )
     assert render(canonical_form(one(n) - projection(n, w))) == expected
+
+
+def test_render_letter_texts_are_not_a_table_sized_by_n():
+    import tracemalloc
+
+    n = 10**9
+    a = monomial(n, (n,), (1,))
+    tracemalloc.start()
+    try:
+        text = render(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "S[1000000000].S[1]'"
+    assert parse(text, n) == a
+    assert peak < 1 << 20

@@ -8,10 +8,12 @@ w = 1^12 in O_4, whose expansion (4^12 terms) exceeds the default term
 budget.  The harness first checks that both sides give the expected answer
 on every input (the oracle where the budget lets it run) and exits non-zero
 if one does not; then it times each side in CPU time and writes medians to
-a JSON file.  It also times ``expr.render`` on the canonical form of 1 - P_w
-for the five ``EQ_SHAPES``, in CPU ms per call and microseconds per term,
-after checking the text against the one the benchmark expects.  Run it from
-anywhere in a checkout:
+a JSON file.  For the five ``EQ_SHAPES`` it also times the text layers of
+1 - P_w, in CPU ms per call and microseconds per output term: ``expr.render``
+of its canonical form, ``algebra.canonical_form`` of 1 - P_w on its own, and
+the whole round trip ``render(canonical_form(parse("I - S[w].S[w]'")))``,
+each after checking its output against the text the benchmark expects.  Run
+it from anywhere in a checkout:
 
     python3 tools/bench_equality.py [--out BENCH_equality.json]
 """
@@ -34,7 +36,7 @@ sys.path.insert(0, os.path.join(ROOT, "exactbench"))
 from cuntzmod import algebra, expr  # noqa: E402
 from cuntzmod.errors import TermBudgetExceeded  # noqa: E402
 from cuntzmod.scalars import QSqrt  # noqa: E402
-from workloads import EQ_SHAPES, branch_decomposition, complement_text  # noqa: E402
+from workloads import EQ_SHAPES, _roundtrip_call, branch_decomposition, complement_text  # noqa: E402
 
 DEEP_SHAPE = (4, 12)
 SEED = 0
@@ -59,11 +61,11 @@ def queries(rng: random.Random):
             yield (n, k), variant, lhs, rhs, expected
 
 
-def render_inputs(rng: random.Random):
-    """(n, |w|, w, canonical form of 1 - P_w) for every shape of EQ_SHAPES."""
+def text_inputs(rng: random.Random):
+    """(n, |w|, w, 1 - P_w) for every shape of EQ_SHAPES."""
     for n, k in EQ_SHAPES:
         w = tuple(rng.randint(1, n) for _ in range(k))
-        yield n, k, w, algebra.canonical_form(algebra.one(n) - algebra.projection(n, w))
+        yield n, k, w, algebra.one(n) - algebra.projection(n, w)
 
 
 def cpu_ms(fn, args) -> tuple[float, int]:
@@ -118,19 +120,26 @@ def main(argv=None) -> int:
             row["oracle_skipped"] = f"canonical_form exceeds the term budget of {algebra.term_budget()}"
         print(json.dumps(row), file=sys.stderr)
 
-    render_rows = []
-    for n, k, w, element in render_inputs(random.Random(SEED)):
-        if expr.render(element) != complement_text(n, w):
-            raise SystemExit(f"({n}, {k}): render of 1 - P_w differs from the expected text")
-        ms, repeats = cpu_ms(expr.render, (element,))
-        row = {"n": n, "depth": k, "terms": len(element.terms), "render_ms": ms,
-               "render_repeats": repeats, "render_us_per_term": ms * 1e3 / len(element.terms)}
-        render_rows.append(row)
-        print(json.dumps(row), file=sys.stderr)
+    text_rows: dict = {"render": [], "canonical": [], "roundtrip": []}
+    for n, k, w, element in text_inputs(random.Random(SEED)):
+        expected = complement_text(n, w)
+        canonical = algebra.canonical_form(element)
+        letters = ",".join(map(str, w))
+        text = f"I - S[{letters}].S[{letters}]'"
+        if expr.render(canonical) != expected or _roundtrip_call(text, n) != expected:
+            raise SystemExit(f"({n}, {k}): the text of 1 - P_w differs from the expected one")
+        calls = {"render": (expr.render, (canonical,)), "canonical": (algebra.canonical_form, (element,)),
+                 "roundtrip": (_roundtrip_call, (text, n))}
+        for layer, (fn, call_args) in calls.items():
+            ms, repeats = cpu_ms(fn, call_args)
+            row = {"n": n, "depth": k, "terms": len(canonical.terms), f"{layer}_ms": ms,
+                   f"{layer}_repeats": repeats, f"{layer}_us_per_term": ms * 1e3 / len(canonical.terms)}
+            text_rows[layer].append(row)
+            print(json.dumps(row), file=sys.stderr)
 
     report = {
         "what": "CPU ms per call (median): algebra.equals against not canonical_form(a - b).terms; "
-                "expr.render on canonical_form(1 - P_w)",
+                "on 1 - P_w, expr.render of its canonical form, canonical_form alone, and the text round trip",
         "python": platform.python_version(),
         "cpu": cpu_model(),
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
@@ -138,7 +147,7 @@ def main(argv=None) -> int:
         "min_seconds": MIN_SECONDS,
         "min_repeats": MIN_REPEATS,
         "rows": rows,
-        "render_rows": render_rows,
+        **{f"{layer}_rows": layer_rows for layer, layer_rows in text_rows.items()},
     }
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
