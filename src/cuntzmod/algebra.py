@@ -362,27 +362,27 @@ def canonical_form(a: AlgebraElement) -> AlgebraElement:
     n = a.n
     letters = range(1, n + 1)
     out: dict[MonomialKey, object] = {}
+    made = 0  # keys expanded so far, a cancelled one included, as the budget counts them
     for (mu, nu), c in terms.items():
         d = len(mu) - len(nu)
         need = levels[d] - (len(nu) if d >= 0 else len(mu))
         if need == 0:
             suffixes: Iterable[Word] = ((),)
         else:
-            if len(out) + n**need > budget:
+            if made + n**need > budget:
                 raise TermBudgetExceeded(
                     f"canonical_form: a {len(terms)}-term input needs {n}**{need} = "
                     f"{n**need} terms for one monomial, past the term budget of {budget} "
-                    f"({len(out)} already expanded); "
+                    f"({made} already expanded); "
                     "raise CUNTZ_TERM_BUDGET if this is intended"
                 )
             suffixes = itertools.product(letters, repeat=need)
-        diagonal = mu == nu
         for sfx in suffixes:
-            left = mu + sfx
-            key = (left, left if diagonal else nu + sfx)
+            key = (mu + sfx, nu + sfx)
             v = out.get(key)
             if v is None:
                 out[key] = c
+                made += 1
             elif (v := v + c).is_zero:  # only a key given a second coefficient can cancel
                 del out[key]
             else:

@@ -24,7 +24,7 @@ Cost: ``render`` sorts the terms, then joins each leg from letter texts
 cached for the call (the second leg of a projection reuses the first), and
 takes coefficient text straight from the integer triple ``(na, nb, den)``
 of the QSqrt (one ``gcd`` only when ``den != 1``).  ``parse`` splits the
-text with one compiled token pattern and reads a generator's indices in bulk.
+text with one compiled token pattern and walks the tokens.
 """
 
 from __future__ import annotations
@@ -96,26 +96,6 @@ class _Parser:
             self.error(f"index {value} outside 1..{self.n}", self.i - 1)
         return value
 
-    def word(self) -> tuple:
-        """The indices of a generator block, through its "]".  Valid indices
-        are read in bulk; a faulty block is walked up to its first fault."""
-        tokens = self.tokens
-        start = self.i
-        try:
-            close = tokens.index("]", start)
-            word = tuple(map(int, tokens[start:close:2]))
-            if tokens[start + 1 : close : 2] == [","] * (len(word) - 1) and 1 <= min(word) and max(word) <= self.n:
-                self.i = close + 1
-                return word
-        except ValueError:  # no "]", a token that is no index, or an empty block
-            pass
-        letters = [self.index()]
-        while tokens[self.i] == ",":
-            self.i += 1
-            letters.append(self.index())
-        self.take("]")
-        return tuple(letters)
-
     def factor(self) -> AlgebraElement:
         tokens = self.tokens
         c = tokens[self.i]
@@ -126,7 +106,12 @@ class _Parser:
             self.error("expected a factor ('I' or 'S[...]')")
         self.i += 1
         self.take("[")
-        word = self.word()
+        letters = [self.index()]
+        while tokens[self.i] == ",":
+            self.i += 1
+            letters.append(self.index())
+        self.take("]")
+        word = tuple(letters)
         key = (word, ())
         if tokens[self.i] == "'":
             self.i += 1

@@ -287,6 +287,22 @@ def test_term_budget_error_names_site_and_size(monkeypatch):
     assert "3-term input" in str(err.value) and "3**2 = 9" in str(err.value)
 
 
+def test_term_budget_counts_keys_that_cancelled(monkeypatch):
+    # Degree 0 is I - sum_{|w|=4} P_w = 0: I expands to 16 keys, and all of
+    # them cancel.  The expansion work still counts, so S_1 of degree 1,
+    # which needs 16 more keys, trips a budget of 20.
+    monkeypatch.setenv("CUNTZ_TERM_BUDGET", "20")
+    words = itertools.product((1, 2), repeat=4)
+    a = linear_combine([(1, one(2)), *((-1, projection(2, w)) for w in words),
+                        (1, gen(2, 1)), (1, monomial(2, (1, 2, 2, 2, 2), (2, 2, 2, 2)))])
+    with pytest.raises(TermBudgetExceeded) as err:
+        canonical_form(a)
+    assert str(err.value) == (
+        "canonical_form: a 19-term input needs 2**4 = 16 terms for one monomial, past the "
+        "term budget of 20 (16 already expanded); raise CUNTZ_TERM_BUDGET if this is intended"
+    )
+
+
 # -- equality over disjoint cones against the expansion oracle --------------------
 
 
