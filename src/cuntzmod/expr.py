@@ -33,7 +33,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .algebra import AlgebraElement, _add_into, multiply, one, term_sort_key, zero
+from .algebra import AlgebraElement, _multiply_into, term_sort_key, zero
 from .errors import ExprSyntaxError
 from .scalars import QSqrt, _Lazy, ratio_str
 
@@ -42,6 +42,7 @@ from .scalars import QSqrt, _Lazy, ratio_str
 # (which only separates tokens), or "" at the end of the text.  On a str
 # pattern \d and \S accept exactly what str.isdecimal and not str.isspace do.
 _TOKEN = re.compile(r"\d+|\S|\Z")
+_IDENTITY = ((), ())  # the key of I
 
 
 class _Parser:
@@ -96,12 +97,13 @@ class _Parser:
             self.error(f"index {value} outside 1..{self.n}", self.i - 1)
         return value
 
-    def factor(self) -> AlgebraElement:
+    def factor(self):
+        """The key of the next factor, which has coefficient 1."""
         tokens = self.tokens
         c = tokens[self.i]
         if c == "I":
             self.i += 1
-            return one(self.n)
+            return _IDENTITY
         if c != "S":
             self.error("expected a factor ('I' or 'S[...]')")
         self.i += 1
@@ -112,16 +114,19 @@ class _Parser:
             letters.append(self.index())
         self.take("]")
         word = tuple(letters)
-        key = (word, ())
         if tokens[self.i] == "'":
             self.i += 1
-            key = ((), word)
-        return AlgebraElement._make(self.n, {key: self.unit})
+            return ((), word)
+        return (word, ())
 
-    def term(self) -> AlgebraElement:
+    def term(self, acc: dict, negate: bool):
+        """Add the next term, negated if ``negate``, into the term map
+        ``acc``: the coefficient and the first factor start a one-key map,
+        each later factor but the last is multiplied into a fresh map, and the
+        last straight into ``acc``."""
         tokens = self.tokens
         c = tokens[self.i]
-        coeff = None
+        coeff = self.unit
         if c == "-" or c.isdecimal():
             rat = self.rational()
             if tokens[self.i] == "r":
@@ -130,13 +135,16 @@ class _Parser:
             else:
                 coeff = QSqrt(self.n, rat)
             self.take("*")
-        el = self.factor()
+        left = {self.factor(): -coeff if negate else coeff}
+        last = _IDENTITY  # left I = left
         while tokens[self.i] == ".":
             self.i += 1
-            el = multiply(el, self.factor())
-        if coeff is not None:
-            el = el.scale(coeff)
-        return el
+            if last != _IDENTITY:
+                product = {}
+                _multiply_into(product, left, {last: self.unit})
+                left = product
+            last = self.factor()
+        _multiply_into(acc, left, {last: self.unit})
 
     def element(self) -> AlgebraElement:
         tokens = self.tokens
@@ -154,8 +162,7 @@ class _Parser:
         if negate:
             self.i += 1
         while True:
-            el = self.term()
-            _add_into(acc.terms, (-el if negate else el).terms)
+            self.term(acc.terms, negate)
             c = tokens[self.i]
             if c == "":
                 return acc

@@ -48,7 +48,7 @@ from .algebra import (
 from .endos import _partial_isometry, compose_left_mult, phi_k_endo, tau_delta_endo
 from .errors import BackendError, DomainError, UsageError
 from .matrices import AlgMatrix, _certify, apply_sigma, build_u_mu_nu, is_modular_unitary
-from .modular import _psi_walk, commutator_D, delta_power, trace_F
+from .modular import _psi_walk, _triple_walk, commutator_D, delta_power, trace_F
 from .scalars import QSqrt, scalar_str
 from .tally import sweep
 
@@ -129,13 +129,26 @@ def twisted_theta(a0: AlgebraElement, a1: AlgebraElement) -> QSqrt:
     return _psi_walk(a0, a1, weigh=True)
 
 
-def cocycle_b_defect(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement) -> QSqrt:
-    """b theta on a triple; exactly zero on the whole algebra."""
+def _b_terms(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement) -> tuple[QSqrt, QSqrt, QSqrt]:
+    """The three terms of b theta on a triple, each its own triple walk:
+    theta(a0 a1, a2), theta(a0, a1 a2) and theta(sigma(a2) a0, a1)."""
     return (
-        twisted_theta(multiply(a0, a1), a2)
-        - twisted_theta(a0, multiply(a1, a2))
-        + twisted_theta(multiply(delta_power(a2, -1), a0), a1)
+        _triple_walk(a0, a1, a2),
+        _triple_walk(a0, a1, a2, right=True),
+        _triple_walk(a2, a0, a1, twist=True),
     )
+
+
+def cocycle_b_defect(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement) -> QSqrt:
+    """b theta(a0, a1, a2) = theta(a0 a1, a2) - theta(a0, a1 a2)
+    + theta(sigma(a2) a0, a1); exactly zero on the whole algebra.
+
+    Each term is one ``modular._triple_walk`` in its own association order,
+    psi((a0 a1) [D, a2]), psi(a0 [D, (a1 a2)]) and psi((sigma(a2) a0) [D, a1]),
+    so no product, sigma image or element is formed.  Operands from two
+    algebras raise UsageError, even when one is empty."""
+    t1, t2, t3 = _b_terms(a0, a1, a2)
+    return t1 - t2 + t3
 
 
 def hochschild_orientation(n: int, drop: int | None = None) -> dict:

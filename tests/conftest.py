@@ -5,8 +5,9 @@ import pytest
 
 from cuntzmod import endos, modular
 from cuntzmod.algebra import adjoint, canonical_form, equals, monomial, multiply, projection, words_upto, zero
+from cuntzmod.flow import twisted_theta
 from cuntzmod.matrices import AlgMatrix, apply_sigma
-from cuntzmod.modular import commutator_D, expectation, state_psi
+from cuntzmod.modular import commutator_D, delta_power, expectation, state_psi
 from cuntzmod.scalars import QSqrt
 from cuntzmod.tally import sweep
 
@@ -90,6 +91,17 @@ def oracle_psi_product(a, b):
     """psi(a b) with the product built: what modular.psi_product computes
     without forming it."""
     return state_psi(multiply(a, b))
+
+
+def oracle_b_terms(a0, a1, a2):
+    """The three terms theta(a0 a1, a2), theta(a0, a1 a2) and
+    theta(sigma(a2) a0, a1) of b theta, with every product and sigma(a2)
+    built: what flow.cocycle_b_defect sums from three triple walks."""
+    return (
+        twisted_theta(multiply(a0, a1), a2),
+        twisted_theta(a0, multiply(a1, a2)),
+        twisted_theta(multiply(delta_power(a2, -1), a0), a1),
+    )
 
 
 def oracle_lattice_sum(shift: float, expo: float, cfg) -> float:

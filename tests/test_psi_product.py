@@ -5,18 +5,22 @@ S_w S_w^*.  ``psi_product(a, b)`` must equal ``oracle_psi_product``, which
 builds a b and reads psi off it, exactly.  The pairing reads a's terms
 swapped and the twisted cocycle weights each pair by a1's term degree, and
 the two endomorphism traces call the pairing; each must still equal the
-formula that built a*, [D, a1] and the product.  No operand of psi or of
-anything read off it can carry a float: the constructors refuse one with
-BackendError.
+formula that built a*, [D, a1] and the product.  The cocycle's b-defect
+sums three triple walks, one per term; each term must equal
+``oracle_b_terms``, which builds the products and sigma(a2), since their
+sum is 0 on every input.  No operand of psi or of anything read off it can
+carry a float: the constructors refuse one with BackendError.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import monomial_elements, oracle_psi_product, random_element
-from cuntzmod.algebra import adjoint, gen, monomial, multiply, projection, zero
+from conftest import monomial_elements, oracle_b_terms, oracle_psi_product, random_element
+from cuntzmod import algebra, flow
+from cuntzmod.algebra import AlgebraElement, adjoint, gen, monomial, multiply, projection, zero
 from cuntzmod.endos import (
     EndoSum,
     RankOne,
@@ -27,7 +31,7 @@ from cuntzmod.endos import (
     tau_tilde,
 )
 from cuntzmod.errors import BackendError, UsageError
-from cuntzmod.flow import aps_index_traces, twisted_theta
+from cuntzmod.flow import _b_terms, aps_index_traces, cocycle_b_defect, twisted_theta
 from cuntzmod.modular import commutator_D, delta_power, inner_product, psi_product, state_psi, trace_F
 from cuntzmod.scalars import QSqrt
 
@@ -38,11 +42,11 @@ def _assert_psi_product(a, b):
 
 
 @st.composite
-def _elements(draw, n):
-    """0-4 terms with legs up to length 3 and coefficients in Q(sqrt n)."""
+def _elements(draw, n, max_terms=4):
+    """0-max_terms terms with legs up to length 3 and coefficients in Q(sqrt n)."""
     word = st.lists(st.integers(1, n), max_size=3).map(tuple)
     acc = zero(n)
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_terms))):
         coeff = QSqrt(n, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))), draw(st.integers(-2, 2)))
         acc = acc + monomial(n, draw(word), draw(word), coeff)
     return acc
@@ -53,6 +57,13 @@ def operand_pairs(draw):
     """(a, b) in O_n, n in {2, 3, 4}."""
     n = draw(st.sampled_from((2, 3, 4)))
     return draw(_elements(n)), draw(_elements(n))
+
+
+@st.composite
+def operand_triples(draw):
+    """(a0, a1, a2) in O_n, n in {2, 3, 4}, each of 0-5 terms."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    return tuple(draw(_elements(n, max_terms=5)) for _ in range(3))
 
 
 @settings(max_examples=300, deadline=None)
@@ -81,6 +92,41 @@ def test_twisted_theta_matches_psi_of_the_built_commutator_product(pair):
     for x, y in ((a0, a1), (a1, a0)):
         value = twisted_theta(x, y)
         assert type(value) is QSqrt and value == state_psi(multiply(x, commutator_D(y)))
+
+
+def _assert_b_terms(a0, a1, a2):
+    # each term on its own: their sum is 0 on every input
+    terms = _b_terms(a0, a1, a2)
+    assert all(type(t) is QSqrt for t in terms) and terms == oracle_b_terms(a0, a1, a2), (a0, a1, a2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_triples())
+def test_b_terms_match_the_product_oracle(triple):
+    _assert_b_terms(*triple)
+
+
+def test_b_terms_on_every_criterion_4_monomial_triple():
+    # the monomial triples of criterion 4 at n = 2 with legs up to 1
+    for triple in itertools.product(monomial_elements(2, 1), repeat=3):
+        _assert_b_terms(*triple)
+
+
+def test_cocycle_b_defect_forms_no_element(monkeypatch, rng):
+    triples = [[random_element(rng, n, max_terms=5, max_len=3, allow_zero=False) for _ in range(3)]
+               for n in (2, 3, 4)]
+    expected = [oracle_b_terms(*t) for t in triples]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cocycle_b_defect formed an element or a product")
+
+    monkeypatch.setattr(AlgebraElement, "_make", refuse)
+    monkeypatch.setattr(AlgebraElement, "__init__", refuse)
+    monkeypatch.setattr(algebra, "multiply", refuse)
+    monkeypatch.setattr(flow, "multiply", refuse)
+    for t, terms in zip(triples, expected):
+        assert _b_terms(*t) == terms
+        assert cocycle_b_defect(*t).is_zero
 
 
 def test_psi_product_on_every_monomial_pair():
@@ -113,13 +159,17 @@ PAIRINGS = (psi_product, inner_product, twisted_theta)
 
 
 def test_psi_product_on_empty_operands():
-    # an empty operand on either side gives the exact zero, for every pairing
-    for pairing in PAIRINGS:
-        for n in (2, 3):
-            x, empty = gen(n, 1) + gen(n, 2).adjoint() + monomial(n, (1,), (2,)), zero(n)
+    # an empty operand in any position gives the exact zero, for every pairing
+    # and for the b-defect and its terms
+    for n in (2, 3):
+        x, empty = gen(n, 1) + gen(n, 2).adjoint() + monomial(n, (1,), (2,)), zero(n)
+        for pairing in PAIRINGS:
             for a, b in ((empty, x), (x, empty), (empty, zero(n))):
                 value = pairing(a, b)
                 assert value == 0 and type(value) is QSqrt, pairing.__name__
+        for triple in ((empty, x, x), (x, empty, x), (x, x, empty), (empty, zero(n), zero(n))):
+            for value in (cocycle_b_defect(*triple), *_b_terms(*triple)):
+                assert value == 0 and type(value) is QSqrt, triple
 
 
 def test_psi_product_rejects_mixed_contexts():
@@ -128,6 +178,14 @@ def test_psi_product_rejects_mixed_contexts():
         for a, b in ((gen(2, 1), gen(3, 1)), (zero(2), gen(3, 1)), (gen(2, 1), zero(3)), (zero(2), zero(3))):
             with pytest.raises(UsageError, match="mixed algebras"):
                 pairing(a, b)
+    # and for the b-defect, with the foreign operand in each of its three positions
+    for position in range(3):
+        for native in (gen(2, 1), zero(2)):
+            for foreign in (gen(3, 1), zero(3)):
+                triple = [native] * 3
+                triple[position] = foreign
+                with pytest.raises(UsageError, match="mixed algebras"):
+                    cocycle_b_defect(*triple)
 
 
 # -- the call sites against the formulas that built the product ------------------

@@ -3,8 +3,11 @@ the benchmark's ``invariants`` workload, plus ``tomita_sweep(3, 2)`` from
 acceptance criterion 3, which the workload leaves out for its length, one
 chunk of criterion 1, ``sf_closed_form_chunk(4, 2, 3)``, whose 1,024 cases
 each run the modular certificate and the spectral flow, and
-``homotopy_sweep(2, 21)``, whose sampled paths build rotation blocks, and
-``keyfact_sweep(3, 1)``, the key-fact check on three letters.
+``homotopy_sweep(2, 21)``, whose sampled paths build rotation blocks,
+``keyfact_sweep(3, 1)``, the key-fact check on three letters, and
+``cocycle_five_term(51)``, the b-defect on acceptance criterion 4's 1,000
+random triples of up to five terms in O_3 (drawn once, with seed 51, by the
+tests' ``random_element``, as the criterion draws them).
 
 The harness first runs every sweep once and checks that it reports the case
 count its size fixes and no failure; it exits non-zero if one does not.
@@ -19,9 +22,11 @@ anywhere in a checkout:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -29,16 +34,34 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "exactbench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from bench_equality import cpu_model  # noqa: E402
+from conftest import random_element  # noqa: E402
 from cuntzmod import endos, flow, matrices, modular  # noqa: E402
 from workloads import INVARIANT_SWEEPS  # noqa: E402
+
+
+@functools.cache
+def _five_term_triples(seed: int) -> list:
+    rng = random.Random(seed)
+    return [tuple(random_element(rng, 3, max_terms=5, allow_zero=False) for _ in range(3)) for _ in range(1000)]
+
+
+def cocycle_five_term(seed: int) -> dict:
+    """b theta on criterion 4's random triples, in the sweeps' report shape;
+    the triples are drawn on the first call and kept."""
+    triples = _five_term_triples(seed)
+    failures = sum(not flow.cocycle_b_defect(*t).is_zero for t in triples)
+    return {"cases": len(triples), "failures": failures}
+
 
 EXTRA_SWEEPS = (
     (modular, "tomita_sweep", (3, 2), 172549),
     (flow, "sf_closed_form_chunk", (4, 2, 3), 1024),
     (matrices, "homotopy_sweep", (2, 21), 4),
     (endos, "keyfact_sweep", (3, 1), 80),
+    (sys.modules[__name__], "cocycle_five_term", (51,), 1000),
 )
 ROUNDS = 7  # timed calls of each sweep
 
