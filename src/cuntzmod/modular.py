@@ -18,6 +18,12 @@ One private walk evaluates this sum without forming a b.  ``psi_product``
 reads both operands as they are, ``inner_product`` (psi(a^* b)) reads a's
 terms swapped, and ``flow.twisted_theta`` (psi(a0 [D, a1])) weights each
 matched pair by the gauge degree of a1's term.  Beside it, one private
+table gives psi(l' r) for every pair of two lists at once: it indexes each
+term of every right operand by the left keys that can meet it on the
+diagonal, so each left term finds its partners by lookup and no pair is
+scanned.  ``kms_sweep`` and ``tomita_sweep``, which pair every monomial
+with every other, read their pairings from such tables; a single pair
+stays on the walk, which costs less there than a 1x1 table.  One private
 triple walk gives each term of the cocycle's b-defect (``flow.cocycle_b_defect``):
 psi((x y) [D, z]), psi(x [D, (y z)]) and psi((sigma(x) y) [D, z]).  It
 matches the term pairs of two operands into a product key by the path
@@ -137,6 +143,77 @@ def _psi_walk(a: AlgebraElement, b: AlgebraElement, star_a: bool = False, weigh:
     for k, s in more:
         acc = acc + s * n_power(n, -k)
     return acc
+
+
+def _psi_table(lefts: list, rights: list, star: bool = False) -> list[list[QSqrt]]:
+    """rows[i][j] = psi(l_i' r_j) for every pair at once, where l' is l or,
+    if star, l* (read as ``_psi_walk`` reads star_a); no pair is scanned.
+
+    Each term c_b S_al S_be^* of r_j is indexed once, by the left keys that
+    can meet it on the diagonal (``_psi_walk``'s three cases):
+
+        exact[(al, be)]            -> (j, c_b)        nu == al or nu = al + lam
+        below[(al[:-t], be[:-t])]  -> (j, c_b, |be|)  al = nu + gam, |gam| = t,
+                                                       for each t up to the
+                                                       common suffix of al, be
+
+    A left term S_mu S_nu^* then looks up exact at (nu[:i], mu without its
+    last |nu| - i letters) for i = |nu| and downward while mu ends with
+    nu[i:] (level |mu|), and below at (nu, mu) (level |be|).  c_a c_b is
+    summed per (j, level), and each sum is weighted n^(-level) at the end.
+    """
+    operands = [*lefts, *rights]
+    if not operands:
+        return []
+    first = operands[0]
+    n = first.n
+    for x in operands:
+        if x.n != n:
+            first._check_mate(x)  # raises the mixed-algebras error
+    exact = {}
+    below = {}
+    for j, r in enumerate(rights):
+        for key, cb in r.terms.items():
+            exact.setdefault(key, []).append((j, cb))
+            al, be = key
+            la, lb = len(al), len(be)
+            entry = (j, cb, lb)
+            t = 1
+            while t <= la and t <= lb and al[la - t] == be[lb - t]:
+                below.setdefault((al[:la - t], be[:lb - t]), []).append(entry)
+                t += 1
+    zero = QSqrt.zero(n)
+    width = len(rights)
+    rows = []
+    for l in lefts:
+        sums = {}  # (j, |w|) -> sum of c_a c_b over the pairs landing on S_w S_w^*
+        for (mu, nu), ca in l.terms.items():
+            if star:
+                mu, nu = nu, mu
+            lm, ln = len(mu), len(nu)
+            i = ln
+            while True:
+                hits = exact.get((nu[:i], mu[:lm - ln + i]))
+                if hits:
+                    for j, cb in hits:
+                        c = ca * cb
+                        s = sums.get((j, lm))
+                        sums[(j, lm)] = c if s is None else s + c
+                i -= 1  # nu = al + lam with lam = nu[i:]: mu must end with lam
+                if i < 0 or ln - i > lm or mu[lm - ln + i] != nu[i]:
+                    break
+            hits = below.get((nu, mu))
+            if hits:
+                for j, cb, k in hits:
+                    c = ca * cb
+                    s = sums.get((j, k))
+                    sums[(j, k)] = c if s is None else s + c
+        row = [zero] * width
+        for (j, k), s in sums.items():
+            value = s * n_power(n, -k)
+            row[j] = value if row[j] is zero else row[j] + value
+        rows.append(row)
+    return rows
 
 
 def _triple_walk(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
@@ -333,15 +410,20 @@ def kms_plan(n: int, max_len: int) -> tuple[int, int]:
 @sweep("kms", "n", "max_len")
 def kms_sweep(n: int, max_len: int):
     """psi(ab) == psi(sigma(b) a) exactly, over all monomial pairs with leg
-    lengths up to max_len.  sigma(b) is formed once per monomial; every
-    pair still evaluates both sides, each with psi_product."""
+    lengths up to max_len.  sigma(b) is formed once per monomial, and each
+    side is read from its own table: psi(a b) from the table of monos
+    against monos, psi(sigma(b) a) from that of the sigma images against
+    monos, transposed."""
     monos = monomials_upto(n, max_len)
-    sigmas = [sigma(b) for b in monos]
-    for a in monos:
-        for b, sigma_b in zip(monos, sigmas):
-            lhs = psi_product(a, b)
-            rhs = psi_product(sigma_b, a)
-            yield lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}"
+    ab = _psi_table(monos, monos)
+    ba = _psi_table([sigma(b) for b in monos], monos)  # ba[j][i] = psi(sigma(b_j) a_i)
+    for i, a in enumerate(monos):
+        ab_i = ab[i]
+        for j, b in enumerate(monos):
+            lhs = ab_i[j]
+            rhs = ba[j][i]
+            # most entries are the one cached zero: "is" skips the __eq__ call
+            yield lhs is rhs or lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}"
 
 
 def tomita_plan(n: int, max_len: int) -> tuple[int, int]:
@@ -359,8 +441,9 @@ def tomita_sweep(n: int, max_len: int):
     decompositions S = J Delta^(1/2), F = Delta^(1/2) J hold termwise.
 
     Delta^z a for the four z, F a and S a are formed once per monomial and
-    shared by the single-element checks and every pair that reads them; each
-    pair still forms all of its inner products."""
+    shared by the single-element checks; each pairing of the pair checks is
+    read from a table of the images against the monomials, one table per
+    side of each identity.  <x, y> = psi(x* y) is the starred table."""
     from .algebra import equals
 
     monos = monomials_upto(n, max_len)
@@ -375,12 +458,23 @@ def tomita_sweep(n: int, max_len: int):
         yield equals(s_a, modular_conjugation_J(a_z[2])), lambda: f"polar S a={a!r}"  # a_z[2] = Delta^(1/2) a
         yield equals(f_a, delta_power(modular_conjugation_J(a), half)), lambda: f"polar F a={a!r}"
         yield equals(modular_conjugation_J(modular_conjugation_J(a)), a), lambda: f"J^2 a={a!r}"
-    for a, a_z, f_a, s_a in maps:
-        for b, b_z, f_b, s_b in maps:
-            for z, dz_a, dz_b in zip(zs, a_z, b_z):  # <Delta^z a, b> = <a, Delta^(conj z) b>
-                yield (inner_product(dz_a, b) == inner_product(a, dz_b),
+    dz_monos = [[a_z[k] for _, a_z, _, _ in maps] for k in range(len(zs))]  # Delta^z monos per z
+    f_monos = [f_a for _, _, f_a, _ in maps]
+    s_monos = [s_a for _, _, _, s_a in maps]
+    # (<Delta^z a, b>, <a, Delta^z b>) per z
+    z_sides = [(_psi_table(dz, monos, star=True), _psi_table(monos, dz, star=True)) for dz in dz_monos]
+    fs = _psi_table(f_monos, s_monos, star=True)  # <F a, S b>
+    ba = _psi_table(monos, monos, star=True)  # ba[j][i] = <b_j, a_i>
+    sa = _psi_table(s_monos, monos, star=True)  # <S a, b>
+    fb = _psi_table(f_monos, monos, star=True)  # fb[j][i] = <F b_j, a_i>
+    for i, a in enumerate(monos):
+        z_rows = [(lhs[i], rhs[i]) for lhs, rhs in z_sides]
+        fs_i, sa_i = fs[i], sa[i]
+        for j, b in enumerate(monos):  # "is" first, as in kms_sweep
+            for z, (lhs, rhs) in zip(zs, z_rows):  # <Delta^z a, b> = <a, Delta^(conj z) b>
+                yield (lhs[j] is rhs[j] or lhs[j] == rhs[j],
                        lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={z}")
             # <F a, S b> = <b, a>
-            yield inner_product(f_a, s_b) == inner_product(b, a), lambda: f"F/S exchange a={a!r} b={b!r}"
+            yield fs_i[j] is ba[j][i] or fs_i[j] == ba[j][i], lambda: f"F/S exchange a={a!r} b={b!r}"
             # <S a, b> = <F b, a>
-            yield inner_product(s_a, b) == inner_product(f_b, a), lambda: f"F adjoint to S a={a!r} b={b!r}"
+            yield sa_i[j] is fb[j][i] or sa_i[j] == fb[j][i], lambda: f"F adjoint to S a={a!r} b={b!r}"

@@ -144,6 +144,8 @@ class QSqrt:
             if other.n != self.n:
                 raise UsageError(f"mixed quadratic fields Q(sqrt {self.n}) and Q(sqrt {other.n})")
             o = other
+        elif type(other) is int:  # a gauge degree: scale the parts, no QSqrt built for it
+            return QSqrt._raw(self.n, self.na * other, self.nb * other, self.den)
         else:
             o = self._coerce(other)
             if o is None:

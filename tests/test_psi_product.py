@@ -8,8 +8,10 @@ the two endomorphism traces call the pairing; each must still equal the
 formula that built a*, [D, a1] and the product.  The cocycle's b-defect
 sums three triple walks, one per term; each term must equal
 ``oracle_b_terms``, which builds the products and sigma(a2), since their
-sum is 0 on every input.  No operand of psi or of anything read off it can
-carry a float: the constructors refuse one with BackendError.
+sum is 0 on every input.  The pairing table gives psi(l' r) for every pair
+of two lists at once; each entry must equal the walk on its pair.  No
+operand of psi or of anything read off it can carry a float: the
+constructors refuse one with BackendError.
 """
 
 import itertools
@@ -32,7 +34,16 @@ from cuntzmod.endos import (
 )
 from cuntzmod.errors import BackendError, UsageError
 from cuntzmod.flow import _b_terms, aps_index_traces, cocycle_b_defect, twisted_theta
-from cuntzmod.modular import commutator_D, delta_power, inner_product, psi_product, state_psi, trace_F
+from cuntzmod.modular import (
+    _psi_table,
+    _psi_walk,
+    commutator_D,
+    delta_power,
+    inner_product,
+    psi_product,
+    state_psi,
+    trace_F,
+)
 from cuntzmod.scalars import QSqrt
 
 
@@ -152,6 +163,64 @@ def test_psi_product_hand_values():
     # every length weighted by its own power: P_1 + P_{12} at 1/3 + 1/9
     a = monomial(n, (1,), ()) + monomial(n, (1, 2), (2,))
     assert psi_product(a, gen(n, 1).adjoint()) == QSqrt(n, Fraction(4, 9))
+
+
+# -- the pairing table against the per-pair walk ----------------------------------
+
+
+def _assert_psi_table(lefts, rights):
+    for star in (False, True):
+        rows = _psi_table(lefts, rights, star)
+        assert len(rows) == len(lefts)
+        for a, row in zip(lefts, rows):
+            assert len(row) == len(rights)
+            for b, value in zip(rights, row):
+                assert type(value) is QSqrt and value == _psi_walk(a, b, star_a=star), (a, b, star)
+
+
+@pytest.mark.parametrize("n, max_len", [(2, 2), (3, 2), (2, 3)])
+def test_psi_table_on_every_monomial_pair(n, max_len):
+    # legs of length 3 reach suffix entries t = 2, 3 that two-letter legs never build
+    monos = monomial_elements(n, max_len)
+    _assert_psi_table(monos, monos)
+
+
+def test_psi_table_on_drawn_lists(rng):
+    for i in range(150):
+        n = 2 + i % 3
+        lefts = [random_element(rng, n, max_terms=5, max_len=3) for _ in range(rng.randint(0, 4))]
+        rights = [random_element(rng, n, max_terms=5, max_len=3) for _ in range(rng.randint(0, 4))]
+        _assert_psi_table(lefts, rights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(
+    lambda n: st.tuples(st.lists(_elements(n), max_size=4), st.lists(_elements(n), max_size=4))))
+def test_psi_table_matches_the_walk_on_irrational_coefficients(lists):
+    _assert_psi_table(*lists)
+
+
+def test_psi_table_on_empty_lists_and_zero_operands():
+    x = gen(2, 1) + gen(2, 2).adjoint() + monomial(2, (1,), (2,))
+    for star in (False, True):
+        assert _psi_table([], [], star) == []
+        assert _psi_table([], [x], star) == []
+        assert _psi_table([x, zero(2)], [], star) == [[], []]
+        rows = _psi_table([x, zero(2)], [zero(2), x, zero(2)], star)
+        assert [[type(v) is QSqrt for v in row] for row in rows] == [[True] * 3] * 2
+        assert rows[0][0] == rows[0][2] == 0 and rows[1] == [0, 0, 0]
+    _assert_psi_table([x, zero(2)], [zero(2), x, zero(2)])
+
+
+def test_psi_table_rejects_mixed_contexts():
+    # the foreign operand, empty or not, on either side and in any place
+    for native in (gen(2, 1), zero(2)):
+        for foreign in (gen(3, 1), zero(3)):
+            for lefts, rights in (([foreign], [native]), ([native], [foreign]), ([native, foreign], []),
+                                  ([], [native, foreign]), ([native], [native, foreign])):
+                for star in (False, True):
+                    with pytest.raises(UsageError, match="mixed algebras"):
+                        _psi_table(lefts, rights, star)
 
 
 # Every pairing is one call of the same walk, with its own reading of the operands.

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuntzmod.errors import BackendError, UsageError
 from cuntzmod.scalars import QSqrt, n_power, scalar_str
@@ -24,6 +25,32 @@ def test_rational_fast_paths():
     assert half + third == Fraction(5, 6)
     assert QSqrt.one(2) * half == half
     assert half * QSqrt.one(2) == half
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 4, 5, 9)), _FRACTIONS, _FRACTIONS,
+       st.one_of(st.integers(-40, 40), st.integers(-(10**30), 10**30)))
+def test_int_product_matches_the_qsqrt_product(n, a, b, k):
+    # the int branch scales the parts directly; it must land on the same
+    # normalised triple as the product with QSqrt(n, k), in either order
+    x = QSqrt(n, a, b)
+    for k in (k, 0, -1, -7, 10**40):
+        expected = x * QSqrt(n, k)
+        for value in (x * k, k * x):
+            assert type(value) is QSqrt
+            assert (value.na, value.nb, value.den) == (expected.na, expected.nb, expected.den)
+
+
+def test_int_product_skips_the_coercion_but_bool_does_not(monkeypatch):
+    seen = []
+    coerce = QSqrt._coerce
+    monkeypatch.setattr(QSqrt, "_coerce", lambda self, other: seen.append(other) or coerce(self, other))
+    x = QSqrt(3, Fraction(2, 3), -1)
+    assert x * 3 == QSqrt(3, 2, -3) and not seen
+    assert x * True == x and seen == [True]
 
 
 def test_inverse_and_division():

@@ -1,7 +1,8 @@
 """The hoisted invariant sweeps against the per-case loops they replaced.
 
 ``kms_sweep``, ``tomita_sweep`` and ``keyfact_sweep`` form each map of one
-operand once and share it across the cases that read it.  Their reports must
+operand once and share it across the cases that read it; kms and tomita
+also read every pairing from a table over all pairs.  Their reports must
 equal those of the oracles in conftest, which form every map inside its
 case, on clean code and with a wrong map patched into the module attribute
 the sweep looks up.  Under a mutant the sweep must also fail some cases and
@@ -24,6 +25,8 @@ from cuntzmod.tally import sweep
 SWEEPS = {
     "kms": (modular.kms_sweep, oracle_kms_sweep, (2, 2), 2401),
     "tomita": (modular.tomita_sweep, oracle_tomita_sweep, (2, 2), 14749),
+    "kms_n3": (modular.kms_sweep, oracle_kms_sweep, (3, 1), 256),
+    "tomita_n3": (modular.tomita_sweep, oracle_tomita_sweep, (3, 1), 1648),
     "keyfact": (endos.keyfact_sweep, oracle_keyfact_sweep, (2, 2), 245),
     "keyfact_n3": (endos.keyfact_sweep, oracle_keyfact_sweep, (3, 1), 80),
 }
@@ -51,7 +54,11 @@ def _s_identity(monkeypatch):
 
 
 def _pairing_without_adjoint(monkeypatch):
+    # The oracle reads the pairing through inner_product, the sweep through
+    # the starred pairing table; both lose the adjoint.
+    psi_table = modular._psi_table
     monkeypatch.setattr(modular, "inner_product", lambda a, b: modular.state_psi(multiply(a, b)))
+    monkeypatch.setattr(modular, "_psi_table", lambda lefts, rights, star=False: psi_table(lefts, rights))
 
 
 MUTANTS = {
@@ -66,6 +73,8 @@ MUTANTS = {
 CASES = [
     ("kms", None),
     ("tomita", None),
+    ("kms_n3", None),  # three letters: pairing-table keys the n = 2 sweeps never index
+    ("tomita_n3", None),
     ("keyfact", None),
     ("keyfact_n3", None),  # three letters: probes the two-letter sweeps never build
     ("kms", "sigma_identity"),
