@@ -48,7 +48,8 @@ from .algebra import (
 from .endos import _partial_isometry, compose_left_mult, phi_k_endo, tau_delta_endo
 from .errors import BackendError, DomainError, UsageError
 from .matrices import AlgMatrix, _certify, apply_sigma, build_u_mu_nu, is_modular_unitary
-from .modular import _psi_walk, _triple_walk, commutator_D, delta_power, trace_F
+from . import modular
+from .modular import _psi_walk, commutator_D, delta_power, trace_F
 from .scalars import QSqrt, scalar_str
 from .tally import sweep
 
@@ -129,26 +130,40 @@ def twisted_theta(a0: AlgebraElement, a1: AlgebraElement) -> QSqrt:
     return _psi_walk(a0, a1, weigh=True)
 
 
-def _b_terms(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement) -> tuple[QSqrt, QSqrt, QSqrt]:
-    """The three terms of b theta on a triple, each its own triple walk:
-    theta(a0 a1, a2), theta(a0, a1 a2) and theta(sigma(a2) a0, a1)."""
-    return (
-        _triple_walk(a0, a1, a2),
-        _triple_walk(a0, a1, a2, right=True),
-        _triple_walk(a2, a0, a1, twist=True),
-    )
-
-
 def cocycle_b_defect(a0: AlgebraElement, a1: AlgebraElement, a2: AlgebraElement) -> QSqrt:
     """b theta(a0, a1, a2) = theta(a0 a1, a2) - theta(a0, a1 a2)
     + theta(sigma(a2) a0, a1); exactly zero on the whole algebra.
 
-    Each term is one ``modular._triple_walk`` in its own association order,
-    psi((a0 a1) [D, a2]), psi(a0 [D, (a1 a2)]) and psi((sigma(a2) a0) [D, a1]),
-    so no product, sigma image or element is formed.  Operands from two
-    algebras raise UsageError, even when one is empty."""
-    t1, t2, t3 = _b_terms(a0, a1, a2)
-    return t1 - t2 + t3
+    Each term forms its product (and sigma(a2)) and reads theta off it by
+    the psi walk; ``cocycle_sweep`` reads the same terms over all triples
+    from tables.  Operands from two algebras raise UsageError, even when one
+    is empty."""
+    return (
+        twisted_theta(multiply(a0, a1), a2)
+        - twisted_theta(a0, multiply(a1, a2))
+        + twisted_theta(multiply(modular.sigma(a2), a0), a1)
+    )
+
+
+def _b_tables(elements: list) -> tuple[list, list, list]:
+    """The three terms of b theta on every triple of a_0 .. a_{M-1}, each
+    read from its own psi table (``modular._psi_table``):
+
+        left[i*M + j][k]    = theta(a_i a_j, a_k)        = psi((a_i a_j) [D, a_k])
+        right[i][j*M + k]   = theta(a_i, a_j a_k)        = psi(a_i [D, (a_j a_k)])
+        twisted[k*M + i][j] = theta(sigma(a_k) a_i, a_j) = psi((sigma(a_k) a_i) [D, a_j])
+
+    Each product, sigma image and [D, .] image is formed once.  sigma and
+    [D, .] are called through ``modular``'s attributes, as ``kms_sweep``
+    calls sigma, so a map patched into that module reaches the tables."""
+    d = [modular.commutator_D(a) for a in elements]
+    products = [multiply(x, y) for x in elements for y in elements]
+    sigmas = [modular.sigma(z) for z in elements]
+    return (
+        modular._psi_table(products, d),
+        modular._psi_table(elements, [modular.commutator_D(p) for p in products]),
+        modular._psi_table([multiply(s, x) for s in sigmas for x in elements], d),
+    )
 
 
 def hochschild_orientation(n: int, drop: int | None = None) -> dict:
@@ -289,16 +304,23 @@ def cocycle_plan(n: int, max_len: int) -> tuple[int, int]:
 @sweep("cocycle", "n", "max_len")
 def cocycle_sweep(n: int, max_len: int):
     """b theta and B theta vanish on all monomial triples with leg lengths
-    up to max_len."""
+    up to max_len.  B theta(a) = theta(1, a) is one psi walk per monomial.
+    The three terms of b theta on each triple are read from their own
+    tables (``_b_tables``), so no term is derived from another or from the
+    identity under test."""
     monos = monomials_upto(n, max_len)
     ident = one(n)
     for a0 in monos:
         value = twisted_theta(ident, a0)
         yield value.is_zero, lambda: f"B-defect {value} on {a0!r}"
-    for a0 in monos:
-        for a1 in monos:
-            for a2 in monos:
-                value = cocycle_b_defect(a0, a1, a2)
+    left, right, twisted = _b_tables(monos)
+    m = len(monos)
+    for i, a0 in enumerate(monos):
+        right_i = right[i]
+        for j, a1 in enumerate(monos):
+            left_ij = left[i * m + j]
+            for k, a2 in enumerate(monos):
+                value = left_ij[k] - right_i[j * m + k] + twisted[k * m + i][j]
                 yield value.is_zero, lambda: f"b-defect {value} on ({a0!r}, {a1!r}, {a2!r})"
 
 

@@ -21,17 +21,15 @@ matched pair by the gauge degree of a1's term.  Beside it, one private
 table gives psi(l' r) for every pair of two lists at once: it indexes each
 term of every right operand by the left keys that can meet it on the
 diagonal, so each left term finds its partners by lookup and no pair is
-scanned.  ``kms_sweep`` and ``tomita_sweep``, which pair every monomial
-with every other, read their pairings from such tables; a single pair
-stays on the walk, which costs less there than a 1x1 table.  One private
-triple walk gives each term of the cocycle's b-defect (``flow.cocycle_b_defect``):
-psi((x y) [D, z]), psi(x [D, (y z)]) and psi((sigma(x) y) [D, z]).  It
-matches the term pairs of two operands into a product key by the path
-rule, then matches that key against the third operand's terms for the
-diagonal.  [D, .] and sigma become weights read off the keys and terms, so
-no product, sigma image or element is formed.  The generator D multiplies
-a monomial by its gauge degree, the modular operator is Delta = n^(-D),
-and the Tomita data act termwise:
+scanned.  These are the two psi kernels, one per traffic shape: a single
+pair, as in ``psi_product``, ``inner_product``, ``flow.twisted_theta``,
+the tau traces and ``flow.cocycle_b_defect``, stays on the walk, which
+costs less there than a 1x1 table; a sweep over all pairs, as in
+``kms_sweep``, ``tomita_sweep`` and ``flow.cocycle_sweep`` (whose b-defect
+terms are read from tables of products against [D, .] images), reads its
+pairings from tables.  The generator D multiplies a monomial by its gauge
+degree, the modular operator is Delta = n^(-D), and the Tomita data act
+termwise:
 
     S(S_mu S_nu^*)       = S_nu S_mu^*
     F(S_mu S_nu^*)       = n^(|mu|-|nu|)       * S_nu S_mu^*
@@ -214,118 +212,6 @@ def _psi_table(lefts: list, rights: list, star: bool = False) -> list[list[QSqrt
             row[j] = value if row[j] is zero else row[j] + value
         rows.append(row)
     return rows
-
-
-def _triple_walk(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
-                 right: bool = False, twist: bool = False) -> QSqrt:
-    """psi((x' y) [D, z]) or, if right, psi(x [D, (y z)]), where x' is x or,
-    if twist, sigma(x) (twist reads only the first form); no product, sigma
-    image or element is formed.
-
-    The term pairs of two operands, (x, y) or, if right, (y, z), meet in a
-    product key by ``algebra._multiply_into``'s rule.  That key is matched
-    against the third operand's terms as ``_psi_walk`` matches a pair: the
-    product must be S_w S_w^*.  [D, .] weights a match by the gauge degree
-    of the key it wraps: (y z)'s key if right, else z's term, whose degree
-    on a diagonal match is minus that of (x y)'s key, so it is read once per
-    key.  sigma scales a degree-d term of x by n^d, so the matches of that
-    term are summed at level |w| - d.  The sum at level k is weighted n^(-k)
-    at the end, as in ``_psi_walk``.
-    """
-    n = x.n
-    if n != y.n or n != z.n:
-        x._check_mate(y)  # raises the mixed-algebras error
-        x._check_mate(z)
-    if not x.terms or not y.terms or not z.terms:
-        return QSqrt.zero(n)
-    by_len = {}  # |w| - d -> sum of the weighted c_x c_y c_z landing on S_w S_w^*
-    if right:
-        for (al, be), cy in y.terms.items():
-            ln_be = len(be)
-            for (ga, de), cz in z.terms.items():
-                ln_ga = len(ga)
-                if ln_be == ln_ga:
-                    if be != ga:
-                        continue
-                    qm, qn = al, de
-                elif ln_be > ln_ga:
-                    if be[:ln_ga] != ga:
-                        continue
-                    qm, qn = al, de + be[ln_ga:]
-                else:
-                    if ga[:ln_be] != be:
-                        continue
-                    qm, qn = al + ga[ln_be:], de
-                ln_qm = len(qm)
-                w = ln_qm - len(qn)
-                if not w:
-                    continue
-                cyz = cy * cz * w
-                for (mu, nu), cx in x.terms.items():
-                    ln_nu = len(nu)
-                    if ln_nu == ln_qm:
-                        if nu != qm or mu != qn:
-                            continue
-                        k = len(mu)
-                    elif ln_nu > ln_qm:
-                        if nu[:ln_qm] != qm or mu != qn + nu[ln_qm:]:
-                            continue
-                        k = len(mu)
-                    else:
-                        if qm[:ln_nu] != nu or mu + qm[ln_nu:] != qn:
-                            continue
-                        k = len(qn)
-                    c = cx * cyz
-                    s = by_len.get(k)
-                    by_len[k] = c if s is None else s + c
-    else:
-        for (mu, nu), cx in x.terms.items():
-            d = len(mu) - len(nu) if twist else 0
-            ln_nu = len(nu)
-            for (al, be), cy in y.terms.items():
-                ln_al = len(al)
-                if ln_nu == ln_al:
-                    if nu != al:
-                        continue
-                    pm, pn = mu, be
-                elif ln_nu > ln_al:
-                    if nu[:ln_al] != al:
-                        continue
-                    pm, pn = mu, be + nu[ln_al:]
-                else:
-                    if al[:ln_nu] != nu:
-                        continue
-                    pm, pn = mu + al[ln_nu:], be
-                ln_pn = len(pn)
-                w = ln_pn - len(pm)
-                if not w:
-                    continue
-                cxy = cx * cy * w
-                for (ga, de), cz in z.terms.items():
-                    ln_ga = len(ga)
-                    if ln_pn == ln_ga:
-                        if pn != ga or pm != de:
-                            continue
-                        k = len(pm)
-                    elif ln_pn > ln_ga:
-                        if pn[:ln_ga] != ga or pm != de + pn[ln_ga:]:
-                            continue
-                        k = len(pm)
-                    else:
-                        if ga[:ln_pn] != pn or pm + ga[ln_pn:] != de:
-                            continue
-                        k = len(de)
-                    k -= d
-                    c = cxy * cz
-                    s = by_len.get(k)
-                    by_len[k] = c if s is None else s + c
-    if not by_len:
-        return QSqrt.zero(n)
-    (k, s), *more = by_len.items()
-    acc = s * n_power(n, -k)
-    for k, s in more:
-        acc = acc + s * n_power(n, -k)
-    return acc
 
 
 def psi_product(a: AlgebraElement, b: AlgebraElement) -> QSqrt:

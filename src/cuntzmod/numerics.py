@@ -236,6 +236,8 @@ def sf_integral(x: ProjectionPerturbation, r: float, cfg: SummationConfig) -> fl
     if cfg.cutoff <= largest:
         raise DomainError(f"cutoff {cfg.cutoff} must exceed the largest |c| {largest}")
     expo = 0.5 + r
+    if expo == 0.5:
+        raise DomainError(f"sf_integral needs 1/2 + r > 1/2 in floats, got r={r}, which rounds 1/2 + r to 1/2")
     norm = beta_constant(expo)
     total = 0.0
     for c, w in x.terms:

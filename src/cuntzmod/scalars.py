@@ -14,9 +14,10 @@ raise BackendError.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import BackendError, UsageError
+from .errors import BackendError, DomainError, UsageError
 
 _SQRT_CACHE: dict[int, int] = {}
 
@@ -280,13 +281,21 @@ def n_power(n: int, exponent: Fraction | int) -> QSqrt:
 
 
 def ratio_str(num: int, den: int) -> str:
-    """num/den (den > 0) in lowest terms as ``p`` or ``p/q``."""
+    """num/den (den > 0) in lowest terms as ``p`` or ``p/q``.  A part past
+    the interpreter's limit on the digits of an int's text is refused with
+    DomainError, which states its size."""
     if den != 1:
         g = math.gcd(num, den)
-        if g != den:
-            return f"{num // g}/{den // g}"
         num //= g
-    return str(num)
+        den //= g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        digits = int(max(abs(num), den).bit_length() * math.log10(2)) + 1
+        raise DomainError(
+            f"an exact value has a part of about {digits} digits, past the limit of "
+            f"{sys.get_int_max_str_digits()} digits on printing an integer"
+        ) from None
 
 
 def scalar_str(c) -> str:

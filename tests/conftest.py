@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cuntzmod import endos, modular
-from cuntzmod.algebra import adjoint, canonical_form, equals, monomial, multiply, projection, words_upto, zero
+from cuntzmod.algebra import adjoint, canonical_form, equals, monomial, multiply, one, projection, words_upto, zero
 from cuntzmod.flow import twisted_theta
 from cuntzmod.matrices import AlgMatrix, apply_sigma
 from cuntzmod.modular import commutator_D, delta_power, expectation, state_psi
@@ -96,7 +96,8 @@ def oracle_psi_product(a, b):
 def oracle_b_terms(a0, a1, a2):
     """The three terms theta(a0 a1, a2), theta(a0, a1 a2) and
     theta(sigma(a2) a0, a1) of b theta, with every product and sigma(a2)
-    built: what flow.cocycle_b_defect sums from three triple walks."""
+    built: what flow.cocycle_b_defect sums, and what flow.cocycle_sweep
+    reads from three psi tables."""
     return (
         twisted_theta(multiply(a0, a1), a2),
         twisted_theta(a0, multiply(a1, a2)),
@@ -134,6 +135,27 @@ def oracle_kms_sweep(n: int, max_len: int):
             lhs = state_psi(multiply(a, b))
             rhs = state_psi(multiply(modular.sigma(b), a))
             yield lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}"
+
+
+@sweep("cocycle", "n", "max_len")
+def oracle_cocycle_sweep(n: int, max_len: int):
+    """cocycle_sweep with a0 a1, a1 a2, sigma(a2) a0 and each [D, .] image
+    formed for every triple, and each term of b theta read off its built
+    product by state_psi.  B theta(a) = theta(1, a) is the walk of
+    twisted_theta, as in the sweep."""
+    mod = modular
+    monos = monomial_elements(n, max_len)
+    ident = one(n)
+    for a0 in monos:
+        value = twisted_theta(ident, a0)
+        yield value.is_zero, lambda: f"B-defect {value} on {a0!r}"
+    for a0 in monos:
+        for a1 in monos:
+            for a2 in monos:
+                value = (mod.state_psi(multiply(multiply(a0, a1), mod.commutator_D(a2)))
+                         - mod.state_psi(multiply(a0, mod.commutator_D(multiply(a1, a2))))
+                         + mod.state_psi(multiply(multiply(mod.sigma(a2), a0), mod.commutator_D(a1))))
+                yield value.is_zero, lambda: f"b-defect {value} on ({a0!r}, {a1!r}, {a2!r})"
 
 
 @sweep("tomita", "n", "max_len")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -160,6 +161,30 @@ def test_eval_refuses_unreadable_digits(capsys, text, message):
     code, out, err = run(capsys, "eval", "--n", "2", text)
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_sfint_refusal_names_r(capsys):
+    code, out, err = run(capsys, "sfint", "--n", "2", "--mu", "1,1", "--nu", "2", "--r", "1e-17")
+    assert code == 2 and out == ""
+    assert err == "error: sf_integral needs 1/2 + r > 1/2 in floats, got r=1e-17, which rounds 1/2 + r to 1/2\n"
+
+
+# Exact values whose text passes the interpreter's 4,300-digit limit on printing
+# an int: u_{mu,nu} with |mu| = 14,300 has sf of denominator 2^14300, and the sum
+# of 1/P and 1/Q has denominator P Q of about 8,000 digits.
+OVERLONG_ARGV = {
+    "sf": ["sf", "--n", "2", "--mu", ",".join(["1"] * 14300), "--nu", "2"],
+    "entropy_text": ["entropy", "--n", "2", "--mu", ",".join(["1"] * 14300), "--nu", "2", "--output", "text"],
+    "eval": ["eval", "--n", "2", "1/" + "7" * 4000 + "*I + 1/" + "3" * 3999 + "1*I"],
+}
+
+
+@pytest.mark.parametrize("name", OVERLONG_ARGV)
+def test_values_past_the_digit_limit_are_refused(capsys, name):
+    code, out, err = run(capsys, *OVERLONG_ARGV[name])
+    assert code == 2 and out == ""
+    assert err.startswith("error: an exact value has a part of about ") and err.count("\n") == 1
+    assert f"past the limit of {sys.get_int_max_str_digits()} digits on printing an integer" in err
 
 
 # one command line per verb, each check suite included; --n is appended

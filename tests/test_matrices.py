@@ -111,6 +111,18 @@ def test_build_u_v():
         build_u_v(monomial(2, (2, 2), (2, 2)).scale(2) + gen(2, 1).scale(2))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_build_u_v_refuses_a_unitary_that_is_not_modular(n):
+    # s (R s R^*) is unitary, so v^*v = vv^* = 1 pass, but the rotation moves
+    # v sigma(v^*) off F, as in find_nonmodular_product_witness
+    s = branch_shift_unitary(n)
+    rot = cartan_rotation(n, Fraction(3, 5), Fraction(4, 5))
+    v = multiply(s, multiply(multiply(rot, s), adjoint(rot)))
+    assert equals(multiply(adjoint(v), v), one(n)) and equals(multiply(v, adjoint(v)), one(n))
+    with pytest.raises(DomainError, match=r"v sigma\(v\*\) is not over the fixed-point algebra"):
+        build_u_v(v)
+
+
 def test_build_u_v_matches_swapped_u_mu_nu():
     v = monomial(2, (1, 1), (2,))
     assert build_u_v(v) == build_u_mu_nu(2, (2,), (1, 1))

@@ -294,6 +294,14 @@ def test_sf_integral_validation():
             sf_integral(huge, 0.5, SummationConfig(cutoff=10, tail_correction=tails))
 
 
+def test_sf_integral_refuses_an_r_that_vanishes_beside_one_half():
+    # 1/2 + r rounds to 1/2 for 0 < r <= 2^-54; the refusal names r, not the exponent
+    x = ProjectionPerturbation.from_pairs([(Fraction(1), Fraction(1, 2))])
+    for r in (1e-17, 2.0**-54, 5e-324):
+        with pytest.raises(DomainError, match=f"got r={r}, which rounds 1/2 \\+ r to 1/2"):
+            sf_integral(x, r, SummationConfig())
+
+
 def test_projection_perturbation_validation():
     with pytest.raises(UsageError):
         ProjectionPerturbation(((Fraction(0), Fraction(1, 2)),))

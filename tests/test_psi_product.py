@@ -5,13 +5,14 @@ S_w S_w^*.  ``psi_product(a, b)`` must equal ``oracle_psi_product``, which
 builds a b and reads psi off it, exactly.  The pairing reads a's terms
 swapped and the twisted cocycle weights each pair by a1's term degree, and
 the two endomorphism traces call the pairing; each must still equal the
-formula that built a*, [D, a1] and the product.  The cocycle's b-defect
-sums three triple walks, one per term; each term must equal
-``oracle_b_terms``, which builds the products and sigma(a2), since their
-sum is 0 on every input.  The pairing table gives psi(l' r) for every pair
-of two lists at once; each entry must equal the walk on its pair.  No
-operand of psi or of anything read off it can carry a float: the
-constructors refuse one with BackendError.
+formula that built a*, [D, a1] and the product.  The pairing table gives
+psi(l' r) for every pair of two lists at once; each entry must equal the
+walk on its pair.  The cocycle sweep reads each of the three terms of
+b theta from its own table over all triples of a list; each entry must
+equal ``oracle_b_terms``, which builds the products and sigma(a2) and
+reads theta off them by the walk, term by term, since the three sum to 0
+on every input.  No operand of psi or of anything read off it can carry a
+float: the constructors refuse one with BackendError.
 """
 
 import itertools
@@ -21,8 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monomial_elements, oracle_b_terms, oracle_psi_product, random_element
-from cuntzmod import algebra, flow
-from cuntzmod.algebra import AlgebraElement, adjoint, gen, monomial, multiply, projection, zero
+from cuntzmod.algebra import adjoint, gen, monomial, multiply, projection, zero
 from cuntzmod.endos import (
     EndoSum,
     RankOne,
@@ -33,7 +33,7 @@ from cuntzmod.endos import (
     tau_tilde,
 )
 from cuntzmod.errors import BackendError, UsageError
-from cuntzmod.flow import _b_terms, aps_index_traces, cocycle_b_defect, twisted_theta
+from cuntzmod.flow import _b_tables, aps_index_traces, cocycle_b_defect, twisted_theta
 from cuntzmod.modular import (
     _psi_table,
     _psi_walk,
@@ -70,13 +70,6 @@ def operand_pairs(draw):
     return draw(_elements(n)), draw(_elements(n))
 
 
-@st.composite
-def operand_triples(draw):
-    """(a0, a1, a2) in O_n, n in {2, 3, 4}, each of 0-5 terms."""
-    n = draw(st.sampled_from((2, 3, 4)))
-    return tuple(draw(_elements(n, max_terms=5)) for _ in range(3))
-
-
 @settings(max_examples=300, deadline=None)
 @given(operand_pairs())
 def test_psi_product_matches_the_product_oracle(pair):
@@ -103,41 +96,6 @@ def test_twisted_theta_matches_psi_of_the_built_commutator_product(pair):
     for x, y in ((a0, a1), (a1, a0)):
         value = twisted_theta(x, y)
         assert type(value) is QSqrt and value == state_psi(multiply(x, commutator_D(y)))
-
-
-def _assert_b_terms(a0, a1, a2):
-    # each term on its own: their sum is 0 on every input
-    terms = _b_terms(a0, a1, a2)
-    assert all(type(t) is QSqrt for t in terms) and terms == oracle_b_terms(a0, a1, a2), (a0, a1, a2)
-
-
-@settings(max_examples=300, deadline=None)
-@given(operand_triples())
-def test_b_terms_match_the_product_oracle(triple):
-    _assert_b_terms(*triple)
-
-
-def test_b_terms_on_every_criterion_4_monomial_triple():
-    # the monomial triples of criterion 4 at n = 2 with legs up to 1
-    for triple in itertools.product(monomial_elements(2, 1), repeat=3):
-        _assert_b_terms(*triple)
-
-
-def test_cocycle_b_defect_forms_no_element(monkeypatch, rng):
-    triples = [[random_element(rng, n, max_terms=5, max_len=3, allow_zero=False) for _ in range(3)]
-               for n in (2, 3, 4)]
-    expected = [oracle_b_terms(*t) for t in triples]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("cocycle_b_defect formed an element or a product")
-
-    monkeypatch.setattr(AlgebraElement, "_make", refuse)
-    monkeypatch.setattr(AlgebraElement, "__init__", refuse)
-    monkeypatch.setattr(algebra, "multiply", refuse)
-    monkeypatch.setattr(flow, "multiply", refuse)
-    for t, terms in zip(triples, expected):
-        assert _b_terms(*t) == terms
-        assert cocycle_b_defect(*t).is_zero
 
 
 def test_psi_product_on_every_monomial_pair():
@@ -223,13 +181,50 @@ def test_psi_table_rejects_mixed_contexts():
                         _psi_table(lefts, rights, star)
 
 
+# -- the b theta tables against the terms formed per triple ------------------------
+
+
+def _assert_b_tables(elements):
+    # each term on its own: the three sum to 0 on every input
+    left, right, twisted = _b_tables(elements)
+    m = len(elements)
+    assert [len(row) for row in left] == [len(row) for row in twisted] == [m] * (m * m)
+    assert [len(row) for row in right] == [m * m] * m
+    for i, j, k in itertools.product(range(m), repeat=3):
+        terms = (left[i * m + j][k], right[i][j * m + k], twisted[k * m + i][j])
+        a0, a1, a2 = elements[i], elements[j], elements[k]
+        assert all(type(t) is QSqrt for t in terms) and terms == oracle_b_terms(a0, a1, a2), (a0, a1, a2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(lambda n: st.lists(_elements(n, max_terms=5), max_size=3)))
+def test_b_terms_match_the_product_oracle(elements):
+    _assert_b_tables(elements)
+
+
+def test_b_terms_on_every_criterion_4_monomial_triple():
+    # the monomial triples of criterion 4 at n = 2 with legs up to 1
+    _assert_b_tables(monomial_elements(2, 1))
+
+
+def test_b_terms_on_every_monomial_triple_over_three_letters():
+    # keys over three letters are indexed only here
+    _assert_b_tables(monomial_elements(3, 1))
+
+
+def test_b_terms_on_drawn_lists(rng):
+    for i in range(100):
+        n = 2 + i % 3
+        _assert_b_tables([random_element(rng, n, max_terms=5, max_len=3) for _ in range(rng.randint(0, 4))])
+
+
 # Every pairing is one call of the same walk, with its own reading of the operands.
 PAIRINGS = (psi_product, inner_product, twisted_theta)
 
 
 def test_psi_product_on_empty_operands():
     # an empty operand in any position gives the exact zero, for every pairing
-    # and for the b-defect and its terms
+    # and for the b-defect and its tables
     for n in (2, 3):
         x, empty = gen(n, 1) + gen(n, 2).adjoint() + monomial(n, (1,), (2,)), zero(n)
         for pairing in PAIRINGS:
@@ -237,8 +232,14 @@ def test_psi_product_on_empty_operands():
                 value = pairing(a, b)
                 assert value == 0 and type(value) is QSqrt, pairing.__name__
         for triple in ((empty, x, x), (x, empty, x), (x, x, empty), (empty, zero(n), zero(n))):
-            for value in (cocycle_b_defect(*triple), *_b_terms(*triple)):
-                assert value == 0 and type(value) is QSqrt, triple
+            value = cocycle_b_defect(*triple)
+            assert value == 0 and type(value) is QSqrt, triple
+        assert _b_tables([]) == ([], [], [])
+        left, right, twisted = _b_tables([x, empty])
+        for i, j, k in itertools.product(range(2), repeat=3):
+            if 1 in (i, j, k):  # the empty element in some position
+                for value in (left[i * 2 + j][k], right[i][j * 2 + k], twisted[k * 2 + i][j]):
+                    assert value == 0 and type(value) is QSqrt, (i, j, k)
 
 
 def test_psi_product_rejects_mixed_contexts():
@@ -247,7 +248,7 @@ def test_psi_product_rejects_mixed_contexts():
         for a, b in ((gen(2, 1), gen(3, 1)), (zero(2), gen(3, 1)), (gen(2, 1), zero(3)), (zero(2), zero(3))):
             with pytest.raises(UsageError, match="mixed algebras"):
                 pairing(a, b)
-    # and for the b-defect, with the foreign operand in each of its three positions
+    # and for the b-defect and its tables, with the foreign operand in each of three positions
     for position in range(3):
         for native in (gen(2, 1), zero(2)):
             for foreign in (gen(3, 1), zero(3)):
@@ -255,6 +256,8 @@ def test_psi_product_rejects_mixed_contexts():
                 triple[position] = foreign
                 with pytest.raises(UsageError, match="mixed algebras"):
                     cocycle_b_defect(*triple)
+                with pytest.raises(UsageError, match="mixed algebras"):
+                    _b_tables(triple)
 
 
 # -- the call sites against the formulas that built the product ------------------

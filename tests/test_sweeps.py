@@ -1,13 +1,14 @@
 """The hoisted invariant sweeps against the per-case loops they replaced.
 
-``kms_sweep``, ``tomita_sweep`` and ``keyfact_sweep`` form each map of one
-operand once and share it across the cases that read it; kms and tomita
-also read every pairing from a table over all pairs.  Their reports must
+``kms_sweep``, ``tomita_sweep``, ``keyfact_sweep`` and ``cocycle_sweep``
+form each map of one operand once and share it across the cases that read
+it; kms, tomita and cocycle also read every pairing from a table over all
+pairs.  Their reports must
 equal those of the oracles in conftest, which form every map inside its
 case, on clean code and with a wrong map patched into the module attribute
 the sweep looks up.  Under a mutant the sweep must also fail some cases and
 keep its case count, so sharing a map did not make a check vacuous.  The
-first three mutants are wrong maps the sweeps share; the last two make
+first four mutants are wrong maps the sweeps share; the last two make
 tomita_sweep's first failures carry the loop variables of its hoisted
 loops, so a label that read the wrong operand or z would differ.
 
@@ -17,8 +18,8 @@ equality cannot see a miscount.  A toy sweep checks the runner on its own.
 
 import pytest
 
-from conftest import oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep
-from cuntzmod import endos, modular
+from conftest import oracle_cocycle_sweep, oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep
+from cuntzmod import endos, flow, modular
 from cuntzmod.algebra import multiply
 from cuntzmod.tally import sweep
 
@@ -29,6 +30,8 @@ SWEEPS = {
     "tomita_n3": (modular.tomita_sweep, oracle_tomita_sweep, (3, 1), 1648),
     "keyfact": (endos.keyfact_sweep, oracle_keyfact_sweep, (2, 2), 245),
     "keyfact_n3": (endos.keyfact_sweep, oracle_keyfact_sweep, (3, 1), 80),
+    "cocycle": (flow.cocycle_sweep, oracle_cocycle_sweep, (2, 1), 738),
+    "cocycle_n3": (flow.cocycle_sweep, oracle_cocycle_sweep, (3, 1), 4112),
 }
 
 
@@ -39,6 +42,11 @@ def _sigma_identity(monkeypatch):
 def _delta_negated(monkeypatch):
     delta_power = modular.delta_power
     monkeypatch.setattr(modular, "delta_power", lambda a, z: delta_power(a, -z))
+
+
+def _commutator_dropped(monkeypatch):
+    # [D, .] read as the identity: b theta then sums to psi(a0 a1 a2).
+    monkeypatch.setattr(modular, "commutator_D", lambda a: a)
 
 
 def _gauge_off_by_one(monkeypatch):
@@ -64,6 +72,7 @@ def _pairing_without_adjoint(monkeypatch):
 MUTANTS = {
     "sigma_identity": _sigma_identity,
     "delta_negated": _delta_negated,
+    "commutator_dropped": _commutator_dropped,
     "gauge_off_by_one": _gauge_off_by_one,
     "s_identity": _s_identity,
     "pairing_without_adjoint": _pairing_without_adjoint,
@@ -83,6 +92,11 @@ CASES = [
     ("tomita", "s_identity"),  # fails the intertwining checks first, with their z
     ("tomita", "pairing_without_adjoint"),  # fails the pair checks, the first with their z
     ("keyfact", "gauge_off_by_one"),
+    ("cocycle", None),
+    ("cocycle_n3", None),  # three letters: table keys the n = 2 sweep never indexes
+    ("cocycle", "sigma_identity"),
+    ("cocycle", "delta_negated"),
+    ("cocycle", "commutator_dropped"),
 ]
 
 
