@@ -15,20 +15,24 @@ Left multiplication pi(a) is not finite rank, so it is only available
 fused into a finite-rank sum: ``compose_left_mult(a, e)`` maps each leg
 Theta_{x,y} to Theta_{a x, y}.
 
-tau_delta is evaluated by applying Delta directly to the output leg
-(Delta fixes the F-valued inner product, so Delta . Theta_{x,y} =
-Theta_{Delta x, y} exactly); ``tau_delta_truncated`` keeps the truncated
+Both traces are read at once by one psi walk over the legs,
+``modular._psi_sums``: a leg c Theta_{x,y} gives c <y, x> at level |w|
+and, since Delta fixes the F-valued inner product (Delta . Theta_{x,y} =
+Theta_{Delta x, y}) and scales a degree-d term by n^(-d), c <y, Delta x> at
+level |w| + d; for pi(a) e the leg is read as c Theta_{a x, y}, with a x
+formed on term maps.  ``tau_delta_truncated`` keeps the truncated
 definition sup_N tau_tilde(Delta_N e) alive as an independent cross-check,
 built honestly out of phi_k_endo and endo_compose.  Every value here is
 exact: the legs are algebra elements and the coefficients QSqrt values.
 
 The compression identity v Phi_k v^* = v v^* Phi_{k+m} of a monomial
 partial isometry v of gauge degree m is checked on probes x by
-``key_fact_check`` and over every such v by ``keyfact_sweep``.  Both form
-v^* x and each side of every probe on term maps, with the product rule of
-``algebra._multiply_into`` and the degree filter ``gauge_component``, and
-compare the sides with ``algebra._terms_equal``, the oracle behind
-``equals``.
+``key_fact_check`` and over every such v by ``keyfact_sweep``, with one
+routine: v^* x is split by degree once for all k, each side is formed on
+term maps with the product rule of ``algebra._multiply_into``, and the
+sides of one (v, k) over all probes are compared as two rows, falling back
+to ``algebra._terms_equal``, the oracle behind ``equals``, only for rows
+that differ structurally.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ from .algebra import (
     zero,
 )
 from .errors import DomainError, TermBudgetExceeded, UsageError
-from .modular import delta_power, expectation, gauge_component, inner_product, trace_F
+from .modular import _psi_sums, expectation, trace_F
+from .modular import gauge_component  # noqa: F401  Phi_j, looked up here by the tests' keyfact oracle
 from .scalars import QSqrt, n_power
 from .tally import sweep
 
@@ -164,27 +169,36 @@ def phi_k_endo(k: int, n: int) -> EndoSum:
     return out
 
 
+_EMPTY: dict = {}  # every empty side, so that equal rows compare it by identity
+
+
+def _side(a_terms: dict, b_terms) -> dict:
+    """a b by the term-map product, run only when b is not empty, or the shared empty side."""
+    out: dict = {}
+    if b_terms:
+        _multiply_into(out, a_terms, b_terms)
+    return out or _EMPTY
+
+
+def _traces(e: EndoSum, a: AlgebraElement | None = None) -> tuple[QSqrt, QSqrt]:
+    """(tau_tilde(pi(a) e), tau_delta(pi(a) e)), or those of e if a is None,
+    in one psi walk over the weighted pairs (c, y, a x) of the legs; a x is
+    formed by the term-map product and never assumed to have degree 0."""
+    if a is not None and a.n != e.n:
+        raise UsageError("left multiplier disagrees with the EndoSum context")
+    pairs = [(c, th.y.terms, th.x.terms if a is None else _side(a.terms, th.x.terms)) for c, th in e.terms]
+    return _psi_sums(e.n, pairs, star_a=True, shift=True)
+
+
 def tau_tilde(e: EndoSum) -> QSqrt:
-    """tau_tilde(Theta_{x,y}) = psi(y^* x) = <y, x>, extended linearly; the
-    psi walk reads y's terms swapped and x's as they are."""
-    acc = QSqrt.zero(e.n)
-    for c, th in e.terms:
-        value = inner_product(th.y, th.x)
-        if value:
-            acc = acc + c * value
-    return acc
+    """tau_tilde(Theta_{x,y}) = psi(y^* x) = <y, x>, extended linearly."""
+    return _traces(e)[0]
 
 
 def tau_delta_endo(e: EndoSum) -> QSqrt:
     """tau_delta(e) = tau_tilde(Delta . e), with Delta applied to the output
-    leg; normalised so every Phi_k has weight exactly 1.  Each term is
-    <y, Delta x>: the psi walk reads y's terms swapped, Delta x's as they are."""
-    acc = QSqrt.zero(e.n)
-    for c, th in e.terms:
-        value = inner_product(th.y, delta_power(th.x, 1))
-        if value:
-            acc = acc + c * value
-    return acc
+    leg; normalised so every Phi_k has weight exactly 1."""
+    return _traces(e)[1]
 
 
 def tau_delta_truncated(e: EndoSum, cutoff: int) -> QSqrt:
@@ -211,50 +225,54 @@ def _partial_isometry(v: AlgebraElement, caller: str = "key_fact_check") -> tupl
     return len(mu) - len(nu), v_star, multiply(v, v_star)
 
 
-def _key_fact_holds(n: int, v_terms: dict, range_terms: dict, k: int, cases) -> bool:
-    """v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on every probe x of O_n, given as
-    the pairs (v^* x, the term map of Phi_{k+m}(x)).  v and v v^* come as
-    term maps.  Both sides are formed by the term-map product, which, as in
-    ``multiply``, runs only when neither factor is empty, and are compared
-    by the equality oracle ``_terms_equal``; stops at the first probe that
-    fails."""
-    for pulled, shifted in cases:
-        left: dict = {}
-        if pulled.terms:
-            filtered = gauge_component(pulled, k).terms
-            if filtered:
-                _multiply_into(left, v_terms, filtered)
-        right: dict = {}
-        if shifted:
-            _multiply_into(right, range_terms, shifted)
-        if not _terms_equal(left, right, n):
-            return False
-    return True
+def _degree_parts(a: AlgebraElement) -> dict:
+    """{d: the term map of a's degree-d part} over the degrees present."""
+    parts: dict = {}
+    for key, c in a.terms.items():
+        parts.setdefault(len(key[0]) - len(key[1]), {})[key] = c
+    return parts
 
 
-def _pulled(v_star: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
-    """v^* x by the term-map product, for a probe x of v's algebra."""
-    terms: dict = {}
-    _multiply_into(terms, v_star.terms, x.terms)
-    return AlgebraElement._make(v_star.n, terms)
+def _key_fact_rows(v: AlgebraElement, ks, probes: list, probe_parts: list, ranges: dict) -> list[bool]:
+    """For each k of ks, whether v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on
+    every probe x, given probe_parts[i] = _degree_parts(probes[i]).  Left:
+    each v^* x is formed and split by degree once, and v times each part a
+    k reads is formed once.  Right: the row of v v^* Phi_j(x) over the
+    probes is formed once per j and term map of v v^*, and kept in ranges
+    under that term map for any v with an equal one.  Each k compares its
+    two rows in one ``==``, and entry by entry by ``_terms_equal`` only if
+    they differ structurally."""
+    n = v.n
+    m, v_star, range_proj = _partial_isometry(v)
+    lefts = {k: [_EMPTY] * len(probes) for k in ks}
+    for i, x in enumerate(probes):
+        for d, part in _degree_parts(multiply(v_star, x)).items():
+            if d in lefts:
+                lefts[d][i] = _side(v.terms, part)
+    rights = ranges.setdefault(frozenset(range_proj.terms.items()), {})
+    held = []
+    for k in ks:
+        right = rights.get(k + m)
+        if right is None:
+            right = rights[k + m] = [_side(range_proj.terms, parts.get(k + m)) for parts in probe_parts]
+        left = lefts[k]
+        held.append(left == right or all(_terms_equal(a, b, n) for a, b in zip(left, right)))
+    return held
 
 
 def key_fact_check(v: AlgebraElement, k: int, probes: Iterable[AlgebraElement]) -> bool:
     """v Phi_k v^* == v v^* Phi_{k+m} for the monomial partial isometry v of
-    gauge degree m, verified on every probe, like ``keyfact_sweep``.  An
-    empty probe list is a usage error, not a pass, and so is a probe from
-    another algebra."""
+    gauge degree m, verified on every probe by the routine of
+    ``keyfact_sweep``; the probes may have any number of terms and degrees.
+    An empty probe list is a usage error, not a pass, and so is a probe
+    from another algebra."""
     probes = list(probes)
     if not probes:
         raise UsageError("key_fact_check needs at least one probe")
-    n = v.n
-    m, v_star, range_proj = _partial_isometry(v)
-    cases = []
     for x in probes:
-        if x.n != n:
-            raise UsageError(f"mixed algebras O_{n} and O_{x.n}")
-        cases.append((_pulled(v_star, x), gauge_component(x, k + m).terms))
-    return _key_fact_holds(n, v.terms, range_proj.terms, k, cases)
+        if x.n != v.n:
+            raise UsageError(f"mixed algebras O_{v.n} and O_{x.n}")
+    return _key_fact_rows(v, (k,), probes, [_degree_parts(x) for x in probes], {})[0]
 
 
 # -- named invariant sweeps ------------------------------------------------
@@ -274,20 +292,20 @@ def tracesplit_plan(n: int, max_len: int) -> tuple[int, int]:
 @sweep("tracesplit", "n", "max_len")
 def tracesplit_sweep(n: int, max_len: int):
     """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) == tau(f) for
-    degree-0 monomials f and |k| <= TRACESPLIT_K_SPAN, plus the Phi_k weights themselves."""
+    degree-0 monomials f and |k| <= TRACESPLIT_K_SPAN, plus the Phi_k weights themselves.
+    Both traces of a case pair are read by ``_traces`` in one walk over the legs of
+    Phi_k; f and tau(f) are formed once, shared by the values of k."""
+    f_words = [(alpha, beta) for length in range(max_len + 1) for alpha in words(n, length) for beta in words(n, length)]
+    fs = [(alpha, beta, f, trace_F(f)) for alpha, beta in f_words for f in [monomial(n, alpha, beta)]]
     for k in range(-TRACESPLIT_K_SPAN, TRACESPLIT_K_SPAN + 1):
         phi_k = phi_k_endo(k, n)
-        yield tau_tilde(phi_k) == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}"
-        yield tau_delta_endo(phi_k) == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1"
-        for length in range(max_len + 1):
-            for alpha in words(n, length):
-                for beta in words(n, length):
-                    f = monomial(n, alpha, beta)
-                    tf = trace_F(f)
-                    fused = compose_left_mult(f, phi_k)
-                    yield (tau_tilde(fused) == n_power(n, k) * tf,
-                           lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
-                    yield tau_delta_endo(fused) == tf, lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}"
+        tilde, delta = _traces(phi_k)
+        yield tilde == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}"
+        yield delta == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1"
+        for alpha, beta, f, tf in fs:
+            tilde, delta = _traces(phi_k, f)
+            yield tilde == n_power(n, k) * tf, lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}"
+            yield delta == tf, lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}"
 
 
 def keyfact_plan(n: int, max_len: int) -> tuple[int, int]:
@@ -300,19 +318,17 @@ def keyfact_plan(n: int, max_len: int) -> tuple[int, int]:
 def keyfact_sweep(n: int, max_len: int):
     """The compression identity v Phi_k v^* == v v^* Phi_{k+m} over monomial
     partial isometries with leg lengths up to max_len and |k| <= KEYFACT_K_SPAN,
-    each case checked like ``key_fact_check`` on every probe with legs up to
-    KEYFACT_PROBE_LEN.  The term map of Phi_j(x) is formed once per probe and
-    degree, and v^*, v v^* and the products v^* x (by ``_multiply_into``)
-    once per v, shared by its values of k."""
+    each case checked by the routine of ``key_fact_check`` on every probe
+    with legs up to KEYFACT_PROBE_LEN.  Each probe is split by degree once
+    per sweep, each v^* x once per v, and the right-side rows are shared
+    between the v's with equal v v^*."""
     ws = words_upto(n, max_len)
     probes = monomials_upto(n, KEYFACT_PROBE_LEN)
-    spread = KEYFACT_K_SPAN + max_len  # |k + m| never exceeds it
-    shifted = {j: [gauge_component(x, j).terms for x in probes] for j in range(-spread, spread + 1)}
+    probe_parts = [_degree_parts(x) for x in probes]
+    ranges: dict = {}
+    ks = range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1)
     for mu in ws:
         for nu in ws:
-            v = monomial(n, mu, nu)
-            m, v_star, range_proj = _partial_isometry(v)
-            pulled = [_pulled(v_star, x) for x in probes]
-            for k in range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1):
-                yield (_key_fact_holds(n, v.terms, range_proj.terms, k, zip(pulled, shifted[k + m])),
-                       lambda: f"v=S_{mu}S*_{nu} k={k}")
+            held = _key_fact_rows(monomial(n, mu, nu), ks, probes, probe_parts, ranges)
+            for k, ok in zip(ks, held):
+                yield ok, lambda: f"v=S_{mu}S*_{nu} k={k}"

@@ -45,7 +45,7 @@ from .algebra import (
     words,
     zero,
 )
-from .endos import _partial_isometry, compose_left_mult, phi_k_endo, tau_delta_endo
+from .endos import _partial_isometry, _traces, phi_k_endo
 from .errors import BackendError, DomainError, UsageError
 from .matrices import AlgMatrix, _certify, apply_sigma, build_u_mu_nu, is_modular_unitary
 from . import modular
@@ -229,7 +229,7 @@ def aps_index_traces(v: AlgebraElement) -> tuple[Fraction, Fraction]:
     source_proj = multiply(v_star, v)
 
     def tau_delta_applied(f: AlgebraElement, k: int) -> Fraction:
-        return _as_fraction(tau_delta_endo(compose_left_mult(f, phi_k_endo(k, v.n))), "APS trace")
+        return _as_fraction(_traces(phi_k_endo(k, v.n), f)[1], "APS trace")
 
     if m > 0:
         range_trace = -sum((tau_delta_applied(range_proj, k) for k in range(0, m)), Fraction(0))

@@ -2,9 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import monomial_elements, random_element
-from cuntzmod.algebra import adjoint, equals, gen, monomial, one, s_word, words_upto
+from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, s_word, words_upto, zero
 from cuntzmod.endos import (
     EndoSum,
     RankOne,
@@ -161,6 +162,35 @@ def test_key_fact_examples():
         key_fact_check(gen(2, 1) + gen(2, 2), 0, probes)
     with pytest.raises(DomainError):
         key_fact_check(gen(2, 1).scale(2), 0, probes)
+
+
+@st.composite
+def _key_fact_cases(draw):
+    """(v, probes): a monomial partial isometry of O_n, n in {2, 3}, and one
+    to three probes of two to four terms of mixed degrees."""
+    n = draw(st.sampled_from((2, 3)))
+    word = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    v = monomial(n, draw(word.filter(lambda w: len(w) <= 2)), draw(word.filter(lambda w: len(w) <= 2)))
+    probes = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = zero(n)
+        for _ in range(draw(st.integers(2, 4))):
+            x = x + monomial(n, draw(word), draw(word), Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+        probes.append(x)
+    return v, probes
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_key_fact_cases())
+def test_key_fact_check_equals_the_formed_products(case):
+    v, probes = case
+    ((mu, nu),) = v.terms
+    m = len(mu) - len(nu)
+    for k in range(-4, 5):
+        expected = all(equals(multiply(v, gauge_component(multiply(adjoint(v), x), k)),
+                              multiply(multiply(v, adjoint(v)), gauge_component(x, k + m)))
+                       for x in probes)
+        assert key_fact_check(v, k, probes) == expected
 
 
 def test_key_fact_check_refuses_an_empty_probe_list():

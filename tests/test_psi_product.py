@@ -26,6 +26,7 @@ from cuntzmod.algebra import adjoint, gen, monomial, multiply, projection, zero
 from cuntzmod.endos import (
     EndoSum,
     RankOne,
+    _traces,
     compose_left_mult,
     key_fact_check,
     phi_k_endo,
@@ -297,6 +298,18 @@ def test_endo_traces_equal_psi_of_the_built_product(rng):
                     QSqrt.zero(n))
         assert tau_tilde(e) == tilde
         assert tau_delta_endo(e) == delta
+
+
+def test_fused_traces_equal_psi_of_the_built_legs(rng):
+    # pi(a) e for a of any degree: the legs (a x, y) are built and each read by state_psi
+    for i in range(60):
+        n = 2 + i % 3
+        e = _random_endo(rng, n)
+        a = random_element(rng, n, 3, 2)
+        legs = [(c, multiply(a, th.x), th.y) for c, th in e.terms]
+        tilde = sum((c * state_psi(multiply(adjoint(y), x)) for c, x, y in legs), QSqrt.zero(n))
+        delta = sum((c * state_psi(multiply(adjoint(y), delta_power(x, 1))) for c, x, y in legs), QSqrt.zero(n))
+        assert _traces(e, a) == (tilde, delta)
 
 
 # -- float data never reaches an exact entry point --------------------------------

@@ -1,16 +1,19 @@
 """The hoisted invariant sweeps against the per-case loops they replaced.
 
-``kms_sweep``, ``tomita_sweep``, ``keyfact_sweep`` and ``cocycle_sweep``
-form each map of one operand once and share it across the cases that read
-it; kms, tomita and cocycle also read every pairing from a table over all
-pairs.  Their reports must
-equal those of the oracles in conftest, which form every map inside its
-case, on clean code and with a wrong map patched into the module attribute
-the sweep looks up.  Under a mutant the sweep must also fail some cases and
-keep its case count, so sharing a map did not make a check vacuous.  The
-first four mutants are wrong maps the sweeps share; the last two make
-tomita_sweep's first failures carry the loop variables of its hoisted
-loops, so a label that read the wrong operand or z would differ.
+``kms_sweep``, ``tomita_sweep``, ``keyfact_sweep``, ``tracesplit_sweep``
+and ``cocycle_sweep`` form each map of one operand once and share it across
+the cases that read it; kms, tomita and cocycle also read every pairing
+from a table over all pairs, keyfact splits each element by degree once,
+and tracesplit reads both traces of a case in one walk over the legs.
+Their reports must equal those of the oracles in conftest, which form
+every map inside its case, on clean code and with a wrong map patched into
+the module attribute the sweep looks up.  Under a mutant the sweep must
+also fail some cases and keep its case count, so sharing a map did not
+make a check vacuous.  Most mutants are wrong maps the sweeps share; the
+two tomita label mutants make tomita_sweep's first failures carry the loop
+variables of its hoisted loops, so a label that read the wrong operand or
+z would differ, and a keyfact mutant whose first failure is far from the
+first (v, k) does the same for keyfact_sweep's rows.
 
 The sweeps and their oracles share one runner, ``tally.sweep``, so that
 equality cannot see a miscount.  A toy sweep checks the runner on its own.
@@ -18,9 +21,12 @@ equality cannot see a miscount.  A toy sweep checks the runner on its own.
 
 import pytest
 
-from conftest import oracle_cocycle_sweep, oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep
+from conftest import (
+    oracle_cocycle_sweep, oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep, oracle_tracesplit_sweep,
+)
 from cuntzmod import endos, flow, modular
-from cuntzmod.algebra import multiply
+from cuntzmod.algebra import multiply, zero
+from cuntzmod.scalars import n_power
 from cuntzmod.tally import sweep
 
 SWEEPS = {
@@ -30,6 +36,8 @@ SWEEPS = {
     "tomita_n3": (modular.tomita_sweep, oracle_tomita_sweep, (3, 1), 1648),
     "keyfact": (endos.keyfact_sweep, oracle_keyfact_sweep, (2, 2), 245),
     "keyfact_n3": (endos.keyfact_sweep, oracle_keyfact_sweep, (3, 1), 80),
+    "tracesplit": (endos.tracesplit_sweep, oracle_tracesplit_sweep, (2, 2), 308),
+    "tracesplit_n3": (endos.tracesplit_sweep, oracle_tracesplit_sweep, (3, 1), 154),
     "cocycle": (flow.cocycle_sweep, oracle_cocycle_sweep, (2, 1), 738),
     "cocycle_n3": (flow.cocycle_sweep, oracle_cocycle_sweep, (3, 1), 4112),
 }
@@ -49,12 +57,37 @@ def _commutator_dropped(monkeypatch):
     monkeypatch.setattr(modular, "commutator_D", lambda a: a)
 
 
+def _wrong_degree_projection(monkeypatch, wrong):
+    # keyfact's oracle projects onto each degree with endos.gauge_component;
+    # the sweep splits each element by degree once with endos._degree_parts.
+    # One wrong projection wrong(a, k) goes into both.  Every element either
+    # side splits has degrees within 8 of 0.
+    monkeypatch.setattr(endos, "gauge_component", wrong)
+    monkeypatch.setattr(endos, "_degree_parts", lambda a: {d: p for d in range(-8, 9) if (p := wrong(a, d).terms)})
+
+
 def _gauge_off_by_one(monkeypatch):
     # Off by one on every nonzero degree.  A shift of every degree alike
     # would go unseen: v Phi_k v^* == v v^* Phi_{k+m} holds at every k, so
     # it only maps each case to another true one.
-    gauge_component = endos.gauge_component
-    monkeypatch.setattr(endos, "gauge_component", lambda a, k: gauge_component(a, k + 1 if k else k))
+    gauge_component = modular.gauge_component
+    _wrong_degree_projection(monkeypatch, lambda a, k: gauge_component(a, k + 1 if k else k))
+
+
+def _gauge_drops_degree_two(monkeypatch):
+    # Phi_2 read as zero: every v of degree 0 still passes, so the first
+    # failure is v = S_1^*, k = 2 (left side zero, right side S_1^* S_1
+    # Phi_1), the 10th case, not the first.
+    gauge_component = modular.gauge_component
+    _wrong_degree_projection(monkeypatch, lambda a, k: zero(a.n) if k == 2 else gauge_component(a, k))
+
+
+def _phi_weight_dropped(monkeypatch):
+    # Phi_k, k < 0, without its weight n^k: both traces of every k < 0 case
+    # with tau(f) != 0 come out n^|k| times too large.
+    phi_k_endo = endos.phi_k_endo
+    monkeypatch.setattr(endos, "phi_k_endo",
+                        lambda k, n: phi_k_endo(k, n).scale(n_power(n, -k)) if k < 0 else phi_k_endo(k, n))
 
 
 def _s_identity(monkeypatch):
@@ -74,6 +107,8 @@ MUTANTS = {
     "delta_negated": _delta_negated,
     "commutator_dropped": _commutator_dropped,
     "gauge_off_by_one": _gauge_off_by_one,
+    "gauge_drops_degree_two": _gauge_drops_degree_two,
+    "phi_weight_dropped": _phi_weight_dropped,
     "s_identity": _s_identity,
     "pairing_without_adjoint": _pairing_without_adjoint,
 }
@@ -92,6 +127,10 @@ CASES = [
     ("tomita", "s_identity"),  # fails the intertwining checks first, with their z
     ("tomita", "pairing_without_adjoint"),  # fails the pair checks, the first with their z
     ("keyfact", "gauge_off_by_one"),
+    ("keyfact", "gauge_drops_degree_two"),  # fails from the 10th case on, with its (mu, nu, k)
+    ("tracesplit", None),
+    ("tracesplit_n3", None),  # three letters: legs of Phi_k the two-letter sweep never builds
+    ("tracesplit", "phi_weight_dropped"),
     ("cocycle", None),
     ("cocycle_n3", None),  # three letters: table keys the n = 2 sweep never indexes
     ("cocycle", "sigma_identity"),
@@ -112,6 +151,11 @@ def test_sweep_report_matches_the_per_case_oracle(monkeypatch, sweep, mutant):
         assert report["failures"] > 0 and report["first_failures"]
     else:
         assert report["failures"] == 0
+
+
+def test_keyfact_failures_come_in_case_order(monkeypatch):
+    _gauge_drops_degree_two(monkeypatch)
+    assert endos.keyfact_sweep(2, 2)["first_failures"][:2] == ["v=S_()S*_(1,) k=2", "v=S_()S*_(2,) k=2"]
 
 
 def _passing_label():
