@@ -28,11 +28,16 @@ exact: the legs are algebra elements and the coefficients QSqrt values.
 The compression identity v Phi_k v^* = v v^* Phi_{k+m} of a monomial
 partial isometry v of gauge degree m is checked on probes x by
 ``key_fact_check`` and over every such v by ``keyfact_sweep``, with one
-routine: v^* x is split by degree once for all k, each side is formed on
-term maps with the product rule of ``algebra._multiply_into``, and the
-sides of one (v, k) over all probes are compared as two rows, falling back
-to ``algebra._terms_equal``, the oracle behind ``equals``, only for rows
-that differ structurally.
+routine.  v^* is multiplied against the whole probe row at once by
+``_row_product``, the product analogue of ``modular._psi_table``: the
+probes' terms are indexed once per call by their left leg and its
+prefixes, so each term of v^* looks up the probe terms it meets by the
+rule of ``algebra._multiply_into`` and no other pair is visited.  Each
+nonzero v^* x is split by degree once for all k, the other products are
+formed on term maps with ``_multiply_into``, and the sides of one (v, k)
+over all probes are compared as two rows, falling back to
+``algebra._terms_equal``, the oracle behind ``equals``, only for rows that
+differ structurally.
 """
 
 from __future__ import annotations
@@ -225,28 +230,75 @@ def _partial_isometry(v: AlgebraElement, caller: str = "key_fact_check") -> tupl
     return len(mu) - len(nu), v_star, multiply(v, v_star)
 
 
-def _degree_parts(a: AlgebraElement) -> dict:
-    """{d: the term map of a's degree-d part} over the degrees present."""
+def _degree_parts(terms: dict) -> dict:
+    """{d: the term map of the degree-d part} of a term map, over the degrees present."""
     parts: dict = {}
-    for key, c in a.terms.items():
+    for key, c in terms.items():
         parts.setdefault(len(key[0]) - len(key[1]), {})[key] = c
     return parts
 
 
-def _key_fact_rows(v: AlgebraElement, ks, probes: list, probe_parts: list, ranges: dict) -> list[bool]:
+def _left_index(xs: list) -> tuple[dict, dict]:
+    """(exact, longer): each term c S_al S_be^* of xs[i] under exact[al] as
+    (i, be, c), and under longer[al[:t]] as (i, al[t:], be, c) for each
+    t < |al|.  A left term S_mu S_nu^* meets it (``algebra._multiply_into``'s
+    rule) exactly where al is nu[:t] for some t <= |nu| or nu is al[:t]."""
+    exact: dict = {}
+    longer: dict = {}
+    for i, x in enumerate(xs):
+        for (al, be), c in x.terms.items():
+            exact.setdefault(al, []).append((i, be, c))
+            for t in range(len(al)):
+                longer.setdefault(al[:t], []).append((i, al[t:], be, c))
+    return exact, longer
+
+
+def _row_product(a_terms: dict, index: tuple[dict, dict]) -> dict:
+    """{i: the term map of a xs[i]} over the i where it is not zero, given
+    index = _left_index(xs): each term of a looks its partners up in the
+    index, so only the terms of xs it meets are visited.
+
+        al = nu[:t]  ->  S_mu S_{be + nu[t:]}^*
+        nu = al[:t]  ->  S_{mu + al[t:]} S_be^*
+
+    Keys that cancel are dropped, as in ``_multiply_into``."""
+    exact, longer = index
+    rows: dict = {}
+    for (mu, nu), ca in a_terms.items():
+        hits = [(i, (mu, be + nu[t:]), cb) for t in range(len(nu) + 1) for i, be, cb in exact.get(nu[:t], ())]
+        hits += [(i, (mu + gam, be), cb) for i, gam, be, cb in longer.get(nu, ())]
+        for i, key, cb in hits:
+            c = ca * cb
+            out = rows.get(i)
+            if out is None:
+                rows[i] = {key: c}
+                continue
+            v = out.get(key)
+            s = c if v is None else v + c
+            if s.na == 0 and s.nb == 0:
+                del out[key]
+                if not out:
+                    del rows[i]
+            else:
+                out[key] = s
+    return rows
+
+
+def _key_fact_rows(v: AlgebraElement, ks, probe_parts: list, index: tuple[dict, dict], ranges: dict) -> list[bool]:
     """For each k of ks, whether v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on
-    every probe x, given probe_parts[i] = _degree_parts(probes[i]).  Left:
-    each v^* x is formed and split by degree once, and v times each part a
-    k reads is formed once.  Right: the row of v v^* Phi_j(x) over the
-    probes is formed once per j and term map of v v^*, and kept in ranges
-    under that term map for any v with an equal one.  Each k compares its
-    two rows in one ``==``, and entry by entry by ``_terms_equal`` only if
-    they differ structurally."""
+    every probe x, given probe_parts[i] = _degree_parts of probe i and
+    index = _left_index(probes).  Left: v^* is multiplied against the whole
+    probe row by ``_row_product``, each nonzero v^* x is split by degree,
+    and v times each part a k reads is formed once.  Right: the row of
+    v v^* Phi_j(x) over the probes is formed once per j and term map of
+    v v^*, and kept in ranges under that term map for any v with an equal
+    one.  Each k compares its two rows in one ``==``, and entry by entry by
+    ``_terms_equal`` only if they differ structurally."""
     n = v.n
     m, v_star, range_proj = _partial_isometry(v)
-    lefts = {k: [_EMPTY] * len(probes) for k in ks}
-    for i, x in enumerate(probes):
-        for d, part in _degree_parts(multiply(v_star, x)).items():
+    lefts = {k: [_EMPTY] * len(probe_parts) for k in ks}
+    for i, terms in _row_product(v_star.terms, index).items():
+        for d, part in _degree_parts(terms).items():
             if d in lefts:
                 lefts[d][i] = _side(v.terms, part)
     rights = ranges.setdefault(frozenset(range_proj.terms.items()), {})
@@ -272,7 +324,7 @@ def key_fact_check(v: AlgebraElement, k: int, probes: Iterable[AlgebraElement]) 
     for x in probes:
         if x.n != v.n:
             raise UsageError(f"mixed algebras O_{v.n} and O_{x.n}")
-    return _key_fact_rows(v, (k,), probes, [_degree_parts(x) for x in probes], {})[0]
+    return _key_fact_rows(v, (k,), [_degree_parts(x.terms) for x in probes], _left_index(probes), {})[0]
 
 
 # -- named invariant sweeps ------------------------------------------------
@@ -324,11 +376,12 @@ def keyfact_sweep(n: int, max_len: int):
     between the v's with equal v v^*."""
     ws = words_upto(n, max_len)
     probes = monomials_upto(n, KEYFACT_PROBE_LEN)
-    probe_parts = [_degree_parts(x) for x in probes]
+    probe_parts = [_degree_parts(x.terms) for x in probes]
+    index = _left_index(probes)
     ranges: dict = {}
     ks = range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1)
     for mu in ws:
         for nu in ws:
-            held = _key_fact_rows(monomial(n, mu, nu), ks, probes, probe_parts, ranges)
+            held = _key_fact_rows(monomial(n, mu, nu), ks, probe_parts, index, ranges)
             for k, ok in zip(ks, held):
                 yield ok, lambda: f"v=S_{mu}S*_{nu} k={k}"

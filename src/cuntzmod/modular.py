@@ -30,7 +30,10 @@ pairs and sums of them, as in ``psi_product``, ``inner_product``,
 on the walk, which costs less there than a 1x1 table; a sweep over all
 pairs, as in ``kms_sweep``, ``tomita_sweep`` and ``flow.cocycle_sweep``
 (whose b-defect terms are read from tables of products against [D, .]
-images), reads its pairings from tables.  The generator D multiplies a
+images), reads its pairings from tables.  ``kms_sweep`` and
+``tomita_sweep`` then compare the two sides' tables a row at a time, each
+row one ``tally.sweep`` block of cases that labels only its failures, so
+a row that holds costs one list comparison.  The generator D multiplies a
 monomial by its gauge degree, the modular operator is Delta = n^(-D), and
 the Tomita data act termwise:
 
@@ -322,17 +325,17 @@ def kms_sweep(n: int, max_len: int):
     lengths up to max_len.  sigma(b) is formed once per monomial, and each
     side is read from its own table: psi(a b) from the table of monos
     against monos, psi(sigma(b) a) from that of the sigma images against
-    monos, transposed."""
+    monos, transposed once.  One block per a compares row a of the first
+    with column a of the second in one list ``==``."""
     monos = monomials_upto(n, max_len)
     ab = _psi_table(monos, monos)
     ba = _psi_table([sigma(b) for b in monos], monos)  # ba[j][i] = psi(sigma(b_j) a_i)
-    for i, a in enumerate(monos):
-        ab_i = ab[i]
-        for j, b in enumerate(monos):
-            lhs = ab_i[j]
-            rhs = ba[j][i]
-            # most entries are the one cached zero: "is" skips the __eq__ call
-            yield lhs is rhs or lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}"
+    width = len(monos)
+    for a, lhs, rhs in zip(monos, ab, map(list, zip(*ba))):
+        # most entries are the one cached zero: list == tests "is" before __eq__
+        yield width, [] if lhs == rhs else [
+            lambda a=a, b=b, l=l, r=r: f"a={a!r} b={b!r} psi(ab)={l} psi(sigma(b)a)={r}"
+            for b, l, r in zip(monos, lhs, rhs) if not (l is r or l == r)]
 
 
 def tomita_plan(n: int, max_len: int) -> tuple[int, int]:
@@ -352,7 +355,9 @@ def tomita_sweep(n: int, max_len: int):
     Delta^z a for the four z, F a and S a are formed once per monomial and
     shared by the single-element checks; each pairing of the pair checks is
     read from a table of the images against the monomials, one table per
-    side of each identity.  <x, y> = psi(x* y) is the starred table."""
+    side of each identity.  <x, y> = psi(x* y) is the starred table.  One
+    block per a compares the six identities' rows over all b, and labels
+    its failures in the per-case order: by b, then by identity."""
     from .algebra import equals
 
     monos = monomials_upto(n, max_len)
@@ -372,18 +377,26 @@ def tomita_sweep(n: int, max_len: int):
     s_monos = [s_a for _, _, _, s_a in maps]
     # (<Delta^z a, b>, <a, Delta^z b>) per z
     z_sides = [(_psi_table(dz, monos, star=True), _psi_table(monos, dz, star=True)) for dz in dz_monos]
-    fs = _psi_table(f_monos, s_monos, star=True)  # <F a, S b>
-    ba = _psi_table(monos, monos, star=True)  # ba[j][i] = <b_j, a_i>
-    sa = _psi_table(s_monos, monos, star=True)  # <S a, b>
-    fb = _psi_table(f_monos, monos, star=True)  # fb[j][i] = <F b_j, a_i>
+    fs = _psi_table(f_monos, s_monos, star=True)  # fs[i][j] = <F a_i, S b_j>
+    sa = _psi_table(s_monos, monos, star=True)  # sa[i][j] = <S a_i, b_j>
+    # the right sides, each transposed once: ba[i][j] = <b_j, a_i>, fb[i][j] = <F b_j, a_i>
+    ba, fb = (list(map(list, zip(*_psi_table(lefts, monos, star=True)))) for lefts in (monos, f_monos))
+    width = len(monos)
     for i, a in enumerate(monos):
-        z_rows = [(lhs[i], rhs[i]) for lhs, rhs in z_sides]
-        fs_i, sa_i = fs[i], sa[i]
-        for j, b in enumerate(monos):  # "is" first, as in kms_sweep
-            for z, (lhs, rhs) in zip(zs, z_rows):  # <Delta^z a, b> = <a, Delta^(conj z) b>
-                yield (lhs[j] is rhs[j] or lhs[j] == rhs[j],
-                       lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={z}")
-            # <F a, S b> = <b, a>
-            yield fs_i[j] is ba[j][i] or fs_i[j] == ba[j][i], lambda: f"F/S exchange a={a!r} b={b!r}"
-            # <S a, b> = <F b, a>
-            yield sa_i[j] is fb[j][i] or sa_i[j] == fb[j][i], lambda: f"F adjoint to S a={a!r} b={b!r}"
+        # the six (lhs, rhs) rows over b: <Delta^z a, b> = <a, Delta^(conj z) b> for
+        # the four z, <F a, S b> = <b, a> and <S a, b> = <F b, a>
+        rows = [(lhs[i], rhs[i]) for lhs, rhs in z_sides] + [(fs[i], ba[i]), (sa[i], fb[i])]
+        differ = [t for t, (lhs, rhs) in enumerate(rows) if lhs != rhs]  # list != tests "is" first
+        yield len(rows) * width, [] if not differ else [
+            _tomita_pair_label(t, a, b, zs)
+            for j, b in enumerate(monos) for t in differ
+            if not (rows[t][0][j] is rows[t][1][j] or rows[t][0][j] == rows[t][1][j])]
+
+
+def _tomita_pair_label(t: int, a: AlgebraElement, b: AlgebraElement, zs: list):
+    """The label of tomita_sweep's pair identity t on (a, b): t < len(zs) is Delta^(zs[t])."""
+    if t < len(zs):
+        return lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={zs[t]}"
+    if t == len(zs):
+        return lambda: f"F/S exchange a={a!r} b={b!r}"
+    return lambda: f"F adjoint to S a={a!r} b={b!r}"

@@ -130,12 +130,13 @@ def oracle_lattice_sum(shift: float, expo: float, cfg) -> float:
 
 @sweep("kms", "n", "max_len")
 def oracle_kms_sweep(n: int, max_len: int):
-    """kms_sweep with sigma(b) formed for every pair."""
+    """kms_sweep with sigma(b) formed for every pair, and each side read by
+    oracle_psi_product, looked up here per case."""
     monos = monomial_elements(n, max_len)
     for a in monos:
         for b in monos:
-            lhs = state_psi(multiply(a, b))
-            rhs = state_psi(multiply(modular.sigma(b), a))
+            lhs = oracle_psi_product(a, b)
+            rhs = oracle_psi_product(modular.sigma(b), a)
             yield lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}"
 
 
@@ -188,26 +189,32 @@ def oracle_tomita_sweep(n: int, max_len: int):
                    lambda: f"F adjoint to S a={a!r} b={b!r}")
 
 
+def oracle_key_fact(v, k: int, probes) -> bool:
+    """v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on every probe x, for the
+    monomial v of gauge degree m, with v^*, v v^*, every v^* x and every
+    Phi_j(x) formed for this k alone: what key_fact_check decides."""
+    ((mu, nu),) = v.terms
+    m = len(mu) - len(nu)
+    v_star = adjoint(v)
+    range_proj = multiply(v, v_star)
+    return all(
+        equals(multiply(v, endos.gauge_component(multiply(v_star, x), k)),
+               multiply(range_proj, endos.gauge_component(x, k + m)))
+        for x in probes
+    )
+
+
 @sweep("keyfact", "n", "max_len")
 def oracle_keyfact_sweep(n: int, max_len: int):
-    """keyfact_sweep with v^*, v v^*, every v^* x and every Phi_j(x) formed
-    again for each (v, k)."""
+    """keyfact_sweep with oracle_key_fact for each (v, k)."""
     k_span = endos.KEYFACT_K_SPAN
     ws = words_upto(n, max_len)
     probes = monomial_elements(n, endos.KEYFACT_PROBE_LEN)
     for mu in ws:
         for nu in ws:
             v = monomial(n, mu, nu)
-            m = len(mu) - len(nu)
             for k in range(-k_span, k_span + 1):
-                v_star = adjoint(v)
-                range_proj = multiply(v, v_star)
-                ok = all(
-                    equals(multiply(v, endos.gauge_component(multiply(v_star, x), k)),
-                           multiply(range_proj, endos.gauge_component(x, k + m)))
-                    for x in probes
-                )
-                yield ok, lambda: f"v=S_{mu}S*_{nu} k={k}"
+                yield oracle_key_fact(v, k, probes), lambda: f"v=S_{mu}S*_{nu} k={k}"
 
 
 @sweep("tracesplit", "n", "max_len")

@@ -81,9 +81,10 @@ def test_criterion_02_kms_identity():
 def test_criterion_03_tomita_axioms():
     r2 = tomita_sweep(2, 2)
     r3 = tomita_sweep(3, 2)
+    cases = r2["cases"] + r3["cases"]
     failures = r2["failures"] + r3["failures"]
-    ok = failures == 0
-    report(3, ok, f"{r2['cases'] + r3['cases']} axiom checks, {failures} failures")
+    ok = failures == 0 and cases == 14_749 + 172_549
+    report(3, ok, f"{cases} axiom checks, {failures} failures")
 
 
 def test_criterion_04_twisted_cocycle():

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import monomial_elements, random_element
+from conftest import monomial_elements, oracle_key_fact, random_element
 from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, s_word, words_upto, zero
 from cuntzmod.endos import (
     EndoSum,
+    _left_index,
+    _row_product,
     RankOne,
     compose_left_mult,
     endo_apply,
@@ -184,13 +186,63 @@ def _key_fact_cases(draw):
 @given(_key_fact_cases())
 def test_key_fact_check_equals_the_formed_products(case):
     v, probes = case
-    ((mu, nu),) = v.terms
-    m = len(mu) - len(nu)
     for k in range(-4, 5):
-        expected = all(equals(multiply(v, gauge_component(multiply(adjoint(v), x), k)),
-                              multiply(multiply(v, adjoint(v)), gauge_component(x, k + m)))
-                       for x in probes)
-        assert key_fact_check(v, k, probes) == expected
+        assert key_fact_check(v, k, probes) == oracle_key_fact(v, k, probes)
+
+
+def test_key_fact_check_on_drawn_probes_with_cancelling_terms(rng):
+    # random_element sums terms whose keys may meet and cancel, of mixed degrees;
+    # a zero probe sits among them.
+    for n in (2, 3):
+        ws = words_upto(n, 2)
+        for _ in range(12):
+            v = monomial(n, rng.choice(ws), rng.choice(ws))
+            probes = [random_element(rng, n, max_terms=6, max_len=3) for _ in range(4)] + [zero(n)]
+            for k in range(-3, 4):
+                assert key_fact_check(v, k, probes) == oracle_key_fact(v, k, probes)
+
+
+def _products(a, xs) -> dict:
+    """{i: the term map of a xs[i]} over the nonzero products, by algebra.multiply."""
+    return {i: p.terms for i, x in enumerate(xs) if (p := multiply(a, x)).terms}
+
+
+@pytest.mark.parametrize("n, left_len, probe_len", [(2, 2, 3), (3, 1, 2)])
+def test_row_product_of_every_monomial_against_every_probe(n, left_len, probe_len):
+    probes = monomial_elements(n, probe_len)
+    index = _left_index(probes)
+    met = 0
+    for a in monomial_elements(n, left_len):  # every monomial is some v^*
+        rows = _row_product(a.terms, index)
+        assert rows == _products(a, probes)
+        met += len(rows)
+    assert met < len(monomial_elements(n, left_len)) * len(probes)  # the pairs that meet nothing are left out
+
+
+def test_row_product_of_drawn_elements(rng):
+    for n in (2, 3):
+        for _ in range(60):
+            a = random_element(rng, n, max_terms=6, max_len=3)
+            xs = [random_element(rng, n, max_terms=6, max_len=3) for _ in range(5)]
+            assert _row_product(a.terms, _left_index(xs)) == _products(a, xs)
+
+
+def test_row_product_drops_what_cancels():
+    # (S_() S_1^* - S_1 S_11^*) S_11 S_21^* = S_1 S_21^* - S_1 S_21^* = 0
+    a = monomial(2, (), (1,)) - monomial(2, (1,), (1, 1))
+    x = monomial(2, (1, 1), (2, 1))
+    y = monomial(2, (1,), (2,)) + x  # a y = a S_1 S_2^* = S_() S_2^* - S_1 S_21^*
+    assert multiply(a, x).is_zero
+    expected = {((), (2,)): QSqrt.one(2), ((1,), (2, 1)): -QSqrt.one(2)}
+    assert _row_product(a.terms, _left_index([x, y, x])) == {1: expected}
+
+
+def test_row_product_of_empty_rows_and_zero_operands():
+    probes = monomial_elements(2, 1)
+    assert _row_product(gen(2, 1).terms, _left_index([])) == {}
+    assert _row_product({}, _left_index(probes)) == {}
+    assert _row_product(gen(2, 1).terms, _left_index([zero(2), zero(2)])) == {}
+    assert _row_product(gen(2, 1).terms, _left_index([zero(2), one(2)])) == {1: gen(2, 1).terms}
 
 
 def test_key_fact_check_refuses_an_empty_probe_list():

@@ -4,7 +4,8 @@
 and ``cocycle_sweep`` form each map of one operand once and share it across
 the cases that read it; kms, tomita and cocycle also read every pairing
 from a table over all pairs, keyfact splits each element by degree once,
-and tracesplit reads both traces of a case in one walk over the legs.
+and tracesplit reads both traces of a case in one walk over the legs;
+kms and tomita compare whole table rows, one block of cases per row.
 Their reports must equal those of the oracles in conftest, which form
 every map inside its case, on clean code and with a wrong map patched into
 the module attribute the sweep looks up.  Under a mutant the sweep must
@@ -13,19 +14,23 @@ make a check vacuous.  Most mutants are wrong maps the sweeps share; the
 two tomita label mutants make tomita_sweep's first failures carry the loop
 variables of its hoisted loops, so a label that read the wrong operand or
 z would differ, and a keyfact mutant whose first failure is far from the
-first (v, k) does the same for keyfact_sweep's rows.
+first (v, k) does the same for keyfact_sweep's rows.  The mid-row mutant
+fails entries inside each table row and at its end, so a block that
+stopped at its first failure, or reordered its failures, would differ.
 
 The sweeps and their oracles share one runner, ``tally.sweep``, so that
-equality cannot see a miscount.  A toy sweep checks the runner on its own.
+equality cannot see a miscount.  Two toy sweeps check the runner on its
+own, one of pairs and one of pairs and blocks mixed.
 """
 
+import conftest
 import pytest
 
 from conftest import (
     oracle_cocycle_sweep, oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep, oracle_tracesplit_sweep,
 )
 from cuntzmod import endos, flow, modular
-from cuntzmod.algebra import multiply, zero
+from cuntzmod.algebra import AlgebraElement, monomial, multiply, zero
 from cuntzmod.scalars import n_power
 from cuntzmod.tally import sweep
 
@@ -59,11 +64,16 @@ def _commutator_dropped(monkeypatch):
 
 def _wrong_degree_projection(monkeypatch, wrong):
     # keyfact's oracle projects onto each degree with endos.gauge_component;
-    # the sweep splits each element by degree once with endos._degree_parts.
-    # One wrong projection wrong(a, k) goes into both.  Every element either
-    # side splits has degrees within 8 of 0.
+    # the sweep splits the term map of each probe and of each nonzero v^* x
+    # by degree once with endos._degree_parts.  One wrong projection
+    # wrong(a, k) goes into both.  Every element either side splits has
+    # degrees within 8 of 0, and the sweep splits no empty map.
+    def degree_parts(terms):
+        a = AlgebraElement(next(iter(terms.values())).n, terms)  # each coefficient carries n
+        return {d: p for d in range(-8, 9) if (p := wrong(a, d).terms)}
+
     monkeypatch.setattr(endos, "gauge_component", wrong)
-    monkeypatch.setattr(endos, "_degree_parts", lambda a: {d: p for d in range(-8, 9) if (p := wrong(a, d).terms)})
+    monkeypatch.setattr(endos, "_degree_parts", degree_parts)
 
 
 def _gauge_off_by_one(monkeypatch):
@@ -102,6 +112,25 @@ def _pairing_without_adjoint(monkeypatch):
     monkeypatch.setattr(modular, "_psi_table", lambda lefts, rights, star=False: psi_table(lefts, rights))
 
 
+def _mid_row_entries_bumped(monkeypatch):
+    # psi(l' r) plus one wherever r is S_1 S_11^* (of degree -1) or
+    # S_22 S_22^*: in every pairing table over the monomials up to length 2
+    # in O_2, an entry inside each row (column 10 of 49) and the last one.
+    # The oracles' pairings, oracle_psi_product for kms and inner_product
+    # for tomita, take the same bump, so a block that stopped at its first
+    # failure, or reordered its failures, would not match them.
+    marked = [monomial(2, (1,), (1, 1)).terms, monomial(2, (2, 2), (2, 2)).terms]
+
+    def bump(value, r):
+        return value + 1 if r.terms in marked else value
+
+    psi_table, inner_product, psi_product = modular._psi_table, modular.inner_product, conftest.oracle_psi_product
+    monkeypatch.setattr(modular, "_psi_table", lambda lefts, rights, star=False: [
+        [bump(value, r) for value, r in zip(row, rights)] for row in psi_table(lefts, rights, star)])
+    monkeypatch.setattr(modular, "inner_product", lambda a, b: bump(inner_product(a, b), b))
+    monkeypatch.setattr(conftest, "oracle_psi_product", lambda a, b: bump(psi_product(a, b), b))
+
+
 MUTANTS = {
     "sigma_identity": _sigma_identity,
     "delta_negated": _delta_negated,
@@ -111,6 +140,7 @@ MUTANTS = {
     "phi_weight_dropped": _phi_weight_dropped,
     "s_identity": _s_identity,
     "pairing_without_adjoint": _pairing_without_adjoint,
+    "mid_row_entries_bumped": _mid_row_entries_bumped,
 }
 
 # (sweep, mutant) for every mutant that reaches the sweep; None is clean code.
@@ -126,6 +156,8 @@ CASES = [
     ("tomita", "delta_negated"),  # fails the polar decompositions only
     ("tomita", "s_identity"),  # fails the intertwining checks first, with their z
     ("tomita", "pairing_without_adjoint"),  # fails the pair checks, the first with their z
+    ("kms", "mid_row_entries_bumped"),  # two failures inside most rows, one past the first
+    ("tomita", "mid_row_entries_bumped"),  # a row's failures interleave its identities by b
     ("keyfact", "gauge_off_by_one"),
     ("keyfact", "gauge_drops_degree_two"),  # fails from the 10th case on, with its (mu, nu, k)
     ("tracesplit", None),
@@ -167,6 +199,44 @@ def _toy_sweep(size: int):
     """Cases 0..size-1; only case 3 passes, inside the span the first failures cover."""
     for i in range(size):
         yield (True, _passing_label) if i == 3 else (False, lambda: f"i={i}")
+
+
+def _unread_label():
+    raise AssertionError("a label the report does not show was called")
+
+
+@sweep("toy_blocks")
+def _toy_block_sweep():
+    """Pairs and blocks mixed: 11 failures over 23 cases.  The report's
+    first five end inside the last block, whose later labels, like the
+    last pair's, must not be read."""
+    yield False, lambda: "pair 0"
+    yield 0, []  # an empty block
+    yield 3, []  # a block that passes
+    yield True, _unread_label
+    yield 8, [lambda: "block a", lambda: "block b"]
+    yield 9, [lambda: "block c", lambda: "block d", *[_unread_label] * 5]
+    yield False, _unread_label
+
+
+def test_runner_counts_blocks_and_pairs_alike():
+    assert _toy_block_sweep() == {
+        "check": "toy_blocks",
+        "cases": 23,
+        "failures": 11,
+        "first_failures": ["pair 0", "block a", "block b", "block c", "block d"],
+    }
+
+
+def test_kms_failures_inside_a_row_come_in_case_order(monkeypatch):
+    # Row a = 1 fails at b = S_1 S_11^* (column 10) and at the last b, and so does row a = S_1^*.
+    _mid_row_entries_bumped(monkeypatch)
+    first = modular.kms_sweep(2, 2)["first_failures"]
+    assert [label.split(" psi")[0] for label in first[:3]] == [
+        "a=<O_2: I> b=<O_2: S[1].S[1,1]'>",
+        "a=<O_2: I> b=<O_2: S[2,2].S[2,2]'>",
+        "a=<O_2: S[1]'> b=<O_2: S[1].S[1,1]'>",
+    ]
 
 
 def test_runner_counts_cases_and_labels_the_first_failures():
