@@ -33,9 +33,10 @@ routine.  v^* is multiplied against the whole probe row at once by
 probes' terms are indexed once per call by their left leg and its
 prefixes, so each term of v^* looks up the probe terms it meets by the
 rule of ``algebra._multiply_into`` and no other pair is visited.  Each
-nonzero v^* x is split by degree once for all k, the other products are
-formed on term maps with ``_multiply_into``, and the sides of one (v, k)
-over all probes are compared as two rows, falling back to
+nonzero v^* x is split by degree once for all k, and the probes' parts
+are grouped by degree once per call, so each side of one (v, k) is
+formed on term maps only where it can be nonzero.  The two sides over
+all probes are compared as two rows, falling back to
 ``algebra._terms_equal``, the oracle behind ``equals``, only for rows that
 differ structurally.
 """
@@ -61,7 +62,6 @@ from .algebra import (
 )
 from .errors import DomainError, TermBudgetExceeded, UsageError
 from .modular import _psi_sums, expectation, trace_F
-from .modular import gauge_component  # noqa: F401  Phi_j, looked up here by the tests' keyfact oracle
 from .scalars import QSqrt, n_power
 from .tally import sweep
 
@@ -177,11 +177,10 @@ def phi_k_endo(k: int, n: int) -> EndoSum:
 _EMPTY: dict = {}  # every empty side, so that equal rows compare it by identity
 
 
-def _side(a_terms: dict, b_terms) -> dict:
-    """a b by the term-map product, run only when b is not empty, or the shared empty side."""
+def _side(a_terms: dict, b_terms: dict) -> dict:
+    """a b by the term-map product, or the shared empty side if it is zero."""
     out: dict = {}
-    if b_terms:
-        _multiply_into(out, a_terms, b_terms)
+    _multiply_into(out, a_terms, b_terms)
     return out or _EMPTY
 
 
@@ -238,6 +237,15 @@ def _degree_parts(terms: dict) -> dict:
     return parts
 
 
+def _by_degree(xs: list) -> dict:
+    """{j: [(i, the degree-j part of xs[i])]} over the degrees present, in increasing i."""
+    groups: dict = {}
+    for i, x in enumerate(xs):
+        for d, part in _degree_parts(x.terms).items():
+            groups.setdefault(d, []).append((i, part))
+    return groups
+
+
 def _left_index(xs: list) -> tuple[dict, dict]:
     """(exact, longer): each term c S_al S_be^* of xs[i] under exact[al] as
     (i, be, c), and under longer[al[:t]] as (i, al[t:], be, c) for each
@@ -284,19 +292,19 @@ def _row_product(a_terms: dict, index: tuple[dict, dict]) -> dict:
     return rows
 
 
-def _key_fact_rows(v: AlgebraElement, ks, probe_parts: list, index: tuple[dict, dict], ranges: dict) -> list[bool]:
+def _key_fact_rows(v: AlgebraElement, ks, width: int, by_degree: dict, index: tuple, ranges: dict) -> list[bool]:
     """For each k of ks, whether v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on
-    every probe x, given probe_parts[i] = _degree_parts of probe i and
-    index = _left_index(probes).  Left: v^* is multiplied against the whole
-    probe row by ``_row_product``, each nonzero v^* x is split by degree,
-    and v times each part a k reads is formed once.  Right: the row of
-    v v^* Phi_j(x) over the probes is formed once per j and term map of
-    v v^*, and kept in ranges under that term map for any v with an equal
-    one.  Each k compares its two rows in one ``==``, and entry by entry by
-    ``_terms_equal`` only if they differ structurally."""
+    all width probes x, given by_degree = _by_degree(probes) and index =
+    _left_index(probes).  Left: v^* is multiplied against the whole probe
+    row by ``_row_product``, each nonzero v^* x is split by degree, and v
+    times each part a k reads is formed once.  Right: the row of
+    v v^* Phi_j(x) is formed at the probes with a degree-j part, once per j
+    and term map of v v^*, and kept in ranges under that term map for any
+    v with an equal one.  Each k compares its two rows in one ``==``, and
+    entry by entry by ``_terms_equal`` only if they differ structurally."""
     n = v.n
     m, v_star, range_proj = _partial_isometry(v)
-    lefts = {k: [_EMPTY] * len(probe_parts) for k in ks}
+    lefts = {k: [_EMPTY] * width for k in ks}
     for i, terms in _row_product(v_star.terms, index).items():
         for d, part in _degree_parts(terms).items():
             if d in lefts:
@@ -306,7 +314,9 @@ def _key_fact_rows(v: AlgebraElement, ks, probe_parts: list, index: tuple[dict, 
     for k in ks:
         right = rights.get(k + m)
         if right is None:
-            right = rights[k + m] = [_side(range_proj.terms, parts.get(k + m)) for parts in probe_parts]
+            right = rights[k + m] = [_EMPTY] * width
+            for i, part in by_degree.get(k + m, ()):
+                right[i] = _side(range_proj.terms, part)
         left = lefts[k]
         held.append(left == right or all(_terms_equal(a, b, n) for a, b in zip(left, right)))
     return held
@@ -324,7 +334,7 @@ def key_fact_check(v: AlgebraElement, k: int, probes: Iterable[AlgebraElement]) 
     for x in probes:
         if x.n != v.n:
             raise UsageError(f"mixed algebras O_{v.n} and O_{x.n}")
-    return _key_fact_rows(v, (k,), [_degree_parts(x.terms) for x in probes], _left_index(probes), {})[0]
+    return _key_fact_rows(v, (k,), len(probes), _by_degree(probes), _left_index(probes), {})[0]
 
 
 # -- named invariant sweeps ------------------------------------------------
@@ -371,17 +381,17 @@ def keyfact_sweep(n: int, max_len: int):
     """The compression identity v Phi_k v^* == v v^* Phi_{k+m} over monomial
     partial isometries with leg lengths up to max_len and |k| <= KEYFACT_K_SPAN,
     each case checked by the routine of ``key_fact_check`` on every probe
-    with legs up to KEYFACT_PROBE_LEN.  Each probe is split by degree once
-    per sweep, each v^* x once per v, and the right-side rows are shared
-    between the v's with equal v v^*."""
+    with legs up to KEYFACT_PROBE_LEN.  The probes' parts are grouped by
+    degree once per sweep, each v^* x is split once per v, and the
+    right-side rows are shared between the v's with equal v v^*."""
     ws = words_upto(n, max_len)
     probes = monomials_upto(n, KEYFACT_PROBE_LEN)
-    probe_parts = [_degree_parts(x.terms) for x in probes]
+    by_degree = _by_degree(probes)
     index = _left_index(probes)
     ranges: dict = {}
     ks = range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1)
     for mu in ws:
         for nu in ws:
-            held = _key_fact_rows(monomial(n, mu, nu), ks, probe_parts, index, ranges)
+            held = _key_fact_rows(monomial(n, mu, nu), ks, len(probes), by_degree, index, ranges)
             for k, ok in zip(ks, held):
                 yield ok, lambda: f"v=S_{mu}S*_{nu} k={k}"

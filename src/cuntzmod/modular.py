@@ -42,11 +42,13 @@ the Tomita data act termwise:
     J(S_mu S_nu^*)       = n^((1/2)(|mu|-|nu|)) * S_nu S_mu^*
     Delta^z(S_mu S_nu^*) = n^(z(|nu|-|mu|))    * S_mu S_nu^*
 
-The distinguished algebraic automorphism sigma = Delta^(-1) (the t = i
-point of the modular flow) is the only modular map the index pairing
-reads.  Every value here is exact in Q(sqrt n): Delta^z takes z in (1/2)Z,
-and coefficients are real, so S, J and F only swap the legs of a key and
-rescale.  All functions are pure and inputs are never mutated.
+F, J and Delta^z are one private rescale, c S_mu S_nu^* -> c n^(h d/2)
+on the key (Delta^z, h = -2z) or on its swap (J, h = 1; F, h = 2), with
+d = |mu| - |nu| and each scale read from the half-step table of
+``scalars``.  The distinguished algebraic automorphism sigma = Delta^(-1)
+(the t = i point of the modular flow) is the only modular map the index
+pairing reads.  Every value here is exact in Q(sqrt n) (z lies in (1/2)Z,
+coefficients are real), and every function is pure.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, adjoint, monomials_upto, word_count
 from .errors import BackendError, DomainError
-from .scalars import QSqrt, n_power
+from .scalars import _HALF_POWERS, QSqrt, n_power
 from .tally import sweep
 
 
@@ -261,31 +263,33 @@ def commutator_D(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._make(a.n, out)
 
 
-def delta_power(a: AlgebraElement, z) -> AlgebraElement:
-    """Delta^z: scale each term by n^(z(|nu|-|mu|)).  z must lie in (1/2)Z
-    (an int, or a Fraction with denominator 1 or 2), where the scale stays
-    in Q(sqrt n); any other z raises BackendError.  A nonzero coefficient
-    times a power of n is nonzero, so no term cancels."""
-    if isinstance(z, Fraction) and z.denominator == 1:
-        z = z.numerator  # int exponents hit the cached fast path
-    if not (isinstance(z, int) or isinstance(z, Fraction) and z.denominator == 2):
-        raise BackendError(f"Delta^z needs z in (1/2)Z, got {z}")
+def _rescaled(a: AlgebraElement, h: int, swap: bool) -> AlgebraElement:
+    """c S_mu S_nu^* -> c n^(h d/2) on the key, or if swap on S_nu S_mu^*,
+    where d = |mu| - |nu|.  A nonzero c times a power of n is nonzero, so
+    no term cancels."""
     n = a.n
     out = {}
     for key, c in a.terms.items():
-        d = len(key[1]) - len(key[0])
-        out[key] = c * n_power(n, z * d) if d else c
+        mu, nu = key
+        e = h * (len(mu) - len(nu))
+        out[(nu, mu) if swap else key] = c * _HALF_POWERS[(n, e)] if e else c
     return AlgebraElement._make(n, out)
+
+
+def delta_power(a: AlgebraElement, z) -> AlgebraElement:
+    """Delta^z: scale each term by n^(z(|nu|-|mu|)).  z must lie in (1/2)Z
+    (an int, or a Fraction with denominator 1 or 2), where the scale stays
+    in Q(sqrt n); any other z raises BackendError."""
+    if isinstance(z, Fraction) and z.denominator <= 2:
+        return _rescaled(a, -z.numerator * (2 // z.denominator), False)
+    if not isinstance(z, int):
+        raise BackendError(f"Delta^z needs z in (1/2)Z, got {z}")
+    return _rescaled(a, -2 * z, False)
 
 
 def modular_conjugation_J(a: AlgebraElement) -> AlgebraElement:
     """J: conjugate-linear, J(S_mu S_nu^*) = n^((1/2)(|mu|-|nu|)) S_nu S_mu^*."""
-    n = a.n
-    out = {}
-    for (mu, nu), c in a.terms.items():
-        d = len(mu) - len(nu)
-        out[(nu, mu)] = c * n_power(n, Fraction(d, 2)) if d else c
-    return AlgebraElement._make(n, out)
+    return _rescaled(a, 1, True)
 
 
 def tomita_S(a: AlgebraElement) -> AlgebraElement:
@@ -296,12 +300,7 @@ def tomita_S(a: AlgebraElement) -> AlgebraElement:
 def tomita_F(a: AlgebraElement) -> AlgebraElement:
     """The conjugate-linear adjoint of tomita_S:
     F(S_mu S_nu^*) = n^(|mu|-|nu|) S_nu S_mu^*."""
-    n = a.n
-    out = {}
-    for (mu, nu), c in a.terms.items():
-        d = len(mu) - len(nu)
-        out[(nu, mu)] = c * n_power(n, d) if d else c
-    return AlgebraElement._make(n, out)
+    return _rescaled(a, 2, True)
 
 
 def sigma(a: AlgebraElement) -> AlgebraElement:

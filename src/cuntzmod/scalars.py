@@ -8,7 +8,9 @@ part, so ``nb == 0`` always holds there and equality stays structural.
 These scalars are the coefficients of every algebra element.  QSqrt
 arithmetic only accepts QSqrt, int and Fraction operands; a float part, a
 power of n outside (1/2)Z and the rational value of an irrational number
-raise BackendError.
+raise BackendError.  Every power of n is read from one table of
+half-steps, n^(e/2) keyed by (n, e), by ``n_power`` and by the rescale of
+``modular``.
 """
 
 from __future__ import annotations
@@ -18,18 +20,6 @@ import sys
 from fractions import Fraction
 
 from .errors import BackendError, DomainError, UsageError
-
-_SQRT_CACHE: dict[int, int] = {}
-
-
-def _perfect_root(n: int) -> int:
-    """isqrt(n) if n is a perfect square, else 0."""
-    r = _SQRT_CACHE.get(n)
-    if r is None:
-        s = math.isqrt(n)
-        r = s if s * s == n else 0
-        _SQRT_CACHE[n] = r
-    return r
 
 
 class _Lazy(dict):
@@ -42,6 +32,9 @@ class _Lazy(dict):
     def __missing__(self, key):
         made = self[key] = self.make(key)
         return made
+
+
+_PERFECT_ROOTS = _Lazy(lambda n: math.isqrt(n) if math.isqrt(n) ** 2 == n else 0)  # n -> sqrt n in Z, or 0
 
 
 class QSqrt:
@@ -68,7 +61,7 @@ class QSqrt:
     @classmethod
     def _raw(cls, n: int, na: int, nb: int, den: int) -> "QSqrt":
         if nb != 0:
-            r = _perfect_root(n)
+            r = _PERFECT_ROOTS[n]
             if r:
                 na += nb * r
                 nb = 0
@@ -256,28 +249,25 @@ class QSqrt:
         return scalar_str(self)
 
 
-_POWER_CACHE: dict[tuple[int, int, int], QSqrt] = {}
+def _half_power(key: tuple[int, int]) -> QSqrt:
+    """n^(e/2) for key (n, e): n^h, or n^h sqrt(n) for odd e = 2h + 1."""
+    n, e = key
+    h, odd = divmod(e, 2)
+    num, den = (n**h, 1) if h >= 0 else (1, n ** (-h))
+    return QSqrt._raw(n, 0, num, den) if odd else QSqrt._raw(n, num, 0, den)
+
+
+_HALF_POWERS = _Lazy(_half_power)  # (n, e) -> n^(e/2), every power of n the package reads
 
 
 def n_power(n: int, exponent: Fraction | int) -> QSqrt:
-    """n**exponent as an exact QSqrt; exponent must lie in (1/2)Z."""
+    """n**exponent as an exact QSqrt.  The exponent must be an int or a
+    Fraction in (1/2)Z; anything else raises BackendError."""
     if isinstance(exponent, int):
-        num, den = exponent, 1
-    else:
-        e = Fraction(exponent)
-        num, den = e.numerator, e.denominator
-    cached = _POWER_CACHE.get((n, num, den))
-    if cached is not None:
-        return cached
-    if den == 1:
-        value = QSqrt._raw(n, n**num, 0, 1) if num >= 0 else QSqrt._raw(n, 1, 0, n ** (-num))
-    elif den == 2:
-        h = (num - 1) // 2  # n^(p/2) = n^h * sqrt(n), p odd
-        value = QSqrt._raw(n, 0, n**h, 1) if h >= 0 else QSqrt._raw(n, 0, 1, n ** (-h))
-    else:
-        raise BackendError(f"exact power n^{num}/{den} needs a half-integer exponent")
-    _POWER_CACHE[(n, num, den)] = value
-    return value
+        return _HALF_POWERS[(n, 2 * exponent)]
+    if isinstance(exponent, Fraction) and exponent.denominator <= 2:
+        return _HALF_POWERS[(n, exponent.numerator * (2 // exponent.denominator))]
+    raise BackendError(f"exact power n^({exponent!r}) needs an int or Fraction exponent in (1/2)Z")
 
 
 def ratio_str(num: int, den: int) -> str:

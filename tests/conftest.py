@@ -24,6 +24,18 @@ COEFF_POOL = [
 ]
 
 
+def oracle_half_power(n: int, e: int) -> QSqrt:
+    """n^(e/2) as |e| products of 1 by sqrt(n), or by its inverse for e < 0:
+    what the half-step table of scalars holds, built without n_power or
+    the table."""
+    root = QSqrt(n, 0, 1)
+    step = root if e >= 0 else root.inverse()
+    value = QSqrt(n, 1)
+    for _ in range(abs(e)):
+        value = value * step
+    return value
+
+
 def random_element(rng: random.Random, n: int, max_terms: int = 4, max_len: int = 2, allow_zero: bool = True):
     """A random exact element with small rational coefficients."""
     k = rng.randint(0 if allow_zero else 1, max_terms)
@@ -198,8 +210,8 @@ def oracle_key_fact(v, k: int, probes) -> bool:
     v_star = adjoint(v)
     range_proj = multiply(v, v_star)
     return all(
-        equals(multiply(v, endos.gauge_component(multiply(v_star, x), k)),
-               multiply(range_proj, endos.gauge_component(x, k + m)))
+        equals(multiply(v, modular.gauge_component(multiply(v_star, x), k)),
+               multiply(range_proj, modular.gauge_component(x, k + m)))
         for x in probes
     )
 

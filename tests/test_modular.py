@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import monomial_elements, random_element
+from conftest import monomial_elements, oracle_half_power, random_element
 from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, projection
 from cuntzmod.errors import BackendError, DomainError
 from cuntzmod.modular import (
@@ -135,6 +135,29 @@ def test_delta_power_backend_rules():
     for z in (Fraction(1, 3), 0.25, 1j):
         with pytest.raises(BackendError, match=r"needs z in \(1/2\)Z"):
             delta_power(gen(2, 1), z)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_modular_maps_term_by_term_against_repeated_roots(rng, n):
+    # Each map against its formula, with every scale n^(e/2) from
+    # oracle_half_power rather than n_power or its table.  The sweep
+    # oracles call these same maps, so this is their cross-check.
+    zs = [Fraction(k, 2) for k in range(-4, 5)]
+    zs += [int(z) for z in zs if z.denominator == 1]
+    for _ in range(20):
+        a = random_element(rng, n, max_terms=6, max_len=3)
+        degree = {key: len(key[0]) - len(key[1]) for key in a.terms}
+
+        def scaled(halves, swap):
+            # c S_mu S_nu^* -> c n^(halves(d)/2) on the key or on its swap
+            return {((nu, mu) if swap else (mu, nu)): c * oracle_half_power(n, halves(degree[(mu, nu)]))
+                    for (mu, nu), c in a.terms.items()}
+
+        for z in zs:
+            assert delta_power(a, z).terms == scaled(lambda d: int(-2 * z * d), False), z
+        assert sigma(a).terms == scaled(lambda d: 2 * d, False)
+        assert modular_conjugation_J(a).terms == scaled(lambda d: d, True)
+        assert tomita_F(a).terms == scaled(lambda d: 2 * d, True)
 
 
 def test_delta_is_n_to_minus_D():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_half_power
+from cuntzmod import scalars
 from cuntzmod.errors import BackendError, UsageError
 from cuntzmod.scalars import QSqrt, n_power, scalar_str
 
@@ -77,6 +79,45 @@ def test_n_power():
     assert n_power(3, Fraction(5, 2)) == QSqrt(3, 0, 9)
     with pytest.raises(BackendError):
         n_power(2, Fraction(1, 3))
+
+
+def _triple(x: QSqrt) -> tuple:
+    return x.n, x.na, x.nb, x.den
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9])  # 4 and 9 fold the root into the rational part
+def test_half_power_table_against_repeated_roots(n):
+    for e in range(-12, 13):
+        value = scalars._HALF_POWERS[(n, e)]
+        assert _triple(value) == _triple(oracle_half_power(n, e)), (n, e)
+        assert n_power(n, Fraction(e, 2)) is value
+        if e % 2 == 0:
+            assert n_power(n, e // 2) is value
+
+
+@pytest.mark.parametrize("exponent", [0.5, "1/2", 1.0, 1j, None, "a", float("nan"), Fraction(1, 3), Fraction(-5, 4)])
+def test_n_power_refuses_anything_but_an_exact_half_integer(exponent):
+    with pytest.raises(BackendError, match=r"needs an int or Fraction exponent in \(1/2\)Z"):
+        n_power(2, exponent)
+
+
+_EXPONENTS = st.one_of(
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.complex_numbers(),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 4, 9)), _EXPONENTS)
+def test_n_power_gives_the_exact_power_or_backend_error(n, exponent):
+    if isinstance(exponent, int) or isinstance(exponent, Fraction) and exponent.denominator <= 2:
+        assert _triple(n_power(n, exponent)) == _triple(oracle_half_power(n, int(2 * exponent)))
+    else:
+        with pytest.raises(BackendError):  # any other exception fails the test
+            n_power(n, exponent)
 
 
 def test_sign_and_abs():

@@ -63,16 +63,17 @@ def _commutator_dropped(monkeypatch):
 
 
 def _wrong_degree_projection(monkeypatch, wrong):
-    # keyfact's oracle projects onto each degree with endos.gauge_component;
+    # keyfact's oracle projects onto each degree with modular.gauge_component;
     # the sweep splits the term map of each probe and of each nonzero v^* x
     # by degree once with endos._degree_parts.  One wrong projection
     # wrong(a, k) goes into both.  Every element either side splits has
-    # degrees within 8 of 0, and the sweep splits no empty map.
+    # degrees within 8 of 0, and the sweep splits no empty map.  wrong must
+    # leave k = 0 alone: modular.expectation reads gauge_component(a, 0).
     def degree_parts(terms):
         a = AlgebraElement(next(iter(terms.values())).n, terms)  # each coefficient carries n
         return {d: p for d in range(-8, 9) if (p := wrong(a, d).terms)}
 
-    monkeypatch.setattr(endos, "gauge_component", wrong)
+    monkeypatch.setattr(modular, "gauge_component", wrong)
     monkeypatch.setattr(endos, "_degree_parts", degree_parts)
 
 
