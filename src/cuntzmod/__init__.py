@@ -17,8 +17,9 @@ __version__ = "0.1.0"
 _HOME = {
     **dict.fromkeys(
         (
-            "AlgebraElement", "adjoint", "canonical_form", "equals", "gen", "linear_combine",
-            "monomial", "multiply", "one", "projection", "s_word", "zero",
+            "AlgebraElement", "adjoint", "canonical_form", "closed_form_sf", "equals", "gen",
+            "linear_combine", "monomial", "multiply", "one", "projection", "projection_perturbation_data",
+            "s_word", "zero",
         ),
         "algebra",
     ),
@@ -36,9 +37,8 @@ _HOME = {
     **dict.fromkeys(("parse", "render"), "expr"),
     **dict.fromkeys(
         (
-            "FlowReport", "aps_index_traces", "closed_form_sf", "correction_terms",
-            "flow_report", "hochschild_orientation", "k0_membership", "projection_perturbation_data",
-            "relative_entropy", "spectral_flow", "twisted_theta",
+            "FlowReport", "aps_index_traces", "correction_terms", "flow_report",
+            "hochschild_orientation", "k0_membership", "relative_entropy", "spectral_flow", "twisted_theta",
         ),
         "flow",
     ),

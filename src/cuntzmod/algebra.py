@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BackendError, TermBudgetExceeded, UsageError
 from .scalars import QSqrt
@@ -90,6 +90,26 @@ def word_count(n: int, max_len: int) -> int:
     """len(words_upto(n, max_len)) for n >= 2, capped at WORD_COUNT_CAP, which
     64 levels pass: far above any budget, yet a plan's powers of it print."""
     return min((n ** (min(max_len, 63) + 1) - 1) // (n - 1), WORD_COUNT_CAP)
+
+
+def closed_form_sf(n: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
+    """(|mu|-|nu|)(n^-|nu| - n^-|mu|), the exact value for u_{mu,nu}."""
+    if n < 2:
+        raise UsageError(f"need n >= 2, got {n}")
+    lm, ln = len(tuple(mu)), len(tuple(nu))
+    return (lm - ln) * (Fraction(1, n**ln) - Fraction(1, n**lm))
+
+
+def projection_perturbation_data(n: int, mu: Sequence[int], nu: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    """Diagonalised data of u_{mu,nu} [D (x) 1, u_{mu,nu}] = m(-P_mu (+) P_nu):
+    pairs (coefficient, tau(projection)) consumed by the numeric integral."""
+    if n < 2:
+        raise UsageError(f"need n >= 2, got {n}")
+    lm, ln = len(tuple(mu)), len(tuple(nu))
+    m = lm - ln
+    if m == 0:
+        return []
+    return [(Fraction(-m), Fraction(1, n**lm)), (Fraction(m), Fraction(1, n**ln))]
 
 
 def monomials_upto(n: int, max_len: int) -> list[AlgebraElement]:

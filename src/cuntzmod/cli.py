@@ -11,9 +11,11 @@ of the canonical-form expansion that ``eval`` prints (and of Phi_k); the
 equality and membership tests behind the other verbs never expand.
 
 Most of a CLI process's time is interpreter start-up and imports, so this
-module imports only what parsing and rendering need.  Each verb imports
-its own functions when it runs, and each ``check`` suite its own module:
-``eval`` loads algebra, expr and scalars, and ``dixmier`` numerics and no
+module imports only what parsing needs, and ``scalars`` only when a
+Fraction is rendered.  Each verb imports its own functions when it runs,
+and each ``check`` suite its own module: ``eval`` loads algebra, expr and
+scalars; ``sf`` and ``entropy`` the exact flow stack without endos;
+``sfint`` algebra, scalars and numerics; and ``dixmier`` numerics and no
 exact module.  No verb loads a third-party module: the numerics are pure
 Python too.
 
@@ -31,7 +33,6 @@ import sys
 from fractions import Fraction
 
 from .errors import CuntzError, DomainError, UsageError
-from .scalars import scalar_str
 
 
 def _load(module: str, name: str):
@@ -73,6 +74,8 @@ def render_json(obj) -> str:
             raise DomainError(f"{obj} has no JSON representation")
         return f"{obj:.17g}"
     if isinstance(obj, Fraction):
+        from .scalars import scalar_str
+
         return f'"{scalar_str(obj)}"'
     if isinstance(obj, dict):
         inner = ",".join(f"{render_json(str(k))}:{render_json(v)}" for k, v in obj.items())
@@ -245,7 +248,7 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "sfint":
-        from .flow import closed_form_sf, projection_perturbation_data
+        from .algebra import closed_form_sf, projection_perturbation_data
         from .numerics import ProjectionPerturbation, SummationConfig, sf_integral
 
         mu = _word(args.mu, args.n)

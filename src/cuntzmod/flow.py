@@ -33,19 +33,20 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (
+from .algebra import (  # closed_form_sf and projection_perturbation_data are re-exported
     AlgebraElement,
     _add_into,
+    closed_form_sf,
     equals,
     monomial,
     monomials_upto,
     multiply,
     one,
+    projection_perturbation_data,
     word_count,
     words,
     zero,
 )
-from .endos import _partial_isometry, _traces, phi_k_endo
 from .errors import BackendError, DomainError, UsageError
 from .matrices import AlgMatrix, _certify, apply_sigma, build_u_mu_nu, is_modular_unitary
 from . import modular
@@ -223,6 +224,8 @@ def aps_index_traces(v: AlgebraElement) -> tuple[Fraction, Fraction]:
 
     mirrored for m < 0 and (0, 0) for m = 0.  Their sum always equals
     spectral_flow(build_u_v(v))."""
+    from .endos import _partial_isometry, _traces, phi_k_endo
+
     m, v_star, range_proj = _partial_isometry(v, "aps_index_traces")
     if m == 0:
         return Fraction(0), Fraction(0)
@@ -238,14 +241,6 @@ def aps_index_traces(v: AlgebraElement) -> tuple[Fraction, Fraction]:
         range_trace = sum((tau_delta_applied(range_proj, k) for k in range(m, 0)), Fraction(0))
         source_trace = -sum((tau_delta_applied(source_proj, k) for k in range(0, -m)), Fraction(0))
     return range_trace, source_trace
-
-
-def closed_form_sf(n: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
-    """(|mu|-|nu|)(n^-|nu| - n^-|mu|), the exact value for u_{mu,nu}."""
-    if n < 2:
-        raise UsageError(f"need n >= 2, got {n}")
-    lm, ln = len(tuple(mu)), len(tuple(nu))
-    return (lm - ln) * (Fraction(1, n**ln) - Fraction(1, n**lm))
 
 
 def flow_report(n: int, mu: Sequence[int], nu: Sequence[int]) -> FlowReport:
@@ -264,18 +259,6 @@ def flow_report(n: int, mu: Sequence[int], nu: Sequence[int]) -> FlowReport:
         in_k0_range=k0_membership(sf, n),
         entropy=math.log(n) * float(sf),
     )
-
-
-def projection_perturbation_data(n: int, mu: Sequence[int], nu: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
-    """Diagonalised data of u_{mu,nu} [D (x) 1, u_{mu,nu}] = m(-P_mu (+) P_nu):
-    pairs (coefficient, tau(projection)) consumed by the numeric integral."""
-    if n < 2:
-        raise UsageError(f"need n >= 2, got {n}")
-    lm, ln = len(tuple(mu)), len(tuple(nu))
-    m = lm - ln
-    if m == 0:
-        return []
-    return [(Fraction(-m), Fraction(1, n**lm)), (Fraction(m), Fraction(1, n**ln))]
 
 
 # -- named invariant sweeps ------------------------------------------------

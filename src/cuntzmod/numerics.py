@@ -6,7 +6,9 @@ inside summation loops.
 
 * ``lattice_sum``: sum_{|k|<=K} (1+(k+shift)^2)^(-e) plus the two integrals
   T beyond |k| = K + 1/2, each a closed-form positive series; |shift| <= K.
-  A cutoff past ``LATTICE_BUDGET`` points is refused before any summing.
+  The points with |k + shift| <= NEAR (64) are summed one by one and each
+  run beyond them by Euler-Maclaurin, so a sum costs the same at any cutoff
+  up to ``CUTOFF_LIMIT`` (10^153), where the doubles would overflow.
 * ``dixmier_limit``: (s-1) * lattice_sum(0, s/2), extrapolated linearly in
   (s-1) to s=1 by the least-squares intercept; the limit is 2 (2*tau(f)
   for a weighted variant).  The schedule's exponents share one grid.
@@ -39,11 +41,10 @@ inside summation loops.
 
 Everything is pure Python on doubles; no third-party module is imported.
 Summation order is fixed, so identical configs reproduce identical
-doubles: a lattice body is g(shift) + H(shift) + H(-shift) with each half
-H(s) = sum_{k=1}^K g(k+s) an exactly rounded ``math.fsum`` over ascending
-k (at shift 0 the one half serves twice), the tails follow it, the series
-sum ascending j, and the remainder panel, the intercept fit and eta's
-heat sums are ``fsum`` too.
+doubles: a lattice sum is one exactly rounded ``math.fsum`` of its direct
+points, its runs' integrals and their Euler-Maclaurin corrections, the
+series sum ascending j, and the remainder panel, the intercept fit and
+eta's heat sums are ``fsum`` too.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ from typing import Sequence
 from .errors import DomainError, UsageError
 
 
+# Largest cutoff K.  The sums square points out to |k + shift| = 2K + 1
+# (|shift| <= K), and (2K + 1)^2 must stay below the largest double, 1.8e308.
+CUTOFF_LIMIT = 10**153
+
+
 class SummationConfig(namedtuple("SummationConfig", "cutoff tail_correction")):
     """Lattice cutoff K (sums run over |k| <= K) and whether the integral
     tails beyond K are added.  Immutable, compared and hashed by value."""
@@ -68,6 +74,11 @@ class SummationConfig(namedtuple("SummationConfig", "cutoff tail_correction")):
             raise UsageError(f"cutoff must be an integer, got {cutoff!r}")
         if cutoff < 1:
             raise UsageError(f"cutoff must be >= 1, got {cutoff}")
+        if cutoff > CUTOFF_LIMIT:
+            digits = math.floor(math.log10(cutoff)) + 1  # str() refuses past 4,300 digits
+            raise UsageError(
+                f"cutoff must be <= 10**153, past which the lattice sums' doubles overflow; got a {digits}-digit cutoff"
+            )
         return super().__new__(cls, cutoff, tail_correction)
 
     # namedtuple's _make, and _replace through it, would skip __new__
@@ -122,17 +133,18 @@ REMAINDER_RULE = (
 REMAINDER_NODES = 2 * len(REMAINDER_RULE)
 
 
-def _series(expo: float, w: float, share=None) -> float:
-    """sum_j (e)_j / (e+1/2)_j w^j share(1-e-j) for 0 < w < 1 and positive,
-    decreasing shares (1 when share is None), summed until a term no longer
-    moves the sum."""
+def _series(expo: float, w: float, share=None, top=None) -> float:
+    """sum_j (e)_j / (t)_j w^j share(1-e-j), t = e + 1/2 unless ``top`` gives
+    it, for |w| < 1 and positive, decreasing shares (1 when share is None),
+    summed until a term no longer moves the sum."""
+    top = expo + 0.5 if top is None else top
     total, term, j = 0.0, 1.0, 0
     while True:
         step = term if share is None else term * share(1.0 - expo - j)
         if total + step == total:
             return total
         total += step
-        term *= w * (expo + j) / (expo + 0.5 + j)
+        term *= w * (expo + j) / (top + j)
         j += 1
 
 
@@ -149,44 +161,93 @@ def _tail_integral(lower: float, expo: float) -> float:
     return lower * w**expo / (2.0 * expo - 1.0) * _series(expo, w)
 
 
-# Most lattice points one lattice_sum visits (cutoff <= 1e6).  It bounds
-# time first: 2,000,001 points take about 0.5 CPU s (2-core Xeon VM,
-# Python 3.11).  The squares of both halves are held while they are summed,
-# about 32 bytes a point, so 76 MB at the budget.
-LATTICE_BUDGET = 2_000_001
+def _span_integral(a: float, b: float, expo: float) -> float:
+    """int_a^b (1+y^2)^(-e) dy for 1 < a <= b, from the binomial series
+    sum_i binom(-e, i) y^(-2e-2i): term i integrates to a^(1-2e) a^(-2i) times
+    the positive share expm1(q L)/q, q = 1-2e-2i = 2p-1 at _series' p = 1-e-i,
+    L = ln(b/a).  At e near 1/2 that share stays exact where T(a) - T(b)
+    would cancel a factor of about a^(1-2e)/(2e-1)."""
+    ell = math.log1p((b - a) / a)
+
+    def share(p):
+        q = 2.0 * p - 1.0
+        return math.expm1(q * ell) / q if q else ell
+
+    scale = a ** (1.0 - 2.0 * expo)
+    if scale == 0.0:  # also where e/a^2 > 1 would make the series' terms grow first
+        return 0.0
+    return scale * _series(expo, -1.0 / (a * a), share, 1.0)
+
+
+# B_2j(1/2)/(2j)! for j = 1..6, B_2j(1/2) = (2^(1-2j) - 1) B_2j: Euler-Maclaurin
+# (DLMF 2.10.1) for a sum over the midpoints of unit steps.  Past |x| = 63.5
+# the next term is below 1e-22 of the sum for every exponent in (0, 1].
+_MIDPOINT = (-1 / 24, 7 / 5760, -31 / 967680, 127 / 154828800, -73 / 3503554560, 1414477 / 2678117105664000)
+
+# Lattice points with |k + shift| <= NEAR are summed one by one.
+NEAR = 64
+
+
+def _midpoint_correction(y: float, expo: float) -> float:
+    """sum_j _MIDPOINT[j-1] g^(2j-1)(y) for g(y) = (1+y^2)^(-e).  The
+    derivatives come from (1+y^2) g' = -2e y g differentiated k times,
+    (1+y^2) g^(k+1) = -(2e+2k) y g^(k) - k (2e+k-1) g^(k-1),
+    so each is a multiple of g(y) and none overflows where g underflows."""
+    square = 1.0 + y * y
+    before, at = 0.0, square**-expo
+    if at == 0.0:  # every derivative is a multiple of g(y)
+        return 0.0
+    total = 0.0
+    for k in range(2 * len(_MIDPOINT) - 1):
+        before, at = at, -((2.0 * expo + 2 * k) * y * at + k * (2.0 * expo + k - 1) * before) / square
+        if k % 2 == 0:
+            total += _MIDPOINT[k // 2] * at
+    return total
 
 
 def lattice_sum(shift: float, expo: float, cfg: SummationConfig) -> float:
     """sum_{k in Z} (1+(k+shift)^2)^(-expo), truncated at |k| <= cutoff with
-    the integral tails beyond when tail_correction is on; |shift| <= cutoff."""
+    the integral tails beyond when tail_correction is on; |shift| <= cutoff
+    and expo > 0."""
     return _lattice_sums(shift, (expo,), cfg)[0]
 
 
 def _lattice_sums(shift: float, expos: Sequence[float], cfg: SummationConfig) -> list[float]:
-    """lattice_sum(shift, e, cfg) for each e in expos.  The squares
-    1 + (k +- shift)^2 of the two halves are formed once for all of them."""
+    """lattice_sum(shift, e, cfg) for each e in expos, in O(NEAR) work for
+    any cutoff and shift.
+
+    With shift = m + t (m an integer, |t| <= 1/2) the points are j + t over
+    j in [m - K, m + K].  Those with |j| <= NEAR are summed directly; their
+    squares 1 + (j + t)^2 are formed once for all exponents.  Beyond them
+    each side is one run x = a, a + 1, .., b of |j + t|, and with A = a - 1/2,
+    B = b + 1/2 the midpoint Euler-Maclaurin formula gives its sum as
+    int_A^B g + C(B) - C(A), C from ``_midpoint_correction``.  With the tail
+    T(B) added, int_A^B g + T(B) is T(A), so nothing is subtracted."""
     cutoff = cfg.cutoff
     if not abs(shift) <= cutoff:
         raise DomainError(f"lattice_sum needs |shift| <= cutoff {cutoff}, got {shift}")
-    points = 2 * cutoff + 1
-    if points > LATTICE_BUDGET:
-        raise UsageError(
-            f"lattice_sum: cutoff {cutoff} needs {points} lattice points, "
-            f"past the lattice budget of {LATTICE_BUDGET}"
-        )
+    for expo in expos:
+        if not expo > 0:
+            raise DomainError(f"lattice_sum needs an exponent > 0, got {expo}")
     shift = float(shift)
-    ks = range(1, cutoff + 1)
-    upper = [1.0 + x * x for x in map(shift.__radd__, ks)]
-    lower = upper if shift == 0 else [1.0 + x * x for x in map((-shift).__radd__, ks)]
+    m = round(shift)
+    t = shift - m  # exact, so every point and bound below is rounded once
+    low, high = max(m - cutoff, -NEAR), min(m + cutoff, NEAR)
+    squares = [1.0 + x * x for x in map(t.__radd__, range(low, high + 1))]
+    # each side: its last directly summed |j|, its last |j| and its offset
+    sides = ((high, m + cutoff, t), (-low, cutoff - m, -t))
     sums = []
     for expo in expos:
-        half = math.fsum(map(pow, upper, repeat(-expo)))
-        other = half if lower is upper else math.fsum(map(pow, lower, repeat(-expo)))
-        total = (1.0 + shift * shift) ** -expo + half + other
-        if cfg.tail_correction:
-            total += _tail_integral(cutoff + 0.5 + shift, expo)
-            total += _tail_integral(cutoff + 0.5 - shift, expo)
-        sums.append(total)
+        parts = list(map(pow, squares, repeat(-expo)))
+        for last, far, side in sides:
+            end = far + 0.5 + side
+            if last < far:
+                start = last + 0.5 + side
+                body = _tail_integral(start, expo) if cfg.tail_correction else _span_integral(start, end, expo)
+                parts += (body, _midpoint_correction(end, expo), -_midpoint_correction(start, expo))
+            elif cfg.tail_correction:
+                parts.append(_tail_integral(end, expo))
+        sums.append(math.fsum(parts))
     return sums
 
 

@@ -10,7 +10,8 @@ arithmetic only accepts QSqrt, int and Fraction operands; a float part, a
 power of n outside (1/2)Z and the rational value of an irrational number
 raise BackendError.  Every power of n is read from one table of
 half-steps, n^(e/2) keyed by (n, e), by ``n_power`` and by the rescale of
-``modular``.
+``modular``; a power past HALF_POWER_BUDGET bits is refused before it is
+built.
 """
 
 from __future__ import annotations
@@ -249,9 +250,23 @@ class QSqrt:
         return scalar_str(self)
 
 
+# Largest power of n the table builds, in bits of its integer part.  The
+# longest word whose exact sf report still prints at n = 2 (14,273 letters,
+# at the interpreter's 4,300-digit limit) needs 2^14273, and every word an
+# argument list can hold at n = 2 or 3 (about 65,000 letters) stays inside it.
+HALF_POWER_BUDGET = 1 << 17
+
+
 def _half_power(key: tuple[int, int]) -> QSqrt:
-    """n^(e/2) for key (n, e): n^h, or n^h sqrt(n) for odd e = 2h + 1."""
+    """n^(e/2) for key (n, e): n^h, or n^h sqrt(n) for odd e = 2h + 1.
+    A power past HALF_POWER_BUDGET bits is refused before it is built."""
     n, e = key
+    bits = abs(e) // 2 * (n.bit_length() - 1)  # n^h has at least h floor(log2 n) bits
+    if bits > HALF_POWER_BUDGET:
+        raise UsageError(
+            f"n^({e // 2 if e % 2 == 0 else f'{e}/2'}) needs at least {bits} bits, "
+            f"past the budget of {HALF_POWER_BUDGET} bits on one power of n"
+        )
     h, odd = divmod(e, 2)
     num, den = (n**h, 1) if h >= 0 else (1, n ** (-h))
     return QSqrt._raw(n, 0, num, den) if odd else QSqrt._raw(n, num, 0, den)

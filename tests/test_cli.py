@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,13 +101,21 @@ def test_dixmier_refuses_degenerate_schedule(capsys):
     assert err == "error: dixmier_limit extrapolates a line and needs two distinct s, got [1.1, 1.1]\n"
 
 
-def test_cutoff_past_lattice_budget(capsys):
-    code, out, err = run(capsys, "dixmier", "--n", "2", "--s-list", "1.1", "--cutoff", "10000000000")
-    assert code == 2 and out == ""
-    assert "lattice_sum: cutoff 10000000000 needs 20000000001 lattice points" in err
-    # integer coefficients never sum a lattice, so any cutoff works
-    code, out, _ = run(capsys, "sfint", "--n", "2", "--mu", "1,2", "--nu", "1", "--r", "0.5", "--cutoff", "100000000000")
+def test_cutoffs_answer_up_to_the_double_limit(capsys):
+    # lattice sums cost the same at any cutoff, so 10^12 answers; integer
+    # coefficients never sum a lattice, and sfint at 10^30 answers as before
+    code, out, _ = run(capsys, "dixmier", "--n", "2", "--s-list", "1.1,1.05,1.02,1.01", "--cutoff", str(10**12))
+    assert code == 0 and abs(json.loads(out)["value"] - 2.0) < 1e-2
+    code, out, _ = run(capsys, "sfint", "--n", "2", "--mu", "1,2", "--nu", "1", "--r", "0.5", "--cutoff", str(10**30))
     assert code == 0 and json.loads(out)["sf_integral"] == 0.25
+    # past 10^153 the sums' doubles overflow: refused, where sfint once raised OverflowError
+    for argv in (
+        ["dixmier", "--n", "2", "--s-list", "1.1", "--cutoff", str(10**400)],
+        ["sfint", "--n", "2", "--mu", "1,2", "--nu", "1", "--r", "0.5", "--cutoff", str(10**400)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: cutoff must be <= 10**153, past which the lattice sums' doubles overflow; got a 401-digit cutoff\n"
 
 
 def test_sfint_verb(capsys):
@@ -185,6 +194,17 @@ def test_values_past_the_digit_limit_are_refused(capsys, name):
     assert code == 2 and out == ""
     assert err.startswith("error: an exact value has a part of about ") and err.count("\n") == 1
     assert f"past the limit of {sys.get_int_max_str_digits()} digits on printing an integer" in err
+
+
+def test_the_longest_printable_word_meets_no_power_budget(capsys):
+    # sf = 14272 (2^14272 - 1)/2^14273 has a 4,299-digit numerator in lowest
+    # terms: the longest such word whose report prints (one more letter is
+    # refused).  Its powers of n stay inside scalars.HALF_POWER_BUDGET
+    code, out, err = run(capsys, "sf", "--n", "2", "--mu", ",".join(["1"] * 14273), "--nu", "2")
+    assert code == 0 and err == ""
+    assert Fraction(json.loads(out)["sf"]) == Fraction(14272 * (2**14272 - 1), 2**14273)
+    code, _, err = run(capsys, "sf", "--n", "2", "--mu", ",".join(["1"] * 14274), "--nu", "2")
+    assert code == 2 and "past the limit of" in err
 
 
 # one command line per verb, each check suite included; --n is appended

@@ -42,15 +42,19 @@ def _loaded(argv):
     return json.loads(out)
 
 
-EXACT_FLOW = {"algebra", "cli", "endos", "errors", "flow", "matrices", "modular", "scalars", "tally"}
+EXACT_FLOW = {"algebra", "cli", "errors", "flow", "matrices", "modular", "scalars", "tally"}
 
 VERB_MODULES = [
     (["eval", "--n", "2", "S[1]'.S[1]"], {"algebra", "cli", "errors", "expr", "scalars"}),
     (["check", "kms", "--n", "2", "--max-len", "1"], {"algebra", "cli", "errors", "modular", "scalars", "tally"}),
-    (["dixmier", "--n", "2", "--s-list", "1.5,1.2", "--cutoff", "1000"], {"cli", "errors", "numerics", "scalars"}),
+    (["dixmier", "--n", "2", "--s-list", "1.5,1.2", "--cutoff", "1000"], {"cli", "errors", "numerics"}),
     (["sf", "--n", "2", "--mu", "1,1", "--nu", "2"], EXACT_FLOW),
-    (["aps", "--n", "2", "--mu", "1,1", "--nu", "2"], EXACT_FLOW),
-    (["sfint", "--n", "2", "--mu", "1,1", "--nu", "2", "--r", "0.5", "--cutoff", "1000"], EXACT_FLOW | {"numerics"}),
+    (["entropy", "--n", "2", "--mu", "1,1", "--nu", "2"], EXACT_FLOW),
+    (["aps", "--n", "2", "--mu", "1,1", "--nu", "2"], EXACT_FLOW | {"endos"}),
+    (
+        ["sfint", "--n", "2", "--mu", "1,1", "--nu", "2", "--r", "0.5", "--cutoff", "1000"],
+        {"algebra", "cli", "errors", "numerics", "scalars"},
+    ),
 ]
 
 
@@ -58,7 +62,10 @@ VERB_MODULES = [
 NEVER = {
     "eval": {"flow", "matrices", "endos", "modular", "numerics"},
     "check": {"matrices", "flow", "expr", "numerics"},
-    "dixmier": {"algebra"},
+    "dixmier": {"algebra", "scalars"},
+    "sf": {"endos"},
+    "entropy": {"endos"},
+    "sfint": {"flow", "matrices", "modular", "endos"},
 }
 
 

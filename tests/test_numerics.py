@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -147,27 +148,97 @@ def test_dixmier_refuses_degenerate_schedule(monkeypatch):
             dixmier_limit(2, schedule, cfg)
 
 
-def test_lattice_budget(monkeypatch):
-    # refused before any square is formed
-    past = SummationConfig(cutoff=(numerics.LATTICE_BUDGET - 1) // 2 + 1)
-    monkeypatch.setattr(numerics, "range", None, raising=False)
-    with pytest.raises(UsageError, match=rf"lattice_sum: cutoff {past.cutoff} needs {numerics.LATTICE_BUDGET + 2} "):
-        lattice_sum(0.0, 1.0, past)
-    with pytest.raises(UsageError, match="lattice budget"):
-        dixmier_limit(2, [1.1, 1.05], past)
-    monkeypatch.undo()
-    monkeypatch.setattr(numerics, "LATTICE_BUDGET", 21)
-    assert lattice_sum(0.0, 1.0, SummationConfig(cutoff=10)) == pytest.approx(PI_COTH_PI, rel=1e-4)
-    with pytest.raises(UsageError, match="23 lattice points, past the lattice budget of 21"):
-        lattice_sum(0.0, 1.0, SummationConfig(cutoff=11))
-
-
 def test_integer_sf_integral_has_no_lattice_budget():
     huge = SummationConfig(cutoff=10**11)
     integer = ProjectionPerturbation.from_pairs([(Fraction(-1), Fraction(1, 4)), (Fraction(1), Fraction(1, 2))])
     assert sf_integral(integer, 0.5, huge) == 0.25
-    with pytest.raises(UsageError, match="lattice budget"):
-        sf_integral(ProjectionPerturbation.from_pairs([(Fraction(1, 2), Fraction(1, 2))]), 0.5, huge)
+
+
+# The same truncated sums plus tails at huge cutoffs, with mpmath at 50 digits
+# and rounded to 30 (doubles as the code rounds them: e = s/2, 1/2 + r):
+#   lattice: at e = 1 the tail-corrected sum equals the infinite one,
+#     pi sinh(2 pi)/(cosh(2 pi) - cos(2 pi a)), to far below 30 digits; at
+#     e = 3/4 without tails, 300 points each side directly and each run by
+#     mpmath.sumem;
+#   dixmier: its four such sums at shift 0, each (s-1) times, and the
+#     least-squares intercept in 50 digits;
+#   sf_integral: the c = 1/2 and c = -3/2 bodies as unions of half-unit
+#     intervals, G(K+1/2) + int_K^{K+1} T and C - T(K) - T(K+1)
+#     + int_{K-1/2}^{K+3/2} T + G(K-1/2) + int_K^{K+1/2} g + int_{K+1}^{K+3/2} g
+#     + int_{K+3/2}^{K+2} T + int_{K-1}^{K-1/2} T, over C, weighted 1/3 and 1/5.
+LATTICE_E1_SHIFT_03 = 3.13794911242356773332852144823  # lattice_sum(0.3, 1, cutoff 10^12)
+LATTICE_E075_SHIFT_M27_NO_TAILS = 5.24191023081018557429931267182  # lattice_sum(-2.7, 0.75), tails off
+DIXMIER_AT_10_12 = 2.00057165608019324984175150130  # s in (1.1, 1.05, 1.02, 1.01)
+SF_FRACTIONAL_AT_10_11 = -0.133333333333333333333333334076  # [(1/2, 1/3), (-3/2, 1/5)] at r = 0.1
+
+
+def _cpu(call):
+    start = time.process_time()
+    value = call()
+    return value, time.process_time() - start
+
+
+def test_huge_cutoffs_answer_in_bounded_cpu():
+    # the work no longer grows with the cutoff: each call takes under 1 ms of
+    # CPU here (2-core Xeon VM), against 50 ms allowed
+    cases = [
+        (lambda: lattice_sum(0.3, 1.0, SummationConfig(10**12)), LATTICE_E1_SHIFT_03),
+        (lambda: lattice_sum(-2.7, 0.75, SummationConfig(10**12, False)), LATTICE_E075_SHIFT_M27_NO_TAILS),
+        (lambda: dixmier_limit(2, [1.1, 1.05, 1.02, 1.01], SummationConfig(10**12)), DIXMIER_AT_10_12),
+        (
+            lambda: sf_integral(
+                ProjectionPerturbation([(Fraction(1, 2), Fraction(1, 3)), (Fraction(-3, 2), Fraction(1, 5))]),
+                0.1,
+                SummationConfig(10**11),
+            ),
+            SF_FRACTIONAL_AT_10_11,
+        ),
+    ]
+    for call, want in cases:
+        value, cpu = _cpu(call)
+        assert value == pytest.approx(want, rel=2e-15, abs=0)
+        assert cpu < 0.05
+
+
+def test_lattice_cost_does_not_grow_with_the_cutoff():
+    small, huge = SummationConfig(10**3), SummationConfig(10**12)
+    for _ in range(3):
+        _, at_small = _cpu(lambda: [lattice_sum(0.3, 0.75, small) for _ in range(50)])
+        _, at_huge = _cpu(lambda: [lattice_sum(0.3, 0.75, huge) for _ in range(50)])
+        if at_huge < 2 * at_small:
+            break
+    assert at_huge < 2 * at_small
+
+
+@pytest.mark.parametrize("cutoff", [numerics.NEAR - 1, numerics.NEAR, numerics.NEAR + 1, 2 * numerics.NEAR])
+def test_lattice_sum_across_the_direct_range_matches_the_oracle(cutoff):
+    # cutoffs on either side of NEAR, where the runs summed by Euler-Maclaurin
+    # begin, and shifts that put one run at full length and the other empty
+    shifts = (0.0, 0.3, -2.7, cutoff, -cutoff, cutoff - 0.5, -(cutoff - 0.5))
+    worst = 0.0
+    for tails in (True, False):
+        cfg = SummationConfig(cutoff=cutoff, tail_correction=tails)
+        for shift in shifts:
+            for expo, got in zip(LATTICE_EXPOS, numerics._lattice_sums(shift, LATTICE_EXPOS, cfg)):
+                want = oracle_lattice_sum(shift, expo, cfg)
+                worst = max(worst, abs(got - want) / want)
+    assert worst < 2e-15
+
+
+def test_lattice_sum_needs_a_positive_exponent():
+    for expo in (0.0, -0.5, math.nan):
+        with pytest.raises(DomainError, match="exponent > 0"):
+            lattice_sum(0.0, expo, SummationConfig(cutoff=10, tail_correction=False))
+
+
+def test_cutoff_limit_is_where_the_doubles_end():
+    # (2K + 1)^2 must stay a double; 10^153 answers, one more is refused
+    at = SummationConfig(numerics.CUTOFF_LIMIT)
+    assert math.isfinite(lattice_sum(float(at.cutoff), 0.75, at))
+    assert math.isfinite(lattice_sum(-0.3, 0.75, SummationConfig(numerics.CUTOFF_LIMIT, False)))
+    for cutoff, digits in ((numerics.CUTOFF_LIMIT + 1, 154), (10**400, 401), (10**5000, 5001)):
+        with pytest.raises(UsageError, match=rf"cutoff must be <= 10\*\*153, .* got a {digits}-digit cutoff"):
+            SummationConfig(cutoff)
 
 
 def test_sf_integral_reproduces_exact_flow():

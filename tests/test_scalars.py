@@ -1,4 +1,6 @@
 import math
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,28 @@ def test_half_power_table_against_repeated_roots(n):
         assert n_power(n, Fraction(e, 2)) is value
         if e % 2 == 0:
             assert n_power(n, e // 2) is value
+
+
+def test_half_power_budget_refuses_before_building():
+    # n^(10^8) would take 0.56 CPU s and 40 MB and stay in the table for good
+    from cuntzmod.algebra import monomial
+    from cuntzmod.modular import delta_power
+
+    before = len(scalars._HALF_POWERS)
+    for call, shown in (
+        (lambda: n_power(2, 10**8), "n^(100000000) needs at least 100000000 bits"),
+        (lambda: n_power(3, Fraction(-(10**8) + 1, 2)), "n^(-99999999/2) needs at least 49999999 bits"),
+        (lambda: delta_power(monomial(2, (1,), ()), 10**8), "n^(-100000000) needs at least 100000000 bits"),
+    ):
+        start = time.process_time()
+        with pytest.raises(UsageError, match=rf"{re.escape(shown)}, past the budget of 131072 bits on one power of n"):
+            call()
+        assert time.process_time() - start < 0.1
+    assert len(scalars._HALF_POWERS) == before
+    # the budget's edge: 2^131072 is built, 2^131073 is not
+    assert n_power(2, scalars.HALF_POWER_BUDGET).na == 2**scalars.HALF_POWER_BUDGET
+    with pytest.raises(UsageError, match="past the budget"):
+        n_power(2, scalars.HALF_POWER_BUDGET + 1)
 
 
 @pytest.mark.parametrize("exponent", [0.5, "1/2", 1.0, 1j, None, "a", float("nan"), Fraction(1, 3), Fraction(-5, 4)])
