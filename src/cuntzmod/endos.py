@@ -25,20 +25,27 @@ definition sup_N tau_tilde(Delta_N e) alive as an independent cross-check,
 built honestly out of phi_k_endo and endo_compose.  Every value here is
 exact: the legs are algebra elements and the coefficients QSqrt values.
 
+The products of both sweeps are read off one index, ``_left_index``, of
+a row of elements by the left legs of their terms and those legs'
+prefixes: ``_meets`` looks up the terms that one term S_mu S_nu^* meets,
+by the rule of ``algebra._multiply_into``, so no pair that cannot meet is
+visited, and ``_row_product``, the product analogue of
+``modular._psi_table``, multiplies an element against the whole row.
+``tracesplit_sweep`` indexes the output legs of each Phi_k once and reads
+pi(f) Phi_k's legs from one row product of f (``_split_traces``), so only
+the legs that f meets reach the walk.
+
 The compression identity v Phi_k v^* = v v^* Phi_{k+m} of a monomial
 partial isometry v of gauge degree m is checked on probes x by
 ``key_fact_check`` and over every such v by ``keyfact_sweep``, with one
-routine.  v^* is multiplied against the whole probe row at once by
-``_row_product``, the product analogue of ``modular._psi_table``: the
-probes' terms are indexed once per call by their left leg and its
-prefixes, so each term of v^* looks up the probe terms it meets by the
-rule of ``algebra._multiply_into`` and no other pair is visited.  Each
-nonzero v^* x is split by degree once for all k, and the probes' parts
-are grouped by degree once per call, so each side of one (v, k) is
-formed on term maps only where it can be nonzero.  The two sides over
-all probes are compared as two rows, falling back to
-``algebra._terms_equal``, the oracle behind ``equals``, only for rows that
-differ structurally.
+routine.  The left side v Phi_k(v^* x) is formed for the whole probe row
+in the pass that forms v^* x (``_left_rows``): each term of v^* x is
+filed under its degree, which is Phi_k, and then multiplied by v's one
+term.  The right side v v^* Phi_{k+m}(x) is formed from the probes' parts,
+grouped by degree once per call, only where it can be nonzero.  Both
+sides read Phi_k through ``_phi``.  The two sides over all probes are
+compared as two rows, falling back to ``algebra._terms_equal``, the
+oracle behind ``equals``, only for rows that differ structurally.
 """
 
 from __future__ import annotations
@@ -188,10 +195,24 @@ def _traces(e: EndoSum, a: AlgebraElement | None = None) -> tuple[QSqrt, QSqrt]:
     """(tau_tilde(pi(a) e), tau_delta(pi(a) e)), or those of e if a is None,
     in one psi walk over the weighted pairs (c, y, a x) of the legs; a x is
     formed by the term-map product and never assumed to have degree 0."""
-    if a is not None and a.n != e.n:
-        raise UsageError("left multiplier disagrees with the EndoSum context")
     pairs = [(c, th.y.terms, th.x.terms if a is None else _side(a.terms, th.x.terms)) for c, th in e.terms]
     return _psi_sums(e.n, pairs, star_a=True, shift=True)
+
+
+def _legs(e: EndoSum) -> tuple[list, list, tuple[dict, dict]]:
+    """(cs, ys, index) over e's legs c Theta_{x,y}: each c, None where it is
+    one, each y, and the _left_index of the x, read by ``_split_traces``."""
+    cs = [None if c == 1 else c for c, _ in e.terms]
+    ys = [th.y.terms for _, th in e.terms]
+    return cs, ys, _left_index([th.x for _, th in e.terms])
+
+
+def _split_traces(n: int, legs: tuple, a_terms: dict) -> tuple[QSqrt, QSqrt]:
+    """``_traces(e, a)`` given legs = _legs(e): a x of every leg from one
+    ``_row_product``, so a leg whose x a does not meet is never visited."""
+    cs, ys, index = legs
+    pairs = [(cs[i], ys[i], ax) for i, ax in _row_product(a_terms, index).items()]
+    return _psi_sums(n, pairs, star_a=True, shift=True)
 
 
 def tau_tilde(e: EndoSum) -> QSqrt:
@@ -238,12 +259,18 @@ def _degree_parts(terms: dict) -> dict:
 
 
 def _by_degree(xs: list) -> dict:
-    """{j: [(i, the degree-j part of xs[i])]} over the degrees present, in increasing i."""
+    """{j: {i: the degree-j part of xs[i]}} over the degrees present, in increasing i."""
     groups: dict = {}
     for i, x in enumerate(xs):
         for d, part in _degree_parts(x.terms).items():
-            groups.setdefault(d, []).append((i, part))
+            groups.setdefault(d, {})[i] = part
     return groups
+
+
+def _phi(graded: dict, k: int) -> dict:
+    """Phi_k of a row graded by degree, {d: {i: part}}: its degree-k row.
+    Both sides of the key fact project through this one function."""
+    return graded.get(k, _EMPTY)
 
 
 def _left_index(xs: list) -> tuple[dict, dict]:
@@ -261,22 +288,30 @@ def _left_index(xs: list) -> tuple[dict, dict]:
     return exact, longer
 
 
-def _row_product(a_terms: dict, index: tuple[dict, dict]) -> dict:
-    """{i: the term map of a xs[i]} over the i where it is not zero, given
-    index = _left_index(xs): each term of a looks its partners up in the
-    index, so only the terms of xs it meets are visited.
+def _meets(mu: tuple, nu: tuple, index: tuple[dict, dict]) -> list:
+    """[(i, key, c)] over the terms c S_al S_be^* of the xs[i] that
+    S_mu S_nu^* meets, key that of their product, given index =
+    _left_index(xs): only those terms are visited.
 
         al = nu[:t]  ->  S_mu S_{be + nu[t:]}^*
         nu = al[:t]  ->  S_{mu + al[t:]} S_be^*
-
-    Keys that cancel are dropped, as in ``_multiply_into``."""
+    """
     exact, longer = index
+    hits = [(i, (mu, be + nu[t:]), c) for t in range(len(nu) + 1) for i, be, c in exact.get(nu[:t], ())]
+    hits += [(i, (mu + gam, be), c) for i, gam, be, c in longer.get(nu, ())]
+    return hits
+
+
+def _row_product(a_terms: dict, index: tuple[dict, dict]) -> dict:
+    """{i: the term map of a xs[i]} over the i where it is not zero, given
+    index = _left_index(xs), each term of a against the terms it
+    ``_meets``; a term of coefficient one passes theirs on unmultiplied.
+    Keys that cancel are dropped, as in ``_multiply_into``."""
     rows: dict = {}
     for (mu, nu), ca in a_terms.items():
-        hits = [(i, (mu, be + nu[t:]), cb) for t in range(len(nu) + 1) for i, be, cb in exact.get(nu[:t], ())]
-        hits += [(i, (mu + gam, be), cb) for i, gam, be, cb in longer.get(nu, ())]
-        for i, key, cb in hits:
-            c = ca * cb
+        unit = ca == 1
+        for i, key, cb in _meets(mu, nu, index):
+            c = cb if unit else ca * cb
             out = rows.get(i)
             if out is None:
                 rows[i] = {key: c}
@@ -292,33 +327,66 @@ def _row_product(a_terms: dict, index: tuple[dict, dict]) -> dict:
     return rows
 
 
-def _key_fact_rows(v: AlgebraElement, ks, width: int, by_degree: dict, index: tuple, ranges: dict) -> list[bool]:
+def _left_rows(v: AlgebraElement, index: tuple[dict, dict]) -> dict:
+    """{d: {i: the term map of v Phi_d(v^* xs[i])}} over the (d, i) where it
+    is not zero, given index = _left_index(xs), formed in the pass that
+    forms v^* xs[i].  v is S_p S_q^* with coefficient one, so v^* is
+    S_q S_p^* and each term of v^* x is c S_{q g} S_b^*, one of the terms
+    that S_q S_p^* ``_meets``.  It is filed under its degree |q g| - |b|,
+    and v sends it to c S_{p g} S_b^* (the rule of ``_row_product`` for
+    one term pair).  Distinct terms stay distinct, so a key cancels exactly
+    where it cancels in v^* x."""
+    ((p, q),) = v.terms
+    lq = len(q)
+    graded: dict = {}
+    for i, (a, b), c in _meets(q, p, index):
+        d = len(a) - len(b)
+        rows = graded.get(d)
+        if rows is None:
+            rows = graded[d] = {}
+        key = (p + a[lq:], b)
+        out = rows.get(i)
+        if out is None:
+            rows[i] = {key: c}
+            continue
+        w = out.get(key)
+        s = c if w is None else w + c
+        if s.na == 0 and s.nb == 0:
+            del out[key]
+            if not out:
+                del rows[i]
+                if not rows:
+                    del graded[d]
+        else:
+            out[key] = s
+    return graded
+
+
+def _key_fact_rows(v: AlgebraElement, ks, by_degree: dict, index: tuple, ranges: dict) -> list[bool]:
     """For each k of ks, whether v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on
-    all width probes x, given by_degree = _by_degree(probes) and index =
-    _left_index(probes).  Left: v^* is multiplied against the whole probe
-    row by ``_row_product``, each nonzero v^* x is split by degree, and v
-    times each part a k reads is formed once.  Right: the row of
+    every probe x, given by_degree = _by_degree(probes) and index =
+    _left_index(probes).  Left: ``_left_rows`` forms v Phi_d(v^* x) for
+    every degree d and probe in one pass.  Right: the row of
     v v^* Phi_j(x) is formed at the probes with a degree-j part, once per j
     and term map of v v^*, and kept in ranges under that term map for any
-    v with an equal one.  Each k compares its two rows in one ``==``, and
-    entry by entry by ``_terms_equal`` only if they differ structurally."""
+    v with an equal one.  A row is {probe: side} over its nonzero sides;
+    each k compares its two rows in one ``==``, and probe by probe by
+    ``_terms_equal`` only if they differ structurally."""
     n = v.n
-    m, v_star, range_proj = _partial_isometry(v)
-    lefts = {k: [_EMPTY] * width for k in ks}
-    for i, terms in _row_product(v_star.terms, index).items():
-        for d, part in _degree_parts(terms).items():
-            if d in lefts:
-                lefts[d][i] = _side(v.terms, part)
+    m, _, range_proj = _partial_isometry(v)
+    lefts = _left_rows(v, index)
     rights = ranges.setdefault(frozenset(range_proj.terms.items()), {})
     held = []
     for k in ks:
         right = rights.get(k + m)
         if right is None:
-            right = rights[k + m] = [_EMPTY] * width
-            for i, part in by_degree.get(k + m, ()):
-                right[i] = _side(range_proj.terms, part)
-        left = lefts[k]
-        held.append(left == right or all(_terms_equal(a, b, n) for a, b in zip(left, right)))
+            right = rights[k + m] = {}
+            for i, part in _phi(by_degree, k + m).items():
+                if side := _side(range_proj.terms, part):
+                    right[i] = side
+        left = _phi(lefts, k)
+        held.append(left == right or all(_terms_equal(left.get(i, _EMPTY), right.get(i, _EMPTY), n)
+                                         for i in left.keys() | right.keys()))
     return held
 
 
@@ -334,7 +402,7 @@ def key_fact_check(v: AlgebraElement, k: int, probes: Iterable[AlgebraElement]) 
     for x in probes:
         if x.n != v.n:
             raise UsageError(f"mixed algebras O_{v.n} and O_{x.n}")
-    return _key_fact_rows(v, (k,), len(probes), _by_degree(probes), _left_index(probes), {})[0]
+    return _key_fact_rows(v, (k,), _by_degree(probes), _left_index(probes), {})[0]
 
 
 # -- named invariant sweeps ------------------------------------------------
@@ -355,8 +423,10 @@ def tracesplit_plan(n: int, max_len: int) -> tuple[int, int]:
 def tracesplit_sweep(n: int, max_len: int):
     """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) == tau(f) for
     degree-0 monomials f and |k| <= TRACESPLIT_K_SPAN, plus the Phi_k weights themselves.
-    Both traces of a case pair are read by ``_traces`` in one walk over the legs of
-    Phi_k; f and tau(f) are formed once, shared by the values of k."""
+    Both traces of a case pair are read in one walk over the legs of pi(f) Phi_k that
+    f meets, found in an index of Phi_k's legs made once per k (``_split_traces``),
+    or, when f = 1 is the only f, over every leg (``_traces``); f and tau(f) are
+    formed once, shared by the values of k."""
     f_words = [(alpha, beta) for length in range(max_len + 1) for alpha in words(n, length) for beta in words(n, length)]
     fs = [(alpha, beta, f, trace_F(f)) for alpha, beta in f_words for f in [monomial(n, alpha, beta)]]
     for k in range(-TRACESPLIT_K_SPAN, TRACESPLIT_K_SPAN + 1):
@@ -364,8 +434,9 @@ def tracesplit_sweep(n: int, max_len: int):
         tilde, delta = _traces(phi_k)
         yield tilde == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}"
         yield delta == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1"
+        legs = _legs(phi_k) if len(fs) > 1 else None  # a lone f would not repay the index
         for alpha, beta, f, tf in fs:
-            tilde, delta = _traces(phi_k, f)
+            tilde, delta = _split_traces(n, legs, f.terms) if legs else _traces(phi_k, f)
             yield tilde == n_power(n, k) * tf, lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}"
             yield delta == tf, lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}"
 
@@ -382,8 +453,9 @@ def keyfact_sweep(n: int, max_len: int):
     partial isometries with leg lengths up to max_len and |k| <= KEYFACT_K_SPAN,
     each case checked by the routine of ``key_fact_check`` on every probe
     with legs up to KEYFACT_PROBE_LEN.  The probes' parts are grouped by
-    degree once per sweep, each v^* x is split once per v, and the
-    right-side rows are shared between the v's with equal v v^*."""
+    degree once per sweep, each v's left sides are formed for every k in
+    one pass, and the right-side rows are shared between the v's with
+    equal v v^*."""
     ws = words_upto(n, max_len)
     probes = monomials_upto(n, KEYFACT_PROBE_LEN)
     by_degree = _by_degree(probes)
@@ -392,6 +464,6 @@ def keyfact_sweep(n: int, max_len: int):
     ks = range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1)
     for mu in ws:
         for nu in ws:
-            held = _key_fact_rows(monomial(n, mu, nu), ks, len(probes), by_degree, index, ranges)
+            held = _key_fact_rows(monomial(n, mu, nu), ks, by_degree, index, ranges)
             for k, ok in zip(ks, held):
                 yield ok, lambda: f"v=S_{mu}S*_{nu} k={k}"

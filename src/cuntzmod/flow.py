@@ -195,9 +195,14 @@ def hochschild_orientation(n: int, drop: int | None = None) -> dict:
     }
 
 
+def _entropy(n: int, sf: Fraction) -> float:
+    """ln(n) * sf, the Araki relative entropy read off a spectral flow."""
+    return math.log(n) * float(sf)
+
+
 def relative_entropy(u: AlgMatrix) -> float:
     """Araki relative entropy of the conjugated KMS state: ln(n) * sf."""
-    return math.log(u.n) * float(spectral_flow(u))
+    return _entropy(u.n, spectral_flow(u))
 
 
 def k0_membership(q: Fraction, n: int) -> bool:
@@ -257,7 +262,7 @@ def flow_report(n: int, mu: Sequence[int], nu: Sequence[int]) -> FlowReport:
         eta_diff=eta_diff,
         kernel_diff=kernel_diff,
         in_k0_range=k0_membership(sf, n),
-        entropy=math.log(n) * float(sf),
+        entropy=_entropy(n, sf),
     )
 
 

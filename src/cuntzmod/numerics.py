@@ -12,7 +12,8 @@ inside summation loops.
 * ``dixmier_limit``: (s-1) * lattice_sum(0, s/2), extrapolated linearly in
   (s-1) to s=1 by the least-squares intercept; the limit is 2 (2*tau(f)
   for a weighted variant).  The schedule's exponents share one grid.
-* ``beta_constant``: C_s = int (1+x^2)^(-s) dx = sqrt(pi) Gamma(s-1/2)/Gamma(s).
+* ``beta_constant``: C_s = int (1+x^2)^(-s) dx = sqrt(pi) Gamma(s-1/2)/Gamma(s),
+  refused past ``LGAMMA_LIMIT`` (about 2.56e305), where log Gamma(s) overflows.
 * ``sf_integral``: the Laplace-transformed spectral-flow integral reduced
   over the diagonalised perturbation X = sum_j c_j Q_j (orthogonal
   projections over F with weights w_j = tau(Q_j)):
@@ -110,10 +111,16 @@ class ProjectionPerturbation(namedtuple("ProjectionPerturbation", "terms")):
         return cls(tuple(pairs))
 
 
+# The largest s whose log Gamma(s) is a double; past it math.lgamma overflows.
+LGAMMA_LIMIT = 2.5599833278516383e305
+
+
 def beta_constant(s: float) -> float:
-    """C_s = int_-inf^inf (1+x^2)^(-s) dx via log-gamma."""
+    """C_s = int_-inf^inf (1+x^2)^(-s) dx via log-gamma, for 1/2 < s <= LGAMMA_LIMIT."""
     if s <= 0.5:
         raise DomainError(f"C_s diverges for s <= 1/2, got s={s}")
+    if not s <= LGAMMA_LIMIT:
+        raise DomainError(f"C_s needs s <= {LGAMMA_LIMIT!r}, past which log Gamma(s) overflows a double; got s={s}")
     return math.exp(0.5 * math.log(math.pi) + math.lgamma(s - 0.5) - math.lgamma(s))
 
 

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monomial_elements, oracle_key_fact, random_element
-from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, s_word, words_upto, zero
+from cuntzmod import endos
+from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, s_word, words, words_upto, zero
 from cuntzmod.endos import (
     EndoSum,
+    _degree_parts,
     _left_index,
+    _left_rows,
+    _legs,
     _row_product,
+    _side,
+    _split_traces,
+    _traces,
     RankOne,
     compose_left_mult,
     endo_apply,
@@ -245,6 +252,57 @@ def test_row_product_of_empty_rows_and_zero_operands():
     assert _row_product(gen(2, 1).terms, _left_index([zero(2), one(2)])) == {1: gen(2, 1).terms}
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_split_traces_equal_the_walk_on_every_degree_zero_monomial(n):
+    fs = [monomial(n, a, b) for length in range(3) for a in words(n, length) for b in words(n, length)]
+    for k in range(-3, 4):
+        phi_k = phi_k_endo(k, n)
+        legs = _legs(phi_k)
+        for f in fs:
+            assert _split_traces(n, legs, f.terms) == _traces(phi_k, f)
+
+
+def _left_rows_by_parts(v, probes) -> dict:
+    """{d: {i: v times the degree-d part of v^* probes[i]}}, each part's
+    product formed by _side, over the parts whose product is not zero."""
+    rows: dict = {}
+    for i, terms in _row_product(adjoint(v).terms, _left_index(probes)).items():
+        for d, part in _degree_parts(terms).items():
+            if side := _side(v.terms, part):
+                rows.setdefault(d, {})[i] = side
+    return rows
+
+
+def test_left_rows_equal_the_products_of_the_split_parts(rng):
+    # x = S_2^* - S_1 S_21^* + S_12: S_1^* x = S_2, the other two terms cancel
+    cancelling = monomial(2, (), (2,)) - monomial(2, (1,), (2, 1)) + monomial(2, (1, 2), ())
+    assert multiply(adjoint(gen(2, 1)), cancelling) == gen(2, 2)
+    # the cancelled degree -2 part leaves no row behind: only S_1 S_1^* S_12 = S_12
+    assert _left_rows(gen(2, 1), _left_index([cancelling])) == {1: {0: s_word(2, (1, 2)).terms}}
+    met = set()
+    for n, max_len in ((2, 2), (3, 1)):
+        for v in monomial_elements(n, max_len):
+            probes = [random_element(rng, n, max_terms=6, max_len=3) for _ in range(4)] + [zero(n)]
+            if n == 2:
+                probes.append(cancelling)
+            rows = _left_rows(v, _left_index(probes))
+            assert rows == _left_rows_by_parts(v, probes)
+            met |= {(i, len(part)) for row in rows.values() for i, part in row.items()}
+    assert any(terms > 1 for _, terms in met)  # some parts have several terms
+
+
+def test_key_fact_rows_compare_coefficients(monkeypatch):
+    # a left side with the right terms and supports but doubled coefficients
+    # must fail: rows of equal shape are still compared value by value
+    left_rows = endos._left_rows
+    v, probes = gen(2, 1), monomial_elements(2, 2)
+    assert key_fact_check(v, 0, probes)
+    monkeypatch.setattr(endos, "_left_rows", lambda v, index: {
+        d: {i: {key: c + c for key, c in part.items()} for i, part in rows.items()}
+        for d, rows in left_rows(v, index).items()})
+    assert not key_fact_check(v, 0, probes)
+
+
 def test_key_fact_check_refuses_an_empty_probe_list():
     # a check that ran on no probe must not report a pass
     with pytest.raises(UsageError, match="at least one probe"):
@@ -266,6 +324,22 @@ def test_sweeps():
     assert r["failures"] == 0
     r = keyfact_sweep(2, 1)
     assert r["failures"] == 0
+
+
+def test_endo_refusals_name_the_mismatch():
+    e2, e3 = phi_k_endo(1, 2), phi_k_endo(1, 3)
+    with pytest.raises(UsageError, match="^rank-one legs disagree with the EndoSum context$"):
+        EndoSum(2, [(1, RankOne(gen(3, 1), gen(3, 1)))])
+    with pytest.raises(UsageError, match="^mixed EndoSum contexts$"):
+        e2 + e3
+    with pytest.raises(UsageError, match="^mixed EndoSum contexts$"):
+        endo_compose(e2, e3)
+    with pytest.raises(UsageError, match=r"^element of O_3 fed to an EndoSum over O_2$"):
+        endo_apply(e2, gen(3, 1))
+    with pytest.raises(UsageError, match="^left multiplier disagrees with the EndoSum context$"):
+        compose_left_mult(gen(3, 1), e2)
+    with pytest.raises(UsageError, match="^cutoff must be nonnegative$"):
+        tau_delta_truncated(e2, -1)
 
 
 def test_rank_one_context_checks():

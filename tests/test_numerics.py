@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -94,6 +95,18 @@ def test_beta_constant_closed_forms():
     assert beta_constant(2.0) == pytest.approx(math.pi / 2, rel=1e-12)
     with pytest.raises(DomainError):
         beta_constant(0.5)
+
+
+def test_beta_constant_refuses_past_the_lgamma_limit():
+    # LGAMMA_LIMIT is the last double whose log Gamma is finite
+    limit = numerics.LGAMMA_LIMIT
+    math.lgamma(limit)
+    with pytest.raises(OverflowError):
+        math.lgamma(math.nextafter(limit, math.inf))
+    assert 0 < beta_constant(limit) < math.inf
+    for s in (math.nextafter(limit, math.inf), 1.7e308, math.inf, math.nan):
+        with pytest.raises(DomainError, match=rf"^C_s needs s <= 2.5599833278516383e\+305, .*; got s={re.escape(str(s))}$"):
+            beta_constant(s)
 
 
 def test_beta_constant_normalisation_limit():

@@ -3,8 +3,9 @@
 ``kms_sweep``, ``tomita_sweep``, ``keyfact_sweep``, ``tracesplit_sweep``
 and ``cocycle_sweep`` form each map of one operand once and share it across
 the cases that read it; kms, tomita and cocycle also read every pairing
-from a table over all pairs, keyfact splits each element by degree once,
-and tracesplit reads both traces of a case in one walk over the legs;
+from a table over all pairs, keyfact files each element by degree once,
+and tracesplit reads both traces of a case in one walk over the legs
+that its f meets;
 kms and tomita compare whole table rows, one block of cases per row.
 Their reports must equal those of the oracles in conftest, which form
 every map inside its case, on clean code and with a wrong map patched into
@@ -30,7 +31,7 @@ from conftest import (
     oracle_cocycle_sweep, oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep, oracle_tracesplit_sweep,
 )
 from cuntzmod import endos, flow, modular
-from cuntzmod.algebra import AlgebraElement, monomial, multiply, zero
+from cuntzmod.algebra import monomial, multiply, zero
 from cuntzmod.scalars import n_power
 from cuntzmod.tally import sweep
 
@@ -43,6 +44,7 @@ SWEEPS = {
     "keyfact_n3": (endos.keyfact_sweep, oracle_keyfact_sweep, (3, 1), 80),
     "tracesplit": (endos.tracesplit_sweep, oracle_tracesplit_sweep, (2, 2), 308),
     "tracesplit_n3": (endos.tracesplit_sweep, oracle_tracesplit_sweep, (3, 1), 154),
+    "tracesplit_len0": (endos.tracesplit_sweep, oracle_tracesplit_sweep, (3, 0), 28),
     "cocycle": (flow.cocycle_sweep, oracle_cocycle_sweep, (2, 1), 738),
     "cocycle_n3": (flow.cocycle_sweep, oracle_cocycle_sweep, (3, 1), 4112),
 }
@@ -62,35 +64,34 @@ def _commutator_dropped(monkeypatch):
     monkeypatch.setattr(modular, "commutator_D", lambda a: a)
 
 
-def _wrong_degree_projection(monkeypatch, wrong):
-    # keyfact's oracle projects onto each degree with modular.gauge_component;
-    # the sweep splits the term map of each probe and of each nonzero v^* x
-    # by degree once with endos._degree_parts.  One wrong projection
-    # wrong(a, k) goes into both.  Every element either side splits has
-    # degrees within 8 of 0, and the sweep splits no empty map.  wrong must
-    # leave k = 0 alone: modular.expectation reads gauge_component(a, 0).
-    def degree_parts(terms):
-        a = AlgebraElement(next(iter(terms.values())).n, terms)  # each coefficient carries n
-        return {d: p for d in range(-8, 9) if (p := wrong(a, d).terms)}
+def _wrong_degree_projection(monkeypatch, reads):
+    # Phi_k reads the degree reads(k) instead of k, or nothing if that is
+    # None.  keyfact's oracle projects onto each degree with
+    # modular.gauge_component; the sweep files every v^* x and every probe
+    # by degree and reads both sides' rows through endos._phi.  One wrong
+    # projection goes into all three.  reads must leave k = 0 alone:
+    # modular.expectation reads gauge_component(a, 0).
+    gauge_component, phi = modular.gauge_component, endos._phi
+
+    def wrong(a, k):
+        return zero(a.n) if (j := reads(k)) is None else gauge_component(a, j)
 
     monkeypatch.setattr(modular, "gauge_component", wrong)
-    monkeypatch.setattr(endos, "_degree_parts", degree_parts)
+    monkeypatch.setattr(endos, "_phi", lambda graded, k: {} if (j := reads(k)) is None else phi(graded, j))
 
 
 def _gauge_off_by_one(monkeypatch):
     # Off by one on every nonzero degree.  A shift of every degree alike
     # would go unseen: v Phi_k v^* == v v^* Phi_{k+m} holds at every k, so
     # it only maps each case to another true one.
-    gauge_component = modular.gauge_component
-    _wrong_degree_projection(monkeypatch, lambda a, k: gauge_component(a, k + 1 if k else k))
+    _wrong_degree_projection(monkeypatch, lambda k: k + 1 if k else k)
 
 
 def _gauge_drops_degree_two(monkeypatch):
     # Phi_2 read as zero: every v of degree 0 still passes, so the first
     # failure is v = S_1^*, k = 2 (left side zero, right side S_1^* S_1
     # Phi_1), the 10th case, not the first.
-    gauge_component = modular.gauge_component
-    _wrong_degree_projection(monkeypatch, lambda a, k: zero(a.n) if k == 2 else gauge_component(a, k))
+    _wrong_degree_projection(monkeypatch, lambda k: None if k == 2 else k)
 
 
 def _phi_weight_dropped(monkeypatch):
@@ -164,6 +165,8 @@ CASES = [
     ("tracesplit", None),
     ("tracesplit_n3", None),  # three letters: legs of Phi_k the two-letter sweep never builds
     ("tracesplit", "phi_weight_dropped"),
+    ("tracesplit_len0", None),  # f = 1 alone: its traces are walked over every leg, with no index
+    ("tracesplit_len0", "phi_weight_dropped"),
     ("cocycle", None),
     ("cocycle_n3", None),  # three letters: table keys the n = 2 sweep never indexes
     ("cocycle", "sigma_identity"),
