@@ -424,9 +424,8 @@ def tracesplit_sweep(n: int, max_len: int):
     """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) == tau(f) for
     degree-0 monomials f and |k| <= TRACESPLIT_K_SPAN, plus the Phi_k weights themselves.
     Both traces of a case pair are read in one walk over the legs of pi(f) Phi_k that
-    f meets, found in an index of Phi_k's legs made once per k (``_split_traces``),
-    or, when f = 1 is the only f, over every leg (``_traces``); f and tau(f) are
-    formed once, shared by the values of k."""
+    f meets, found in an index of Phi_k's legs made once per k (``_split_traces``);
+    f and tau(f) are formed once, shared by the values of k."""
     f_words = [(alpha, beta) for length in range(max_len + 1) for alpha in words(n, length) for beta in words(n, length)]
     fs = [(alpha, beta, f, trace_F(f)) for alpha, beta in f_words for f in [monomial(n, alpha, beta)]]
     for k in range(-TRACESPLIT_K_SPAN, TRACESPLIT_K_SPAN + 1):
@@ -434,9 +433,9 @@ def tracesplit_sweep(n: int, max_len: int):
         tilde, delta = _traces(phi_k)
         yield tilde == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}"
         yield delta == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1"
-        legs = _legs(phi_k) if len(fs) > 1 else None  # a lone f would not repay the index
+        legs = _legs(phi_k)
         for alpha, beta, f, tf in fs:
-            tilde, delta = _split_traces(n, legs, f.terms) if legs else _traces(phi_k, f)
+            tilde, delta = _split_traces(n, legs, f.terms)
             yield tilde == n_power(n, k) * tf, lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}"
             yield delta == tf, lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}"
 

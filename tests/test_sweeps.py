@@ -165,7 +165,7 @@ CASES = [
     ("tracesplit", None),
     ("tracesplit_n3", None),  # three letters: legs of Phi_k the two-letter sweep never builds
     ("tracesplit", "phi_weight_dropped"),
-    ("tracesplit_len0", None),  # f = 1 alone: its traces are walked over every leg, with no index
+    ("tracesplit_len0", None),  # f = 1 alone: the empty word meets every leg in the index
     ("tracesplit_len0", "phi_weight_dropped"),
     ("cocycle", None),
     ("cocycle_n3", None),  # three letters: table keys the n = 2 sweep never indexes

@@ -15,7 +15,7 @@ process as its own set of modules, and the tests' ``conftest`` with it.
 The harness first runs every sweep of every side once and checks that it
 reports the case count its size fixes and no failure; it exits non-zero if
 one does not.  Then it times every sweep once per round and side, for
-``--rounds`` rounds, in CPU time: the sides take turns sweep by sweep, and
+``ROUNDS`` rounds, in CPU time: the sides take turns sweep by sweep, and
 the side that goes first alternates from round to round, so a drift in
 machine speed reaches every side alike.  Per side it writes each sweep's
 median, min and max over the rounds, and the sum of the medians over the
@@ -24,7 +24,7 @@ after the first side's also gives the ratio of the first side's median to
 its own and the rounds in which it was the faster.  Run it from anywhere in
 a checkout:
 
-    python3 tools/bench_sweeps.py [--side NAME=SRC ...] [--rounds N] [--out BENCH_sweeps.json]
+    python3 tools/bench_sweeps.py [--side NAME=SRC ...] [--out BENCH_sweeps.json]
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from bench_equality import cpu_model  # noqa: E402
 from workloads import INVARIANT_SWEEPS  # noqa: E402
+
+ROUNDS = 21  # timed calls of each sweep a side
 
 
 def _side_names() -> list[str]:
@@ -105,14 +107,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", action="append", metavar="NAME=SRC",
                         help="a source tree to time, named in the report (default: this checkout's src)")
-    parser.add_argument("--rounds", type=int, default=7, help="timed calls of each sweep a side")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_sweeps.json"))
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be >= 1")
     specs = [spec.split("=", 1) for spec in args.side or [f"checkout={os.path.join(ROOT, 'src')}"]]
     if any(len(spec) != 2 for spec in specs):
         parser.error("--side takes NAME=SRC")
+    if len({name for name, _ in specs}) != len(specs):
+        parser.error("--side names must differ")
 
     sweeps = [(module.__name__, name, sweep_args, cases, True) for module, name, sweep_args, cases in INVARIANT_SWEEPS]
     sweeps += [(module, name, sweep_args, cases, False) for module, name, sweep_args, cases in EXTRA_SWEEPS]
@@ -130,7 +131,7 @@ def main(argv=None) -> int:
                                  f"{report['failures']} failures")
 
     samples = {side: [[] for _ in sweeps] for side, _ in sides}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for j, (module, name, sweep_args, _, _) in enumerate(sweeps):
             for side, modules in sides if r % 2 == 0 else sides[::-1]:
                 activate(modules)
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cpu": cpu_model(),
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "sides": [],
     }
     first = samples[sides[0][0]]
