@@ -11,7 +11,12 @@ Products follow the path-matching rule
         al = nu + gam  ->  S_{mu+gam} S_be^*
 
 which together with S_i^* S_j = delta_ij and sum_i S_i S_i^* = 1 closes the
-monomial family under multiplication.
+monomial family under multiplication.  This is the one statement of the
+rule: ``_multiply_into``, ``matrices._pair_pass`` and ``modular._psi_sums``
+scan term pairs by it, and ``_right_index`` files a row of right operands
+by it, so that a left term finds the terms it meets by lookup.  ``_meets``
+reads every term met (``endos._row_product`` and ``endos._left_rows``),
+and ``modular._psi_table`` reads only those whose product is diagonal.
 
 Coefficients are exact QSqrt values: rationals plus rational multiples of
 sqrt n.  The field is real, so the adjoint only swaps the legs of each key.
@@ -298,8 +303,8 @@ def _difference(a_terms: dict, b_terms: dict) -> dict:
 
 
 def _multiply_into(out: dict, aterms: dict, bterms: dict, _unused=True) -> None:
-    """Accumulate the product of two term maps into ``out`` (shared by
-    multiply and the matrix product's inner sums)."""
+    """Accumulate the product of two term maps into ``out``, pair by pair
+    (shared by multiply and the matrix product's inner sums)."""
     # _unused: the layer table in exactbench/layers.py still passes a fourth argument
     for (mu, nu), ca in aterms.items():
         ln_nu = len(nu)
@@ -324,6 +329,42 @@ def _multiply_into(out: dict, aterms: dict, bterms: dict, _unused=True) -> None:
                 out.pop(key, None)
             else:
                 out[key] = s
+
+
+def _right_index(xs: list) -> tuple[dict, dict]:
+    """(exact, longer), the right-operand index of a row xs.  Each term
+    c S_al S_be^* of xs[i] is filed once, as (i, c) in exact[al][be], and
+    longer[p] lists (al[t:], exact[al]) for each left leg al with the
+    proper prefix p = al[:t].  A left term S_mu S_nu^* meets the terms in
+    exact at the prefixes of nu and those in longer[nu]:
+
+        al = nu[:t]  ->  S_mu S_{be + nu[t:]}^*
+        nu = al[:t]  ->  S_{mu + al[t:]} S_be^*
+
+    The product is diagonal where mu = be + nu[t:] in the first case and
+    be = mu + al[t:] in the second, so a diagonal reading looks up be."""
+    exact: dict = {}
+    for i, x in enumerate(xs):
+        for (al, be), c in x.terms.items():
+            exact.setdefault(al, {}).setdefault(be, []).append((i, c))
+    longer: dict = {}
+    for al, row in exact.items():
+        for t in range(len(al)):
+            longer.setdefault(al[:t], []).append((al[t:], row))
+    return exact, longer
+
+
+def _meets(mu: Word, nu: Word, index: tuple[dict, dict]) -> list:
+    """[(key, held)] over the terms S_al S_be^* of the row that S_mu S_nu^*
+    meets, given index = _right_index(xs): key is that of their product by
+    the rule above, and held lists the (i, c) with c S_al S_be^* a term of
+    xs[i].  Only those terms are visited."""
+    exact, longer = index
+    hits = [((mu, be + lam), held) for t in range(len(nu) + 1) for row in [exact.get(nu[:t])] if row
+            for lam in [nu[t:]] for be, held in row.items()]
+    hits += [((head, be), held) for gam, row in longer.get(nu, ()) for head in [mu + gam]
+             for be, held in row.items()]
+    return hits
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

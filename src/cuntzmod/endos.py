@@ -20,17 +20,16 @@ Both traces are read at once by one psi walk over the legs,
 and, since Delta fixes the F-valued inner product (Delta . Theta_{x,y} =
 Theta_{Delta x, y}) and scales a degree-d term by n^(-d), c <y, Delta x> at
 level |w| + d; for pi(a) e the leg is read as c Theta_{a x, y}, with a x
-formed on term maps.  ``tau_delta_truncated`` keeps the truncated
-definition sup_N tau_tilde(Delta_N e) alive as an independent cross-check,
-built honestly out of phi_k_endo and endo_compose.  Every value here is
-exact: the legs are algebra elements and the coefficients QSqrt values.
+formed by a row product (``_split_traces``).  ``tau_delta_truncated``
+keeps the truncated definition sup_N tau_tilde(Delta_N e) alive as an
+independent cross-check, built honestly out of phi_k_endo and
+endo_compose.  Every value here is exact: the legs are algebra elements
+and the coefficients QSqrt values.
 
-The products of both sweeps are read off one index, ``_left_index``, of
-a row of elements by the left legs of their terms and those legs'
-prefixes: ``_meets`` looks up the terms that one term S_mu S_nu^* meets,
-by the rule of ``algebra._multiply_into``, so no pair that cannot meet is
-visited, and ``_row_product``, the product analogue of
-``modular._psi_table``, multiplies an element against the whole row.
+The products of both sweeps are read off ``algebra._right_index``, the
+one index of a row of right operands under the path-matching rule:
+``_row_product`` multiplies an element against the whole row by
+``algebra._meets``, so no pair that cannot meet is visited.
 ``tracesplit_sweep`` indexes the output legs of each Phi_k once and reads
 pi(f) Phi_k's legs from one row product of f (``_split_traces``), so only
 the legs that f meets reach the walk.
@@ -55,7 +54,9 @@ from typing import Iterable
 from .algebra import (
     AlgebraElement,
     _add_into,
+    _meets,
     _multiply_into,
+    _right_index,
     _terms_equal,
     adjoint,
     monomial,
@@ -191,25 +192,24 @@ def _side(a_terms: dict, b_terms: dict) -> dict:
     return out or _EMPTY
 
 
-def _traces(e: EndoSum, a: AlgebraElement | None = None) -> tuple[QSqrt, QSqrt]:
-    """(tau_tilde(pi(a) e), tau_delta(pi(a) e)), or those of e if a is None,
-    in one psi walk over the weighted pairs (c, y, a x) of the legs; a x is
-    formed by the term-map product and never assumed to have degree 0."""
-    pairs = [(c, th.y.terms, th.x.terms if a is None else _side(a.terms, th.x.terms)) for c, th in e.terms]
-    return _psi_sums(e.n, pairs, star_a=True, shift=True)
+def _traces(e: EndoSum) -> tuple[QSqrt, QSqrt]:
+    """(tau_tilde(e), tau_delta(e)) in one psi walk over the weighted pairs
+    (c, y, x) of the legs."""
+    return _psi_sums(e.n, [(c, th.y.terms, th.x.terms) for c, th in e.terms], star_a=True, shift=True)
 
 
 def _legs(e: EndoSum) -> tuple[list, list, tuple[dict, dict]]:
     """(cs, ys, index) over e's legs c Theta_{x,y}: each c, None where it is
-    one, each y, and the _left_index of the x, read by ``_split_traces``."""
+    one, each y, and the _right_index of the x, read by ``_split_traces``."""
     cs = [None if c == 1 else c for c, _ in e.terms]
     ys = [th.y.terms for _, th in e.terms]
-    return cs, ys, _left_index([th.x for _, th in e.terms])
+    return cs, ys, _right_index([th.x for _, th in e.terms])
 
 
 def _split_traces(n: int, legs: tuple, a_terms: dict) -> tuple[QSqrt, QSqrt]:
-    """``_traces(e, a)`` given legs = _legs(e): a x of every leg from one
-    ``_row_product``, so a leg whose x a does not meet is never visited."""
+    """(tau_tilde(pi(a) e), tau_delta(pi(a) e)) given legs = _legs(e), in one
+    psi walk over the weighted pairs (c, y, a x) of the legs that a meets,
+    each a x from one ``_row_product`` and of any degree."""
     cs, ys, index = legs
     pairs = [(cs[i], ys[i], ax) for i, ax in _row_product(a_terms, index).items()]
     return _psi_sums(n, pairs, star_a=True, shift=True)
@@ -273,99 +273,70 @@ def _phi(graded: dict, k: int) -> dict:
     return graded.get(k, _EMPTY)
 
 
-def _left_index(xs: list) -> tuple[dict, dict]:
-    """(exact, longer): each term c S_al S_be^* of xs[i] under exact[al] as
-    (i, be, c), and under longer[al[:t]] as (i, al[t:], be, c) for each
-    t < |al|.  A left term S_mu S_nu^* meets it (``algebra._multiply_into``'s
-    rule) exactly where al is nu[:t] for some t <= |nu| or nu is al[:t]."""
-    exact: dict = {}
-    longer: dict = {}
-    for i, x in enumerate(xs):
-        for (al, be), c in x.terms.items():
-            exact.setdefault(al, []).append((i, be, c))
-            for t in range(len(al)):
-                longer.setdefault(al[:t], []).append((i, al[t:], be, c))
-    return exact, longer
-
-
-def _meets(mu: tuple, nu: tuple, index: tuple[dict, dict]) -> list:
-    """[(i, key, c)] over the terms c S_al S_be^* of the xs[i] that
-    S_mu S_nu^* meets, key that of their product, given index =
-    _left_index(xs): only those terms are visited.
-
-        al = nu[:t]  ->  S_mu S_{be + nu[t:]}^*
-        nu = al[:t]  ->  S_{mu + al[t:]} S_be^*
-    """
-    exact, longer = index
-    hits = [(i, (mu, be + nu[t:]), c) for t in range(len(nu) + 1) for i, be, c in exact.get(nu[:t], ())]
-    hits += [(i, (mu + gam, be), c) for i, gam, be, c in longer.get(nu, ())]
-    return hits
-
-
 def _row_product(a_terms: dict, index: tuple[dict, dict]) -> dict:
     """{i: the term map of a xs[i]} over the i where it is not zero, given
-    index = _left_index(xs), each term of a against the terms it
+    index = _right_index(xs), each term of a against the terms it
     ``_meets``; a term of coefficient one passes theirs on unmultiplied.
     Keys that cancel are dropped, as in ``_multiply_into``."""
     rows: dict = {}
     for (mu, nu), ca in a_terms.items():
         unit = ca == 1
-        for i, key, cb in _meets(mu, nu, index):
-            c = cb if unit else ca * cb
+        for key, held in _meets(mu, nu, index):
+            for i, cb in held:
+                c = cb if unit else ca * cb
+                out = rows.get(i)
+                if out is None:
+                    rows[i] = {key: c}
+                    continue
+                v = out.get(key)
+                s = c if v is None else v + c
+                if s.na == 0 and s.nb == 0:
+                    del out[key]
+                    if not out:
+                        del rows[i]
+                else:
+                    out[key] = s
+    return rows
+
+
+def _left_rows(v: AlgebraElement, index: tuple[dict, dict]) -> dict:
+    """{d: {i: the term map of v Phi_d(v^* xs[i])}} over the (d, i) where it
+    is not zero, given index = _right_index(xs), formed in the pass that
+    forms v^* xs[i].  v is S_p S_q^* with coefficient one, so v^* is
+    S_q S_p^* and each term of v^* x is c S_{q g} S_b^*, one of the terms
+    that S_q S_p^* ``_meets``.  It is filed under its degree |q g| - |b|,
+    and v sends it to c S_{p g} S_b^* (the rule of the ``algebra`` module
+    docstring for one term pair).  Distinct terms stay distinct, so a key
+    cancels exactly where it cancels in v^* x."""
+    ((p, q),) = v.terms
+    lq = len(q)
+    graded: dict = {}
+    for (a, b), held in _meets(q, p, index):
+        d = len(a) - len(b)
+        rows = graded.get(d)
+        if rows is None:
+            rows = graded[d] = {}
+        key = (p + a[lq:], b)
+        for i, c in held:
             out = rows.get(i)
             if out is None:
                 rows[i] = {key: c}
                 continue
-            v = out.get(key)
-            s = c if v is None else v + c
+            w = out.get(key)
+            s = c if w is None else w + c
             if s.na == 0 and s.nb == 0:
                 del out[key]
                 if not out:
                     del rows[i]
             else:
                 out[key] = s
-    return rows
-
-
-def _left_rows(v: AlgebraElement, index: tuple[dict, dict]) -> dict:
-    """{d: {i: the term map of v Phi_d(v^* xs[i])}} over the (d, i) where it
-    is not zero, given index = _left_index(xs), formed in the pass that
-    forms v^* xs[i].  v is S_p S_q^* with coefficient one, so v^* is
-    S_q S_p^* and each term of v^* x is c S_{q g} S_b^*, one of the terms
-    that S_q S_p^* ``_meets``.  It is filed under its degree |q g| - |b|,
-    and v sends it to c S_{p g} S_b^* (the rule of ``_row_product`` for
-    one term pair).  Distinct terms stay distinct, so a key cancels exactly
-    where it cancels in v^* x."""
-    ((p, q),) = v.terms
-    lq = len(q)
-    graded: dict = {}
-    for i, (a, b), c in _meets(q, p, index):
-        d = len(a) - len(b)
-        rows = graded.get(d)
-        if rows is None:
-            rows = graded[d] = {}
-        key = (p + a[lq:], b)
-        out = rows.get(i)
-        if out is None:
-            rows[i] = {key: c}
-            continue
-        w = out.get(key)
-        s = c if w is None else w + c
-        if s.na == 0 and s.nb == 0:
-            del out[key]
-            if not out:
-                del rows[i]
-                if not rows:
-                    del graded[d]
-        else:
-            out[key] = s
-    return graded
+    return {d: rows for d, rows in graded.items() if rows}
 
 
 def _key_fact_rows(v: AlgebraElement, ks, by_degree: dict, index: tuple, ranges: dict) -> list[bool]:
     """For each k of ks, whether v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on
     every probe x, given by_degree = _by_degree(probes) and index =
-    _left_index(probes).  Left: ``_left_rows`` forms v Phi_d(v^* x) for
+    _right_index(probes).  Left: ``_left_rows`` forms v Phi_d(v^* x) for
     every degree d and probe in one pass.  Right: the row of
     v v^* Phi_j(x) is formed at the probes with a degree-j part, once per j
     and term map of v v^*, and kept in ranges under that term map for any
@@ -402,7 +373,7 @@ def key_fact_check(v: AlgebraElement, k: int, probes: Iterable[AlgebraElement]) 
     for x in probes:
         if x.n != v.n:
             raise UsageError(f"mixed algebras O_{v.n} and O_{x.n}")
-    return _key_fact_rows(v, (k,), _by_degree(probes), _left_index(probes), {})[0]
+    return _key_fact_rows(v, (k,), _by_degree(probes), _right_index(probes), {})[0]
 
 
 # -- named invariant sweeps ------------------------------------------------
@@ -458,7 +429,7 @@ def keyfact_sweep(n: int, max_len: int):
     ws = words_upto(n, max_len)
     probes = monomials_upto(n, KEYFACT_PROBE_LEN)
     by_degree = _by_degree(probes)
-    index = _left_index(probes)
+    index = _right_index(probes)
     ranges: dict = {}
     ks = range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1)
     for mu in ws:

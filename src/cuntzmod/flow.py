@@ -229,7 +229,7 @@ def aps_index_traces(v: AlgebraElement) -> tuple[Fraction, Fraction]:
 
     mirrored for m < 0 and (0, 0) for m = 0.  Their sum always equals
     spectral_flow(build_u_v(v))."""
-    from .endos import _partial_isometry, _traces, phi_k_endo
+    from .endos import _legs, _partial_isometry, _split_traces, phi_k_endo
 
     m, v_star, range_proj = _partial_isometry(v, "aps_index_traces")
     if m == 0:
@@ -237,7 +237,7 @@ def aps_index_traces(v: AlgebraElement) -> tuple[Fraction, Fraction]:
     source_proj = multiply(v_star, v)
 
     def tau_delta_applied(f: AlgebraElement, k: int) -> Fraction:
-        return _as_fraction(_traces(phi_k_endo(k, v.n), f)[1], "APS trace")
+        return _as_fraction(_split_traces(v.n, _legs(phi_k_endo(k, v.n)), f.terms)[1], "APS trace")
 
     if m > 0:
         range_trace = -sum((tau_delta_applied(range_proj, k) for k in range(0, m)), Fraction(0))

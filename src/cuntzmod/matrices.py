@@ -233,7 +233,7 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
                     ln_nu = len(nu)
                     da = len(mu) - ln_nu
                     for al, be, ln_al, db, cb, cb_sigma, cb_d in bterms:
-                        # the path-matching rule of algebra._multiply_into
+                        # the path-matching rule of the algebra module docstring
                         if ln_nu == ln_al:
                             if nu != al:
                                 continue

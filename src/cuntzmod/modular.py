@@ -21,11 +21,10 @@ list of weighted pairs.  ``psi_product`` reads both operands as they are,
 gauge degree of a1's term; the tau traces of ``endos`` pass one pair per
 leg and read each matched pair also at its Delta-shifted level, so both
 traces of an endomorphism come from one walk.  Beside it, one private
-table gives psi(l' r) for every pair of two lists at once: it indexes each
-term of every right operand by the left keys that can meet it on the
-diagonal, so each left term finds its partners by lookup and no pair is
-scanned.  These are the two psi kernels, one per traffic shape: single
-pairs and sums of them, as in ``psi_product``, ``inner_product``,
+table gives psi(l' r) for every pair of two lists at once: each left term
+finds its diagonal partners by lookup in the right operands'
+``algebra._right_index``, so no pair is scanned.  These are the two psi
+kernels, one per traffic shape: single pairs and sums of them, as in ``psi_product``, ``inner_product``,
 ``flow.twisted_theta``, the tau traces and ``flow.cocycle_b_defect``, stay
 on the walk, which costs less there than a 1x1 table; a sweep over all
 pairs, as in ``kms_sweep``, ``tomita_sweep`` and ``flow.cocycle_sweep``
@@ -55,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, adjoint, monomials_upto, word_count
+from .algebra import AlgebraElement, _right_index, adjoint, monomials_upto, word_count
 from .errors import BackendError, DomainError
 from .scalars import _HALF_POWERS, QSqrt, n_power
 from .tally import sweep
@@ -113,13 +112,9 @@ def _psi_sums(n: int, pairs, star_a: bool = False, weigh: bool = False, shift: b
     degree d = |nu| - |mu|, read once per term of a: if weigh, c is also
     multiplied by d.
 
-    A pair counts if its product, by ``algebra._multiply_into``'s rule, is S_w S_w^*:
-
-        nu == al        ->  S_mu S_be^*          needs mu == be
-        nu = al + lam   ->  S_mu S_{be+lam}^*    needs mu == be + lam
-        al = nu + gam   ->  S_{mu+gam} S_be^*    needs mu + gam == be
-
-    c_a c_b is summed per level |w|, and each sum is weighted n^(-level).
+    A pair counts if its product, by the rule of the ``algebra`` module
+    docstring, is some S_w S_w^*.  c_a c_b is summed per level |w|, and
+    each sum is weighted n^(-level).
     Delta scales b's term by n^(-d), so the shifted sum reads the pair at
     level |w| + d.
     """
@@ -175,17 +170,11 @@ def _psi_table(lefts: list, rights: list, star: bool = False) -> list[list[QSqrt
     """rows[i][j] = psi(l_i' r_j) for every pair at once, where l' is l or,
     if star, l* (read as ``_psi_sums`` reads star_a); no pair is scanned.
 
-    Each term c_b S_al S_be^* of r_j is indexed once, by the left keys that
-    can meet it on the diagonal (``_psi_sums``'s three cases):
-
-        exact[(al, be)]            -> (j, c_b)        nu == al or nu = al + lam
-        below[(al[:-t], be[:-t])]  -> (j, c_b, |be|)  al = nu + gam, |gam| = t,
-                                                       for each t up to the
-                                                       common suffix of al, be
-
-    A left term S_mu S_nu^* then looks up exact at (nu[:i], mu without its
-    last |nu| - i letters) for i = |nu| and downward while mu ends with
-    nu[i:] (level |mu|), and below at (nu, mu) (level |be|).  c_a c_b is
+    The rights are indexed once by ``algebra._right_index``, and a left
+    term S_mu S_nu^* looks up only its diagonal partners there: in exact
+    at nu[:i] and mu without its last |nu| - i letters, for i = |nu| and
+    downward while mu ends with nu[i:] (level |mu|), and in the row of each
+    leg nu + gam of longer[nu] at mu + gam (level |mu + gam|).  c_a c_b is
     summed per (j, level), and each sum is weighted n^(-level) at the end.
     """
     operands = [*lefts, *rights]
@@ -196,18 +185,7 @@ def _psi_table(lefts: list, rights: list, star: bool = False) -> list[list[QSqrt
     for x in operands:
         if x.n != n:
             first._check_mate(x)  # raises the mixed-algebras error
-    exact = {}
-    below = {}
-    for j, r in enumerate(rights):
-        for key, cb in r.terms.items():
-            exact.setdefault(key, []).append((j, cb))
-            al, be = key
-            la, lb = len(al), len(be)
-            entry = (j, cb, lb)
-            t = 1
-            while t <= la and t <= lb and al[la - t] == be[lb - t]:
-                below.setdefault((al[:la - t], be[:lb - t]), []).append(entry)
-                t += 1
+    exact, longer = _right_index(rights)
     zero = QSqrt.zero(n)
     width = len(rights)
     rows = []
@@ -219,8 +197,8 @@ def _psi_table(lefts: list, rights: list, star: bool = False) -> list[list[QSqrt
             lm, ln = len(mu), len(nu)
             i = ln
             while True:
-                hits = exact.get((nu[:i], mu[:lm - ln + i]))
-                if hits:
+                shorter = exact.get(nu[:i])
+                if shorter and (hits := shorter.get(mu[:lm - ln + i])):
                     for j, cb in hits:
                         c = ca * cb
                         s = sums.get((j, lm))
@@ -228,12 +206,14 @@ def _psi_table(lefts: list, rights: list, star: bool = False) -> list[list[QSqrt
                 i -= 1  # nu = al + lam with lam = nu[i:]: mu must end with lam
                 if i < 0 or ln - i > lm or mu[lm - ln + i] != nu[i]:
                     break
-            hits = below.get((nu, mu))
-            if hits:
-                for j, cb, k in hits:
-                    c = ca * cb
-                    s = sums.get((j, k))
-                    sums[(j, k)] = c if s is None else s + c
+            for gam, extension in longer.get(nu, ()):
+                hits = extension.get(mu + gam)
+                if hits:
+                    k = lm + len(gam)
+                    for j, cb in hits:
+                        c = ca * cb
+                        s = sums.get((j, k))
+                        sums[(j, k)] = c if s is None else s + c
         row = [zero] * width
         for (j, k), s in sums.items():
             value = s * n_power(n, -k)

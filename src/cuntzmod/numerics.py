@@ -37,8 +37,8 @@ inside summation loops.
   with every higher order to double precision.  Integer c_j never call
   lattice_sum.
 * ``eta_numeric``: eta_eps(D) vanishes because sum_k k e^(-t k^2) = 0 by
-  the k <-> -k symmetry; the truncated sum is evaluated and must stay
-  below 1e-14 before 0.0 is returned.
+  the k <-> -k symmetry; the truncated sum, cut where e^(-t k^2) underflows
+  to 0.0, is evaluated and must stay below 1e-14 before 0.0 is returned.
 
 Everything is pure Python on doubles; no third-party module is imported.
 Summation order is fixed, so identical configs reproduce identical
@@ -327,15 +327,23 @@ def sf_integral(x: ProjectionPerturbation, r: float, cfg: SummationConfig) -> fl
     return total / norm
 
 
+def _heat_reach(t: float, cutoff: int) -> int:
+    """The last k a heat sum adds: e^(-t k^2) is exactly 0.0 past t k^2 = 746,
+    so fsum's bits stay.  746/t is inf at subnormal t; t <= 0 or nan keeps all."""
+    reach = math.sqrt(746 / t) if t > 0 else math.inf
+    return cutoff if reach >= cutoff else math.ceil(reach)
+
+
 def symmetric_heat_sum(t: float, cutoff: int) -> float:
     """sum_{|k|<=K} k e^(-t k^2); identically zero by symmetry.  Summed with
     fsum over exactly paired magnitudes, so the float result is exact."""
-    return math.fsum(k * math.exp(-t * k * k) for k in range(-cutoff, cutoff + 1))
+    reach = _heat_reach(t, cutoff)
+    return math.fsum(k * math.exp(-t * k * k) for k in range(-reach, reach + 1))
 
 
 def one_sided_heat_sum(t: float, cutoff: int) -> float:
     """sum_{k=1}^K k e^(-t k^2), the nonzero control for the eta check."""
-    return math.fsum(k * math.exp(-t * k * k) for k in range(1, cutoff + 1))
+    return math.fsum(k * math.exp(-t * k * k) for k in range(1, _heat_reach(t, cutoff) + 1))
 
 
 def eta_numeric(epsilon: float, cfg: SummationConfig) -> float:

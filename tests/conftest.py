@@ -135,6 +135,15 @@ def oracle_lattice_sum(shift: float, expo: float, cfg) -> float:
     return total
 
 
+def oracle_heat_sums(t: float, cutoff: int) -> tuple[float, float]:
+    """(symmetric, one-sided) heat sums of numerics over every k up to the
+    cutoff, as they were summed before they stopped at the underflow."""
+    import math
+
+    return (math.fsum(k * math.exp(-t * k * k) for k in range(-cutoff, cutoff + 1)),
+            math.fsum(k * math.exp(-t * k * k) for k in range(1, cutoff + 1)))
+
+
 # Sweep oracles: the straightforward loops that form every map inside the
 # case that reads it.  They call the maps through their modules' attributes,
 # as the sweeps do, so a map patched into a module reaches both sides.

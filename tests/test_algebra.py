@@ -206,6 +206,8 @@ def test_mixed_backend_rejected():
             gen(2, 1).scale(c)
         with pytest.raises(BackendError):
             monomial(2, (1,), (), c)
+    with pytest.raises(UsageError, match=r"^scalar from Q\(sqrt 3\) used in O_2$"):
+        monomial(2, (1,), (), QSqrt(3, 1))
     with pytest.raises(UsageError):
         multiply(gen(2, 1), gen(3, 1))
     with pytest.raises(UsageError):

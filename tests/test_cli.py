@@ -242,6 +242,9 @@ def test_term_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CUNTZ_TERM_BUDGET", "100")
     code, out, _ = run(capsys, "eval", "--n", "2", "I - S[1,1].S[1,1]'")
     assert code == 0
+    monkeypatch.setenv("CUNTZ_TERM_BUDGET", "0")
+    code, out, err = run(capsys, "eval", "--n", "2", "I - S[1,1].S[1,1]'")
+    assert (code, out, err) == (2, "", "error: CUNTZ_TERM_BUDGET must be positive\n")
 
 
 def test_render_json_floats():

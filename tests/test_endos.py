@@ -2,15 +2,28 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import monomial_elements, oracle_key_fact, random_element
 from cuntzmod import endos
-from cuntzmod.algebra import adjoint, equals, gen, monomial, multiply, one, s_word, words, words_upto, zero
+from cuntzmod.algebra import (
+    AlgebraElement,
+    _multiply_into,
+    _right_index,
+    adjoint,
+    equals,
+    gen,
+    monomial,
+    multiply,
+    one,
+    s_word,
+    words,
+    words_upto,
+    zero,
+)
 from cuntzmod.endos import (
     EndoSum,
     _degree_parts,
-    _left_index,
     _left_rows,
     _legs,
     _row_product,
@@ -217,7 +230,7 @@ def _products(a, xs) -> dict:
 @pytest.mark.parametrize("n, left_len, probe_len", [(2, 2, 3), (3, 1, 2)])
 def test_row_product_of_every_monomial_against_every_probe(n, left_len, probe_len):
     probes = monomial_elements(n, probe_len)
-    index = _left_index(probes)
+    index = _right_index(probes)
     met = 0
     for a in monomial_elements(n, left_len):  # every monomial is some v^*
         rows = _row_product(a.terms, index)
@@ -231,7 +244,7 @@ def test_row_product_of_drawn_elements(rng):
         for _ in range(60):
             a = random_element(rng, n, max_terms=6, max_len=3)
             xs = [random_element(rng, n, max_terms=6, max_len=3) for _ in range(5)]
-            assert _row_product(a.terms, _left_index(xs)) == _products(a, xs)
+            assert _row_product(a.terms, _right_index(xs)) == _products(a, xs)
 
 
 def test_row_product_drops_what_cancels():
@@ -241,15 +254,41 @@ def test_row_product_drops_what_cancels():
     y = monomial(2, (1,), (2,)) + x  # a y = a S_1 S_2^* = S_() S_2^* - S_1 S_21^*
     assert multiply(a, x).is_zero
     expected = {((), (2,)): QSqrt.one(2), ((1,), (2, 1)): -QSqrt.one(2)}
-    assert _row_product(a.terms, _left_index([x, y, x])) == {1: expected}
+    assert _row_product(a.terms, _right_index([x, y, x])) == {1: expected}
 
 
 def test_row_product_of_empty_rows_and_zero_operands():
     probes = monomial_elements(2, 1)
-    assert _row_product(gen(2, 1).terms, _left_index([])) == {}
-    assert _row_product({}, _left_index(probes)) == {}
-    assert _row_product(gen(2, 1).terms, _left_index([zero(2), zero(2)])) == {}
-    assert _row_product(gen(2, 1).terms, _left_index([zero(2), one(2)])) == {1: gen(2, 1).terms}
+    assert _row_product(gen(2, 1).terms, _right_index([])) == {}
+    assert _row_product({}, _right_index(probes)) == {}
+    assert _row_product(gen(2, 1).terms, _right_index([zero(2), zero(2)])) == {}
+    assert _row_product(gen(2, 1).terms, _right_index([zero(2), one(2)])) == {1: gen(2, 1).terms}
+
+
+@st.composite
+def _row_cases(draw):
+    """(a, xs) in O_n, n in {2, 3}: 0-4 elements xs, each element 0-4 terms
+    with legs up to 2 letters, so that terms often meet and cancel, and
+    coefficients in Q(sqrt n)."""
+    n = draw(st.sampled_from((2, 3)))
+    word = st.lists(st.integers(1, n), max_size=2).map(tuple)
+    coeff = st.builds(lambda p, q: QSqrt(n, p, q), st.integers(-2, 2), st.integers(-1, 1))
+    element = st.dictionaries(st.tuples(word, word), coeff, max_size=4).map(lambda terms: AlgebraElement(n, terms))
+    return draw(element), draw(st.lists(element, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_cases())
+@example((monomial(2, (), (1,)) - monomial(2, (1,), (1, 1)), [monomial(2, (1, 1), (2, 1)), zero(2)]))  # a x cancels
+def test_row_product_on_the_shared_index_matches_the_pair_scan(case):
+    a, xs = case
+    expected = {}
+    for i, x in enumerate(xs):
+        out: dict = {}
+        _multiply_into(out, a.terms, x.terms)
+        if out:
+            expected[i] = out
+    assert _row_product(a.terms, _right_index(xs)) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -259,14 +298,14 @@ def test_split_traces_equal_the_walk_on_every_degree_zero_monomial(n):
         phi_k = phi_k_endo(k, n)
         legs = _legs(phi_k)
         for f in fs:
-            assert _split_traces(n, legs, f.terms) == _traces(phi_k, f)
+            assert _split_traces(n, legs, f.terms) == _traces(compose_left_mult(f, phi_k))
 
 
 def _left_rows_by_parts(v, probes) -> dict:
     """{d: {i: v times the degree-d part of v^* probes[i]}}, each part's
     product formed by _side, over the parts whose product is not zero."""
     rows: dict = {}
-    for i, terms in _row_product(adjoint(v).terms, _left_index(probes)).items():
+    for i, terms in _row_product(adjoint(v).terms, _right_index(probes)).items():
         for d, part in _degree_parts(terms).items():
             if side := _side(v.terms, part):
                 rows.setdefault(d, {})[i] = side
@@ -278,14 +317,14 @@ def test_left_rows_equal_the_products_of_the_split_parts(rng):
     cancelling = monomial(2, (), (2,)) - monomial(2, (1,), (2, 1)) + monomial(2, (1, 2), ())
     assert multiply(adjoint(gen(2, 1)), cancelling) == gen(2, 2)
     # the cancelled degree -2 part leaves no row behind: only S_1 S_1^* S_12 = S_12
-    assert _left_rows(gen(2, 1), _left_index([cancelling])) == {1: {0: s_word(2, (1, 2)).terms}}
+    assert _left_rows(gen(2, 1), _right_index([cancelling])) == {1: {0: s_word(2, (1, 2)).terms}}
     met = set()
     for n, max_len in ((2, 2), (3, 1)):
         for v in monomial_elements(n, max_len):
             probes = [random_element(rng, n, max_terms=6, max_len=3) for _ in range(4)] + [zero(n)]
             if n == 2:
                 probes.append(cancelling)
-            rows = _left_rows(v, _left_index(probes))
+            rows = _left_rows(v, _right_index(probes))
             assert rows == _left_rows_by_parts(v, probes)
             met |= {(i, len(part)) for row in rows.values() for i, part in row.items()}
     assert any(terms > 1 for _, terms in met)  # some parts have several terms

@@ -109,6 +109,11 @@ def test_hochschild_orientation():
     assert hochschild_sweep(3)["failures"] == 0
 
 
+def test_hochschild_orientation_refuses_n_below_two():
+    with pytest.raises(UsageError, match="^need n >= 2, got 1$"):
+        hochschild_orientation(1)
+
+
 @pytest.mark.parametrize("drop", [0, 3, 5, -1])
 def test_hochschild_orientation_refuses_a_drop_outside_the_generators(drop):
     # a drop that names no generator would leave the chain intact, so the

@@ -111,6 +111,11 @@ def test_build_u_v():
         build_u_v(monomial(2, (2, 2), (2, 2)).scale(2) + gen(2, 1).scale(2))
 
 
+def test_cartan_rotation_refuses_a_point_off_the_circle():
+    with pytest.raises(UsageError, match="^[(]3/5, 3/5[)] is not on the unit circle$"):
+        cartan_rotation(2, Fraction(3, 5), Fraction(3, 5))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_build_u_v_refuses_a_unitary_that_is_not_modular(n):
     # s (R s R^*) is unitary, so v^*v = vv^* = 1 pass, but the rotation moves

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import oracle_lattice_sum
+from conftest import oracle_heat_sums, oracle_lattice_sum
 
 import cuntzmod
 from cuntzmod import numerics
@@ -149,6 +149,8 @@ def test_dixmier_validation():
         dixmier_limit(2, [1.1], SummationConfig(cutoff=10))
     with pytest.raises(UsageError):
         dixmier_limit(2, [], cfg)
+    with pytest.raises(UsageError, match="^need n >= 2, got 1$"):
+        dixmier_limit(1, [1.1, 1.05], cfg)
 
 
 def test_dixmier_refuses_degenerate_schedule(monkeypatch):
@@ -206,6 +208,7 @@ def test_huge_cutoffs_answer_in_bounded_cpu():
             ),
             SF_FRACTIONAL_AT_10_11,
         ),
+        (lambda: eta_numeric(0.1, SummationConfig(10**12)), 0.0),  # its heat sums stop at k = 87
     ]
     for call, want in cases:
         value, cpu = _cpu(call)
@@ -422,6 +425,7 @@ def test_eta_numeric():
     cfg = SummationConfig(cutoff=100)
     assert eta_numeric(0.1, cfg) == 0.0
     assert eta_numeric(1.0, cfg) == 0.0
+    assert eta_numeric(5e-324, cfg) == 0.0  # 746 / t is inf here
     with pytest.raises(DomainError):
         eta_numeric(0.0, cfg)
 
@@ -431,6 +435,16 @@ def test_heat_sums():
     assert symmetric_heat_sum(1.0, 50) == 0.0
     assert one_sided_heat_sum(1.0, 50) == pytest.approx(ONE_SIDED_T1, abs=1e-12)
     assert one_sided_heat_sum(1.0, 50) > 0
+
+
+def test_heat_sums_match_the_full_loop_bit_for_bit():
+    # the sums stop at k = ceil(sqrt(746 / t)); every term past it is exactly
+    # 0.0, so the bits match the loop over every k.  t = 5e-324 makes 746 / t
+    # inf, 746 and 745 sit at the underflow, and a huge t keeps only k = 0
+    for cutoff in (1, 2, 3, 10, 87, 88, 1000, 10**5):
+        for t in (5e-324, 1e-12, 1e-3, 0.0746, 0.1, 1.0, 2.5, 745.0, 746.0, 1e300):
+            got = (symmetric_heat_sum(t, cutoff), one_sided_heat_sum(t, cutoff))
+            assert [x.hex() for x in got] == [x.hex() for x in oracle_heat_sums(t, cutoff)], (t, cutoff)
 
 
 def test_summation_config_validation():

@@ -311,16 +311,16 @@ def test_fused_traces_equal_psi_of_the_built_legs(rng):
         legs = [(c, multiply(a, th.x), th.y) for c, th in e.terms]
         tilde = sum((c * state_psi(multiply(adjoint(y), x)) for c, x, y in legs), QSqrt.zero(n))
         delta = sum((c * state_psi(multiply(adjoint(y), delta_power(x, 1))) for c, x, y in legs), QSqrt.zero(n))
-        assert _traces(e, a) == (tilde, delta)
+        assert _split_traces(n, _legs(e), a.terms) == (tilde, delta)
 
 
 def test_split_traces_equal_the_walk(rng):
-    # the sweep's indexed form of _traces(e, a), on legs of several terms
+    # the indexed traces of pi(a) e against the walk over its formed legs, on legs of several terms
     for i in range(60):
         n = 2 + i % 3
         e = _random_endo(rng, n)
         a = random_element(rng, n, 3, 2)
-        assert _split_traces(n, _legs(e), a.terms) == _traces(e, a)
+        assert _split_traces(n, _legs(e), a.terms) == _traces(compose_left_mult(a, e))
 
 
 # -- float data never reaches an exact entry point --------------------------------

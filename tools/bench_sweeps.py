@@ -17,7 +17,9 @@ reports the case count its size fixes and no failure; it exits non-zero if
 one does not.  Then it times every sweep once per round and side, for
 ``ROUNDS`` rounds, in CPU time: the sides take turns sweep by sweep, and
 the side that goes first alternates from round to round, so a drift in
-machine speed reaches every side alike.  Per side it writes each sweep's
+machine speed reaches every side alike.  Each timed call starts after a
+full garbage collection, so no call is billed for the garbage of another
+call or side.  Per side it writes each sweep's
 median, min and max over the rounds, and the sum of the medians over the
 workload's nine sweeps (one workload round); given several sides, each row
 after the first side's also gives the ratio of the first side's median to
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import importlib
 import json
 import os
@@ -136,6 +139,7 @@ def main(argv=None) -> int:
             for side, modules in sides if r % 2 == 0 else sides[::-1]:
                 activate(modules)
                 fn = sweep_fn(modules, module, name)
+                gc.collect()
                 start = time.process_time()
                 fn(*sweep_args)
                 samples[side][j].append((time.process_time() - start) * 1e3)
