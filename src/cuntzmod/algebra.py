@@ -15,8 +15,11 @@ monomial family under multiplication.  This is the one statement of the
 rule: ``_multiply_into``, ``matrices._pair_pass`` and ``modular._psi_sums``
 scan term pairs by it, and ``_right_index`` files a row of right operands
 by it, so that a left term finds the terms it meets by lookup.  ``_meets``
-reads every term met (``endos._row_product`` and ``endos._left_rows``),
-and ``modular._psi_table`` reads only those whose product is diagonal.
+reads every term met, for three passes of ``endos``: ``_row_product``
+(the key fact's right side), ``_left_rows`` (its left side) and
+``_split_table`` (the trace split, which pairs each product on the diagonal
+with its leg's y); ``modular._psi_table`` reads only the terms met whose
+product is diagonal.
 
 Coefficients are exact QSqrt values: rationals plus rational multiples of
 sqrt n.  The field is real, so the adjoint only swaps the legs of each key.
@@ -259,8 +262,10 @@ def s_word(n: int, mu: Iterable[int]) -> AlgebraElement:
 
 
 def monomial(n: int, mu: Iterable[int], nu: Iterable[int], coeff=1) -> AlgebraElement:
-    """coeff * S_mu S_nu^*."""
+    """coeff * S_mu S_nu^*; an int coefficient of one is the cached QSqrt.one(n)."""
     key = (check_word(n, mu), check_word(n, nu))
+    if type(coeff) is int and coeff == 1:
+        return AlgebraElement._make(n, {key: QSqrt.one(n)})
     el = AlgebraElement._make(n, {})
     c = el._normalize_scalar(coeff)
     if not c.is_zero:
@@ -331,9 +336,10 @@ def _multiply_into(out: dict, aterms: dict, bterms: dict, _unused=True) -> None:
                 out[key] = s
 
 
-def _right_index(xs: list) -> tuple[dict, dict]:
+def _right_index(xs: list, weights: list | None = None) -> tuple[dict, dict]:
     """(exact, longer), the right-operand index of a row xs.  Each term
-    c S_al S_be^* of xs[i] is filed once, as (i, c) in exact[al][be], and
+    c S_al S_be^* of xs[i] is filed once, as (i, c) in exact[al][be], or as
+    (i, c w) if weights[i] = w is not None, and
     longer[p] lists (al[t:], exact[al]) for each left leg al with the
     proper prefix p = al[:t].  A left term S_mu S_nu^* meets the terms in
     exact at the prefixes of nu and those in longer[nu]:
@@ -345,8 +351,9 @@ def _right_index(xs: list) -> tuple[dict, dict]:
     be = mu + al[t:] in the second, so a diagonal reading looks up be."""
     exact: dict = {}
     for i, x in enumerate(xs):
+        w = weights[i] if weights else None
         for (al, be), c in x.terms.items():
-            exact.setdefault(al, {}).setdefault(be, []).append((i, c))
+            exact.setdefault(al, {}).setdefault(be, []).append((i, c if w is None else c * w))
     longer: dict = {}
     for al, row in exact.items():
         for t in range(len(al)):

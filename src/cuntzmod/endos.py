@@ -19,20 +19,23 @@ Both traces are read at once by one psi walk over the legs,
 ``modular._psi_sums``: a leg c Theta_{x,y} gives c <y, x> at level |w|
 and, since Delta fixes the F-valued inner product (Delta . Theta_{x,y} =
 Theta_{Delta x, y}) and scales a degree-d term by n^(-d), c <y, Delta x> at
-level |w| + d; for pi(a) e the leg is read as c Theta_{a x, y}, with a x
-formed by a row product (``_split_traces``).  ``tau_delta_truncated``
-keeps the truncated definition sup_N tau_tilde(Delta_N e) alive as an
-independent cross-check, built honestly out of phi_k_endo and
-endo_compose.  Every value here is exact: the legs are algebra elements
-and the coefficients QSqrt values.
+level |w| + d.  ``tau_delta_truncated`` keeps the truncated definition
+sup_N tau_tilde(Delta_N e) alive as an independent cross-check, built
+honestly out of phi_k_endo and endo_compose.  Every value here is exact:
+the legs are algebra elements and the coefficients QSqrt values.
 
 The products of both sweeps are read off ``algebra._right_index``, the
-one index of a row of right operands under the path-matching rule:
-``_row_product`` multiplies an element against the whole row by
-``algebra._meets``, so no pair that cannot meet is visited.
-``tracesplit_sweep`` indexes the output legs of each Phi_k once and reads
-pi(f) Phi_k's legs from one row product of f (``_split_traces``), so only
-the legs that f meets reach the walk.
+one index of a row of right operands under the path-matching rule, by
+``algebra._meets``, so no pair that cannot meet is visited.  For pi(a) e
+the leg is c Theta_{a x, y}, and ``_split_table`` reads both traces of
+pi(a) e for a whole row of a in one pass, without forming a x: each term
+of a meets the terms of the c x in the index of e's legs (``_legs``, which
+folds each weight c into its x's terms), and each product term is paired
+on the diagonal with that leg's y.  ``tracesplit_sweep`` indexes Phi_k's
+legs once per k and reads the table of every f at once; each k is one
+``tally.sweep`` block, whose two rows are compared with [n^k tau(f)] and
+[tau(f)] in one list ``==``, and which labels only its failing cases.
+``_split_traces`` is the table's one-row call (``flow.aps_index_traces``).
 
 The compression identity v Phi_k v^* = v v^* Phi_{k+m} of a monomial
 partial isometry v of gauge degree m is checked on probes x by
@@ -40,11 +43,14 @@ partial isometry v of gauge degree m is checked on probes x by
 routine.  The left side v Phi_k(v^* x) is formed for the whole probe row
 in the pass that forms v^* x (``_left_rows``): each term of v^* x is
 filed under its degree, which is Phi_k, and then multiplied by v's one
-term.  The right side v v^* Phi_{k+m}(x) is formed from the probes' parts,
-grouped by degree once per call, only where it can be nonzero.  Both
-sides read Phi_k through ``_phi``.  The two sides over all probes are
-compared as two rows, falling back to ``algebra._terms_equal``, the
-oracle behind ``equals``, only for rows that differ structurally.
+term.  The right side is formed by another routine: v v^* has degree 0,
+so v v^* Phi_j(x) is the degree-j part of v v^* x, and one graded
+``_row_product`` of v v^* against the probe index files each product term
+by its degree, giving the rows of every j at once; they are kept for
+every v with an equal v v^*.  Both sides read Phi_k through ``_phi``.  The
+two sides over all probes are compared as two rows, falling back to
+``algebra._terms_equal``, the oracle behind ``equals``, only for rows
+that differ structurally.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from .algebra import (
     zero,
 )
 from .errors import DomainError, TermBudgetExceeded, UsageError
-from .modular import _psi_sums, expectation, trace_F
+from .modular import _by_level, _psi_sums, expectation, trace_F
 from .scalars import QSqrt, n_power
 from .tally import sweep
 
@@ -182,37 +188,72 @@ def phi_k_endo(k: int, n: int) -> EndoSum:
     return out
 
 
-_EMPTY: dict = {}  # every empty side, so that equal rows compare it by identity
-
-
-def _side(a_terms: dict, b_terms: dict) -> dict:
-    """a b by the term-map product, or the shared empty side if it is zero."""
-    out: dict = {}
-    _multiply_into(out, a_terms, b_terms)
-    return out or _EMPTY
-
-
 def _traces(e: EndoSum) -> tuple[QSqrt, QSqrt]:
     """(tau_tilde(e), tau_delta(e)) in one psi walk over the weighted pairs
     (c, y, x) of the legs."""
     return _psi_sums(e.n, [(c, th.y.terms, th.x.terms) for c, th in e.terms], star_a=True, shift=True)
 
 
-def _legs(e: EndoSum) -> tuple[list, list, tuple[dict, dict]]:
-    """(cs, ys, index) over e's legs c Theta_{x,y}: each c, None where it is
-    one, each y, and the _right_index of the x, read by ``_split_traces``."""
-    cs = [None if c == 1 else c for c, _ in e.terms]
+def _legs(e: EndoSum) -> tuple[list, tuple[dict, dict]]:
+    """(ys, index) over e's legs c Theta_{x,y}, read by ``_split_table``: each
+    y's term map, and the _right_index of the x with each c other than one
+    as its weight, so that no pair is multiplied by it."""
     ys = [th.y.terms for _, th in e.terms]
-    return cs, ys, _right_index([th.x for _, th in e.terms])
+    return ys, _right_index([th.x for _, th in e.terms], [None if c == 1 else c for c, _ in e.terms])
+
+
+def _split_table(n: int, legs: tuple, rows: list) -> tuple[list, list]:
+    """([tau_tilde(pi(a) e) for a in rows], [tau_delta(pi(a) e) for a in rows])
+    given legs = _legs(e) and rows a list of term maps a of any degree, in
+    one pass.  Each term of a looks up the terms of the c x it ``_meets``;
+    their product S_p S_q^* is paired with each term S_mu S_nu^* of that
+    leg's y, and counts where y^* S_p S_q^* is some S_w S_w^*, by the rule
+    of the ``algebra`` module docstring.  c_a c_x c_y is summed per (a,
+    level |w|), and at |w| + d, d = |p| - |q|, for tau_delta, as
+    ``modular._psi_sums`` reads Delta; each sum is weighted n^(-level)."""
+    ys, index = legs
+    one = QSqrt.one(n)
+    tildes, deltas = [], []
+    for a_terms in rows:
+        plain: dict = {}  # |w| -> sum of c_a c_x c_y over the pairs landing on S_w S_w^*
+        shifted: dict = {}  # |w| + d -> the same
+        for (mu, nu), ca in a_terms.items():
+            unit = ca == 1
+            for (p, q), held in _meets(mu, nu, index):
+                lp, lq = len(p), len(q)
+                for i, cx in held:
+                    for (ym, yn), cy in ys[i].items():
+                        ly = len(ym)
+                        if ly == lp:
+                            if ym != p or yn != q:
+                                continue
+                            level = lq
+                        elif ly > lp:  # y^* S_p S_q^* = S_yn S_(q + ym[lp:])^*
+                            if ym[:lp] != p or yn != q + ym[lp:]:
+                                continue
+                            level = len(yn)
+                        else:  # y^* S_p S_q^* = S_(yn + p[ly:]) S_q^*
+                            if p[:ly] != ym or yn + p[ly:] != q:
+                                continue
+                            level = lq
+                        c = cx if unit else ca * cx
+                        if cy is not one:
+                            c = c * cy
+                        s = plain.get(level)
+                        plain[level] = c if s is None else s + c
+                        level += lp - lq
+                        s = shifted.get(level)
+                        shifted[level] = c if s is None else s + c
+        tildes.append(_by_level(n, plain))
+        deltas.append(_by_level(n, shifted))
+    return tildes, deltas
 
 
 def _split_traces(n: int, legs: tuple, a_terms: dict) -> tuple[QSqrt, QSqrt]:
-    """(tau_tilde(pi(a) e), tau_delta(pi(a) e)) given legs = _legs(e), in one
-    psi walk over the weighted pairs (c, y, a x) of the legs that a meets,
-    each a x from one ``_row_product`` and of any degree."""
-    cs, ys, index = legs
-    pairs = [(cs[i], ys[i], ax) for i, ax in _row_product(a_terms, index).items()]
-    return _psi_sums(n, pairs, star_a=True, shift=True)
+    """(tau_tilde(pi(a) e), tau_delta(pi(a) e)) given legs = _legs(e): the
+    one-row ``_split_table``."""
+    (tilde,), (delta,) = _split_table(n, legs, [a_terms])
+    return tilde, delta
 
 
 def tau_tilde(e: EndoSum) -> QSqrt:
@@ -250,21 +291,7 @@ def _partial_isometry(v: AlgebraElement, caller: str = "key_fact_check") -> tupl
     return len(mu) - len(nu), v_star, multiply(v, v_star)
 
 
-def _degree_parts(terms: dict) -> dict:
-    """{d: the term map of the degree-d part} of a term map, over the degrees present."""
-    parts: dict = {}
-    for key, c in terms.items():
-        parts.setdefault(len(key[0]) - len(key[1]), {})[key] = c
-    return parts
-
-
-def _by_degree(xs: list) -> dict:
-    """{j: {i: the degree-j part of xs[i]}} over the degrees present, in increasing i."""
-    groups: dict = {}
-    for i, x in enumerate(xs):
-        for d, part in _degree_parts(x.terms).items():
-            groups.setdefault(d, {})[i] = part
-    return groups
+_EMPTY: dict = {}  # every empty side, so that equal rows compare it by identity
 
 
 def _phi(graded: dict, k: int) -> dict:
@@ -273,15 +300,42 @@ def _phi(graded: dict, k: int) -> dict:
     return graded.get(k, _EMPTY)
 
 
-def _row_product(a_terms: dict, index: tuple[dict, dict]) -> dict:
+# The per-part forms of a side, which no sweep reads: the tests form v times
+# each degree part of v^* x with them, as an oracle for ``_left_rows``.
+
+
+def _side(a_terms: dict, b_terms: dict) -> dict:
+    """a b by the term-map product, or the shared empty side if it is zero."""
+    out: dict = {}
+    _multiply_into(out, a_terms, b_terms)
+    return out or _EMPTY
+
+
+def _degree_parts(terms: dict) -> dict:
+    """{d: the term map of the degree-d part} of a term map, over the degrees present."""
+    parts: dict = {}
+    for key, c in terms.items():
+        parts.setdefault(len(key[0]) - len(key[1]), {})[key] = c
+    return parts
+
+
+def _row_product(a_terms: dict, index: tuple[dict, dict], graded: bool = False) -> dict:
     """{i: the term map of a xs[i]} over the i where it is not zero, given
     index = _right_index(xs), each term of a against the terms it
     ``_meets``; a term of coefficient one passes theirs on unmultiplied.
-    Keys that cancel are dropped, as in ``_multiply_into``."""
-    rows: dict = {}
+    If graded, each product term is filed by its degree d instead, in
+    {d: {i: the degree-d part of a xs[i]}}.  Keys that cancel are dropped,
+    as in ``_multiply_into``."""
+    filed: dict = {}
     for (mu, nu), ca in a_terms.items():
         unit = ca == 1
         for key, held in _meets(mu, nu, index):
+            rows = filed
+            if graded:
+                d = len(key[0]) - len(key[1])
+                rows = filed.get(d)
+                if rows is None:
+                    rows = filed[d] = {}
             for i, cb in held:
                 c = cb if unit else ca * cb
                 out = rows.get(i)
@@ -296,7 +350,7 @@ def _row_product(a_terms: dict, index: tuple[dict, dict]) -> dict:
                         del rows[i]
                 else:
                     out[key] = s
-    return rows
+    return {d: rows for d, rows in filed.items() if rows} if graded else filed
 
 
 def _left_rows(v: AlgebraElement, index: tuple[dict, dict]) -> dict:
@@ -333,29 +387,27 @@ def _left_rows(v: AlgebraElement, index: tuple[dict, dict]) -> dict:
     return {d: rows for d, rows in graded.items() if rows}
 
 
-def _key_fact_rows(v: AlgebraElement, ks, by_degree: dict, index: tuple, ranges: dict) -> list[bool]:
+def _key_fact_rows(v: AlgebraElement, ks, index: tuple, ranges: dict) -> list[bool]:
     """For each k of ks, whether v Phi_k(v^* x) == v v^* Phi_{k+m}(x) on
-    every probe x, given by_degree = _by_degree(probes) and index =
-    _right_index(probes).  Left: ``_left_rows`` forms v Phi_d(v^* x) for
-    every degree d and probe in one pass.  Right: the row of
-    v v^* Phi_j(x) is formed at the probes with a degree-j part, once per j
-    and term map of v v^*, and kept in ranges under that term map for any
-    v with an equal one.  A row is {probe: side} over its nonzero sides;
+    every probe x, given index = _right_index(probes).  Left:
+    ``_left_rows`` forms v Phi_d(v^* x) for every degree d and probe in one
+    pass.  Right: v v^* has degree 0, so v v^* Phi_j(x) is the degree-j
+    part of v v^* x; the rows of every j are formed by one graded
+    ``_row_product`` of v v^* against the probes, which files each product
+    term by its degree, and kept in ranges under the term map of v v^* for
+    any v with an equal one.  A row is {probe: side} over its nonzero sides;
     each k compares its two rows in one ``==``, and probe by probe by
     ``_terms_equal`` only if they differ structurally."""
     n = v.n
     m, _, range_proj = _partial_isometry(v)
     lefts = _left_rows(v, index)
-    rights = ranges.setdefault(frozenset(range_proj.terms.items()), {})
+    key = frozenset(range_proj.terms.items())
+    rights = ranges.get(key)
+    if rights is None:
+        rights = ranges[key] = _row_product(range_proj.terms, index, graded=True)
     held = []
     for k in ks:
-        right = rights.get(k + m)
-        if right is None:
-            right = rights[k + m] = {}
-            for i, part in _phi(by_degree, k + m).items():
-                if side := _side(range_proj.terms, part):
-                    right[i] = side
-        left = _phi(lefts, k)
+        left, right = _phi(lefts, k), _phi(rights, k + m)
         held.append(left == right or all(_terms_equal(left.get(i, _EMPTY), right.get(i, _EMPTY), n)
                                          for i in left.keys() | right.keys()))
     return held
@@ -373,7 +425,7 @@ def key_fact_check(v: AlgebraElement, k: int, probes: Iterable[AlgebraElement]) 
     for x in probes:
         if x.n != v.n:
             raise UsageError(f"mixed algebras O_{v.n} and O_{x.n}")
-    return _key_fact_rows(v, (k,), _by_degree(probes), _right_index(probes), {})[0]
+    return _key_fact_rows(v, (k,), _right_index(probes), {})[0]
 
 
 # -- named invariant sweeps ------------------------------------------------
@@ -394,21 +446,34 @@ def tracesplit_plan(n: int, max_len: int) -> tuple[int, int]:
 def tracesplit_sweep(n: int, max_len: int):
     """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) == tau(f) for
     degree-0 monomials f and |k| <= TRACESPLIT_K_SPAN, plus the Phi_k weights themselves.
-    Both traces of a case pair are read in one walk over the legs of pi(f) Phi_k that
-    f meets, found in an index of Phi_k's legs made once per k (``_split_traces``);
-    f and tau(f) are formed once, shared by the values of k."""
+    f and tau(f) are formed once, shared by the values of k.  Per k, Phi_k's legs are
+    indexed once and both traces of every f are read in one ``_split_table`` pass; the
+    k is one block, whose two rows are compared with [n^k tau(f)] and [tau(f)] in one
+    ``==``, and whose failing cases are labelled in the per-case order: by f, tau_tilde
+    before tau_delta."""
     f_words = [(alpha, beta) for length in range(max_len + 1) for alpha in words(n, length) for beta in words(n, length)]
-    fs = [(alpha, beta, f, trace_F(f)) for alpha, beta in f_words for f in [monomial(n, alpha, beta)]]
+    fs = [monomial(n, alpha, beta) for alpha, beta in f_words]
+    f_rows = [f.terms for f in fs]
+    traces = [trace_F(f) for f in fs]
+    zero_trace = QSqrt.zero(n)
     for k in range(-TRACESPLIT_K_SPAN, TRACESPLIT_K_SPAN + 1):
         phi_k = phi_k_endo(k, n)
         tilde, delta = _traces(phi_k)
         yield tilde == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}"
         yield delta == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1"
-        legs = _legs(phi_k)
-        for alpha, beta, f, tf in fs:
-            tilde, delta = _split_traces(n, legs, f.terms)
-            yield tilde == n_power(n, k) * tf, lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}"
-            yield delta == tf, lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}"
+        tildes, deltas = _split_table(n, _legs(phi_k), f_rows)
+        scale = n_power(n, k)
+        wants = [tf if tf is zero_trace else scale * tf for tf in traces]
+        labels = []
+        if (tildes, deltas) != (wants, traces):  # list != tests "is" before __eq__
+            for (alpha, beta), tilde, want, delta, tf in zip(f_words, tildes, wants, deltas, traces):
+                if tilde != want:
+                    labels.append(lambda alpha=alpha, beta=beta, k=k:
+                                  f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
+                if delta != tf:
+                    labels.append(lambda alpha=alpha, beta=beta, k=k:
+                                  f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}")
+        yield 2 * len(fs), labels
 
 
 def keyfact_plan(n: int, max_len: int) -> tuple[int, int]:
@@ -422,18 +487,16 @@ def keyfact_sweep(n: int, max_len: int):
     """The compression identity v Phi_k v^* == v v^* Phi_{k+m} over monomial
     partial isometries with leg lengths up to max_len and |k| <= KEYFACT_K_SPAN,
     each case checked by the routine of ``key_fact_check`` on every probe
-    with legs up to KEYFACT_PROBE_LEN.  The probes' parts are grouped by
-    degree once per sweep, each v's left sides are formed for every k in
-    one pass, and the right-side rows are shared between the v's with
-    equal v v^*."""
+    with legs up to KEYFACT_PROBE_LEN.  The probes are indexed once per
+    sweep, each v's left sides are formed for every k in one pass, and the
+    right-side rows of every k, formed in one pass per distinct v v^*, are
+    shared between the v's with equal v v^*."""
     ws = words_upto(n, max_len)
-    probes = monomials_upto(n, KEYFACT_PROBE_LEN)
-    by_degree = _by_degree(probes)
-    index = _right_index(probes)
+    index = _right_index(monomials_upto(n, KEYFACT_PROBE_LEN))
     ranges: dict = {}
     ks = range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1)
     for mu in ws:
         for nu in ws:
-            held = _key_fact_rows(monomial(n, mu, nu), ks, by_degree, index, ranges)
+            held = _key_fact_rows(monomial(n, mu, nu), ks, index, ranges)
             for k, ok in zip(ks, held):
                 yield ok, lambda: f"v=S_{mu}S*_{nu} k={k}"

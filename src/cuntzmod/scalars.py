@@ -61,14 +61,14 @@ class QSqrt:
 
     @classmethod
     def _raw(cls, n: int, na: int, nb: int, den: int) -> "QSqrt":
+        # den is never zero: every caller passes a product of denominators or,
+        # in inverse, the norm of a value that inverse has checked is nonzero
         if nb != 0:
             r = _PERFECT_ROOTS[n]
             if r:
                 na += nb * r
                 nb = 0
         if den != 1:
-            if den == 0:
-                raise ZeroDivisionError("zero denominator in Q(sqrt n)")
             if den < 0:
                 na, nb, den = -na, -nb, -den
             g = math.gcd(math.gcd(na, nb), den)
@@ -83,9 +83,10 @@ class QSqrt:
         obj.den = den
         return obj
 
-    # QSqrt.zero(n), QSqrt.one(n): cached, and looked up without a Python call
-    zero = staticmethod(_Lazy(lambda n: QSqrt._raw(n, 0, 0, 1)).__getitem__)
-    one = staticmethod(_Lazy(lambda n: QSqrt._raw(n, 1, 0, 1)).__getitem__)
+    # QSqrt.zero(n), QSqrt.one(n): cached, and looked up without a Python call;
+    # each is made by the constructor, so an n below 2 is refused, not cached
+    zero = staticmethod(_Lazy(lambda n: QSqrt(n)).__getitem__)
+    one = staticmethod(_Lazy(lambda n: QSqrt(n, 1)).__getitem__)
 
     def _coerce(self, other) -> "QSqrt | None":
         if type(other) is QSqrt:

@@ -256,6 +256,20 @@ def test_word_validation():
         monomial(2, (0,), ())
 
 
+@pytest.mark.parametrize("coeff", [1, 2, Fraction(1, 2)])
+def test_monomial_refuses_n_below_two(coeff):
+    # a coefficient of one takes the cached QSqrt.one(n), which is refused for n < 2 as well
+    with pytest.raises(UsageError, match=r"^quadratic field needs n >= 2, got 1$"):
+        monomial(1, (1,), (), coeff)
+
+
+def test_monomial_of_coefficient_one_shares_the_cached_one():
+    for n in (2, 3):
+        (c,) = monomial(n, (1,), (2,)).terms.values()
+        assert c is QSqrt.one(n)
+        assert monomial(n, (), (), Fraction(1)).terms == {((), ()): QSqrt.one(n)}
+
+
 def test_word_count_is_the_number_of_words():
     for n in (2, 3, 4):
         for max_len in range(5):

@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 import time
 from fractions import Fraction
@@ -204,3 +205,22 @@ def test_scalar_str():
     assert scalar_str(QSqrt(2)) == "0"
     assert scalar_str(Fraction(-7, 3)) == "-7/3"
     assert scalar_str(4) == "4"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_mixed_fields_are_refused(op):
+    # + and * check the field themselves; - and / through the coercion
+    with pytest.raises(UsageError, match=r"^mixed quadratic fields Q\(sqrt 2\) and Q\(sqrt 3\)$"):
+        op(QSqrt(2, 1, 1), QSqrt(3, 1, 1))
+
+
+def test_scalar_str_refuses_an_inexact_value():
+    with pytest.raises(UsageError, match=r"^not an exact scalar: 0\.5$"):
+        scalar_str(0.5)
+
+
+@pytest.mark.parametrize("make", [lambda: QSqrt(1, 2), lambda: QSqrt.one(1), lambda: QSqrt.zero(0)])
+def test_no_field_below_two(make):
+    # the cached zero and one are made by the constructor, so they refuse n < 2 too
+    with pytest.raises(UsageError, match=r"^quadratic field needs n >= 2, got [01]$"):
+        make()

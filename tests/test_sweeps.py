@@ -3,10 +3,10 @@
 ``kms_sweep``, ``tomita_sweep``, ``keyfact_sweep``, ``tracesplit_sweep``
 and ``cocycle_sweep`` form each map of one operand once and share it across
 the cases that read it; kms, tomita and cocycle also read every pairing
-from a table over all pairs, keyfact files each element by degree once,
-and tracesplit reads both traces of a case in one walk over the legs
-that its f meets;
-kms and tomita compare whole table rows, one block of cases per row.
+from a table over all pairs, keyfact files each product by degree in one
+pass over the probes, and tracesplit reads both traces of every f for one
+k in one pass over Phi_k's legs; kms, tomita and tracesplit compare whole
+rows, one block of cases per row (per k for tracesplit).
 Their reports must equal those of the oracles in conftest, which form
 every map inside its case, on clean code and with a wrong map patched into
 the module attribute the sweep looks up.  Under a mutant the sweep must
@@ -17,7 +17,10 @@ variables of its hoisted loops, so a label that read the wrong operand or
 z would differ, and a keyfact mutant whose first failure is far from the
 first (v, k) does the same for keyfact_sweep's rows.  The mid-row mutant
 fails entries inside each table row and at its end, so a block that
-stopped at its first failure, or reordered its failures, would differ.
+stopped at its first failure, or reordered its failures, would differ; the
+split-entry mutant fails one trace of one f inside the rows of two k, the
+other trace at each, so a trace-split block that compared one row only, or
+labelled the wrong f, k or trace, would differ.
 
 The sweeps and their oracles share one runner, ``tally.sweep``, so that
 equality cannot see a miscount.  Two toy sweeps check the runner on its
@@ -31,7 +34,7 @@ from conftest import (
     oracle_cocycle_sweep, oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep, oracle_tracesplit_sweep,
 )
 from cuntzmod import endos, flow, modular
-from cuntzmod.algebra import monomial, multiply, zero
+from cuntzmod.algebra import monomial, multiply, one, zero
 from cuntzmod.scalars import n_power
 from cuntzmod.tally import sweep
 
@@ -133,6 +136,46 @@ def _mid_row_entries_bumped(monkeypatch):
     monkeypatch.setattr(conftest, "oracle_psi_product", lambda a, b: bump(psi_product(a, b), b))
 
 
+def _split_entry_bumped(monkeypatch):
+    # One entry inside a row of each of two k, for f = S_2 S_1^*, the 4th f
+    # of 21 in tracesplit_sweep(2, 2), whose legs differ, so that a label
+    # that swapped them would differ: tau_delta(pi(f) Phi_-1) and
+    # tau_tilde(pi(f) Phi_1) plus one, so a block that compared only one of
+    # its two rows would pass one k.  The sweep reads its rows from
+    # endos._split_table; the oracle reads each case's legs from
+    # endos.compose_left_mult, which takes extra legs a Theta_{S_1,S_1} +
+    # b Theta_{1,1}, whose traces are (a + b, a/2 + b).  Both tell k by the
+    # last phi_k_endo call.
+    phi_k_endo, split_table, compose_left_mult = endos.phi_k_endo, endos._split_table, endos.compose_left_mult
+    marked = monomial(2, (2,), (1,)).terms
+    bumps = {-1: ((0, 1), (-2, 2)), 1: ((1, 0), (2, -1))}  # k -> ((tilde, delta) bumps, (a, b))
+    last = []
+
+    def phi(k, n):
+        last[:] = [k]
+        return phi_k_endo(k, n)
+
+    def table(n, legs, rows):
+        tildes, deltas = split_table(n, legs, rows)
+        for j, f in enumerate(rows):
+            if last[0] in bumps and f == marked:
+                (t, d), _ = bumps[last[0]]
+                tildes[j], deltas[j] = tildes[j] + t, deltas[j] + d
+        return tildes, deltas
+
+    def composed(f, e):
+        out = compose_left_mult(f, e)
+        if last[0] not in bumps or f.terms != marked:
+            return out
+        _, (a, b) = bumps[last[0]]
+        s1, unit = monomial(2, (1,), ()), one(2)
+        return out + endos.EndoSum(2, [(a, endos.RankOne(s1, s1)), (b, endos.RankOne(unit, unit))])
+
+    monkeypatch.setattr(endos, "phi_k_endo", phi)
+    monkeypatch.setattr(endos, "_split_table", table)
+    monkeypatch.setattr(endos, "compose_left_mult", composed)
+
+
 MUTANTS = {
     "sigma_identity": _sigma_identity,
     "delta_negated": _delta_negated,
@@ -143,6 +186,7 @@ MUTANTS = {
     "s_identity": _s_identity,
     "pairing_without_adjoint": _pairing_without_adjoint,
     "mid_row_entries_bumped": _mid_row_entries_bumped,
+    "split_entry_bumped": _split_entry_bumped,
 }
 
 # (sweep, mutant) for every mutant that reaches the sweep; None is clean code.
@@ -165,6 +209,7 @@ CASES = [
     ("tracesplit", None),
     ("tracesplit_n3", None),  # three letters: legs of Phi_k the two-letter sweep never builds
     ("tracesplit", "phi_weight_dropped"),
+    ("tracesplit", "split_entry_bumped"),  # one f inside the rows of k = -1 and k = 1
     ("tracesplit_len0", None),  # f = 1 alone: the empty word meets every leg in the index
     ("tracesplit_len0", "phi_weight_dropped"),
     ("cocycle", None),
@@ -192,6 +237,12 @@ def test_sweep_report_matches_the_per_case_oracle(monkeypatch, sweep, mutant):
 def test_keyfact_failures_come_in_case_order(monkeypatch):
     _gauge_drops_degree_two(monkeypatch)
     assert endos.keyfact_sweep(2, 2)["first_failures"][:2] == ["v=S_()S*_(1,) k=2", "v=S_()S*_(2,) k=2"]
+
+
+def test_tracesplit_failures_inside_a_row_come_in_case_order(monkeypatch):
+    _split_entry_bumped(monkeypatch)
+    assert endos.tracesplit_sweep(2, 2)["first_failures"] == [
+        "trace split tau_delta f=S_(2,)S*_(1,) k=-1", "trace split tau_tilde f=S_(2,)S*_(1,) k=1"]
 
 
 def _passing_label():

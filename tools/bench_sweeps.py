@@ -51,7 +51,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from bench_equality import cpu_model  # noqa: E402
 from workloads import INVARIANT_SWEEPS  # noqa: E402
 
-ROUNDS = 21  # timed calls of each sweep a side
+ROUNDS = 41  # timed calls of each sweep a side
 
 
 def _side_names() -> list[str]:
