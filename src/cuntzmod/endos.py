@@ -44,7 +44,7 @@ routine.  The left side v Phi_k(v^* x) is formed for the whole probe row
 in the pass that forms v^* x (``_left_rows``): each term of v^* x is
 filed under its degree, which is Phi_k, and then multiplied by v's one
 term.  The right side is formed by another routine: v v^* has degree 0,
-so v v^* Phi_j(x) is the degree-j part of v v^* x, and one graded
+so v v^* Phi_j(x) is the degree-j part of v v^* x, and one
 ``_row_product`` of v v^* against the probe index files each product term
 by its degree, giving the rows of every j at once; they are kept for
 every v with an equal v v^*.  Both sides read Phi_k through ``_phi``.  The
@@ -61,7 +61,6 @@ from .algebra import (
     AlgebraElement,
     _add_into,
     _meets,
-    _multiply_into,
     _right_index,
     _terms_equal,
     adjoint,
@@ -300,42 +299,20 @@ def _phi(graded: dict, k: int) -> dict:
     return graded.get(k, _EMPTY)
 
 
-# The per-part forms of a side, which no sweep reads: the tests form v times
-# each degree part of v^* x with them, as an oracle for ``_left_rows``.
-
-
-def _side(a_terms: dict, b_terms: dict) -> dict:
-    """a b by the term-map product, or the shared empty side if it is zero."""
-    out: dict = {}
-    _multiply_into(out, a_terms, b_terms)
-    return out or _EMPTY
-
-
-def _degree_parts(terms: dict) -> dict:
-    """{d: the term map of the degree-d part} of a term map, over the degrees present."""
-    parts: dict = {}
-    for key, c in terms.items():
-        parts.setdefault(len(key[0]) - len(key[1]), {})[key] = c
-    return parts
-
-
-def _row_product(a_terms: dict, index: tuple[dict, dict], graded: bool = False) -> dict:
-    """{i: the term map of a xs[i]} over the i where it is not zero, given
-    index = _right_index(xs), each term of a against the terms it
-    ``_meets``; a term of coefficient one passes theirs on unmultiplied.
-    If graded, each product term is filed by its degree d instead, in
-    {d: {i: the degree-d part of a xs[i]}}.  Keys that cancel are dropped,
-    as in ``_multiply_into``."""
-    filed: dict = {}
+def _row_product(a_terms: dict, index: tuple[dict, dict]) -> dict:
+    """{d: {i: the degree-d part of a xs[i]}} over the (d, i) where it is not
+    zero, given index = _right_index(xs): each term of a against the terms
+    it ``_meets``, each product term filed by its degree in the pass that
+    forms it.  A term of coefficient one passes theirs on unmultiplied.
+    Keys that cancel are dropped, as in ``_multiply_into``."""
+    graded: dict = {}
     for (mu, nu), ca in a_terms.items():
         unit = ca == 1
         for key, held in _meets(mu, nu, index):
-            rows = filed
-            if graded:
-                d = len(key[0]) - len(key[1])
-                rows = filed.get(d)
-                if rows is None:
-                    rows = filed[d] = {}
+            d = len(key[0]) - len(key[1])
+            rows = graded.get(d)
+            if rows is None:
+                rows = graded[d] = {}
             for i, cb in held:
                 c = cb if unit else ca * cb
                 out = rows.get(i)
@@ -350,7 +327,7 @@ def _row_product(a_terms: dict, index: tuple[dict, dict], graded: bool = False) 
                         del rows[i]
                 else:
                     out[key] = s
-    return {d: rows for d, rows in filed.items() if rows} if graded else filed
+    return {d: rows for d, rows in graded.items() if rows}
 
 
 def _left_rows(v: AlgebraElement, index: tuple[dict, dict]) -> dict:
@@ -392,9 +369,9 @@ def _key_fact_rows(v: AlgebraElement, ks, index: tuple, ranges: dict) -> list[bo
     every probe x, given index = _right_index(probes).  Left:
     ``_left_rows`` forms v Phi_d(v^* x) for every degree d and probe in one
     pass.  Right: v v^* has degree 0, so v v^* Phi_j(x) is the degree-j
-    part of v v^* x; the rows of every j are formed by one graded
-    ``_row_product`` of v v^* against the probes, which files each product
-    term by its degree, and kept in ranges under the term map of v v^* for
+    part of v v^* x; the rows of every j are formed by one ``_row_product``
+    of v v^* against the probes, which files each product term by its
+    degree, and kept in ranges under the term map of v v^* for
     any v with an equal one.  A row is {probe: side} over its nonzero sides;
     each k compares its two rows in one ``==``, and probe by probe by
     ``_terms_equal`` only if they differ structurally."""
@@ -404,7 +381,7 @@ def _key_fact_rows(v: AlgebraElement, ks, index: tuple, ranges: dict) -> list[bo
     key = frozenset(range_proj.terms.items())
     rights = ranges.get(key)
     if rights is None:
-        rights = ranges[key] = _row_product(range_proj.terms, index, graded=True)
+        rights = ranges[key] = _row_product(range_proj.terms, index)
     held = []
     for k in ks:
         left, right = _phi(lefts, k), _phi(rights, k + m)

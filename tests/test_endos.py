@@ -23,11 +23,9 @@ from cuntzmod.algebra import (
 )
 from cuntzmod.endos import (
     EndoSum,
-    _degree_parts,
     _left_rows,
     _legs,
     _row_product,
-    _side,
     _split_traces,
     _traces,
     RankOne,
@@ -222,9 +220,36 @@ def test_key_fact_check_on_drawn_probes_with_cancelling_terms(rng):
                 assert key_fact_check(v, k, probes) == oracle_key_fact(v, k, probes)
 
 
+# The per-part forms of a row, the oracles of ``_row_product`` and ``_left_rows``.
+
+
+def _side(a_terms: dict, b_terms: dict) -> dict:
+    """a b by the term-map product of the pair scan."""
+    out: dict = {}
+    _multiply_into(out, a_terms, b_terms)
+    return out
+
+
+def _degree_parts(terms: dict) -> dict:
+    """{d: the term map of the degree-d part} of a term map, over the degrees present."""
+    parts: dict = {}
+    for key, c in terms.items():
+        parts.setdefault(len(key[0]) - len(key[1]), {})[key] = c
+    return parts
+
+
+def _graded(rows: dict) -> dict:
+    """{d: {i: the degree-d part of rows[i]}}, the shape of _row_product, from {i: term map}."""
+    graded: dict = {}
+    for i, terms in rows.items():
+        for d, part in _degree_parts(terms).items():
+            graded.setdefault(d, {})[i] = part
+    return graded
+
+
 def _products(a, xs) -> dict:
-    """{i: the term map of a xs[i]} over the nonzero products, by algebra.multiply."""
-    return {i: p.terms for i, x in enumerate(xs) if (p := multiply(a, x)).terms}
+    """_row_product(a, _right_index(xs)) by algebra.multiply, one operand at a time."""
+    return _graded({i: p.terms for i, x in enumerate(xs) if (p := multiply(a, x)).terms})
 
 
 @pytest.mark.parametrize("n, left_len, probe_len", [(2, 2, 3), (3, 1, 2)])
@@ -235,7 +260,7 @@ def test_row_product_of_every_monomial_against_every_probe(n, left_len, probe_le
     for a in monomial_elements(n, left_len):  # every monomial is some v^*
         rows = _row_product(a.terms, index)
         assert rows == _products(a, probes)
-        met += len(rows)
+        met += sum(len(row) for row in rows.values())
     assert met < len(monomial_elements(n, left_len)) * len(probes)  # the pairs that meet nothing are left out
 
 
@@ -254,7 +279,7 @@ def test_row_product_drops_what_cancels():
     y = monomial(2, (1,), (2,)) + x  # a y = a S_1 S_2^* = S_() S_2^* - S_1 S_21^*
     assert multiply(a, x).is_zero
     expected = {((), (2,)): QSqrt.one(2), ((1,), (2, 1)): -QSqrt.one(2)}
-    assert _row_product(a.terms, _right_index([x, y, x])) == {1: expected}
+    assert _row_product(a.terms, _right_index([x, y, x])) == {-1: {1: expected}}
 
 
 def test_row_product_of_empty_rows_and_zero_operands():
@@ -262,7 +287,7 @@ def test_row_product_of_empty_rows_and_zero_operands():
     assert _row_product(gen(2, 1).terms, _right_index([])) == {}
     assert _row_product({}, _right_index(probes)) == {}
     assert _row_product(gen(2, 1).terms, _right_index([zero(2), zero(2)])) == {}
-    assert _row_product(gen(2, 1).terms, _right_index([zero(2), one(2)])) == {1: gen(2, 1).terms}
+    assert _row_product(gen(2, 1).terms, _right_index([zero(2), one(2)])) == {1: {1: gen(2, 1).terms}}
 
 
 @st.composite
@@ -282,12 +307,7 @@ def _row_cases(draw):
 @example((monomial(2, (), (1,)) - monomial(2, (1,), (1, 1)), [monomial(2, (1, 1), (2, 1)), zero(2)]))  # a x cancels
 def test_row_product_on_the_shared_index_matches_the_pair_scan(case):
     a, xs = case
-    expected = {}
-    for i, x in enumerate(xs):
-        out: dict = {}
-        _multiply_into(out, a.terms, x.terms)
-        if out:
-            expected[i] = out
+    expected = _graded({i: out for i, x in enumerate(xs) if (out := _side(a.terms, x.terms))})
     assert _row_product(a.terms, _right_index(xs)) == expected
 
 
@@ -302,11 +322,11 @@ def test_split_traces_equal_the_walk_on_every_degree_zero_monomial(n):
 
 
 def _left_rows_by_parts(v, probes) -> dict:
-    """{d: {i: v times the degree-d part of v^* probes[i]}}, each part's
-    product formed by _side, over the parts whose product is not zero."""
+    """{d: {i: v times the degree-d part of v^* probes[i]}}, each product
+    formed by _side, over the parts whose product is not zero."""
     rows: dict = {}
-    for i, terms in _row_product(adjoint(v).terms, _right_index(probes)).items():
-        for d, part in _degree_parts(terms).items():
+    for i, x in enumerate(probes):
+        for d, part in _degree_parts(_side(adjoint(v).terms, x.terms)).items():
             if side := _side(v.terms, part):
                 rows.setdefault(d, {})[i] = side
     return rows
