@@ -12,14 +12,14 @@ Products follow the path-matching rule
 
 which together with S_i^* S_j = delta_ij and sum_i S_i S_i^* = 1 closes the
 monomial family under multiplication.  This is the one statement of the
-rule: ``_multiply_into``, ``matrices._pair_pass`` and ``modular._psi_sums``
+rule: ``_multiply_into``, ``matrices._pair_pass`` and ``modular._psi_walk``
 scan term pairs by it, and ``_right_index`` files a row of right operands
 by it, so that a left term finds the terms it meets by lookup.  ``_meets``
 reads every term met, for three passes of ``endos``: ``_row_product``
 (the key fact's right side), ``_left_rows`` (its left side) and
-``_split_table`` (the trace split, which pairs each product on the diagonal
-with its leg's y); ``modular._psi_table`` reads only the terms met whose
-product is diagonal.
+``_split_table`` (the trace split and the tau traces, which pair each
+product on the diagonal with its leg's y); ``modular._psi_table`` reads
+only the terms met whose product is diagonal.
 
 Coefficients are exact QSqrt values: rationals plus rational multiples of
 sqrt n.  The field is real, so the adjoint only swaps the legs of each key.
@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -68,6 +70,28 @@ def term_budget() -> int:
     if value < 1:
         raise UsageError("CUNTZ_TERM_BUDGET must be positive")
     return value
+
+
+def _power_exceeds(n: int, e: int, limit: int) -> bool:
+    """n**e > limit for e >= 0, without building n**e: at most
+    log_n(limit) + 1 multiplications."""
+    p = 1
+    while e > 0 and p <= limit:
+        p *= n
+        e -= 1
+    return p > limit
+
+
+def _power_text(n: int, e: int) -> str:
+    """n**e as a budget message prints it: "n**e = value" where the value
+    has fewer digits than ``str`` always writes out, else "n**e (D digits)",
+    with D = floor(e log10 n) + 1 and n**e never built."""
+    with localcontext() as ctx:
+        ctx.prec = e.bit_length() + 20  # e log10 n to well past its units digit
+        digits = int(Decimal(n).log10() * e) + 1
+    if digits < sys.int_info.str_digits_check_threshold:
+        return f"{n}**{e} = {n**e}"
+    return f"{n}**{e} ({digits} digits)"
 
 
 def check_word(n: int, word: Iterable[int]) -> Word:
@@ -437,10 +461,10 @@ def canonical_form(a: AlgebraElement) -> AlgebraElement:
         if need == 0:
             suffixes: Iterable[Word] = ((),)
         else:
-            if made + n**need > budget:
+            if _power_exceeds(n, need, budget - made):
                 raise TermBudgetExceeded(
-                    f"canonical_form: a {len(terms)}-term input needs {n}**{need} = "
-                    f"{n**need} terms for one monomial, past the term budget of {budget} "
+                    f"canonical_form: a {len(terms)}-term input needs {_power_text(n, need)} "
+                    f"terms for one monomial, past the term budget of {budget} "
                     f"({made} already expanded); "
                     "raise CUNTZ_TERM_BUDGET if this is intended"
                 )

@@ -15,9 +15,9 @@ Left multiplication pi(a) is not finite rank, so it is only available
 fused into a finite-rank sum: ``compose_left_mult(a, e)`` maps each leg
 Theta_{x,y} to Theta_{a x, y}.
 
-Both traces are read at once by one psi walk over the legs,
-``modular._psi_sums``: a leg c Theta_{x,y} gives c <y, x> at level |w|
-and, since Delta fixes the F-valued inner product (Delta . Theta_{x,y} =
+Both traces are read at once by ``_split_table`` on the unit row, since
+pi(1) e = e: a leg c Theta_{x,y} gives c <y, x> at level |w| and, since
+Delta fixes the F-valued inner product (Delta . Theta_{x,y} =
 Theta_{Delta x, y}) and scales a degree-d term by n^(-d), c <y, Delta x> at
 level |w| + d.  ``tau_delta_truncated`` keeps the truncated definition
 sup_N tau_tilde(Delta_N e) alive as an independent cross-check, built
@@ -32,10 +32,13 @@ pi(a) e for a whole row of a in one pass, without forming a x: each term
 of a meets the terms of the c x in the index of e's legs (``_legs``, which
 folds each weight c into its x's terms), and each product term is paired
 on the diagonal with that leg's y.  ``tracesplit_sweep`` indexes Phi_k's
-legs once per k and reads the table of every f at once; each k is one
-``tally.sweep`` block, whose two rows are compared with [n^k tau(f)] and
-[tau(f)] in one list ``==``, and which labels only its failing cases.
-``_split_traces`` is the table's one-row call (``flow.aps_index_traces``).
+legs once per k and reads the table of the unit row and every f at once,
+so Phi_k's own traces come from the same pass; each k is one
+``tally.sweep`` block, whose two rows are compared with
+[n^k, n^k tau(f)...] and [1, tau(f)...] in one list ``==``, and which
+labels only its failing cases.
+``_split_traces`` is the table's one-row call (``tau_tilde`` and
+``tau_delta_endo`` on the unit row, ``flow.aps_index_traces``).
 
 The compression identity v Phi_k v^* = v v^* Phi_{k+m} of a monomial
 partial isometry v of gauge degree m is checked on probes x by
@@ -61,6 +64,8 @@ from .algebra import (
     AlgebraElement,
     _add_into,
     _meets,
+    _power_exceeds,
+    _power_text,
     _right_index,
     _terms_equal,
     adjoint,
@@ -74,7 +79,7 @@ from .algebra import (
     zero,
 )
 from .errors import DomainError, TermBudgetExceeded, UsageError
-from .modular import _by_level, _psi_sums, expectation, trace_F
+from .modular import _by_level, expectation, trace_F
 from .scalars import QSqrt, n_power
 from .tally import sweep
 
@@ -174,9 +179,9 @@ def compose_left_mult(a: AlgebraElement, e: EndoSum) -> EndoSum:
 def phi_k_endo(k: int, n: int) -> EndoSum:
     """The degree-k spectral projection as a finite rank-one sum."""
     budget = term_budget()
-    if n ** abs(k) > budget:
+    if _power_exceeds(n, abs(k), budget):
         raise TermBudgetExceeded(
-            f"phi_k_endo: Phi_{k} over O_{n} needs {n}**{abs(k)} = {n**abs(k)} "
+            f"phi_k_endo: Phi_{k} over O_{n} needs {_power_text(n, abs(k))} "
             f"rank-one terms, past the term budget of {budget}"
         )
     out = EndoSum(n)
@@ -185,12 +190,6 @@ def phi_k_endo(k: int, n: int) -> EndoSum:
         s = monomial(n, mu, ()) if k >= 0 else monomial(n, (), mu)
         out.terms.append((weight, RankOne(s, s)))
     return out
-
-
-def _traces(e: EndoSum) -> tuple[QSqrt, QSqrt]:
-    """(tau_tilde(e), tau_delta(e)) in one psi walk over the weighted pairs
-    (c, y, x) of the legs."""
-    return _psi_sums(e.n, [(c, th.y.terms, th.x.terms) for c, th in e.terms], star_a=True, shift=True)
 
 
 def _legs(e: EndoSum) -> tuple[list, tuple[dict, dict]]:
@@ -208,8 +207,9 @@ def _split_table(n: int, legs: tuple, rows: list) -> tuple[list, list]:
     their product S_p S_q^* is paired with each term S_mu S_nu^* of that
     leg's y, and counts where y^* S_p S_q^* is some S_w S_w^*, by the rule
     of the ``algebra`` module docstring.  c_a c_x c_y is summed per (a,
-    level |w|), and at |w| + d, d = |p| - |q|, for tau_delta, as
-    ``modular._psi_sums`` reads Delta; each sum is weighted n^(-level)."""
+    level |w|), and at |w| + d, d = |p| - |q|, for tau_delta, since
+    Delta scales the product term by n^(-d); each sum is weighted
+    n^(-level)."""
     ys, index = legs
     one = QSqrt.one(n)
     tildes, deltas = [], []
@@ -248,6 +248,9 @@ def _split_table(n: int, legs: tuple, rows: list) -> tuple[list, list]:
     return tildes, deltas
 
 
+_UNIT_ROW = {((), ()): 1}  # pi(1) e = e: its table entries are e's own traces
+
+
 def _split_traces(n: int, legs: tuple, a_terms: dict) -> tuple[QSqrt, QSqrt]:
     """(tau_tilde(pi(a) e), tau_delta(pi(a) e)) given legs = _legs(e): the
     one-row ``_split_table``."""
@@ -257,13 +260,13 @@ def _split_traces(n: int, legs: tuple, a_terms: dict) -> tuple[QSqrt, QSqrt]:
 
 def tau_tilde(e: EndoSum) -> QSqrt:
     """tau_tilde(Theta_{x,y}) = psi(y^* x) = <y, x>, extended linearly."""
-    return _traces(e)[0]
+    return _split_traces(e.n, _legs(e), _UNIT_ROW)[0]
 
 
 def tau_delta_endo(e: EndoSum) -> QSqrt:
     """tau_delta(e) = tau_tilde(Delta . e), with Delta applied to the output
     leg; normalised so every Phi_k has weight exactly 1."""
-    return _traces(e)[1]
+    return _split_traces(e.n, _legs(e), _UNIT_ROW)[1]
 
 
 def tau_delta_truncated(e: EndoSum, cutoff: int) -> QSqrt:
@@ -424,33 +427,35 @@ def tracesplit_sweep(n: int, max_len: int):
     """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) == tau(f) for
     degree-0 monomials f and |k| <= TRACESPLIT_K_SPAN, plus the Phi_k weights themselves.
     f and tau(f) are formed once, shared by the values of k.  Per k, Phi_k's legs are
-    indexed once and both traces of every f are read in one ``_split_table`` pass; the
-    k is one block, whose two rows are compared with [n^k tau(f)] and [tau(f)] in one
-    ``==``, and whose failing cases are labelled in the per-case order: by f, tau_tilde
-    before tau_delta."""
+    indexed once and both traces of the unit row (Phi_k's weights) and of every f are
+    read in one ``_split_table`` pass; the k is one block, whose two rows are compared
+    with [n^k, n^k tau(f)...] and [1, tau(f)...] in one ``==``, and whose failing cases
+    are labelled in the per-case order: the weights, then by f, tau_tilde before
+    tau_delta."""
     f_words = [(alpha, beta) for length in range(max_len + 1) for alpha in words(n, length) for beta in words(n, length)]
     fs = [monomial(n, alpha, beta) for alpha, beta in f_words]
-    f_rows = [f.terms for f in fs]
+    rows = [_UNIT_ROW, *(f.terms for f in fs)]
     traces = [trace_F(f) for f in fs]
+    deltas_want = [QSqrt.one(n), *traces]
     zero_trace = QSqrt.zero(n)
     for k in range(-TRACESPLIT_K_SPAN, TRACESPLIT_K_SPAN + 1):
-        phi_k = phi_k_endo(k, n)
-        tilde, delta = _traces(phi_k)
-        yield tilde == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}"
-        yield delta == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1"
-        tildes, deltas = _split_table(n, _legs(phi_k), f_rows)
+        tildes, deltas = _split_table(n, _legs(phi_k_endo(k, n)), rows)
         scale = n_power(n, k)
-        wants = [tf if tf is zero_trace else scale * tf for tf in traces]
+        wants = [scale, *(tf if tf is zero_trace else scale * tf for tf in traces)]
         labels = []
-        if (tildes, deltas) != (wants, traces):  # list != tests "is" before __eq__
-            for (alpha, beta), tilde, want, delta, tf in zip(f_words, tildes, wants, deltas, traces):
+        if (tildes, deltas) != (wants, deltas_want):  # list != tests "is" before __eq__
+            if tildes[0] != scale:
+                labels.append(lambda k=k: f"tau_tilde(Phi_{k}) != n^{k}")
+            if deltas[0] != deltas_want[0]:
+                labels.append(lambda k=k: f"tau_delta(Phi_{k}) != 1")
+            for (alpha, beta), tilde, want, delta, tf in zip(f_words, tildes[1:], wants[1:], deltas[1:], traces):
                 if tilde != want:
                     labels.append(lambda alpha=alpha, beta=beta, k=k:
                                   f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
                 if delta != tf:
                     labels.append(lambda alpha=alpha, beta=beta, k=k:
                                   f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}")
-        yield 2 * len(fs), labels
+        yield 2 + 2 * len(fs), labels
 
 
 def keyfact_plan(n: int, max_len: int) -> tuple[int, int]:

@@ -14,22 +14,21 @@ term pairs whose product is diagonal:
                (c_a S_mu S_nu^*, c_b S_al S_be^*) of a and b whose
                path-matched product is S_w S_w^*
 
-One private walk evaluates this sum without forming a b, summed over a
-list of weighted pairs.  ``psi_product`` reads both operands as they are,
-``inner_product`` (psi(a^* b)) reads a's terms swapped, and
-``flow.twisted_theta`` (psi(a0 [D, a1])) weights each matched pair by the
-gauge degree of a1's term; the tau traces of ``endos`` pass one pair per
-leg and read each matched pair also at its Delta-shifted level, so both
-traces of an endomorphism come from one walk.  Beside it, one private
-table gives psi(l' r) for every pair of two lists at once: each left term
-finds its diagonal partners by lookup in the right operands'
-``algebra._right_index``, so no pair is scanned.  These are the two psi
-kernels, one per traffic shape: single pairs and sums of them, as in ``psi_product``, ``inner_product``,
-``flow.twisted_theta``, the tau traces and ``flow.cocycle_b_defect``, stay
-on the walk, which costs less there than a 1x1 table; a sweep over all
-pairs, as in ``kms_sweep``, ``tomita_sweep`` and ``flow.cocycle_sweep``
-(whose b-defect terms are read from tables of products against [D, .]
-images), reads its pairings from tables.  ``kms_sweep`` and
+One private walk evaluates this sum for one pair (a, b) without forming
+a b.  ``psi_product`` reads both operands as they are, ``inner_product``
+(psi(a^* b)) reads a's terms swapped, and ``flow.twisted_theta``
+(psi(a0 [D, a1])) weights each matched pair by the gauge degree of a1's
+term.  Beside it, one private table gives psi(l' r) for every pair of two
+lists at once: each left term finds its diagonal partners by lookup in
+the right operands' ``algebra._right_index``, so no pair is scanned.
+These are the two psi kernels, one per traffic shape: single pairs, as in
+``psi_product``, ``inner_product``, ``flow.twisted_theta`` and
+``flow.cocycle_b_defect``, stay on the walk, which costs less there than
+a 1x1 table; a sweep over all pairs, as in ``kms_sweep``,
+``tomita_sweep`` and ``flow.cocycle_sweep`` (whose b-defect terms are
+read from tables of products against [D, .] images), reads its pairings
+from tables.  The tau traces of an endomorphism are not read here:
+``endos._split_table`` reads both at once.  ``kms_sweep`` and
 ``tomita_sweep`` then compare the two sides' tables a row at a time, each
 row one ``tally.sweep`` block of cases that labels only its failures, so
 a row that holds costs one list comparison.  The generator D multiplies a
@@ -97,17 +96,8 @@ def state_psi(a: AlgebraElement) -> QSqrt:
 
 
 def _psi_walk(a: AlgebraElement, b: AlgebraElement, star_a: bool = False, weigh: bool = False) -> QSqrt:
-    """psi(a' b): ``_psi_sums`` on the one pair (1, a, b)."""
-    if a.n != b.n:
-        a._check_mate(b)  # raises the mixed-algebras error
-    return _psi_sums(a.n, ((None, a.terms, b.terms),), star_a, weigh)[0]
-
-
-def _psi_sums(n: int, pairs, star_a: bool = False, weigh: bool = False, shift: bool = False) -> tuple[QSqrt, QSqrt]:
-    """(sum_i c_i psi(a_i' b_i), sum_i c_i psi(a_i' Delta b_i)) over the term
-    pairs of weighted pairs (c_i, a_i, b_i) of term maps, c_i None for 1; the
-    second sum is read only if shift, and is zero otherwise.  a' reads each
-    term c S_mu S_nu^* of a as it is or, if star_a, as c S_nu S_mu^* (so
+    """psi(a' b) over the term pairs of a and b.  a' reads each term
+    c S_mu S_nu^* of a as it is or, if star_a, as c S_nu S_mu^* (so
     a' = a*: coefficients are real).  On a diagonal pair b's term has gauge
     degree d = |nu| - |mu|, read once per term of a: if weigh, c is also
     multiplied by d.
@@ -115,48 +105,43 @@ def _psi_sums(n: int, pairs, star_a: bool = False, weigh: bool = False, shift: b
     A pair counts if its product, by the rule of the ``algebra`` module
     docstring, is some S_w S_w^*.  c_a c_b is summed per level |w|, and
     each sum is weighted n^(-level).
-    Delta scales b's term by n^(-d), so the shifted sum reads the pair at
-    level |w| + d.
     """
-    plain = {}  # |w| -> sum of c_a c_b over the pairs landing on S_w S_w^*
-    shifted = {}  # |w| + d -> the same, for psi(a' Delta b)
-    for c0, a_terms, b_terms in pairs:
-        for (mu, nu), ca in a_terms.items():
-            if star_a:
-                mu, nu = nu, mu
-            ln_nu = len(nu)
+    if a.n != b.n:
+        a._check_mate(b)  # raises the mixed-algebras error
+    b_terms = b.terms
+    sums = {}  # |w| -> sum of c_a c_b over the pairs landing on S_w S_w^*
+    for (mu, nu), ca in a.terms.items():
+        if star_a:
+            mu, nu = nu, mu
+        ln_nu = len(nu)
+        if weigh:
             d = ln_nu - len(mu)
-            if weigh:
-                if not d:
+            if not d:
+                continue
+            ca = ca * d
+        for (al, be), cb in b_terms.items():
+            ln_al = len(al)
+            if ln_nu == ln_al:
+                if nu != al or mu != be:
                     continue
-                ca = ca * d
-            if c0 is not None:
-                ca = ca * c0
-            for (al, be), cb in b_terms.items():
-                ln_al = len(al)
-                if ln_nu == ln_al:
-                    if nu != al or mu != be:
-                        continue
-                    k = len(mu)
-                elif ln_nu > ln_al:
-                    if nu[:ln_al] != al or mu != be + nu[ln_al:]:
-                        continue
-                    k = len(mu)
-                else:
-                    if al[:ln_nu] != nu or mu + al[ln_nu:] != be:
-                        continue
-                    k = len(be)
-                c = ca * cb
-                s = plain.get(k)
-                plain[k] = c if s is None else s + c
-                if shift:
-                    s = shifted.get(k + d)
-                    shifted[k + d] = c if s is None else s + c
-    return _by_level(n, plain), _by_level(n, shifted)
+                k = len(mu)
+            elif ln_nu > ln_al:
+                if nu[:ln_al] != al or mu != be + nu[ln_al:]:
+                    continue
+                k = len(mu)
+            else:
+                if al[:ln_nu] != nu or mu + al[ln_nu:] != be:
+                    continue
+                k = len(be)
+            c = ca * cb
+            s = sums.get(k)
+            sums[k] = c if s is None else s + c
+    return _by_level(a.n, sums)
 
 
 def _by_level(n: int, sums: dict) -> QSqrt:
-    """sum of s n^(-level) over the per-level sums of ``_psi_sums``."""
+    """sum of s n^(-level) over per-level sums, as ``_psi_walk`` and
+    ``endos._split_table`` keep them."""
     if not sums:
         return QSqrt.zero(n)
     (k, s), *more = sums.items()
@@ -168,7 +153,7 @@ def _by_level(n: int, sums: dict) -> QSqrt:
 
 def _psi_table(lefts: list, rights: list, star: bool = False) -> list[list[QSqrt]]:
     """rows[i][j] = psi(l_i' r_j) for every pair at once, where l' is l or,
-    if star, l* (read as ``_psi_sums`` reads star_a); no pair is scanned.
+    if star, l* (read as ``_psi_walk`` reads star_a); no pair is scanned.
 
     The rights are indexed once by ``algebra._right_index``, and a left
     term S_mu S_nu^* looks up only its diagonal partners there: in exact

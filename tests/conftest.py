@@ -238,31 +238,33 @@ def oracle_keyfact_sweep(n: int, max_len: int):
                 yield oracle_key_fact(v, k, probes), lambda: f"v=S_{mu}S*_{nu} k={k}"
 
 
+def oracle_endo_traces(e) -> tuple[QSqrt, QSqrt]:
+    """(tau_tilde(e), tau_delta(e)) leg by leg: each leg's <y, x> read by
+    inner_product and its <y, Delta x> by inner_product against
+    delta_power of the output leg, both looked up in modular per call."""
+    tilde = delta = QSqrt.zero(e.n)
+    for c, th in e.terms:
+        tilde = tilde + c * modular.inner_product(th.y, th.x)
+        delta = delta + c * modular.inner_product(th.y, modular.delta_power(th.x, 1))
+    return tilde, delta
+
+
 @sweep("tracesplit", "n", "max_len")
 def oracle_tracesplit_sweep(n: int, max_len: int):
     """tracesplit_sweep with pi(f) Phi_k built leg by leg by compose_left_mult
-    for every case, each leg's <y, x> read by inner_product and its
-    <y, Delta x> by inner_product against delta_power of the output leg."""
+    for every case, and both traces read by oracle_endo_traces."""
     mod = modular
-
-    def traces(e):
-        tilde = delta = QSqrt.zero(n)
-        for c, th in e.terms:
-            tilde = tilde + c * mod.inner_product(th.y, th.x)
-            delta = delta + c * mod.inner_product(th.y, mod.delta_power(th.x, 1))
-        return tilde, delta
-
     k_span = endos.TRACESPLIT_K_SPAN
     for k in range(-k_span, k_span + 1):
         phi_k = endos.phi_k_endo(k, n)
-        tilde, delta = traces(phi_k)
+        tilde, delta = oracle_endo_traces(phi_k)
         yield tilde == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}"
         yield delta == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1"
         for length in range(max_len + 1):
             for alpha in words(n, length):
                 for beta in words(n, length):
                     f = monomial(n, alpha, beta)
-                    tilde, delta = traces(endos.compose_left_mult(f, phi_k))
+                    tilde, delta = oracle_endo_traces(endos.compose_left_mult(f, phi_k))
                     yield (tilde == n_power(n, k) * mod.trace_F(f),
                            lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
                     yield delta == mod.trace_F(f), lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}"

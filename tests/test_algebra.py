@@ -10,6 +10,8 @@ from cuntzmod.algebra import (
     AlgebraElement,
     _disjoint_terms,
     _multiply_into,
+    _power_exceeds,
+    _power_text,
     adjoint,
     canonical_form,
     equals,
@@ -301,6 +303,24 @@ def test_term_budget_error_names_site_and_size(monkeypatch):
     with pytest.raises(TermBudgetExceeded) as err:
         canonical_form(one(3) + monomial(3, (1,), (2,)) - projection(3, (1, 1)))
     assert "3-term input" in str(err.value) and "3**2 = 9" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 46])
+def test_power_text_prints_the_power_only_below_the_str_threshold(n):
+    # a power of 639 digits or fewer is written out, one of 640 or more
+    # (which str may refuse) by its digit count, matched here against str
+    for e in range(1, 2200):
+        digits = len(str(n**e))
+        text = _power_text(n, e)
+        assert text == (f"{n}**{e} = {n**e}" if digits < 640 else f"{n}**{e} ({digits} digits)"), e
+        if digits > 660:
+            break
+
+
+def test_power_exceeds_compares_without_the_power():
+    assert not _power_exceeds(2, 17, 131072) and _power_exceeds(2, 17, 131071)
+    assert not _power_exceeds(3, 0, 1) and _power_exceeds(3, 0, 0) and _power_exceeds(5, 2, -1)
+    assert _power_exceeds(2, 10**12, 10**6)  # 2**(10**12) would not fit in memory
 
 
 def test_term_budget_counts_keys_that_cancelled(monkeypatch):

@@ -334,6 +334,18 @@ def test_keyfact_check_is_charged_for_its_probes(capsys, n, max_len, cases, prob
     assert f"at least {cases} cases, {cases * probes} units of work" in err
 
 
+@pytest.mark.parametrize("argv, power", [
+    (["eval", "--n", "2", f"I - S[{','.join('1' * 20000)}].S[{','.join('1' * 20000)}]'"], "2**20000 (6021 digits)"),
+    (["aps", "--n", "2", "--mu", "1", "--nu", ",".join("1" * 15000)], "2**14999 (4516 digits)"),
+])
+def test_budget_refusal_of_a_power_str_cannot_print(capsys, argv, power):
+    # canonical_form and phi_k_endo need a power of 2 of more than the 4,300
+    # digits str writes out; the refusal gives its digit count instead
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and power in err
+
+
 def test_tracesplit_check_is_charged_for_phi_k(capsys):
     # every tracesplit case walks the n^|k| rank-one terms of Phi_k, |k| <= 3
     start = time.process_time()

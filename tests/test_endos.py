@@ -1,10 +1,11 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import monomial_elements, oracle_key_fact, random_element
+from conftest import monomial_elements, oracle_endo_traces, oracle_key_fact, random_element
 from cuntzmod import endos
 from cuntzmod.algebra import (
     AlgebraElement,
@@ -27,7 +28,6 @@ from cuntzmod.endos import (
     _legs,
     _row_product,
     _split_traces,
-    _traces,
     RankOne,
     compose_left_mult,
     endo_apply,
@@ -120,6 +120,15 @@ def test_phi_k_budget():
     assert "phi_k_endo" in str(err.value) and str(2**30) in str(err.value)
 
 
+def test_phi_k_budget_builds_no_power():
+    # n**|k| is compared with the budget by exponent: 2**(10**9) would be a 125 MB integer
+    start = time.process_time()
+    with pytest.raises(TermBudgetExceeded) as err:
+        phi_k_endo(10**9, 2)
+    assert time.process_time() - start < 0.05
+    assert "needs 2**1000000000 (301029996 digits) rank-one terms" in str(err.value)
+
+
 def test_tau_tilde_values():
     assert tau_tilde(theta(gen(2, 1), gen(2, 1))) == 1
     assert tau_tilde(phi_k_endo(1, 2)) == 2
@@ -142,6 +151,23 @@ def test_tau_delta_values():
         for k in (-3, -1, 0, 1, 2):
             assert tau_delta_endo(phi_k_endo(k, n)) == 1
     assert tau_delta_endo(theta(one(2), one(2))) == 1
+
+
+_LEG = gen(3, 1) + monomial(3, (2,), (2, 1), QSqrt(3, 1, 1))  # terms of degree 1 and -1
+
+
+@pytest.mark.parametrize("e", [
+    EndoSum(3),
+    EndoSum(3, [(2, RankOne(_LEG, _LEG + one(3))), (-2, RankOne(_LEG, _LEG + one(3)))]),
+], ids=["empty", "legs_cancel"])
+def test_traces_of_a_zero_endomorphism_are_an_exact_zero(e):
+    # read from the unit row of the split table; the cancelling legs alone
+    # have nonzero traces, so their per-level sums cancel to zero
+    if e.terms:
+        assert not tau_tilde(EndoSum(3, e.terms[:1])).is_zero
+        assert not tau_delta_endo(EndoSum(3, e.terms[:1])).is_zero
+    for value in (tau_tilde(e), tau_delta_endo(e)):
+        assert type(value) is QSqrt and value.is_zero and value == 0
 
 
 def test_tau_delta_vs_truncated_sup():
@@ -318,7 +344,7 @@ def test_split_traces_equal_the_walk_on_every_degree_zero_monomial(n):
         phi_k = phi_k_endo(k, n)
         legs = _legs(phi_k)
         for f in fs:
-            assert _split_traces(n, legs, f.terms) == _traces(compose_left_mult(f, phi_k))
+            assert _split_traces(n, legs, f.terms) == oracle_endo_traces(compose_left_mult(f, phi_k))
 
 
 def _left_rows_by_parts(v, probes) -> dict:

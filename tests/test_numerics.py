@@ -97,6 +97,32 @@ def test_beta_constant_closed_forms():
         beta_constant(0.5)
 
 
+# C_s = B(1/2, s - 1/2) by mpmath at 50 digits
+BETA_REFERENCE = {
+    10.0: 0.5826730148984365358507298,
+    16.0: 0.453848448838170454337349,
+    1e4: 0.01772520321386930666429342,
+    1e8: 0.0001772453857552218002812092,
+    1e12: 0.000001772453850906180697492257,
+    1e16: 1.772453850905516093765187e-8,
+}
+
+
+@pytest.mark.parametrize("s", sorted(BETA_REFERENCE))
+def test_beta_constant_is_accurate_for_large_s(s):
+    # lgamma(s - 1/2) - lgamma(s) read 2.9e-8 relative at 1e8 and 1.0 at 1e16;
+    # at the switch each Stirling term the series keeps moves C_s by over 1e-14
+    assert beta_constant(s) == pytest.approx(BETA_REFERENCE[s], rel=1e-14 if s > 16 else 2e-15, abs=0)
+
+
+def test_beta_constant_below_the_switch_keeps_the_log_gamma_bits():
+    below = [0.5000001, 0.75, 1.0, 1.5, 2.0, 3.7, 5.0, 9.25, 9.999, math.nextafter(numerics.STIRLING_FROM, 0)]
+    below += [0.5 + k / 64 for k in range(1, 608)]
+    for s in below:
+        assert s < numerics.STIRLING_FROM
+        assert beta_constant(s) == math.exp(0.5 * math.log(math.pi) + math.lgamma(s - 0.5) - math.lgamma(s)), s
+
+
 def test_beta_constant_refuses_past_the_lgamma_limit():
     # LGAMMA_LIMIT is the last double whose log Gamma is finite
     limit = numerics.LGAMMA_LIMIT

@@ -4,8 +4,8 @@ One walk sums c_a c_b n^(-|w|) over the matched term pairs whose product is
 S_w S_w^*.  ``psi_product(a, b)`` must equal ``oracle_psi_product``, which
 builds a b and reads psi off it, exactly.  The pairing reads a's terms
 swapped and the twisted cocycle weights each pair by a1's term degree, and
-the two endomorphism traces call the pairing; each must still equal the
-formula that built a*, [D, a1] and the product.  The pairing table gives
+the two endomorphism traces are read from the split table's unit row; each
+must still equal the formula that built a*, [D, a1] and the product.  The pairing table gives
 psi(l' r) for every pair of two lists at once; each entry must equal the
 walk on its pair.  The cocycle sweep reads each of the three terms of
 b theta from its own table over all triples of a list; each entry must
@@ -21,14 +21,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import monomial_elements, oracle_b_terms, oracle_psi_product, random_element
+from conftest import monomial_elements, oracle_b_terms, oracle_endo_traces, oracle_psi_product, random_element
 from cuntzmod.algebra import adjoint, gen, monomial, multiply, projection, zero
 from cuntzmod.endos import (
     EndoSum,
     RankOne,
     _legs,
     _split_traces,
-    _traces,
     compose_left_mult,
     key_fact_check,
     phi_k_endo,
@@ -315,12 +314,12 @@ def test_fused_traces_equal_psi_of_the_built_legs(rng):
 
 
 def test_split_traces_equal_the_walk(rng):
-    # the indexed traces of pi(a) e against the walk over its formed legs, on legs of several terms
+    # the indexed traces of pi(a) e against the walk (inner_product) over its formed legs, on legs of several terms
     for i in range(60):
         n = 2 + i % 3
         e = _random_endo(rng, n)
         a = random_element(rng, n, 3, 2)
-        assert _split_traces(n, _legs(e), a.terms) == _traces(compose_left_mult(a, e))
+        assert _split_traces(n, _legs(e), a.terms) == oracle_endo_traces(compose_left_mult(a, e))
 
 
 # -- float data never reaches an exact entry point --------------------------------

@@ -1,19 +1,20 @@
 """``endos._split_table``, both traces of pi(a) e for a whole row of a at
-once, against the walk over the legs that ``compose_left_mult`` forms,
-one a at a time."""
+once, against ``oracle_endo_traces`` over the legs that
+``compose_left_mult`` forms, one a at a time."""
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import oracle_endo_traces
 from cuntzmod.algebra import AlgebraElement, gen, monomial, one, zero
-from cuntzmod.endos import EndoSum, RankOne, _legs, _split_table, _traces, compose_left_mult, phi_k_endo
+from cuntzmod.endos import EndoSum, RankOne, _legs, _split_table, compose_left_mult, phi_k_endo
 from cuntzmod.scalars import QSqrt, n_power
 
 
 def _walked(e: EndoSum, row: list) -> tuple[list, list]:
-    """The table's two rows, each entry from _traces of the formed pi(a) e."""
-    traces = [_traces(compose_left_mult(a, e)) for a in row]
+    """The table's two rows, each entry from oracle_endo_traces of the formed pi(a) e."""
+    traces = [oracle_endo_traces(compose_left_mult(a, e)) for a in row]
     return [tilde for tilde, _ in traces], [delta for _, delta in traces]
 
 
@@ -49,6 +50,10 @@ _CANCELLING = (monomial(2, (), (1,)) - monomial(2, (1,), (1, 1)), monomial(2, (1
 @example((phi_k_endo(-1, 2), [zero(2), one(2), monomial(2, (1, 2), (), QSqrt(2, 0, 1))]))  # degree 2
 @example((EndoSum(2, [(QSqrt(2, 0, 1), RankOne(gen(2, 1) + gen(2, 2), one(2) - monomial(2, (2,), (1,))))]),
           [monomial(2, (), (1,)) + monomial(2, (1, 1), (1,), 3), one(2)]))
+@example((EndoSum(3, [(1, RankOne(gen(3, 1) + monomial(3, (2,), (2, 1)), one(3) + monomial(3, (1, 3), (3,)))),
+                      (Fraction(-1, 3), RankOne(monomial(3, (), (2,), QSqrt(3, 0, 1)) + gen(3, 2), gen(3, 2) - one(3))),
+                      (QSqrt(3, 1, -1), RankOne(monomial(3, (3, 3), (1,)) + one(3), monomial(3, (3, 3), (1,))))]),
+           [one(3)]))  # the unit row: e's own traces, each leg of several terms and degrees
 def test_split_table_equals_the_walk_over_the_formed_legs(case):
     e, row = case
     assert _split_table(e.n, _legs(e), [a.terms for a in row]) == _walked(e, row)

@@ -4,8 +4,9 @@
 and ``cocycle_sweep`` form each map of one operand once and share it across
 the cases that read it; kms, tomita and cocycle also read every pairing
 from a table over all pairs, keyfact files each product by degree in one
-pass over the probes, and tracesplit reads both traces of every f for one
-k in one pass over Phi_k's legs; kms, tomita and tracesplit compare whole
+pass over the probes, and tracesplit reads both traces of the unit row
+(Phi_k's own weights) and of every f for one k in one pass over Phi_k's
+legs; kms, tomita and tracesplit compare whole
 rows, one block of cases per row (per k for tracesplit).
 Their reports must equal those of the oracles in conftest, which form
 every map inside its case, on clean code and with a wrong map patched into

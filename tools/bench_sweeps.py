@@ -4,10 +4,14 @@ acceptance criterion 3, which the workload leaves out for its length, one
 chunk of criterion 1, ``sf_closed_form_chunk(4, 2, 3)``, whose 1,024 cases
 each run the modular certificate and the spectral flow, and
 ``homotopy_sweep(2, 21)``, whose sampled paths build rotation blocks,
-``keyfact_sweep(3, 1)``, the key-fact check on three letters, and
+``keyfact_sweep(3, 1)``, the key-fact check on three letters,
 ``cocycle_five_term(51)``, the b-defect on acceptance criterion 4's 1,000
 random triples of up to five terms in O_3 (drawn once per source tree, with
-seed 51, by the tests' ``random_element``, as the criterion draws them).
+seed 51, by the tests' ``random_element``, as the criterion draws them),
+and ``psi_pairs(3, 2)``, the single-pair psi walk: ``psi_product``,
+``inner_product`` and ``flow.twisted_theta`` on every ordered pair of the
+169 monomials of O_3 with legs up to 2, each checked against its entry of
+``_psi_table`` tables built once per source tree and not timed.
 
 Each source tree (``--side NAME=SRC``, a directory holding the ``cuntzmod``
 package; by default this checkout's ``src``) is imported into this one
@@ -97,12 +101,38 @@ def cocycle_five_term(seed: int) -> dict:
     return {"cases": len(triples), "failures": failures}
 
 
+@functools.cache
+def _psi_pair_tables(modular, n: int, max_len: int) -> tuple:
+    """The monomials with legs up to max_len, and the tables of psi(a b),
+    psi(a^* b) and psi(a [D, b]) over every ordered pair of them."""
+    monos = modular.monomials_upto(n, max_len)
+    d_monos = [modular.commutator_D(b) for b in monos]
+    return monos, (modular._psi_table(monos, monos), modular._psi_table(monos, monos, star=True),
+                   modular._psi_table(monos, d_monos))
+
+
+def psi_pairs(n: int, max_len: int) -> dict:
+    """psi_product, inner_product and twisted_theta on every ordered pair of
+    monomials, each against its table entry, in the sweeps' report shape;
+    the tables are built on a side's first call and kept."""
+    modular = sys.modules["cuntzmod.modular"]
+    monos, tables = _psi_pair_tables(modular, n, max_len)
+    walks = (modular.psi_product, modular.inner_product, sys.modules["cuntzmod.flow"].twisted_theta)
+    failures = 0
+    for walk, table in zip(walks, tables):
+        for a, row in zip(monos, table):
+            for b, want in zip(monos, row):
+                failures += walk(a, b) != want
+    return {"cases": len(walks) * len(monos) ** 2, "failures": failures}
+
+
 EXTRA_SWEEPS = (
     ("cuntzmod.modular", "tomita_sweep", (3, 2), 172549),
     ("cuntzmod.flow", "sf_closed_form_chunk", (4, 2, 3), 1024),
     ("cuntzmod.matrices", "homotopy_sweep", (2, 21), 4),
     ("cuntzmod.endos", "keyfact_sweep", (3, 1), 80),
     (__name__, "cocycle_five_term", (51,), 1000),
+    (__name__, "psi_pairs", (3, 2), 85683),
 )
 
 
