@@ -34,9 +34,8 @@ folds each weight c into its x's terms), and each product term is paired
 on the diagonal with that leg's y.  ``tracesplit_sweep`` indexes Phi_k's
 legs once per k and reads the table of the unit row and every f at once,
 so Phi_k's own traces come from the same pass; each k is one
-``tally.sweep`` block, whose two rows are compared with
-[n^k, n^k tau(f)...] and [1, tau(f)...] in one list ``==``, and which
-labels only its failing cases.
+``tally.sweep`` block of two rows, the tau_tilde row against
+[n^k, n^k tau(f)...] and the tau_delta row against [1, tau(f)...].
 ``_split_traces`` is the table's one-row call (``tau_tilde`` and
 ``tau_delta_endo`` on the unit row, ``flow.aps_index_traces``).
 
@@ -428,34 +427,26 @@ def tracesplit_sweep(n: int, max_len: int):
     degree-0 monomials f and |k| <= TRACESPLIT_K_SPAN, plus the Phi_k weights themselves.
     f and tau(f) are formed once, shared by the values of k.  Per k, Phi_k's legs are
     indexed once and both traces of the unit row (Phi_k's weights) and of every f are
-    read in one ``_split_table`` pass; the k is one block, whose two rows are compared
-    with [n^k, n^k tau(f)...] and [1, tau(f)...] in one ``==``, and whose failing cases
-    are labelled in the per-case order: the weights, then by f, tau_tilde before
-    tau_delta."""
+    read in one ``_split_table`` pass; the k is one ``tally.sweep`` block whose rows
+    t = 0 and 1 are the tau_tilde row against [n^k, n^k tau(f)...] and the tau_delta
+    row against [1, tau(f)...].  Case j = 0 is Phi_k's weight and case j >= 1 the
+    (j-1)th f, so the runner labels the failures in the per-case order: the weights,
+    then by f, tau_tilde before tau_delta."""
     f_words = [(alpha, beta) for length in range(max_len + 1) for alpha in words(n, length) for beta in words(n, length)]
     fs = [monomial(n, alpha, beta) for alpha, beta in f_words]
     rows = [_UNIT_ROW, *(f.terms for f in fs)]
     traces = [trace_F(f) for f in fs]
     deltas_want = [QSqrt.one(n), *traces]
     zero_trace = QSqrt.zero(n)
+    # the labels of row t = 0 (tau_tilde) and t = 1 (tau_delta); case j = 0 is Phi_k's weight
+    weights = ["tau_tilde(Phi_{k}) != n^{k}", "tau_delta(Phi_{k}) != 1"]
+    splits = ["trace split tau_tilde f=S_{}S*_{} k={k}", "trace split tau_delta f=S_{}S*_{} k={k}"]
     for k in range(-TRACESPLIT_K_SPAN, TRACESPLIT_K_SPAN + 1):
         tildes, deltas = _split_table(n, _legs(phi_k_endo(k, n)), rows)
         scale = n_power(n, k)
         wants = [scale, *(tf if tf is zero_trace else scale * tf for tf in traces)]
-        labels = []
-        if (tildes, deltas) != (wants, deltas_want):  # list != tests "is" before __eq__
-            if tildes[0] != scale:
-                labels.append(lambda k=k: f"tau_tilde(Phi_{k}) != n^{k}")
-            if deltas[0] != deltas_want[0]:
-                labels.append(lambda k=k: f"tau_delta(Phi_{k}) != 1")
-            for (alpha, beta), tilde, want, delta, tf in zip(f_words, tildes[1:], wants[1:], deltas[1:], traces):
-                if tilde != want:
-                    labels.append(lambda alpha=alpha, beta=beta, k=k:
-                                  f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
-                if delta != tf:
-                    labels.append(lambda alpha=alpha, beta=beta, k=k:
-                                  f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}")
-        yield 2 + 2 * len(fs), labels
+        yield [(tildes, wants), (deltas, deltas_want)], lambda j, t: (
+            splits[t].format(*f_words[j - 1], k=k) if j else weights[t].format(k=k))
 
 
 def keyfact_plan(n: int, max_len: int) -> tuple[int, int]:
@@ -472,13 +463,14 @@ def keyfact_sweep(n: int, max_len: int):
     with legs up to KEYFACT_PROBE_LEN.  The probes are indexed once per
     sweep, each v's left sides are formed for every k in one pass, and the
     right-side rows of every k, formed in one pass per distinct v v^*, are
-    shared between the v's with equal v v^*."""
+    shared between the v's with equal v v^*.  Each v is one ``tally.sweep``
+    block: ``_key_fact_rows``' booleans over k against [True] * len(ks)."""
     ws = words_upto(n, max_len)
     index = _right_index(monomials_upto(n, KEYFACT_PROBE_LEN))
     ranges: dict = {}
     ks = range(-KEYFACT_K_SPAN, KEYFACT_K_SPAN + 1)
+    holds = [True] * len(ks)
     for mu in ws:
         for nu in ws:
             held = _key_fact_rows(monomial(n, mu, nu), ks, index, ranges)
-            for k, ok in zip(ks, held):
-                yield ok, lambda: f"v=S_{mu}S*_{nu} k={k}"
+            yield [(held, holds)], lambda j, t: f"v=S_{mu}S*_{nu} k={ks[j]}"

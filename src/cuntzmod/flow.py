@@ -295,21 +295,22 @@ def cocycle_sweep(n: int, max_len: int):
     up to max_len.  B theta(a) = theta(1, a) is one psi walk per monomial.
     The three terms of b theta on each triple are read from their own
     tables (``_b_tables``), so no term is derived from another or from the
-    identity under test."""
+    identity under test.  The B-defects are one ``tally.sweep`` block of
+    one row, and each (a0, a1) is one block of the b-defects over a2, each
+    row compared with one shared row of zeros."""
     monos = monomials_upto(n, max_len)
     ident = one(n)
-    for a0 in monos:
-        value = twisted_theta(ident, a0)
-        yield value.is_zero, lambda: f"B-defect {value} on {a0!r}"
+    zeros = [QSqrt.zero(n)] * len(monos)
+    theta_ones = [twisted_theta(ident, a0) for a0 in monos]
+    yield [(theta_ones, zeros)], lambda j, t: f"B-defect {theta_ones[j]} on {monos[j]!r}"
     left, right, twisted = _b_tables(monos)
     m = len(monos)
     for i, a0 in enumerate(monos):
         right_i = right[i]
         for j, a1 in enumerate(monos):
             left_ij = left[i * m + j]
-            for k, a2 in enumerate(monos):
-                value = left_ij[k] - right_i[j * m + k] + twisted[k * m + i][j]
-                yield value.is_zero, lambda: f"b-defect {value} on ({a0!r}, {a1!r}, {a2!r})"
+            values = [left_ij[k] - right_i[j * m + k] + twisted[k * m + i][j] for k in range(m)]
+            yield [(values, zeros)], lambda k, t: f"b-defect {values[k]} on ({a0!r}, {a1!r}, {monos[k]!r})"
 
 
 def hochschild_plan(n: int) -> tuple[int, int]:

@@ -29,9 +29,9 @@ a 1x1 table; a sweep over all pairs, as in ``kms_sweep``,
 read from tables of products against [D, .] images), reads its pairings
 from tables.  The tau traces of an endomorphism are not read here:
 ``endos._split_table`` reads both at once.  ``kms_sweep`` and
-``tomita_sweep`` then compare the two sides' tables a row at a time, each
-row one ``tally.sweep`` block of cases that labels only its failures, so
-a row that holds costs one list comparison.  The generator D multiplies a
+``tomita_sweep`` yield the two sides' tables a row at a time as
+``tally.sweep`` blocks, which compare each row in one list comparison
+and label only its failures.  The generator D multiplies a
 monomial by its gauge degree, the modular operator is Delta = n^(-D), and
 the Tomita data act termwise:
 
@@ -289,17 +289,14 @@ def kms_sweep(n: int, max_len: int):
     lengths up to max_len.  sigma(b) is formed once per monomial, and each
     side is read from its own table: psi(a b) from the table of monos
     against monos, psi(sigma(b) a) from that of the sigma images against
-    monos, transposed once.  One block per a compares row a of the first
-    with column a of the second in one list ``==``."""
+    monos, transposed once.  Each a is one ``tally.sweep`` block of one
+    row: row a of the first table against column a of the second, case j
+    being b = monos[j]."""
     monos = monomials_upto(n, max_len)
     ab = _psi_table(monos, monos)
     ba = _psi_table([sigma(b) for b in monos], monos)  # ba[j][i] = psi(sigma(b_j) a_i)
-    width = len(monos)
     for a, lhs, rhs in zip(monos, ab, map(list, zip(*ba))):
-        # most entries are the one cached zero: list == tests "is" before __eq__
-        yield width, [] if lhs == rhs else [
-            lambda a=a, b=b, l=l, r=r: f"a={a!r} b={b!r} psi(ab)={l} psi(sigma(b)a)={r}"
-            for b, l, r in zip(monos, lhs, rhs) if not (l is r or l == r)]
+        yield [(lhs, rhs)], lambda j, t: f"a={a!r} b={monos[j]!r} psi(ab)={lhs[j]} psi(sigma(b)a)={rhs[j]}"
 
 
 def tomita_plan(n: int, max_len: int) -> tuple[int, int]:
@@ -319,9 +316,12 @@ def tomita_sweep(n: int, max_len: int):
     Delta^z a for the four z, F a and S a are formed once per monomial and
     shared by the single-element checks; each pairing of the pair checks is
     read from a table of the images against the monomials, one table per
-    side of each identity.  <x, y> = psi(x* y) is the starred table.  One
-    block per a compares the six identities' rows over all b, and labels
-    its failures in the per-case order: by b, then by identity."""
+    side of each identity.  <x, y> = psi(x* y) is the starred table.  Each
+    a yields one ``tally.sweep`` block of its seven single-element
+    identities, a row of booleans against [True] * 7; then each a yields
+    one block of the six pair identities' rows over all b, whose failures
+    the runner labels by b, then by identity.  Each identity's label is a
+    format string."""
     from .algebra import equals
 
     monos = monomials_upto(n, max_len)
@@ -330,12 +330,16 @@ def tomita_sweep(n: int, max_len: int):
     # (a, [Delta^z a for z in zs], F a, S a) for each monomial a; a list in
     # zs order rather than a dict, since a Fraction key is hashed per lookup
     maps = [(a, [delta_power(a, z) for z in zs], tomita_F(a), tomita_S(a)) for a in monos]
+    singles = [f"S/Delta^z intertwining a={{a!r}} z={z}" for z in zs] + [
+        "polar S a={a!r}", "polar F a={a!r}", "J^2 a={a!r}"]
+    holds = [True] * len(singles)
     for a, a_z, f_a, s_a in maps:
-        for z, dz_a in zip(zs, a_z):  # S(Delta^z a) = Delta^(-conj z)(S a); z real here
-            yield equals(tomita_S(dz_a), delta_power(s_a, -z)), lambda: f"S/Delta^z intertwining a={a!r} z={z}"
-        yield equals(s_a, modular_conjugation_J(a_z[2])), lambda: f"polar S a={a!r}"  # a_z[2] = Delta^(1/2) a
-        yield equals(f_a, delta_power(modular_conjugation_J(a), half)), lambda: f"polar F a={a!r}"
-        yield equals(modular_conjugation_J(modular_conjugation_J(a)), a), lambda: f"J^2 a={a!r}"
+        # S(Delta^z a) = Delta^(-conj z)(S a), z real here; a_z[2] = Delta^(1/2) a
+        row = [equals(tomita_S(dz_a), delta_power(s_a, -z)) for z, dz_a in zip(zs, a_z)] + [
+            equals(s_a, modular_conjugation_J(a_z[2])),
+            equals(f_a, delta_power(modular_conjugation_J(a), half)),
+            equals(modular_conjugation_J(modular_conjugation_J(a)), a)]
+        yield [(row, holds)], lambda j, t: singles[j].format(a=a)
     dz_monos = [[a_z[k] for _, a_z, _, _ in maps] for k in range(len(zs))]  # Delta^z monos per z
     f_monos = [f_a for _, _, f_a, _ in maps]
     s_monos = [s_a for _, _, _, s_a in maps]
@@ -345,22 +349,10 @@ def tomita_sweep(n: int, max_len: int):
     sa = _psi_table(s_monos, monos, star=True)  # sa[i][j] = <S a_i, b_j>
     # the right sides, each transposed once: ba[i][j] = <b_j, a_i>, fb[i][j] = <F b_j, a_i>
     ba, fb = (list(map(list, zip(*_psi_table(lefts, monos, star=True)))) for lefts in (monos, f_monos))
-    width = len(monos)
+    pairs = [f"Delta^z pairing symmetry a={{a!r}} b={{b!r}} z={z}" for z in zs] + [
+        "F/S exchange a={a!r} b={b!r}", "F adjoint to S a={a!r} b={b!r}"]
     for i, a in enumerate(monos):
         # the six (lhs, rhs) rows over b: <Delta^z a, b> = <a, Delta^(conj z) b> for
         # the four z, <F a, S b> = <b, a> and <S a, b> = <F b, a>
         rows = [(lhs[i], rhs[i]) for lhs, rhs in z_sides] + [(fs[i], ba[i]), (sa[i], fb[i])]
-        differ = [t for t, (lhs, rhs) in enumerate(rows) if lhs != rhs]  # list != tests "is" first
-        yield len(rows) * width, [] if not differ else [
-            _tomita_pair_label(t, a, b, zs)
-            for j, b in enumerate(monos) for t in differ
-            if not (rows[t][0][j] is rows[t][1][j] or rows[t][0][j] == rows[t][1][j])]
-
-
-def _tomita_pair_label(t: int, a: AlgebraElement, b: AlgebraElement, zs: list):
-    """The label of tomita_sweep's pair identity t on (a, b): t < len(zs) is Delta^(zs[t])."""
-    if t < len(zs):
-        return lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={zs[t]}"
-    if t == len(zs):
-        return lambda: f"F/S exchange a={a!r} b={b!r}"
-    return lambda: f"F adjoint to S a={a!r} b={b!r}"
+        yield rows, lambda j, t: pairs[t].format(a=a, b=monos[j])

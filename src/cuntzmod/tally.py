@@ -3,13 +3,17 @@
 A sweep is a generator that yields its cases, and ``sweep`` turns it into
 the function that runs it and returns the report.  It yields each case as
 an ``(ok, label)`` pair, or a run of cases at once as a block
-``(cases, labels)``: the block's case count and a list of the labels of its
-failing cases, in case order, so a sweep that compares whole rows yields
-one block per row and builds labels only for a row that differs.  A label
-is a zero-argument callable naming its case.  The runner calls it only for
-the first FIRST_FAILURES failures, while the generator is paused at the
-``yield`` that carried it, so a pair's label reads that case's loop values;
-a block's labels are built before it is yielded, so each binds its own.
+``(rows, label)``: ``rows`` is a list of ``(got, want)`` lists, all of one
+width, and case j of row t holds where got[j] equals want[j].  A block
+counts len(rows) * width cases (none if it has no rows).  The runner
+compares each row in one list ``!=``, which tests ``is`` before
+``__eq__``, and only in a row that differs finds the failing cases, j-major
+and t-minor across the rows that differ: the order of a loop over j that
+checks each row in turn.  A pair's label is a zero-argument callable naming
+its case, a block's label(j, t) names case j of row t.  The runner calls
+a label only for the first FIRST_FAILURES failures, while the generator is
+paused at the ``yield`` that carried it, so a label reads the loop values
+of its case or block and needs to bind none.
 """
 
 from __future__ import annotations
@@ -29,11 +33,17 @@ def sweep(check: str, *params: str):
             cases = failures = 0
             first_failures: list[str] = []
             for ok, label in generate(*args):
-                if label.__class__ is list:  # a block: ok is its case count, label its failures' labels
-                    cases += ok
-                    if label:
-                        failures += len(label)
-                        first_failures += [f() for f in label[:FIRST_FAILURES - len(first_failures)]]
+                if ok.__class__ is list:  # a block: ok is its rows, label(j, t) names a case
+                    width = len(ok[0][0]) if ok else 0
+                    cases += len(ok) * width
+                    for got, want in ok:
+                        if got != want:  # list != tests "is" before __eq__
+                            differ = [(t, got, want) for t, (got, want) in enumerate(ok) if got != want]
+                            failed = [(j, t) for j in range(width) for t, got, want in differ
+                                      if not (got[j] is want[j] or got[j] == want[j])]
+                            failures += len(failed)
+                            first_failures += [label(j, t) for j, t in failed[:FIRST_FAILURES - len(first_failures)]]
+                            break
                     continue
                 cases += 1
                 if not ok:

@@ -170,6 +170,18 @@ def test_traces_of_a_zero_endomorphism_are_an_exact_zero(e):
         assert type(value) is QSqrt and value.is_zero and value == 0
 
 
+def test_fused_products_drop_a_zero_leg():
+    # S_1^* S_2 = 0 in O_2: pi(S_1^*) Theta_{S_2, S_2} keeps no leg, and
+    # neither does Theta_{S_1^*, 1} . Theta_{S_2 S_2^*, 1}, whose pairing
+    # (1|S_2 S_2^*)_R = S_2 S_2^* is not zero but whose leg S_1^* S_2 S_2^* is
+    s1_star, s2 = adjoint(gen(2, 1)), gen(2, 2)
+    for e in (compose_left_mult(s1_star, theta(s2, s2)),
+              endo_compose(theta(s1_star, one(2)), theta(multiply(s2, adjoint(s2)), one(2)))):
+        assert e.terms == []
+        for value in (tau_tilde(e), tau_delta_endo(e)):
+            assert type(value) is QSqrt and value.is_zero and value == 0
+
+
 def test_tau_delta_vs_truncated_sup():
     # the direct evaluation equals the truncated-sup definition once the
     # cutoff covers the gauge degrees present; below that it undershoots

@@ -300,6 +300,18 @@ def test_sf_integral_n3():
     assert abs(value - 2 / 9) < 1e-4
 
 
+def test_sf_integral_takes_raw_pairs_at_a_large_r():
+    # Raw (c, w) pairs are converted to a ProjectionPerturbation.  At r = 200
+    # the runs past the directly summed points underflow: the span
+    # integral's scale a^(1 - 2e) and the midpoint correction's g(y) are 0.
+    # The exact flow is 1/8.
+    pairs = [(Fraction(5, 2), Fraction(1, 4)), (Fraction(-1), Fraction(1, 2))]
+    cfg = SummationConfig(1000, tail_correction=False)
+    value = sf_integral(pairs, 200, cfg)
+    assert value == sf_integral(ProjectionPerturbation.from_pairs(pairs), 200, cfg)
+    assert abs(value - 0.125) < 1e-9
+
+
 def test_sf_integral_against_adaptive_reference():
     cfg = SummationConfig(cutoff=10_000)
     fractional = [(Fraction(7, 3), Fraction(1, 3)), (Fraction(-1, 2), Fraction(1, 5))]

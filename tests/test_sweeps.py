@@ -6,8 +6,8 @@ the cases that read it; kms, tomita and cocycle also read every pairing
 from a table over all pairs, keyfact files each product by degree in one
 pass over the probes, and tracesplit reads both traces of the unit row
 (Phi_k's own weights) and of every f for one k in one pass over Phi_k's
-legs; kms, tomita and tracesplit compare whole
-rows, one block of cases per row (per k for tracesplit).
+legs.  All five yield blocks of (got, want) rows, which the runner
+compares a whole row at a time and labels j-major across the rows.
 Their reports must equal those of the oracles in conftest, which form
 every map inside its case, on clean code and with a wrong map patched into
 the module attribute the sweep looks up.  Under a mutant the sweep must
@@ -25,7 +25,10 @@ labelled the wrong f, k or trace, would differ.
 
 The sweeps and their oracles share one runner, ``tally.sweep``, so that
 equality cannot see a miscount.  Two toy sweeps check the runner on its
-own, one of pairs and one of pairs and blocks mixed.
+own, one of pairs and one of pairs and blocks mixed: blocks with no rows
+or rows of width 0, labels j-major across several rows, no label read
+for a passing case or past the first five, and each label read while
+the generator is paused at its block.
 """
 
 import conftest
@@ -263,24 +266,42 @@ def _unread_label():
 
 @sweep("toy_blocks")
 def _toy_block_sweep():
-    """Pairs and blocks mixed: 11 failures over 23 cases.  The report's
-    first five end inside the last block, whose later labels, like the
-    last pair's, must not be read."""
+    """Pairs and blocks mixed: 9 failures over 26 cases, a block counting
+    its rows times their width.  A block with no rows, one whose rows have
+    width 0 and one that passes count 0, 0 and 3 cases and read no label.
+    Block "a" fails in its last two of three rows, so its labels come
+    j-major, t-minor across them; its first row passes, and the label
+    refuses a case that holds.  The report's first five end at block "b"'s
+    first failure; its later failing cases hold "late", which the label
+    refuses, like the last pair's.  The label reads the block's name and
+    rows from the generator, so a runner that called it after the
+    generator moved on would read the next block's."""
     yield False, lambda: "pair 0"
-    yield 0, []  # an empty block
-    yield 3, []  # a block that passes
+    yield [], _unread_label
+    yield [([], []), ([], [])], _unread_label
+    yield [([1, 2, 3], [1, 2, 3])], _unread_label
     yield True, _unread_label
-    yield 8, [lambda: "block a", lambda: "block b"]
-    yield 9, [lambda: "block c", lambda: "block d", *[_unread_label] * 5]
+
+    def label(j, t):
+        got = rows[t][j]
+        assert got != want[j], "the label of a passing case was called"
+        assert got != "late", "a label the report does not show was called"
+        return f"{name} j={j} t={t} got={got}"
+
+    want = [0, 1, 2, 3]
+    # block "a"'s row 1 holds at j = 0 by == alone: float(0) is not 0
+    for name, rows in (("a", [want, [float(0), 9, 2, 9], [9, 1, 2, 3]]),
+                       ("b", [[9, "late", 2, 3], ["late", 1, "late", 3]])):
+        yield [(got, want) for got in rows], label
     yield False, _unread_label
 
 
 def test_runner_counts_blocks_and_pairs_alike():
     assert _toy_block_sweep() == {
         "check": "toy_blocks",
-        "cases": 23,
-        "failures": 11,
-        "first_failures": ["pair 0", "block a", "block b", "block c", "block d"],
+        "cases": 26,
+        "failures": 9,
+        "first_failures": ["pair 0", "a j=0 t=2 got=9", "a j=1 t=1 got=9", "a j=3 t=1 got=9", "b j=0 t=0 got=9"],
     }
 
 

@@ -5,6 +5,8 @@ chunk of criterion 1, ``sf_closed_form_chunk(4, 2, 3)``, whose 1,024 cases
 each run the modular certificate and the spectral flow, and
 ``homotopy_sweep(2, 21)``, whose sampled paths build rotation blocks,
 ``keyfact_sweep(3, 1)``, the key-fact check on three letters,
+``cocycle_sweep(3, 1)``, whose 4,112 cases come as one block of B-defects
+and one block of b-defects per (a0, a1),
 ``cocycle_five_term(51)``, the b-defect on acceptance criterion 4's 1,000
 random triples of up to five terms in O_3 (drawn once per source tree, with
 seed 51, by the tests' ``random_element``, as the criterion draws them),
@@ -131,6 +133,7 @@ EXTRA_SWEEPS = (
     ("cuntzmod.flow", "sf_closed_form_chunk", (4, 2, 3), 1024),
     ("cuntzmod.matrices", "homotopy_sweep", (2, 21), 4),
     ("cuntzmod.endos", "keyfact_sweep", (3, 1), 80),
+    ("cuntzmod.flow", "cocycle_sweep", (3, 1), 4112),
     (__name__, "cocycle_five_term", (51,), 1000),
     (__name__, "psi_pairs", (3, 2), 85683),
 )
