@@ -247,32 +247,30 @@ def _dispatch(args) -> int:
         _emit(report, args.output)
         return 0
 
-    if verb == "sfint":
-        from .algebra import closed_form_sf, projection_perturbation_data
-        from .numerics import ProjectionPerturbation, SummationConfig, sf_integral
+    # sfint: the parser admits only the seven registered verbs, so it is the last
+    from .algebra import closed_form_sf, projection_perturbation_data
+    from .numerics import ProjectionPerturbation, SummationConfig, sf_integral
 
-        mu = _word(args.mu, args.n)
-        nu = _word(args.nu, args.n)
-        data = projection_perturbation_data(args.n, mu, nu)
-        if not data:
-            raise CuntzError("u_{mu,nu} with |mu| == |nu| has zero perturbation; nothing to integrate")
-        cfg = SummationConfig(cutoff=args.cutoff)
-        value = sf_integral(ProjectionPerturbation.from_pairs(data), args.r, cfg)
-        exact = closed_form_sf(args.n, mu, nu)
-        report = {
-            "n": args.n,
-            "mu": list(mu),
-            "nu": list(nu),
-            "r": args.r,
-            "cutoff": args.cutoff,
-            "sf_integral": value,
-            "sf_exact": exact,
-            "abs_error": abs(value - float(exact)),
-        }
-        _emit(report, args.output)
-        return 0
-
-    raise CuntzError(f"unknown verb {verb!r}")
+    mu = _word(args.mu, args.n)
+    nu = _word(args.nu, args.n)
+    data = projection_perturbation_data(args.n, mu, nu)
+    if not data:
+        raise CuntzError("u_{mu,nu} with |mu| == |nu| has zero perturbation; nothing to integrate")
+    cfg = SummationConfig(cutoff=args.cutoff)
+    value = sf_integral(ProjectionPerturbation.from_pairs(data), args.r, cfg)
+    exact = closed_form_sf(args.n, mu, nu)
+    report = {
+        "n": args.n,
+        "mu": list(mu),
+        "nu": list(nu),
+        "r": args.r,
+        "cutoff": args.cutoff,
+        "sf_integral": value,
+        "sf_exact": exact,
+        "abs_error": abs(value - float(exact)),
+    }
+    _emit(report, args.output)
+    return 0
 
 
 def console_main() -> None:

@@ -18,12 +18,13 @@ v sigma(v^*), v^* sigma(v) over F,
 One function, ``modular_certificate``, decides both conditions and returns
 the unitarity defect and the modular defect (the largest coefficient of
 U U^* - I, U^* U - I and of the Phi-complements of U sigma(U^*) and
-U^* sigma(U), in canonical form).  The four products come from single
+U^* sigma(U), in canonical form).  The four residues come from single
 passes over term pairs: ``_pair_pass(A, B)`` matches each term pair of
-A @ B once and returns A B, the off-degree part of A sigma(B) (sigma
-only rescales a degree-d term of B by n^d, and a pair's degree is the sum
-of its terms' degrees, so the degree-0 part is never accumulated) and the
-sum of psi over the diagonal of A [D, B] ([D, .] rescales by d).  Over
+A @ B once and returns A B - I (each diagonal map starts from -1 on the
+unit key), the off-degree part of A sigma(B) (sigma only rescales a
+degree-d term of B by n^d, and a pair's degree is the sum of its terms'
+degrees, so the degree-0 part is never accumulated) and the sum of psi
+over the diagonal of A [D, B] ([D, .] rescales by d).  Over
 U @ U^* that sum is the spectral flow, so ``flow.spectral_flow`` certifies
 and computes in one walk; the pass over U^* @ U runs only when U is not
 self-adjoint.
@@ -147,9 +148,7 @@ class AlgMatrix:
         """Structural equality of entries (term maps)."""
         if not isinstance(other, AlgMatrix):
             return NotImplemented
-        return self.k == other.k and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        return self.rows == other.rows
 
     def __repr__(self):
         return f"AlgMatrix(n={self.n}, k={self.k})"
@@ -188,19 +187,21 @@ def _largest_coefficient(residues: list[dict], n: int) -> QSqrt:
 
 
 def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
-    """(A B, the off-degree part of A sigma(B), sum_i psi((A [D, B])_ii))
-    from one match of the term pairs of A @ B.
+    """(A B - I, the off-degree part of A sigma(B),
+    sum_i psi((A [D, B])_ii)) from one match of the term pairs of A @ B.
 
-    The products come back as k x k lists of term maps.  A matched pair of
-    a degree-da term of A and a degree-db term of B lands on a key of degree
-    da + db, and every pair feeds A B.  sigma scales a degree-d term of B by
-    n^d, so each term of B carries db, cb, cb n^db and cb db, and a pair
-    with da + db != 0 feeds the sigma map; the degree-0 keys of A sigma(B),
-    which the certificate never reads, are not accumulated.  A degree-0
-    pair on a diagonal entry feeds the flow instead: [D, .] scales a term of
-    B by db, and psi is linear and keeps only the S_mu S_mu^* terms,
-    weighted n^-|mu|, so the flow adds ca (cb db) n^-|mu| for each such key
-    and A [D, B] is never formed.
+    The products come back as k x k lists of term maps, each diagonal map of
+    A B seeded with -1 on the unit key, so the first list is the unitarity
+    residue itself.  A matched pair of a degree-da term of A and a
+    degree-db term of B lands on a key of degree da + db, and every pair
+    feeds A B.  sigma scales a degree-d term of B by n^d, so each term of B
+    carries db, cb, cb n^db and cb db, and a pair with da + db != 0 feeds
+    the sigma map; the degree-0 keys of A sigma(B), which the certificate
+    never reads, are not accumulated.  A degree-0 pair on a diagonal entry
+    feeds the flow instead: [D, .] scales a term of B by db, and psi is
+    linear and keeps only the S_mu S_mu^* terms, weighted n^-|mu|, so the
+    flow adds ca (cb db) n^-|mu| for each such key and A [D, B] is never
+    formed.
     """
     n, k = a.n, a.k
     prepared = []  # per entry of B: (al, be, |al|, db, cb, cb n^db, cb db)
@@ -217,14 +218,15 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
             out_row.append(terms)
         prepared.append(out_row)
     flow = QSqrt.zero(n)
+    minus_one = -QSqrt.one(n)
     products, sigma_products = [], []
     for i in range(k):
         arow = a.rows[i]
         p_row, q_row = [], []
         for j in range(k):
-            p: dict = {}
-            q: dict = {}
             diagonal = i == j
+            p: dict = {_UNIT_KEY: minus_one} if diagonal else {}
+            q: dict = {}
             for l in range(k):
                 bterms = prepared[l][j]
                 if not bterms:
@@ -273,30 +275,18 @@ def _pair_pass(a: AlgMatrix, b: AlgMatrix) -> tuple:
 
 def _certify(u: AlgMatrix) -> tuple:
     """(unitarity_defect, modular_defect, sum_i psi((U [D, U^*])_ii)): the
-    certificate and the spectral-flow sum from the same pair passes.  The
-    residues are term maps: each
-    off-diagonal entry of U U^* (and U^* U), each diagonal entry with 1
-    taken off its unit key, and the off-degree parts the passes return."""
-    n = u.n
+    certificate and the spectral-flow sum from the same pair passes, whose
+    maps are the residues: U U^* - I (and U^* U - I) and the off-degree
+    parts of U sigma(U^*) (and U^* sigma(U))."""
     u_star = u.adjoint()
     unit, modular, flow = _pair_pass(u, u_star)
-    passes = [(unit, modular)]
     if u != u_star:
-        passes.append(_pair_pass(u_star, u)[:2])
-    minus_one = {_UNIT_KEY: -QSqrt.one(n)}
-    unit_residues, modular_residues = [], []
-    for unit, modular in passes:
-        for i, row in enumerate(unit):
-            for j, t in enumerate(row):
-                if i == j:
-                    t = dict(t)
-                    _add_into(t, minus_one)
-                if t:
-                    unit_residues.append(t)
-        modular_residues += [t for row in modular for t in row if t]
+        unit_star, modular_star, _ = _pair_pass(u_star, u)
+        unit += unit_star
+        modular += modular_star
     return (
-        _largest_coefficient(unit_residues, n),
-        _largest_coefficient(modular_residues, n),
+        _largest_coefficient([t for row in unit for t in row if t], u.n),
+        _largest_coefficient([t for row in modular for t in row if t], u.n),
         flow,
     )
 
@@ -309,10 +299,11 @@ def modular_certificate(u: AlgMatrix) -> tuple:
     Phi-complements of U sigma(U^*) and U^* sigma(U), all in canonical form.
     Each is an exact QSqrt, zero iff the condition holds.
 
-    One pass over the term pairs of U @ U^* returns U U^* and the
+    One pass over the term pairs of U @ U^* returns U U^* - I and the
     off-degree part of U sigma(U^*) (see ``_pair_pass``); a second pass,
-    over U^* @ U, returns U^* U and the off-degree part of U^* sigma(U) and
-    runs only when U is not self-adjoint.  Empty residues are never scanned.
+    over U^* @ U, returns U^* U - I and the off-degree part of
+    U^* sigma(U) and runs only when U is not self-adjoint.  Empty residues
+    are never scanned.
     """
     unitarity, modular, _ = _certify(u)
     return unitarity, modular
@@ -505,8 +496,15 @@ def cartan_rotation(n: int, cos_val, sin_val) -> AlgebraElement:
 
 
 def find_nonmodular_product_witness(n: int) -> dict | None:
+    """The witness of ``_nonmodular_witness``, without its product."""
+    witness, _ = _nonmodular_witness(n) or (None, None)
+    return witness
+
+
+def _nonmodular_witness(n: int) -> tuple[dict, AlgMatrix] | None:
     """A concrete pair of modular unitaries whose product is unitary but
-    fails the modular condition, with an exact defect certificate.
+    fails the modular condition, with an exact defect certificate, and
+    their product as a 1 x 1 matrix.
 
     Pairs drawn from the monomial families alone (u_{mu,nu}, u_v, branch
     permutations) never witness the failure: their modular products are
@@ -530,7 +528,8 @@ def find_nonmodular_product_witness(n: int) -> dict | None:
     modular = [(name, el) for name, el in candidates if is_modular_unitary(AlgMatrix.single(el))]
     for left_name, left_el in modular:
         for right_name, right_el in modular:
-            defect = modular_certificate(AlgMatrix.single(multiply(left_el, right_el)))[1]
+            product = AlgMatrix.single(multiply(left_el, right_el))
+            defect = modular_certificate(product)[1]
             if not defect.is_zero:
                 return {
                     "left": left_name,
@@ -539,7 +538,7 @@ def find_nonmodular_product_witness(n: int) -> dict | None:
                     "right_expr": render(right_el),
                     "defect": str(defect),
                     "defect_float": float(defect),
-                }
+                }, product
     return None
 
 
@@ -552,8 +551,6 @@ def homotopy_sweep(n: int, samples: int = 21) -> dict:
     """The named homotopy suite: the rotation path, the two-stage swap path,
     the Whitehead contraction over F, a constant non-modular path that must
     fail, and the non-closure witness pair."""
-    from .expr import parse
-
     u = build_u_mu_nu(n, (1, 1), (2,))
     v = build_u_mu_nu(n, (1,), (2,))
     over_f = AlgMatrix.single(monomial(n, (1,), (2,)) + monomial(n, (2,), (1,)) + sum_rest_projections(n))
@@ -565,12 +562,13 @@ def homotopy_sweep(n: int, samples: int = 21) -> dict:
     passed = [homotopy_path_check(path, samples)["passed"] for path in paths.values()]
     details = dict(zip(paths, passed))
 
-    witness = details["nonmodular_witness"] = find_nonmodular_product_witness(n)
-    ok = witness is not None and witness["defect_float"] > 0
-    if ok:
-        product = AlgMatrix.single(multiply(parse(witness["left_expr"], n), parse(witness["right_expr"], n)))
-        ok = not homotopy_path_check(constant_path(product), samples)["passed"]
-    passed.append(ok)
+    witness, product = _nonmodular_witness(n) or (None, None)
+    details["nonmodular_witness"] = witness
+    passed.append(
+        witness is not None
+        and witness["defect_float"] > 0
+        and not homotopy_path_check(constant_path(product), samples)["passed"]
+    )
     return {"check": "homotopy", "n": n, "cases": len(passed), "failures": passed.count(False), "details": details}
 
 

@@ -51,6 +51,10 @@ def test_multiply_path_matching():
     assert multiply(monomial(2, (1,), (2, 1)), projection(2, (2,))) == monomial(2, (1,), (2, 1))
     # alpha = nu + gamma case: (S_1 S_2^*)(S_{21} S_1^*) = S_{11} S_1^*
     assert multiply(monomial(2, (1,), (2,)), monomial(2, (2, 1), (1,))) == monomial(2, (1, 1), (1,))
+    # the * operator on two elements is the same product
+    s1 = gen(2, 1)
+    assert s1 * adjoint(s1) == multiply(s1, adjoint(s1)) == projection(2, (1,))
+    assert adjoint(s1) * s1 == one(2)
 
 
 def test_adjoint():

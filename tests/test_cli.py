@@ -158,8 +158,9 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
-    code, _, _ = run(capsys, "check", "unknown-suite", "--n", "2")
-    assert code == 2
+    for argv in (("check", "unknown-suite", "--n", "2"), ("frobnicate", "--n", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "invalid choice" in err and "Traceback" not in err
     code, _, err = run(capsys, "dixmier", "--n", "2", "--s-list", "abc", "--cutoff", "10000")
     assert code == 2
     code, _, err = run(capsys, "sfint", "--n", "2", "--mu", "1", "--nu", "2", "--r", "0.5")

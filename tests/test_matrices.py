@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import branch_decomposition, oracle_certificate, oracle_flow
+from cuntzmod import matrices
 from cuntzmod.algebra import (
     AlgebraElement,
     adjoint,
@@ -343,6 +344,16 @@ def test_homotopy_sweep():
     assert report["details"]["nonmodular_witness"] is not None
 
 
+@pytest.mark.parametrize("passed, failures", [(True, 1), (False, 3)])
+def test_homotopy_sweep_counts_a_failing_check(monkeypatch, passed, failures):
+    # the constant non-modular path is the control: a check that passes
+    # everything fails it, and a check that fails everything fails the rest
+    monkeypatch.setattr(matrices, "homotopy_path_check", lambda path, samples: {"passed": passed, "samples": []})
+    report = homotopy_sweep(2, samples=3)
+    assert (report["cases"], report["failures"]) == (4, failures)
+    assert report["details"]["nonmodular_witness"] == find_nonmodular_product_witness(2)
+
+
 def test_spectral_flow_additivity_mixed_blocks():
     from cuntzmod.flow import spectral_flow
 
@@ -361,15 +372,15 @@ def test_single_entry_render_helper():
 
 def _assert_matches_oracle(u):
     """The pair-pass certificate and flow sum equal the explicit-product
-    oracle exactly, and each pass's maps are the term maps of A B and of
-    the off-degree part of A sigma(B), entry by entry."""
+    oracle exactly, and each pass's maps are the term maps of A B - I and
+    of the off-degree part of A sigma(B), entry by entry."""
     unitarity, modular, flow = _certify(u)
     assert (unitarity, modular) == oracle_certificate(u)
     assert flow == oracle_flow(u)
     u_star = u.adjoint()
     for a, b in ((u, u_star), (u_star, u)):
         products, sigma_products, _ = _pair_pass(a, b)
-        plain, twisted = a @ b, a @ apply_sigma(b)
+        plain, twisted = a @ b - AlgMatrix.identity(u.n, u.k), a @ apply_sigma(b)
         for i in range(u.k):
             for j in range(u.k):
                 assert products[i][j] == plain.rows[i][j].terms

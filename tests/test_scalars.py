@@ -21,6 +21,8 @@ def test_basic_arithmetic():
     # (1 + 2r)(3 - r) = 3 - r + 6r - 2*2 = -1 + 5r
     assert a * b == QSqrt(2, -1, 5)
     assert -a == QSqrt(2, -1, -2)
+    assert 1 - QSqrt(2, 0, 1) == QSqrt(2, 1, -1)
+    assert bool(QSqrt.zero(2)) is False and bool(QSqrt(2, 0, 1)) is True
 
 
 def test_rational_fast_paths():
