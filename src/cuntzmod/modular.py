@@ -61,7 +61,7 @@ from .tally import sweep
 
 def gauge_component(a: AlgebraElement, k: int) -> AlgebraElement:
     """Sub-sum of the terms with gauge degree |mu| - |nu| = k."""
-    out = {}  # a loop, not a comprehension: cheaper on the one-term maps of keyfact_sweep
+    out = {}  # in the package only expectation calls it, for endos.endo_apply and endo_compose
     for key, c in a.terms.items():
         if len(key[0]) - len(key[1]) == k:
             out[key] = c

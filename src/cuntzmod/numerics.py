@@ -36,7 +36,9 @@ inside summation loops.
   rest [q, |c_j|] is one fixed 16-node Gauss-Legendre panel: L is analytic
   for |Im x| < 1 and the panel is shorter than 1, so 16 nodes already agree
   with every higher order to double precision.  Integer c_j never call
-  lattice_sum.
+  lattice_sum.  The whole periods cost two tail integrals each, so a
+  coefficient with more than ``PERIOD_LIMIT`` (10^6, 1.5-2 CPU s) of
+  them is refused before any integral is taken.
 * ``eta_numeric``: eta_eps(D) vanishes because sum_k k e^(-t k^2) = 0 by
   the k <-> -k symmetry; the truncated sum, cut where e^(-t k^2) underflows
   to 0.0, is evaluated and must stay below 1e-14 before 0.0 is returned.
@@ -63,6 +65,10 @@ from .errors import DomainError, UsageError
 # Largest cutoff K.  The sums square points out to |k + shift| = 2K + 1
 # (|shift| <= K), and (2K + 1)^2 must stay below the largest double, 1.8e308.
 CUTOFF_LIMIT = 10**153
+
+# Most whole periods floor |c| of one sf_integral coefficient; each costs two
+# tail integrals, about 2 ms per 1,000 periods on a 2-core Xeon VM.
+PERIOD_LIMIT = 10**6
 
 
 class SummationConfig(namedtuple("SummationConfig", "cutoff tail_correction")):
@@ -327,6 +333,12 @@ def sf_integral(x: ProjectionPerturbation, r: float, cfg: SummationConfig) -> fl
     largest = max(abs(c) for c, _ in x.terms)
     if cfg.cutoff <= largest:
         raise DomainError(f"cutoff {cfg.cutoff} must exceed the largest |c| {largest}")
+    periods = math.floor(largest)
+    if periods > PERIOD_LIMIT:
+        raise DomainError(
+            f"sf_integral takes two tail integrals per whole period of |c|; |c| = {largest} has "
+            f"{periods} periods, past the limit of {PERIOD_LIMIT}"
+        )
     expo = 0.5 + r
     if expo == 0.5:
         raise DomainError(f"sf_integral needs 1/2 + r > 1/2 in floats, got r={r}, which rounds 1/2 + r to 1/2")

@@ -1,0 +1,57 @@
+"""The layer harness's row lists against this tree, without timing anything:
+each ``sweeps`` row names a callable of the package (or of the harness) and
+carries its plan's case count, and the ``cli`` table runs the benchmark's
+own command lines.  A row that drifted from the code it times would make the
+harness refuse at its check phase, long after the change that broke it."""
+
+import importlib
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+HARNESS = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+
+
+@pytest.fixture(scope="module")
+def harness():
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location("bench_layers", HARNESS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["bench_layers"] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules["bench_layers"]
+        sys.path[:] = saved
+
+
+def test_sweep_rows_name_callables_with_their_plans_case_counts(harness):
+    planned = []
+    for module, name, args, cases, _ in harness.SWEEPS:
+        owner = harness if module == harness.__name__ else importlib.import_module(module)
+        assert callable(getattr(owner, name, None)), (module, name)
+        plan = getattr(owner, name.removesuffix("_sweep") + "_plan", None) if name.endswith("_sweep") else None
+        if plan is not None:
+            assert plan(*args)[0] == cases, (name, args)
+            planned.append((name, args, cases))
+    assert ("tomita_sweep", (3, 2), 172549) in planned
+    assert ("cocycle_sweep", (3, 1), 4112) in planned
+    assert len(planned) == 13  # all but sf_closed_form_chunk and the harness's two
+
+
+def test_cli_rows_run_the_benchmark_argvs(harness):
+    assert harness.CLI_ARGVS == harness.workloads.cli_argvs(random.Random(30))
+    rows = harness.cli_rows(str(HARNESS.parents[1] / "src"))  # builds the calls, starts no child
+    assert [key["verb"] for key, _, _ in rows] == ["floor"] + [verb for verb, _ in harness.CLI_ARGVS]
+
+
+@pytest.mark.parametrize("table", ["sweeps", "equality", "cli"])
+def test_a_repeated_side_name_exits_2(harness, table, capsys):
+    with pytest.raises(SystemExit) as caught:
+        harness.main([table, "--side", "a=src", "--side", "a=other/src"])
+    assert caught.value.code == 2
+    assert "no two sides share a NAME" in capsys.readouterr().err

@@ -377,6 +377,31 @@ def test_tail_bounds_stay_at_one_half_or_more():
             lattice_sum(shift, 1.0, cfg)
 
 
+def test_sf_integral_refuses_past_the_period_limit_before_any_integral(monkeypatch):
+    cfg = SummationConfig(cutoff=10**120)
+    assert numerics.PERIOD_LIMIT == 10**6
+    monkeypatch.setattr(numerics, "_tail_integral", None)  # any integral would raise TypeError
+    monkeypatch.setattr(numerics, "lattice_sum", None)
+    for c in (Fraction(10**6 + 1), Fraction(-2 * 10**6 - 3, 2), Fraction(10**100)):
+        periods = math.floor(abs(c))
+        data = [(Fraction(1, 2), Fraction(1, 3)), (c, Fraction(1, 5))]
+        with pytest.raises(DomainError) as caught:
+            sf_integral(data, 0.5, cfg)
+        assert str(caught.value) == (
+            f"sf_integral takes two tail integrals per whole period of |c|; |c| = {abs(c)} has "
+            f"{periods} periods, past the limit of 1000000"
+        )
+
+
+def test_sf_integral_period_limit_admits_its_own_count(monkeypatch):
+    monkeypatch.setattr(numerics, "PERIOD_LIMIT", 3)
+    cfg = SummationConfig(cutoff=10_000)
+    for c in (Fraction(3), Fraction(-7, 2)):
+        assert sf_integral([(c, Fraction(1, 2))], 0.5, cfg) == pytest.approx(float(c) / 2, abs=1e-12)
+    with pytest.raises(DomainError, match=r"\|c\| = 4 has 4 periods, past the limit of 3"):
+        sf_integral([(Fraction(4), Fraction(1, 2))], 0.5, cfg)
+
+
 def test_sf_integral_sums_lattice_only_for_fractional_coefficients(monkeypatch):
     calls = []
     lattice_sum = numerics.lattice_sum
