@@ -421,7 +421,7 @@ def tracesplit_plan(n: int, max_len: int) -> tuple[int, int]:
     return (2 * TRACESPLIT_K_SPAN + 1) * per_k, per_k * (2 * word_count(n, TRACESPLIT_K_SPAN) - 1)
 
 
-@sweep("tracesplit", "n", "max_len")
+@sweep("tracesplit")
 def tracesplit_sweep(n: int, max_len: int):
     """tau_tilde(pi(f) Phi_k) == n^k tau(f) and tau_delta(pi(f) Phi_k) == tau(f) for
     degree-0 monomials f and |k| <= TRACESPLIT_K_SPAN, plus the Phi_k weights themselves.
@@ -455,7 +455,7 @@ def keyfact_plan(n: int, max_len: int) -> tuple[int, int]:
     return cases, cases * word_count(n, KEYFACT_PROBE_LEN) ** 2
 
 
-@sweep("keyfact", "n", "max_len")
+@sweep("keyfact")
 def keyfact_sweep(n: int, max_len: int):
     """The compression identity v Phi_k v^* == v v^* Phi_{k+m} over monomial
     partial isometries with leg lengths up to max_len and |k| <= KEYFACT_K_SPAN,

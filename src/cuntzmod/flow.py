@@ -269,17 +269,20 @@ def flow_report(n: int, mu: Sequence[int], nu: Sequence[int]) -> FlowReport:
 # -- named invariant sweeps ------------------------------------------------
 
 
-@sweep("sf_closed_form", "n", "len_mu", "len_nu")
+@sweep("sf_closed_form")
 def sf_closed_form_chunk(n: int, len_mu: int, len_nu: int):
     """One (n, |mu|, |nu|) block of the closed-form sweep: spectral_flow of
     every u_{mu,nu} equals the closed form, is positive, and lies in
-    (n-1)Z[1/n]."""
+    (n-1)Z[1/n].  Each mu is one ``tally.sweep`` block: that verdict over
+    the nu against [True] * len(nus)."""
     expected = closed_form_sf(n, (1,) * len_mu, (1,) * len_nu)
     membership = k0_membership(expected, n)
+    nus = list(words(n, len_nu))
+    holds = [True] * len(nus)
     for mu in words(n, len_mu):
-        for nu in words(n, len_nu):
-            sf = spectral_flow(build_u_mu_nu(n, mu, nu))
-            yield sf == expected and sf > 0 and membership, lambda: f"mu={mu} nu={nu} sf={sf}"
+        sfs = [spectral_flow(build_u_mu_nu(n, mu, nu)) for nu in nus]
+        yield [([sf == expected and sf > 0 and membership for sf in sfs], holds)], lambda j, t: (
+            f"mu={mu} nu={nus[j]} sf={sfs[j]}")
 
 
 def cocycle_plan(n: int, max_len: int) -> tuple[int, int]:
@@ -289,7 +292,7 @@ def cocycle_plan(n: int, max_len: int) -> tuple[int, int]:
     return cases, cases
 
 
-@sweep("cocycle", "n", "max_len")
+@sweep("cocycle")
 def cocycle_sweep(n: int, max_len: int):
     """b theta and B theta vanish on all monomial triples with leg lengths
     up to max_len.  B theta(a) = theta(1, a) is one psi walk per monomial.

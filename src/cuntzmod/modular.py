@@ -283,7 +283,7 @@ def kms_plan(n: int, max_len: int) -> tuple[int, int]:
     return cases, cases
 
 
-@sweep("kms", "n", "max_len")
+@sweep("kms")
 def kms_sweep(n: int, max_len: int):
     """psi(ab) == psi(sigma(b) a) exactly, over all monomial pairs with leg
     lengths up to max_len.  sigma(b) is formed once per monomial, and each
@@ -306,7 +306,7 @@ def tomita_plan(n: int, max_len: int) -> tuple[int, int]:
     return cases, cases
 
 
-@sweep("tomita", "n", "max_len")
+@sweep("tomita")
 def tomita_sweep(n: int, max_len: int):
     """The Tomita-algebra identities over monomials up to max_len: the
     involution intertwines the modular powers, the modular powers are

@@ -13,8 +13,8 @@ inside summation loops.
   (s-1) to s=1 by the least-squares intercept; the limit is 2 (2*tau(f)
   for a weighted variant).  The schedule's exponents share one grid.
 * ``beta_constant``: C_s = int (1+x^2)^(-s) dx = sqrt(pi) Gamma(s-1/2)/Gamma(s),
-  from log-gamma below s = 10 and from the Stirling series past it, refused
-  past ``LGAMMA_LIMIT`` (about 2.56e305), where log Gamma(s) overflows.
+  from log-gamma below s = 10 and from the Stirling series past it, which
+  holds for every finite s; a non-finite s is refused.
 * ``sf_integral``: the Laplace-transformed spectral-flow integral reduced
   over the diagonalised perturbation X = sum_j c_j Q_j (orthogonal
   projections over F with weights w_j = tau(Q_j)):
@@ -118,10 +118,6 @@ class ProjectionPerturbation(namedtuple("ProjectionPerturbation", "terms")):
         return cls(tuple(pairs))
 
 
-# The largest s whose log Gamma(s) is a double; past it math.lgamma overflows.
-LGAMMA_LIMIT = 2.5599833278516383e305
-
-
 # From this s on, beta_constant takes log Gamma(s - 1/2) - log Gamma(s) from
 # the Stirling series: there the difference of two lgamma values loses
 # digits to cancellation (2.9e-8 relative at s = 1e8).  Below it the two
@@ -139,15 +135,15 @@ def _stirling_tail(z: float) -> float:
 
 def beta_constant(s: float) -> float:
     """C_s = int_-inf^inf (1+x^2)^(-s) dx = sqrt(pi) Gamma(s-1/2)/Gamma(s), for
-    1/2 < s <= LGAMMA_LIMIT.  Below STIRLING_FROM it is read from log-gamma.
+    finite s > 1/2.  Below STIRLING_FROM it is read from log-gamma.
     From there on the Stirling series gives log Gamma(s-1/2) - log Gamma(s) as
     (s-1) log1p(-1/(2s)) - (1/2) ln s + 1/2 plus the tails' difference, and
     C_s = sqrt(pi/s) e^(the rest), which is small, so no large logarithm is
     rounded."""
     if s <= 0.5:
         raise DomainError(f"C_s diverges for s <= 1/2, got s={s}")
-    if not s <= LGAMMA_LIMIT:
-        raise DomainError(f"C_s needs s <= {LGAMMA_LIMIT!r}, past which log Gamma(s) overflows a double; got s={s}")
+    if not math.isfinite(s):
+        raise DomainError(f"C_s needs a finite s; got s={s}")
     if s < STIRLING_FROM:
         return math.exp(0.5 * math.log(math.pi) + math.lgamma(s - 0.5) - math.lgamma(s))
     rest = (s - 1.0) * math.log1p(-0.5 / s) + 0.5 + _stirling_tail(s - 0.5) - _stirling_tail(s)

@@ -146,10 +146,17 @@ def oracle_heat_sums(t: float, cutoff: int) -> tuple[float, float]:
 
 # Sweep oracles: the straightforward loops that form every map inside the
 # case that reads it.  They call the maps through their modules' attributes,
-# as the sweeps do, so a map patched into a module reaches both sides.
+# as the sweeps do, so a map patched into a module reaches both sides.  Each
+# yields its cases one at a time, each as a one-case block made by case.
 
 
-@sweep("kms", "n", "max_len")
+def case(ok, label):
+    """One case as a ``tally.sweep`` block: the row [ok] against [True],
+    named by the zero-argument ``label``."""
+    return [([ok], [True])], lambda j, t: label()
+
+
+@sweep("kms")
 def oracle_kms_sweep(n: int, max_len: int):
     """kms_sweep with sigma(b) formed for every pair, and each side read by
     oracle_psi_product, looked up here per case."""
@@ -158,10 +165,10 @@ def oracle_kms_sweep(n: int, max_len: int):
         for b in monos:
             lhs = oracle_psi_product(a, b)
             rhs = oracle_psi_product(modular.sigma(b), a)
-            yield lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}"
+            yield case(lhs == rhs, lambda: f"a={a!r} b={b!r} psi(ab)={lhs} psi(sigma(b)a)={rhs}")
 
 
-@sweep("cocycle", "n", "max_len")
+@sweep("cocycle")
 def oracle_cocycle_sweep(n: int, max_len: int):
     """cocycle_sweep with a0 a1, a1 a2, sigma(a2) a0 and each [D, .] image
     formed for every triple, and each term of b theta read off its built
@@ -172,17 +179,17 @@ def oracle_cocycle_sweep(n: int, max_len: int):
     ident = one(n)
     for a0 in monos:
         value = twisted_theta(ident, a0)
-        yield value.is_zero, lambda: f"B-defect {value} on {a0!r}"
+        yield case(value.is_zero, lambda: f"B-defect {value} on {a0!r}")
     for a0 in monos:
         for a1 in monos:
             for a2 in monos:
                 value = (mod.state_psi(multiply(multiply(a0, a1), mod.commutator_D(a2)))
                          - mod.state_psi(multiply(a0, mod.commutator_D(multiply(a1, a2))))
                          + mod.state_psi(multiply(multiply(mod.sigma(a2), a0), mod.commutator_D(a1))))
-                yield value.is_zero, lambda: f"b-defect {value} on ({a0!r}, {a1!r}, {a2!r})"
+                yield case(value.is_zero, lambda: f"b-defect {value} on ({a0!r}, {a1!r}, {a2!r})")
 
 
-@sweep("tomita", "n", "max_len")
+@sweep("tomita")
 def oracle_tomita_sweep(n: int, max_len: int):
     """tomita_sweep with Delta^z, F and S formed inside every case."""
     mod = modular
@@ -191,23 +198,23 @@ def oracle_tomita_sweep(n: int, max_len: int):
     half = Fraction(1, 2)
     for a in monos:
         for z in zs:
-            yield (equals(mod.tomita_S(mod.delta_power(a, z)), mod.delta_power(mod.tomita_S(a), -z)),
-                   lambda: f"S/Delta^z intertwining a={a!r} z={z}")
-        yield (equals(mod.tomita_S(a), mod.modular_conjugation_J(mod.delta_power(a, half))),
-               lambda: f"polar S a={a!r}")
-        yield (equals(mod.tomita_F(a), mod.delta_power(mod.modular_conjugation_J(a), half)),
-               lambda: f"polar F a={a!r}")
-        yield equals(mod.modular_conjugation_J(mod.modular_conjugation_J(a)), a), lambda: f"J^2 a={a!r}"
+            yield case(equals(mod.tomita_S(mod.delta_power(a, z)), mod.delta_power(mod.tomita_S(a), -z)),
+                       lambda: f"S/Delta^z intertwining a={a!r} z={z}")
+        yield case(equals(mod.tomita_S(a), mod.modular_conjugation_J(mod.delta_power(a, half))),
+                   lambda: f"polar S a={a!r}")
+        yield case(equals(mod.tomita_F(a), mod.delta_power(mod.modular_conjugation_J(a), half)),
+                   lambda: f"polar F a={a!r}")
+        yield case(equals(mod.modular_conjugation_J(mod.modular_conjugation_J(a)), a), lambda: f"J^2 a={a!r}")
     for a in monos:
         for b in monos:
             for z in zs:
                 lhs = mod.inner_product(mod.delta_power(a, z), b)
-                yield (lhs == mod.inner_product(a, mod.delta_power(b, z)),
-                       lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={z}")
-            yield (mod.inner_product(mod.tomita_F(a), mod.tomita_S(b)) == mod.inner_product(b, a),
-                   lambda: f"F/S exchange a={a!r} b={b!r}")
-            yield (mod.inner_product(mod.tomita_S(a), b) == mod.inner_product(mod.tomita_F(b), a),
-                   lambda: f"F adjoint to S a={a!r} b={b!r}")
+                yield case(lhs == mod.inner_product(a, mod.delta_power(b, z)),
+                           lambda: f"Delta^z pairing symmetry a={a!r} b={b!r} z={z}")
+            yield case(mod.inner_product(mod.tomita_F(a), mod.tomita_S(b)) == mod.inner_product(b, a),
+                       lambda: f"F/S exchange a={a!r} b={b!r}")
+            yield case(mod.inner_product(mod.tomita_S(a), b) == mod.inner_product(mod.tomita_F(b), a),
+                       lambda: f"F adjoint to S a={a!r} b={b!r}")
 
 
 def oracle_key_fact(v, k: int, probes) -> bool:
@@ -225,7 +232,7 @@ def oracle_key_fact(v, k: int, probes) -> bool:
     )
 
 
-@sweep("keyfact", "n", "max_len")
+@sweep("keyfact")
 def oracle_keyfact_sweep(n: int, max_len: int):
     """keyfact_sweep with oracle_key_fact for each (v, k)."""
     k_span = endos.KEYFACT_K_SPAN
@@ -235,7 +242,7 @@ def oracle_keyfact_sweep(n: int, max_len: int):
         for nu in ws:
             v = monomial(n, mu, nu)
             for k in range(-k_span, k_span + 1):
-                yield oracle_key_fact(v, k, probes), lambda: f"v=S_{mu}S*_{nu} k={k}"
+                yield case(oracle_key_fact(v, k, probes), lambda: f"v=S_{mu}S*_{nu} k={k}")
 
 
 def oracle_endo_traces(e) -> tuple[QSqrt, QSqrt]:
@@ -249,7 +256,7 @@ def oracle_endo_traces(e) -> tuple[QSqrt, QSqrt]:
     return tilde, delta
 
 
-@sweep("tracesplit", "n", "max_len")
+@sweep("tracesplit")
 def oracle_tracesplit_sweep(n: int, max_len: int):
     """tracesplit_sweep with pi(f) Phi_k built leg by leg by compose_left_mult
     for every case, and both traces read by oracle_endo_traces."""
@@ -258,16 +265,16 @@ def oracle_tracesplit_sweep(n: int, max_len: int):
     for k in range(-k_span, k_span + 1):
         phi_k = endos.phi_k_endo(k, n)
         tilde, delta = oracle_endo_traces(phi_k)
-        yield tilde == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}"
-        yield delta == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1"
+        yield case(tilde == n_power(n, k), lambda: f"tau_tilde(Phi_{k}) != n^{k}")
+        yield case(delta == QSqrt.one(n), lambda: f"tau_delta(Phi_{k}) != 1")
         for length in range(max_len + 1):
             for alpha in words(n, length):
                 for beta in words(n, length):
                     f = monomial(n, alpha, beta)
                     tilde, delta = oracle_endo_traces(endos.compose_left_mult(f, phi_k))
-                    yield (tilde == n_power(n, k) * mod.trace_F(f),
-                           lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
-                    yield delta == mod.trace_F(f), lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}"
+                    yield case(tilde == n_power(n, k) * mod.trace_F(f),
+                               lambda: f"trace split tau_tilde f=S_{alpha}S*_{beta} k={k}")
+                    yield case(delta == mod.trace_F(f), lambda: f"trace split tau_delta f=S_{alpha}S*_{beta} k={k}")
 
 
 @pytest.fixture

@@ -55,3 +55,14 @@ def test_a_repeated_side_name_exits_2(harness, table, capsys):
         harness.main([table, "--side", "a=src", "--side", "a=other/src"])
     assert caught.value.code == 2
     assert "no two sides share a NAME" in capsys.readouterr().err
+
+
+def test_speedup_is_the_median_of_per_round_ratios(harness):
+    # Calls come in two speeds, 10 and 20 ms, and in round 2 the machine
+    # switched between the two sides' samples: each side's median lands in
+    # another mode (20 against 10), while every other round reads 1.0.
+    base = [10.0, 10.0, 20.0, 20.0, 20.0]
+    times = [10.0, 10.0, 10.0, 20.0, 20.0]
+    assert harness.summary(times, base) == {
+        "ms": 10.0, "min_ms": 10.0, "max_ms": 20.0, "speedup": 1.0, "faster_rounds": 1}
+    assert harness.summary(base, base) == {"ms": 20.0, "min_ms": 10.0, "max_ms": 20.0}

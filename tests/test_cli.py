@@ -118,12 +118,13 @@ def test_cutoffs_answer_up_to_the_double_limit(capsys):
         assert err == "error: cutoff must be <= 10**153, past which the lattice sums' doubles overflow; got a 401-digit cutoff\n"
 
 
-def test_sfint_past_the_lgamma_limit_is_refused(capsys):
-    # 1/2 + r past numerics.LGAMMA_LIMIT once raised OverflowError in math.lgamma
-    code, out, err = run(capsys, "sfint", "--n", "2", "--mu", "1,2", "--nu", "1", "--r", "1.7e308", "--cutoff", "10000")
-    assert code == 2 and out == ""
-    assert err == ("error: C_s needs s <= 2.5599833278516383e+305, past which log Gamma(s) overflows a double; "
-                   "got s=1.7e+308\n")
+def test_sfint_past_the_lgamma_overflow_answers(capsys):
+    # 1/2 + r past 2.56e305, where math.lgamma overflows, once raised
+    # OverflowError and then was refused; C_s takes no lgamma there
+    code, out, err = run(capsys, "sfint", "--n", "2", "--mu", "1,1", "--nu", "2", "--r", "1.7e308")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert (report["sf_integral"], report["sf_exact"], report["abs_error"]) == (0.25, "1/4", 0)
 
 
 def test_sfint_verb(capsys):

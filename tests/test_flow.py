@@ -233,3 +233,19 @@ def test_sf_chunk():
     assert r == {
         "check": "sf_closed_form", "n": 2, "len_mu": 2, "len_nu": 1, "cases": 8, "failures": 0, "first_failures": []
     }
+
+
+def test_sf_chunk_labels_its_failures_mu_major(monkeypatch):
+    # A wrong flow for four (mu, nu) under three mu, each a different value,
+    # and mu = (1, 1) failing at its second nu only: a block that labelled
+    # the wrong nu, or read another mu's row, would name other cases.
+    wrong = {((1, 1), (2,)): Fraction(-1, 4), ((2, 1), (1,)): Fraction(1, 2),
+             ((2, 1), (2,)): Fraction(3, 4), ((2, 2), (1,)): Fraction(0)}
+    build, flow_of = flow.build_u_mu_nu, flow.spectral_flow
+    monkeypatch.setattr(flow, "build_u_mu_nu", lambda n, mu, nu: (mu, nu, build(n, mu, nu)))
+    monkeypatch.setattr(flow, "spectral_flow",
+                        lambda tagged: wrong[tagged[:2]] if tagged[:2] in wrong else flow_of(tagged[2]))
+    r = sf_closed_form_chunk(2, 2, 1)
+    assert (r["cases"], r["failures"]) == (8, 4)
+    assert r["first_failures"] == [
+        "mu=(1, 1) nu=(2,) sf=-1/4", "mu=(2, 1) nu=(1,) sf=1/2", "mu=(2, 1) nu=(2,) sf=3/4", "mu=(2, 2) nu=(1,) sf=0"]

@@ -1,7 +1,8 @@
 """The package loads lazily: a bare ``import cuntzmod`` imports no
 submodule, each CLI verb imports only the modules it runs, and no process
-loads ``dataclasses`` or ``numpy``.  Module sets are read in a fresh
-interpreter."""
+loads ``dataclasses``, ``numpy`` or ``inspect`` (whose import costs about
+5 ms, so the sweep runner reads parameter names from the code object).
+Module sets are read in a fresh interpreter."""
 
 import json
 import os
@@ -30,6 +31,7 @@ print(json.dumps({
     "package": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cuntzmod.")),
     "dataclasses": "dataclasses" in sys.modules,
     "numpy": "numpy" in sys.modules,
+    "inspect": "inspect" in sys.modules,
 }))
 """
 
@@ -77,11 +79,12 @@ def test_each_verb_loads_only_its_modules(argv, expected):
     assert not set(got["package"]) & NEVER.get(argv[0], set())
     assert not got["dataclasses"]
     assert not got["numpy"]
+    assert not got["inspect"]
 
 
 def test_bare_import_loads_no_submodule():
     got = _loaded(None)
-    assert got["package"] == [] and not got["dataclasses"] and not got["numpy"]
+    assert got["package"] == [] and not got["dataclasses"] and not got["numpy"] and not got["inspect"]
 
 
 def test_every_public_name_is_its_home_binding():

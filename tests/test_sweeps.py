@@ -23,19 +23,21 @@ split-entry mutant fails one trace of one f inside the rows of two k, the
 other trace at each, so a trace-split block that compared one row only, or
 labelled the wrong f, k or trace, would differ.
 
-The sweeps and their oracles share one runner, ``tally.sweep``, so that
-equality cannot see a miscount.  Two toy sweeps check the runner on its
-own, one of pairs and one of pairs and blocks mixed: blocks with no rows
-or rows of width 0, labels j-major across several rows, no label read
-for a passing case or past the first five, and each label read while
-the generator is paused at its block.
+The sweeps and their oracles share one runner, ``tally.sweep``, which
+takes blocks only: the oracles yield each case as a one-case block made by
+conftest's ``case``.  So that equality cannot see a miscount, two toy
+sweeps of blocks check the runner on its own, one of one-case blocks and
+one of one-case and wider blocks mixed: blocks with no rows or rows of
+width 0, labels j-major across several rows, no label read for a passing
+case or past the first five, and each label read while the generator is
+paused at its block.
 """
 
 import conftest
 import pytest
 
 from conftest import (
-    oracle_cocycle_sweep, oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep, oracle_tracesplit_sweep,
+    case, oracle_cocycle_sweep, oracle_keyfact_sweep, oracle_kms_sweep, oracle_tomita_sweep, oracle_tracesplit_sweep,
 )
 from cuntzmod import endos, flow, modular
 from cuntzmod.algebra import monomial, multiply, one, zero
@@ -253,11 +255,11 @@ def _passing_label():
     raise AssertionError("the label of a passing case was called")
 
 
-@sweep("toy", "size")
+@sweep("toy")
 def _toy_sweep(size: int):
     """Cases 0..size-1; only case 3 passes, inside the span the first failures cover."""
     for i in range(size):
-        yield (True, _passing_label) if i == 3 else (False, lambda: f"i={i}")
+        yield case(True, _passing_label) if i == 3 else case(False, lambda: f"i={i}")
 
 
 def _unread_label():
@@ -266,21 +268,21 @@ def _unread_label():
 
 @sweep("toy_blocks")
 def _toy_block_sweep():
-    """Pairs and blocks mixed: 9 failures over 26 cases, a block counting
-    its rows times their width.  A block with no rows, one whose rows have
-    width 0 and one that passes count 0, 0 and 3 cases and read no label.
-    Block "a" fails in its last two of three rows, so its labels come
-    j-major, t-minor across them; its first row passes, and the label
+    """One-case and wider blocks mixed: 9 failures over 26 cases, a block
+    counting its rows times their width.  A block with no rows, one whose
+    rows have width 0 and one that passes count 0, 0 and 3 cases and read
+    no label.  Block "a" fails in its last two of three rows, so its labels
+    come j-major, t-minor across them; its first row passes, and the label
     refuses a case that holds.  The report's first five end at block "b"'s
     first failure; its later failing cases hold "late", which the label
-    refuses, like the last pair's.  The label reads the block's name and
-    rows from the generator, so a runner that called it after the
+    refuses, like the last one-case block's.  The label reads the block's
+    name and rows from the generator, so a runner that called it after the
     generator moved on would read the next block's."""
-    yield False, lambda: "pair 0"
+    yield case(False, lambda: "pair 0")
     yield [], _unread_label
     yield [([], []), ([], [])], _unread_label
     yield [([1, 2, 3], [1, 2, 3])], _unread_label
-    yield True, _unread_label
+    yield case(True, _unread_label)
 
     def label(j, t):
         got = rows[t][j]
@@ -293,7 +295,7 @@ def _toy_block_sweep():
     for name, rows in (("a", [want, [float(0), 9, 2, 9], [9, 1, 2, 3]]),
                        ("b", [[9, "late", 2, 3], ["late", 1, "late", 3]])):
         yield [(got, want) for got in rows], label
-    yield False, _unread_label
+    yield case(False, _unread_label)
 
 
 def test_runner_counts_blocks_and_pairs_alike():

@@ -66,8 +66,11 @@ rounds began, so no call is billed for the garbage of another call or
 side.  Per side it writes each row's median, min and max over the rounds,
 and for ``sweeps`` the workload round's and for ``cli`` the verb cycle's
 per-round sum; given several sides, each figure after the first side's
-also gives the ratio of the first side's median to its own and the rounds
-in which it was the faster.
+also gives the median over the rounds of the first side's time over its
+own in that round (``speedup``), and the rounds in which it was the
+faster.  Both sides run in every round, so the ratio of one round compares
+calls made close together; a ratio of two medians could compare two
+different modes of a machine whose calls come in two speeds.
 """
 
 from __future__ import annotations
@@ -286,11 +289,10 @@ def cpu_model() -> str:
 
 
 def summary(times: list, base: list) -> dict:
-    """Median, min and max, and against another side's base the ratio of medians and the rounds won."""
-    ms = statistics.median(times)
-    out = {"ms": ms, "min_ms": min(times), "max_ms": max(times)}
+    """Median, min and max, and against another side's base the median of per-round ratios and the rounds won."""
+    out = {"ms": statistics.median(times), "min_ms": min(times), "max_ms": max(times)}
     if times is not base:
-        out["speedup"] = statistics.median(base) / ms
+        out["speedup"] = statistics.median(b / t for t, b in zip(times, base))
         out["faster_rounds"] = sum(t < b for t, b in zip(times, base))
     return out
 
