@@ -9,8 +9,9 @@ an exact rational.  For the canonical family u_{mu,nu} it equals the
 closed form (|mu|-|nu|) (n^-|nu| - n^-|mu|), is positive, and lies in
 (n-1)Z[1/n].  The eta correction vanishes identically because the spectrum
 of D is the symmetric set Z (sum_k k e^{-t k^2} = 0 term by term), and the
-kernel correction is the entry-summed trace of 1 - sigma(U^*) U, which the
-KMS identity kills for the u_v family; both are reported exactly.
+kernel correction is the entry-summed trace of 1 - sigma(U^*) U, read as
+k - sum_x psi(sigma(x^*) x) over the entries x of U by the psi walk, which
+the KMS identity kills for the u_v family; both are reported exactly.
 
 The bilinear functional theta(a0, a1) = psi(a0 [D, a1]) is a twisted
 (b, B)-cocycle: theta(1, .) = 0 and
@@ -48,9 +49,9 @@ from .algebra import (  # closed_form_sf and projection_perturbation_data are re
     zero,
 )
 from .errors import BackendError, DomainError, UsageError
-from .matrices import AlgMatrix, _certify, apply_sigma, build_u_mu_nu, is_modular_unitary
+from .matrices import AlgMatrix, _certify, build_u_mu_nu, is_modular_unitary
 from . import modular
-from .modular import _psi_walk, commutator_D, delta_power, trace_F
+from .modular import _psi_walk, commutator_D, delta_power
 from .scalars import QSqrt, scalar_str
 from .tally import sweep
 
@@ -109,7 +110,8 @@ def correction_terms(u: AlgMatrix) -> tuple[Fraction, Fraction]:
 
     eta_diff is (tau(sigma(U^*)U) - 1) * eta_eps(D) symbolically; since
     eta_eps(D) = 0 exactly (integer spectrum, symmetric), it is reported as
-    exactly 0.  kernel_diff is the entry-summed F-trace of 1 - sigma(U^*) U.
+    exactly 0.  kernel_diff is the entry-summed psi of 1 - sigma(U^*) U,
+    read without the KMS identity that makes it 0 (see ``_corrections``).
     """
     if not is_modular_unitary(u):
         raise DomainError("correction_terms needs a modular unitary")
@@ -117,11 +119,14 @@ def correction_terms(u: AlgMatrix) -> tuple[Fraction, Fraction]:
 
 
 def _corrections(u: AlgMatrix) -> tuple[Fraction, Fraction]:
-    """correction_terms without the certificate, for a U already certified."""
-    diff = AlgMatrix.identity(u.n, u.k) - (apply_sigma(u.adjoint()) @ u)
-    kernel = QSqrt.zero(u.n)
-    for i in range(u.k):
-        kernel = kernel + trace_F(diff.rows[i][i])
+    """correction_terms without the certificate, for a U already certified.
+    As (sigma(U^*) U)_ii = sum_l sigma(u*_li) u_li, kernel_diff is k minus
+    psi(sigma(x^*) x) = psi(Delta(x)^* x) over the k^2 entries x of U: one
+    psi walk per entry, and no matrix is formed."""
+    kernel = QSqrt(u.n, u.k)
+    for row in u.rows:
+        for x in row:
+            kernel = kernel - _psi_walk(delta_power(x, 1), x, star_a=True)
     return Fraction(0), _as_fraction(kernel, "kernel correction")
 
 
@@ -210,24 +215,19 @@ def k0_membership(q: Fraction, n: int) -> bool:
     power of n."""
     if n < 2:
         raise UsageError(f"need n >= 2, got {n}")
-    q = Fraction(q)
-    den = (q / (n - 1)).denominator
-    g = math.gcd(den, n)
-    while g > 1:
-        while den % g == 0:
-            den //= g
-        g = math.gcd(den, n)
-    return den == 1
+    den = (Fraction(q) / (n - 1)).denominator
+    # every prime of den divides it fewer than den.bit_length() times
+    return pow(n, den.bit_length(), den) == 0
 
 
 def aps_index_traces(v: AlgebraElement) -> tuple[Fraction, Fraction]:
     """tau_delta of the two APS index classes of the compression of the
     monomial partial isometry v = S_mu S_nu^*, from first principles:
 
-        ( -sum_{k=0}^{m-1} tau_delta(v v^* Phi_k),
-          +sum_{k=-m}^{-1} tau_delta(v^* v Phi_k) )      for m > 0,
+        ( -s sum_{k in [min(0, m), max(0, m))}  tau_delta(v v^* Phi_k),
+          +s sum_{k in [min(0, -m), max(0, -m))} tau_delta(v^* v Phi_k) )
 
-    mirrored for m < 0 and (0, 0) for m = 0.  Their sum always equals
+    with s = sign(m), and (0, 0) for m = 0.  Their sum always equals
     spectral_flow(build_u_v(v))."""
     from .endos import _legs, _partial_isometry, _split_traces, phi_k_endo
 
@@ -239,12 +239,9 @@ def aps_index_traces(v: AlgebraElement) -> tuple[Fraction, Fraction]:
     def tau_delta_applied(f: AlgebraElement, k: int) -> Fraction:
         return _as_fraction(_split_traces(v.n, _legs(phi_k_endo(k, v.n)), f.terms)[1], "APS trace")
 
-    if m > 0:
-        range_trace = -sum((tau_delta_applied(range_proj, k) for k in range(0, m)), Fraction(0))
-        source_trace = sum((tau_delta_applied(source_proj, k) for k in range(-m, 0)), Fraction(0))
-    else:
-        range_trace = sum((tau_delta_applied(range_proj, k) for k in range(m, 0)), Fraction(0))
-        source_trace = -sum((tau_delta_applied(source_proj, k) for k in range(0, -m)), Fraction(0))
+    s = 1 if m > 0 else -1
+    range_trace = -s * sum((tau_delta_applied(range_proj, k) for k in range(min(0, m), max(0, m))), Fraction(0))
+    source_trace = s * sum((tau_delta_applied(source_proj, k) for k in range(min(0, -m), max(0, -m))), Fraction(0))
     return range_trace, source_trace
 
 

@@ -22,12 +22,12 @@ term.  Beside it, one private table gives psi(l' r) for every pair of two
 lists at once: each left term finds its diagonal partners by lookup in
 the right operands' ``algebra._right_index``, so no pair is scanned.
 These are the two psi kernels, one per traffic shape: single pairs, as in
-``psi_product``, ``inner_product``, ``flow.twisted_theta`` and
-``flow.cocycle_b_defect``, stay on the walk, which costs less there than
-a 1x1 table; a sweep over all pairs, as in ``kms_sweep``,
-``tomita_sweep`` and ``flow.cocycle_sweep`` (whose b-defect terms are
-read from tables of products against [D, .] images), reads its pairings
-from tables.  The tau traces of an endomorphism are not read here:
+``psi_product``, ``inner_product``, ``flow.twisted_theta``,
+``flow.cocycle_b_defect`` and the kernel correction, stay on the walk,
+which costs less there than a 1x1 table; a sweep over all pairs, as in
+``kms_sweep``, ``tomita_sweep`` and ``flow.cocycle_sweep`` (whose b-defect
+terms are read from tables of products against [D, .] images), reads its
+pairings from tables.  The tau traces of an endomorphism are not read here:
 ``endos._split_table`` reads both at once.  ``kms_sweep`` and
 ``tomita_sweep`` yield the two sides' tables a row at a time as
 ``tally.sweep`` blocks, which compare each row in one list comparison

@@ -35,10 +35,11 @@ inside summation loops.
   parts [y T] + int y g would cancel a factor of about K^(1-2r)/r.  The
   rest [q, |c_j|] is one fixed 16-node Gauss-Legendre panel: L is analytic
   for |Im x| < 1 and the panel is shorter than 1, so 16 nodes already agree
-  with every higher order to double precision.  Integer c_j never call
-  lattice_sum.  The whole periods cost two tail integrals each, so a
-  coefficient with more than ``PERIOD_LIMIT`` (10^6, 1.5-2 CPU s) of
-  them is refused before any integral is taken.
+  with every higher order to double precision up to r = ``REMAINDER_R_LIMIT``
+  (20); past it the peak is too narrow for the panel, and a fractional c_j
+  is refused.  Integer c_j never call lattice_sum.  The whole periods cost
+  two tail integrals each, so a coefficient with more than ``PERIOD_LIMIT``
+  (10^6, 1.5-2 CPU s) of them is refused before any integral is taken.
 * ``eta_numeric``: eta_eps(D) vanishes because sum_k k e^(-t k^2) = 0 by
   the k <-> -k symmetry; the truncated sum, cut where e^(-t k^2) underflows
   to 0.0, is evaluated and must stay below 1e-14 before 0.0 is returned.
@@ -69,6 +70,12 @@ CUTOFF_LIMIT = 10**153
 # Most whole periods floor |c| of one sf_integral coefficient; each costs two
 # tail integrals, about 2 ms per 1,000 periods on a 2-core Xeon VM.
 PERIOD_LIMIT = 10**6
+
+# Largest r at which sf_integral takes a coefficient with a fractional part.
+# Its remainder is one 16-node panel, and the lattice sum's peak narrows like
+# 1/sqrt(1/2 + r): against the panel split in 256, the relative error for
+# fractional parts near 1 is 6e-13 at r = 20, 5e-12 at 26 and 3e-3 at 1,000.
+REMAINDER_R_LIMIT = 20
 
 
 class SummationConfig(namedtuple("SummationConfig", "cutoff tail_correction")):
@@ -326,6 +333,11 @@ def sf_integral(x: ProjectionPerturbation, r: float, cfg: SummationConfig) -> fl
         raise UsageError("empty perturbation")
     if not (r > 0 and math.isfinite(r)):
         raise DomainError(f"sf_integral needs a finite r > 0, got {r}")
+    if r > REMAINDER_R_LIMIT and any(c.denominator != 1 for c, _ in x.terms):
+        raise DomainError(
+            f"sf_integral's remainder panel cannot resolve the lattice sum's peak past r = {REMAINDER_R_LIMIT} "
+            f"for a coefficient with a fractional part; got r={r}"
+        )
     largest = max(abs(c) for c, _ in x.terms)
     if cfg.cutoff <= largest:
         raise DomainError(f"cutoff {cfg.cutoff} must exceed the largest |c| {largest}")

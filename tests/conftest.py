@@ -101,6 +101,17 @@ def oracle_flow(u: AlgMatrix):
     return total
 
 
+def oracle_kernel(u: AlgMatrix) -> QSqrt:
+    """k - sum_i psi((sigma(U^*) U)_ii), with sigma(U^*) and the matrix
+    product built and psi read off the diagonal by state_psi: what
+    flow._corrections reads as one psi walk per entry of U."""
+    product = apply_sigma(u.adjoint()) @ u
+    total = QSqrt(u.n, u.k)
+    for i in range(u.k):
+        total = total - state_psi(product.rows[i][i])
+    return total
+
+
 def oracle_psi_product(a, b):
     """psi(a b) with the product built: what modular.psi_product computes
     without forming it."""

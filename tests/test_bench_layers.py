@@ -1,6 +1,7 @@
 """The layer harness's row lists against this tree, without timing anything:
 each ``sweeps`` row names a callable of the package (or of the harness) and
-carries its plan's case count, and the ``cli`` table runs the benchmark's
+carries its plan's case count (the harness's own rows, which have no plan,
+are run for theirs), and the ``cli`` table runs the benchmark's
 own command lines.  A row that drifted from the code it times would make the
 harness refuse at its check phase, long after the change that broke it."""
 
@@ -30,7 +31,7 @@ def harness():
 
 
 def test_sweep_rows_name_callables_with_their_plans_case_counts(harness):
-    planned = []
+    planned, own = [], []
     for module, name, args, cases, _ in harness.SWEEPS:
         owner = harness if module == harness.__name__ else importlib.import_module(module)
         assert callable(getattr(owner, name, None)), (module, name)
@@ -38,9 +39,14 @@ def test_sweep_rows_name_callables_with_their_plans_case_counts(harness):
         if plan is not None:
             assert plan(*args)[0] == cases, (name, args)
             planned.append((name, args, cases))
+        elif owner is harness:
+            own.append((name, args, cases))
     assert ("tomita_sweep", (3, 2), 172549) in planned
     assert ("cocycle_sweep", (3, 1), 4112) in planned
-    assert len(planned) == 13  # all but sf_closed_form_chunk and the harness's two
+    assert len(planned) == 13  # all but sf_closed_form_chunk and the harness's three
+    assert [name for name, _, _ in own] == ["cocycle_five_term", "psi_pairs", "flow_reports"]
+    for name, args, cases in own:  # no plan: each is run for its count (0.2 s in all)
+        assert getattr(harness, name)(*args) == {"cases": cases, "failures": 0}, name
 
 
 def test_cli_rows_run_the_benchmark_argvs(harness):

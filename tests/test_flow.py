@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import monomial_elements, oracle_flow, random_element
-from cuntzmod import flow, matrices
+from conftest import monomial_elements, oracle_flow, oracle_kernel, random_element
+from cuntzmod import cli, flow, matrices
 from cuntzmod.algebra import adjoint, gen, monomial, multiply, one, words_upto
 from cuntzmod.errors import DomainError, UsageError
 from cuntzmod.expr import parse
@@ -27,6 +27,7 @@ from cuntzmod.flow import (
 )
 from cuntzmod.matrices import AlgMatrix, build_u_mu_nu, build_u_v, find_nonmodular_product_witness
 from cuntzmod.modular import commutator_D, expectation
+from cuntzmod.scalars import QSqrt
 
 
 def test_spectral_flow_values():
@@ -80,6 +81,31 @@ def test_correction_terms():
     product = AlgMatrix.single(multiply(parse(w["left_expr"], 2), parse(w["right_expr"], 2)))
     with pytest.raises(DomainError, match="correction_terms needs a modular unitary"):
         correction_terms(product)
+
+
+def test_kernel_correction_matches_the_matrix_product_off_the_unitaries(rng):
+    # Drawn matrices are not modular unitaries, so no KMS identity makes the
+    # kernel correction 0; their coefficients are rational, so it is exact.
+    nonzero = 0
+    for _ in range(200):
+        n, k = rng.choice((2, 3)), rng.randint(1, 3)
+        u = AlgMatrix([[random_element(rng, n) for _ in range(k)] for _ in range(k)])
+        want = oracle_kernel(u)
+        assert flow._corrections(u) == (0, want.as_fraction()), u
+        nonzero += not want.is_zero
+    assert nonzero > 150
+
+
+def test_an_irrational_flow_is_refused(monkeypatch, capsys):
+    # Only a faulty certificate could sum an irrational flow; patch one in.
+    root = QSqrt(2, 0, 1)
+    monkeypatch.setattr(flow, "_certify", lambda u: (0, 0, root))
+    message = f"spectral flow is not rational: {root}"
+    with pytest.raises(DomainError) as caught:
+        spectral_flow(build_u_mu_nu(2, (1, 1), (2,)))
+    assert str(caught.value) == message
+    assert cli.main(["sf", "--n", "2", "--mu", "1,1", "--nu", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_twisted_theta():

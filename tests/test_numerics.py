@@ -300,15 +300,55 @@ def test_sf_integral_n3():
 
 
 def test_sf_integral_takes_raw_pairs_at_a_large_r():
-    # Raw (c, w) pairs are converted to a ProjectionPerturbation.  At r = 200
-    # the runs past the directly summed points underflow: the span
-    # integral's scale a^(1 - 2e) and the midpoint correction's g(y) are 0.
-    # The exact flow is 1/8.
+    # Raw (c, w) pairs are converted to a ProjectionPerturbation, here at the
+    # largest r a fractional coefficient is taken at.  The exact flow is 1/8.
     pairs = [(Fraction(5, 2), Fraction(1, 4)), (Fraction(-1), Fraction(1, 2))]
     cfg = SummationConfig(1000, tail_correction=False)
-    value = sf_integral(pairs, 200, cfg)
-    assert value == sf_integral(ProjectionPerturbation.from_pairs(pairs), 200, cfg)
-    assert abs(value - 0.125) < 1e-9
+    r = numerics.REMAINDER_R_LIMIT
+    value = sf_integral(pairs, r, cfg)
+    assert value == sf_integral(ProjectionPerturbation.from_pairs(pairs), r, cfg)
+    assert abs(value - 0.125) < 1e-12
+    # At exponent 200.5 the runs past the directly summed points underflow:
+    # the span integral's scale a^(1 - 2e) and the midpoint correction's g(y) are 0.
+    assert lattice_sum(2.25, 200.5, cfg) == pytest.approx(oracle_lattice_sum(2.25, 200.5, cfg), rel=1e-14)
+
+
+def test_sf_integral_refuses_a_fractional_coefficient_past_the_remainder_limit():
+    # For this example at cutoff 10^4 the one remainder panel lost 6.8e-5 of
+    # itself at r = 10^3 and returned 0.0 at r = 10^8.  Up to the limit the
+    # answer is within 1e-12 of 1/8; past it, it is refused.
+    assert numerics.REMAINDER_R_LIMIT == 20
+    pairs = [(Fraction(5, 2), Fraction(1, 4)), (Fraction(-1), Fraction(1, 2))]
+    cfg = SummationConfig(10_000)
+    for r in (0.25, 0.5, 1.0, 5.0, 10.0, 19.5, 20):
+        assert abs(sf_integral(pairs, r, cfg) - 0.125) < 1e-12, r
+    for r in (20.000001, 26.0, 1e3, 1e8, 1e300, 1.7e308):
+        with pytest.raises(DomainError) as caught:
+            sf_integral(pairs, r, cfg)
+        assert str(caught.value) == (
+            "sf_integral's remainder panel cannot resolve the lattice sum's peak past r = 20 "
+            f"for a coefficient with a fractional part; got r={r}"
+        )
+    # integer coefficients never call lattice_sum and meet no such bound
+    integer = [(Fraction(3), Fraction(1, 4)), (Fraction(-1), Fraction(1, 2))]
+    assert sf_integral(integer, 1e300, cfg) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_remainder_panel_holds_1e_12_at_the_limit():
+    # sf_integral's panel over [2, 2 + f], read as the difference of two
+    # calls, against the same 16-node rule over 64 equal pieces; fractional
+    # parts near 1 lose most (6e-13 relative at r = 20, 5e-12 at r = 26)
+    r = numerics.REMAINDER_R_LIMIT
+    expo, cfg = 0.5 + r, SummationConfig(1000)
+    whole = sf_integral([(Fraction(2), Fraction(1))], r, cfg)
+    for f in (Fraction(1, 100), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(999_999, 10**6)):
+        width = float(f) / 64
+        pieces = math.fsum(
+            wt * lattice_sum(2 + width * (j + (1 + t) / 2), expo, cfg)
+            for j in range(64) for node, wt in numerics.REMAINDER_RULE for t in (-node, node)
+        )
+        panel = sf_integral([(2 + f, Fraction(1))], r, cfg) - whole
+        assert panel == pytest.approx(width / 2 * pieces / beta_constant(expo), rel=1e-12), f
 
 
 def test_sf_integral_against_adaptive_reference():
@@ -490,6 +530,15 @@ def test_eta_numeric():
     assert eta_numeric(5e-324, cfg) == 0.0  # 746 / t is inf here
     with pytest.raises(DomainError):
         eta_numeric(0.0, cfg)
+
+
+def test_eta_numeric_refuses_an_asymmetric_heat_sum(monkeypatch):
+    # fsum over exactly paired +-k terms returns exactly 0.0; patch in a residue
+    monkeypatch.setattr(numerics, "symmetric_heat_sum", lambda t, cutoff: 3e-14)
+    with pytest.raises(ArithmeticError) as caught:
+        eta_numeric(0.1, SummationConfig(cutoff=100))
+    assert type(caught.value) is ArithmeticError
+    assert str(caught.value) == "heat sum asymmetry 3e-14 at t=0.1; spectral symmetry violated"
 
 
 def test_heat_sums():

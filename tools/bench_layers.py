@@ -22,8 +22,10 @@ terms in O_3 (drawn once per side, with seed 51, by the tests'
 the single-pair psi walk: ``psi_product``, ``inner_product`` and
 ``flow.twisted_theta`` on every ordered pair of the 169 monomials of O_3
 with legs up to 2, each against its entry of ``_psi_table`` tables built
-once per side and not timed.  A sweep is right when it reports the case
-count its size fixes and no failure.
+once per side and not timed, and ``flow_reports(3, 3, 1)``, the report
+path of the ``sf`` and ``entropy`` verbs: ``flow.flow_report`` on all 81
+u_{mu,nu} with |mu| = 3 and |nu| = 1 in O_3.  A sweep is right when it
+reports the case count its size fixes and no failure.
 
 ``equality``: ``algebra.equals`` and the expansion oracle
 ``not canonical_form(a - b).terms`` it replaced, on the queries of the
@@ -202,6 +204,17 @@ def psi_pairs(n: int, max_len: int) -> dict:
     return {"cases": len(walks) * len(monos) ** 2, "failures": failures}
 
 
+def flow_reports(n: int, len_mu: int, len_nu: int) -> dict:
+    """flow_report on every u_{mu,nu} with |mu| = len_mu and |nu| = len_nu,
+    in the sweeps' report shape: a report is right when its sf is the closed
+    form, both corrections are 0 and sf lies in (n-1)Z[1/n]."""
+    flow, words = sys.modules["cuntzmod.flow"], sys.modules["cuntzmod.algebra"].words
+    expected = flow.closed_form_sf(n, (1,) * len_mu, (1,) * len_nu)
+    reports = [flow.flow_report(n, mu, nu) for mu in words(n, len_mu) for nu in words(n, len_nu)]
+    failures = sum(not (r.sf == expected and r.eta_diff == r.kernel_diff == 0 and r.in_k0_range) for r in reports)
+    return {"cases": len(reports), "failures": failures}
+
+
 # (module, sweep, args, cases, in_round): the workload's sweeps, then the rest
 SWEEPS = [(module.__name__, name, args, cases, True) for module, name, args, cases in workloads.INVARIANT_SWEEPS] + [
     ("cuntzmod.modular", "tomita_sweep", (3, 2), 172549, False),
@@ -211,6 +224,7 @@ SWEEPS = [(module.__name__, name, args, cases, True) for module, name, args, cas
     ("cuntzmod.flow", "cocycle_sweep", (3, 1), 4112, False),
     (__name__, "cocycle_five_term", (51,), 1000, False),
     (__name__, "psi_pairs", (3, 2), 85683, False),
+    (__name__, "flow_reports", (3, 3, 1), 81, False),
 ]
 
 
