@@ -40,15 +40,15 @@ def _load(module: str, name: str):
     return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
-# Each suite's module, home of its plan and sweep, and the options they take.
+# Each suite's module, home of its plan and sweep; the plan's parameters name their options.
 CHECKS = {
-    "kms": ("modular", ("n", "max_len")),
-    "tomita": ("modular", ("n", "max_len")),
-    "cocycle": ("flow", ("n", "max_len")),
-    "hochschild": ("flow", ("n",)),
-    "keyfact": ("endos", ("n", "max_len")),
-    "homotopy": ("matrices", ("n", "samples")),
-    "tracesplit": ("endos", ("n", "max_len")),
+    "kms": "modular",
+    "tomita": "modular",
+    "cocycle": "flow",
+    "hochschild": "flow",
+    "keyfact": "endos",
+    "homotopy": "matrices",
+    "tracesplit": "endos",
 }
 
 # Largest sweep check starts: about 1e6 units of work, each about one (a
@@ -212,15 +212,15 @@ def _dispatch(args) -> int:
     if verb == "check":
         if args.max_len < 0:
             raise UsageError(f"--max-len must be >= 0, got {args.max_len}")
-        module, names = CHECKS[args.suite]
-        sweep_args = [getattr(args, name) for name in names]
-        cases, work = _load(module, f"{args.suite}_plan")(*sweep_args)
+        plan = _load(CHECKS[args.suite], f"{args.suite}_plan")
+        sweep_args = [getattr(args, name) for name in plan.__code__.co_varnames[:plan.__code__.co_argcount]]
+        cases, work = plan(*sweep_args)
         if work > CHECK_CASE_BUDGET:
             raise UsageError(
                 f"check {args.suite} would run at least {cases} cases, {work} units of work, "
                 f"above the budget of {CHECK_CASE_BUDGET}"
             )
-        report = _load(module, f"{args.suite}_sweep")(*sweep_args)
+        report = _load(CHECKS[args.suite], f"{args.suite}_sweep")(*sweep_args)
         if report["cases"] == 0:
             raise UsageError(f"check {args.suite} ran zero cases")
         _emit(report, args.output)

@@ -140,6 +140,16 @@ def _stirling_tail(z: float) -> float:
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188 - 691 / 360360 * w) * w) * w) * w) * w) / z
 
 
+def _as_float(value, refusal: str) -> float:
+    """value as a float; past the largest double, ``refusal`` and its digit count."""
+    try:
+        return float(value)
+    except OverflowError:
+        whole = int(abs(value))
+        low = int(math.log10(whole))  # within one of floor(log10(whole))
+        raise DomainError(f"{refusal} {low + (whole >= 10**low) + (whole >= 10 ** (low + 1))} digits") from None
+
+
 def beta_constant(s: float) -> float:
     """C_s = int_-inf^inf (1+x^2)^(-s) dx = sqrt(pi) Gamma(s-1/2)/Gamma(s), for
     finite s > 1/2.  Below STIRLING_FROM it is read from log-gamma.
@@ -147,6 +157,7 @@ def beta_constant(s: float) -> float:
     (s-1) log1p(-1/(2s)) - (1/2) ln s + 1/2 plus the tails' difference, and
     C_s = sqrt(pi/s) e^(the rest), which is small, so no large logarithm is
     rounded."""
+    s = _as_float(s, "C_s needs a finite s; got an s of")
     if s <= 0.5:
         raise DomainError(f"C_s diverges for s <= 1/2, got s={s}")
     if not math.isfinite(s):
@@ -331,6 +342,7 @@ def sf_integral(x: ProjectionPerturbation, r: float, cfg: SummationConfig) -> fl
         x = ProjectionPerturbation.from_pairs(x)
     if not x.terms:
         raise UsageError("empty perturbation")
+    r = _as_float(r, "sf_integral needs a finite r > 0, got an r of")
     if not (r > 0 and math.isfinite(r)):
         raise DomainError(f"sf_integral needs a finite r > 0, got {r}")
     if r > REMAINDER_R_LIMIT and any(c.denominator != 1 for c, _ in x.terms):

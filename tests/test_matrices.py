@@ -54,11 +54,8 @@ def test_matrix_arithmetic():
     assert u.adjoint().adjoint() == u
     s = u.direct_sum(AlgMatrix.identity(2, 1))
     assert s.k == 3 and s.rows[2][2] == one(2) and s.rows[0][2].is_zero
-    assert (u - u).rows[0][0].is_zero
     with pytest.raises(UsageError):
         u @ AlgMatrix.identity(2, 3)
-    with pytest.raises(UsageError):
-        u - AlgMatrix.identity(2, 3)
     with pytest.raises(UsageError):
         AlgMatrix([[one(2), one(2)]])  # not square
 
@@ -222,9 +219,10 @@ def test_monomial_unitary_products_stay_modular():
 
 
 def test_nonmodular_product_witness():
-    for n in (2, 3):
+    for n in range(2, 7):
         w = find_nonmodular_product_witness(n)
         assert w is not None
+        assert (w["left"], w["right"]) == ("branch_shift", "rotated_branch_shift")
         assert w["defect_float"] > 0
         from cuntzmod.expr import parse
 
@@ -240,6 +238,11 @@ def test_nonmodular_product_witness():
 def matrices_equal(a, b):
     """Entrywise semantic equality of two exact matrices."""
     return a.k == b.k and all(equals(x, y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+
+
+def minus(a, b):
+    """a - b entry by entry, term maps as AlgebraElement subtraction forms them."""
+    return AlgMatrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -296,7 +299,7 @@ def test_homotopy_two_stage_swap_path():
         # point (the rotation at speed 2, the phase at speed 4)
         eps = Fraction(1, 1000)
         for t in (Fraction(1, 2) - eps, Fraction(1, 2) + eps):
-            diff = path(t) - path(Fraction(1, 2))
+            diff = minus(path(t), path(Fraction(1, 2)))
             assert max(abs(c.as_fraction()) for row in diff.rows for x in row for c in x.terms.values()) < 5 * eps
         # past the meeting point the samples carry an imaginary part, and the
         # phase and its conjugate keep them self-adjoint, like u_{mu,nu}
@@ -354,6 +357,73 @@ def test_homotopy_sweep_counts_a_failing_check(monkeypatch, passed, failures):
     assert report["details"]["nonmodular_witness"] == find_nonmodular_product_witness(2)
 
 
+def _everything_modular(u):
+    return QSqrt.zero(u.n), QSqrt.zero(u.n)
+
+
+def _not_unitary_where_not_modular(u, certificate=modular_certificate):
+    unitarity, modular = certificate(u)
+    return (unitarity if modular.is_zero else modular), modular
+
+
+@pytest.mark.parametrize("certificate", [_everything_modular, _not_unitary_where_not_modular])
+def test_homotopy_sweep_fails_when_the_witness_does_not_certify(monkeypatch, capsys, certificate):
+    # a certificate that finds the witness's product modular, or not
+    # unitary, refuses the witness, and its case fails; the real paths and
+    # the factors still pass
+    monkeypatch.setattr(matrices, "modular_certificate", certificate)
+    assert find_nonmodular_product_witness(2) is None
+    report = homotopy_sweep(2, samples=3)
+    assert (report["cases"], report["failures"]) == (4, 1)
+    assert report["details"]["nonmodular_witness"] is None
+    from cuntzmod import cli
+
+    assert cli.main(["check", "homotopy", "--n", "2", "--samples", "3"]) == 1
+    assert '"nonmodular_witness":null' in capsys.readouterr().out
+
+
+def _path_pieces(n):
+    """(name, path, t of each sample, s of each sample) for every piece of
+    the homotopy suite's paths; each piece is equally spaced in its circle
+    parameter s, and t = 1/2 belongs to the swap path's first stage."""
+    u = build_u_mu_nu(n, (1, 1), (2,))
+    v = build_u_mu_nu(n, (1,), (2,))
+    over_f = AlgMatrix.single(monomial(n, (1,), (2,)) + monomial(n, (2,), (1,)) + matrices.sum_rest_projections(n))
+    swap = swap_two_stage_path(n, (1, 1), (2,))
+    whole = [Fraction(i, 11) for i in range(12)]
+    first = [Fraction(i, 22) for i in range(12)]
+    second = [Fraction(1, 2) + Fraction(i, 22) for i in range(1, 12)]
+    return [
+        ("rotation", rotation_direct_sum_path(u, v), whole, whole),
+        ("whitehead", whitehead_path(over_f), whole, whole),
+        ("swap stage 1", swap, first, [2 * t for t in first]),
+        ("swap stage 2", swap, second, [2 - 2 * t for t in second]),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_path_pieces_have_degree_four_in_the_circle_parameter(n):
+    # every entry coefficient of each piece, times (1 + s^2)^2, is a
+    # polynomial of degree at most 4 in s: its 5th finite difference over
+    # equally spaced s vanishes, and its 4th does not everywhere
+    for name, path, ts, ss in _path_pieces(n):
+        scaled = []
+        for t, s in zip(ts, ss):
+            weight = (1 + s * s) ** 2
+            scaled.append({(i, j, key): c * weight
+                           for i, row in enumerate(path(t).rows) for j, x in enumerate(row)
+                           for key, c in x.terms.items()})
+        degree_four = False
+        for key in set().union(*scaled):
+            values = [sample.get(key, QSqrt.zero(n)) for sample in scaled]
+            for _ in range(4):
+                values = [b - a for a, b in zip(values, values[1:])]
+            degree_four = degree_four or any(not d.is_zero for d in values)
+            fifth = [b - a for a, b in zip(values, values[1:])]
+            assert all(d.is_zero for d in fifth), (name, key)
+        assert degree_four, name
+
+
 def test_spectral_flow_additivity_mixed_blocks():
     from cuntzmod.flow import spectral_flow
 
@@ -380,7 +450,7 @@ def _assert_matches_oracle(u):
     u_star = u.adjoint()
     for a, b in ((u, u_star), (u_star, u)):
         products, sigma_products, _ = _pair_pass(a, b)
-        plain, twisted = a @ b - AlgMatrix.identity(u.n, u.k), a @ apply_sigma(b)
+        plain, twisted = minus(a @ b, AlgMatrix.identity(u.n, u.k)), a @ apply_sigma(b)
         for i in range(u.k):
             for j in range(u.k):
                 assert products[i][j] == plain.rows[i][j].terms
@@ -508,7 +578,7 @@ def test_realify_is_a_star_homomorphism(entries):
     # (A + iB)(C + iD) = (AC - BD) + i(AD + BC) and (A + iB)^* = A^* - iB^*,
     # and sigma acts on both parts alike
     a, b, c, d = (AlgMatrix([entries[i:i + 2], entries[i + 2:i + 4]]) for i in range(0, 16, 4))
-    product = _realify(a @ c - b @ d, a @ d - _negated(b @ c))
+    product = _realify(minus(a @ c, b @ d), minus(a @ d, _negated(b @ c)))
     assert matrices_equal(_realify(a, b) @ _realify(c, d), product)
     assert _realify(a, b).adjoint() == _realify(a.adjoint(), _negated(b.adjoint()))
     assert apply_sigma(_realify(a, b)) == _realify(apply_sigma(a), apply_sigma(b))

@@ -134,6 +134,18 @@ def test_beta_constant_refuses_only_a_non_finite_s():
             beta_constant(s)
 
 
+def test_an_int_past_the_largest_double_is_refused_by_its_digit_count():
+    # float(10**400) overflows; the refusal counts digits, since str() of
+    # an int past 4,300 digits raises
+    x = ProjectionPerturbation.from_pairs([(Fraction(1), Fraction(1))])
+    for value, digits in ((10**400, 401), (-(10**400), 401), (10**5000, 5001)):
+        with pytest.raises(DomainError, match=rf"^C_s needs a finite s; got an s of {digits} digits$"):
+            beta_constant(value)
+        with pytest.raises(DomainError, match=rf"^sf_integral needs a finite r > 0, got an r of {digits} digits$"):
+            sf_integral(x, value, SummationConfig())
+    assert sf_integral(x, 10**300, SummationConfig()) == 1.0
+
+
 def test_beta_constant_normalisation_limit():
     # (s-1)/2 * C_{s/2} -> 1 as s -> 1+
     values = [(s - 1) / 2 * beta_constant(s / 2) for s in (1.1, 1.01, 1.001)]
