@@ -36,9 +36,8 @@ stay exact because every rotation is taken at a rational point of the
 circle, and a complex phase is carried by the realification
 A + iB -> [[A, -B], [B, A]].  A sampled check evidences continuity, it does
 not prove it; failures between grid points are invisible by construction.
-The suite's control is a built and certified witness that modular
-unitaries are not closed under products, checked as a constant path at its
-two endpoints: it must fail.
+Its control, a built and certified product of modular unitaries that is
+not modular, must fail as a constant path checked at its two endpoints.
 """
 
 from __future__ import annotations
@@ -125,6 +124,13 @@ class AlgMatrix:
                 row.append(AlgebraElement._make(self.n, acc))
             out.append(row)
         return AlgMatrix._make(self.n, out)
+
+    def __sub__(self, other: "AlgMatrix") -> "AlgMatrix":
+        self._check_shape(other)
+        return AlgMatrix._make(
+            self.n,
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+        )
 
     def adjoint(self) -> "AlgMatrix":
         k = self.k
@@ -495,14 +501,13 @@ def cartan_rotation(n: int, cos_val, sin_val) -> AlgebraElement:
 
 def find_nonmodular_product_witness(n: int) -> dict | None:
     """The witness of ``_nonmodular_witness``, without its product."""
-    witness, _ = _nonmodular_witness(n) or (None, None)
-    return witness
+    return _nonmodular_witness(n)[0]
 
 
-def _nonmodular_witness(n: int) -> tuple[dict, AlgMatrix] | None:
+def _nonmodular_witness(n: int) -> tuple[dict | None, AlgMatrix]:
     """A concrete pair of modular unitaries whose product is unitary but
     fails the modular condition, with an exact defect certificate, and
-    their product as a 1 x 1 matrix; None if a certificate disagrees.
+    their product as a 1 x 1 matrix; the pair is None if a check fails.
 
     Pairs drawn from the monomial families alone (u_{mu,nu}, u_v, branch
     permutations) never witness the failure: their modular products are
@@ -515,19 +520,18 @@ def _nonmodular_witness(n: int) -> tuple[dict, AlgMatrix] | None:
     """
     from .expr import render
 
-    left = branch_shift_unitary(n)
-    rot = cartan_rotation(n, Fraction(3, 5), Fraction(4, 5))
-    right = multiply(multiply(rot, left), adjoint(rot))
-    product = AlgMatrix.single(multiply(left, right))
+    left = AlgMatrix.single(branch_shift_unitary(n))
+    rot = AlgMatrix.single(cartan_rotation(n, Fraction(3, 5), Fraction(4, 5)))
+    right = rot @ left @ rot.adjoint()
+    product = left @ right
     unitarity, defect = modular_certificate(product)
-    factors_modular = is_modular_unitary(AlgMatrix.single(left)) and is_modular_unitary(AlgMatrix.single(right))
-    if not (factors_modular and unitarity.is_zero and not defect.is_zero):
-        return None
+    if not (is_modular_unitary(left) and is_modular_unitary(right) and unitarity.is_zero and not defect.is_zero):
+        return None, product
     return {
         "left": "branch_shift",
         "right": "rotated_branch_shift",
-        "left_expr": render(left),
-        "right_expr": render(right),
+        "left_expr": render(left.rows[0][0]),
+        "right_expr": render(right.rows[0][0]),
         "defect": str(defect),
         "defect_float": float(defect),
     }, product
@@ -553,7 +557,7 @@ def homotopy_sweep(n: int, samples: int = 21) -> dict:
     passed = [homotopy_path_check(path, samples)["passed"] for path in paths.values()]
     details = dict(zip(paths, passed))
 
-    witness, product = _nonmodular_witness(n) or (None, None)
+    witness, product = _nonmodular_witness(n)
     details["nonmodular_witness"] = witness
     passed.append(witness is not None and not homotopy_path_check(constant_path(product), 2)["passed"])
     return {"check": "homotopy", "n": n, "cases": len(passed), "failures": passed.count(False), "details": details}

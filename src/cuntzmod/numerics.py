@@ -55,6 +55,7 @@ eta's heat sums are ``fsum`` too.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
@@ -90,9 +91,9 @@ class SummationConfig(namedtuple("SummationConfig", "cutoff tail_correction")):
         if cutoff < 1:
             raise UsageError(f"cutoff must be >= 1, got {cutoff}")
         if cutoff > CUTOFF_LIMIT:
-            digits = math.floor(math.log10(cutoff)) + 1  # str() refuses past 4,300 digits
             raise UsageError(
-                f"cutoff must be <= 10**153, past which the lattice sums' doubles overflow; got a {digits}-digit cutoff"
+                "cutoff must be <= 10**153, past which the lattice sums' doubles overflow; "
+                f"got a {_digits(cutoff)}-digit cutoff"
             )
         return super().__new__(cls, cutoff, tail_correction)
 
@@ -140,14 +141,10 @@ def _stirling_tail(z: float) -> float:
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188 - 691 / 360360 * w) * w) * w) * w) * w) / z
 
 
-def _as_float(value, refusal: str) -> float:
-    """value as a float; past the largest double, ``refusal`` and its digit count."""
-    try:
-        return float(value)
-    except OverflowError:
-        whole = int(abs(value))
-        low = int(math.log10(whole))  # within one of floor(log10(whole))
-        raise DomainError(f"{refusal} {low + (whole >= 10**low) + (whole >= 10 ** (low + 1))} digits") from None
+def _digits(whole: int) -> int:
+    """The decimal digits of an int other than 0, exactly; str() refuses past 4,300 digits."""
+    low = int(math.log10(abs(whole)))  # within one of floor(log10(abs(whole)))
+    return low + (abs(whole) >= 10**low) + (abs(whole) >= 10 ** (low + 1))
 
 
 def beta_constant(s: float) -> float:
@@ -157,7 +154,8 @@ def beta_constant(s: float) -> float:
     (s-1) log1p(-1/(2s)) - (1/2) ln s + 1/2 plus the tails' difference, and
     C_s = sqrt(pi/s) e^(the rest), which is small, so no large logarithm is
     rounded."""
-    s = _as_float(s, "C_s needs a finite s; got an s of")
+    if isinstance(s, int) and abs(s) > sys.float_info.max:  # past every double: math.isfinite overflows
+        raise DomainError(f"C_s needs a finite s; got an s of {_digits(s)} digits")
     if s <= 0.5:
         raise DomainError(f"C_s diverges for s <= 1/2, got s={s}")
     if not math.isfinite(s):
@@ -342,7 +340,8 @@ def sf_integral(x: ProjectionPerturbation, r: float, cfg: SummationConfig) -> fl
         x = ProjectionPerturbation.from_pairs(x)
     if not x.terms:
         raise UsageError("empty perturbation")
-    r = _as_float(r, "sf_integral needs a finite r > 0, got an r of")
+    if isinstance(r, int) and abs(r) > sys.float_info.max:  # past every double: math.isfinite overflows
+        raise DomainError(f"sf_integral needs a finite r > 0, got an r of {_digits(r)} digits")
     if not (r > 0 and math.isfinite(r)):
         raise DomainError(f"sf_integral needs a finite r > 0, got {r}")
     if r > REMAINDER_R_LIMIT and any(c.denominator != 1 for c, _ in x.terms):

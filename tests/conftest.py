@@ -75,8 +75,8 @@ def oracle_certificate(u: AlgMatrix) -> tuple:
     canonical-form coefficient of the first two and of the off-degree parts
     of the last two, exact like the engine's certificate."""
     u_star = u.adjoint()
-    ident = AlgMatrix.identity(u.n, u.k).rows
-    unit = [x - i for p in (u @ u_star, u_star @ u) for row, irow in zip(p.rows, ident) for x, i in zip(row, irow)]
+    ident = AlgMatrix.identity(u.n, u.k)
+    unit = [x for p in (u @ u_star - ident, u_star @ u - ident) for row in p.rows for x in row]
     modular = [
         x - expectation(x)
         for p in (u @ apply_sigma(u_star), u_star @ apply_sigma(u))

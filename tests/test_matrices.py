@@ -54,8 +54,11 @@ def test_matrix_arithmetic():
     assert u.adjoint().adjoint() == u
     s = u.direct_sum(AlgMatrix.identity(2, 1))
     assert s.k == 3 and s.rows[2][2] == one(2) and s.rows[0][2].is_zero
+    assert (u - u).rows[0][0].is_zero
     with pytest.raises(UsageError):
         u @ AlgMatrix.identity(2, 3)
+    with pytest.raises(UsageError):
+        u - AlgMatrix.identity(2, 3)
     with pytest.raises(UsageError):
         AlgMatrix([[one(2), one(2)]])  # not square
 
@@ -240,11 +243,6 @@ def matrices_equal(a, b):
     return a.k == b.k and all(equals(x, y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
 
 
-def minus(a, b):
-    """a - b entry by entry, term maps as AlgebraElement subtraction forms them."""
-    return AlgMatrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("s", [0.0, math.pi / 4, math.pi / 2, 1.234, math.pi, -0.7, 3 * math.pi / 2])
 def test_rotation_block_matches_scaled_identities(k, s):
@@ -299,7 +297,7 @@ def test_homotopy_two_stage_swap_path():
         # point (the rotation at speed 2, the phase at speed 4)
         eps = Fraction(1, 1000)
         for t in (Fraction(1, 2) - eps, Fraction(1, 2) + eps):
-            diff = minus(path(t), path(Fraction(1, 2)))
+            diff = path(t) - path(Fraction(1, 2))
             assert max(abs(c.as_fraction()) for row in diff.rows for x in row for c in x.terms.values()) < 5 * eps
         # past the meeting point the samples carry an imaginary part, and the
         # phase and its conjugate keep them self-adjoint, like u_{mu,nu}
@@ -366,11 +364,29 @@ def _not_unitary_where_not_modular(u, certificate=modular_certificate):
     return (unitarity if modular.is_zero else modular), modular
 
 
-@pytest.mark.parametrize("certificate", [_everything_modular, _not_unitary_where_not_modular])
+def _factor_not_modular(side):
+    """A certificate that finds the witness's ``side`` factor, and nothing
+    else, not modular."""
+    from cuntzmod.expr import parse
+
+    factor = parse(find_nonmodular_product_witness(2)[f"{side}_expr"], 2)
+
+    def certificate(u, real=modular_certificate):
+        unitarity, modular = real(u)
+        return unitarity, (QSqrt.one(u.n) if u.k == 1 and equals(u.rows[0][0], factor) else modular)
+
+    return certificate
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [_everything_modular, _not_unitary_where_not_modular, _factor_not_modular("left"), _factor_not_modular("right")],
+    ids=["product modular", "product not unitary", "left not modular", "right not modular"],
+)
 def test_homotopy_sweep_fails_when_the_witness_does_not_certify(monkeypatch, capsys, certificate):
-    # a certificate that finds the witness's product modular, or not
-    # unitary, refuses the witness, and its case fails; the real paths and
-    # the factors still pass
+    # a certificate that finds the witness's product modular or not
+    # unitary, or one of its factors not modular, refuses the witness, and
+    # its case fails; the real paths still pass
     monkeypatch.setattr(matrices, "modular_certificate", certificate)
     assert find_nonmodular_product_witness(2) is None
     report = homotopy_sweep(2, samples=3)
@@ -450,7 +466,7 @@ def _assert_matches_oracle(u):
     u_star = u.adjoint()
     for a, b in ((u, u_star), (u_star, u)):
         products, sigma_products, _ = _pair_pass(a, b)
-        plain, twisted = minus(a @ b, AlgMatrix.identity(u.n, u.k)), a @ apply_sigma(b)
+        plain, twisted = a @ b - AlgMatrix.identity(u.n, u.k), a @ apply_sigma(b)
         for i in range(u.k):
             for j in range(u.k):
                 assert products[i][j] == plain.rows[i][j].terms
@@ -578,7 +594,7 @@ def test_realify_is_a_star_homomorphism(entries):
     # (A + iB)(C + iD) = (AC - BD) + i(AD + BC) and (A + iB)^* = A^* - iB^*,
     # and sigma acts on both parts alike
     a, b, c, d = (AlgMatrix([entries[i:i + 2], entries[i + 2:i + 4]]) for i in range(0, 16, 4))
-    product = _realify(minus(a @ c, b @ d), minus(a @ d, _negated(b @ c)))
+    product = _realify(a @ c - b @ d, a @ d - _negated(b @ c))
     assert matrices_equal(_realify(a, b) @ _realify(c, d), product)
     assert _realify(a, b).adjoint() == _realify(a.adjoint(), _negated(b.adjoint()))
     assert apply_sigma(_realify(a, b)) == _realify(apply_sigma(a), apply_sigma(b))

@@ -144,6 +144,23 @@ def test_an_int_past_the_largest_double_is_refused_by_its_digit_count():
         with pytest.raises(DomainError, match=rf"^sf_integral needs a finite r > 0, got an r of {digits} digits$"):
             sf_integral(x, value, SummationConfig())
     assert sf_integral(x, 10**300, SummationConfig()) == 1.0
+    # only an int past every double is read by its digits: a string is
+    # still refused, and a small int is shown as it is
+    with pytest.raises(TypeError):
+        beta_constant("3")
+    with pytest.raises(TypeError):
+        sf_integral(x, "2", SummationConfig())
+    with pytest.raises(DomainError, match=r"^C_s diverges for s <= 1/2, got s=0$"):
+        beta_constant(0)
+    with pytest.raises(DomainError, match=r"^sf_integral needs a finite r > 0, got -1$"):
+        sf_integral(x, -1, SummationConfig())
+
+
+def test_digit_count_is_exact_at_each_power_of_ten():
+    # log10 rounds 10**k - 1 up to k for large k; the count corrects it
+    for k in range(1, 4300, 7):
+        for value in (10**k - 1, 10**k, -(10**k)):
+            assert numerics._digits(value) == len(str(abs(value))), value
 
 
 def test_beta_constant_normalisation_limit():
@@ -289,7 +306,7 @@ def test_cutoff_limit_is_where_the_doubles_end():
     at = SummationConfig(numerics.CUTOFF_LIMIT)
     assert math.isfinite(lattice_sum(float(at.cutoff), 0.75, at))
     assert math.isfinite(lattice_sum(-0.3, 0.75, SummationConfig(numerics.CUTOFF_LIMIT, False)))
-    for cutoff, digits in ((numerics.CUTOFF_LIMIT + 1, 154), (10**400, 401), (10**5000, 5001)):
+    for cutoff, digits in ((numerics.CUTOFF_LIMIT + 1, 154), (10**200 - 1, 200), (10**400, 401), (10**5000, 5001)):
         with pytest.raises(UsageError, match=rf"cutoff must be <= 10\*\*153, .* got a {digits}-digit cutoff"):
             SummationConfig(cutoff)
 
